@@ -2,7 +2,8 @@
 
 Every command writes a machine-readable JSON report to stdout and a short
 human summary to stderr.  Exit codes: 0 all checks pass, 1 check failure,
-2 usage or parse error, 3 solver budget exhausted.  The DPATH_BUDGET
+2 usage or parse error, 3 solver budget exhausted, 4 internal error (the
+gadget's drawing has no well-defined embedding).  The DPATH_BUDGET
 environment variable overrides the solvers' node-expansion cap.
 """
 
@@ -17,12 +18,13 @@ from dataclasses import dataclass, field
 
 from . import edp, gridtiling, mappers, reduction
 from .digraph import EmbeddedDigraph, is_dotted_edge
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, EmbeddingError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV_VAR = "DPATH_BUDGET"
 
@@ -39,14 +41,10 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def all_ok(self) -> bool:
-        flags = [self.counts["match"], *self._check_flags(), self.solver["agree"]]
+        flags = [_structure_ok(self.counts, self.checks), self.solver["agree"]]
         if self.roundtrip is not None:
             flags += list(self.roundtrip.values())
         return all(flags)
-
-    def _check_flags(self) -> list[bool]:
-        c = self.checks
-        return [c["dag"], c["genus"] == 0, c["terminal_pairs_ok"]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,6 +108,11 @@ def _structural_checks(out: reduction.ReductionOutput) -> tuple[dict, dict]:
     return counts, checks
 
 
+def _structure_ok(counts: dict, checks: dict) -> bool:
+    """Sizes match the closed forms, the graph is a planar DAG, terminals are well-formed."""
+    return counts["match"] and checks["dag"] and checks["genus"] == 0 and checks["terminal_pairs_ok"]
+
+
 def _load_instance(path: str) -> gridtiling.GridTilingInstance:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -161,7 +164,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "timings": {"reduce_s": elapsed},
     }
     _emit(_json_text(out.to_json_dict()), args.out)
-    ok = counts["match"] and checks["dag"] and checks["genus"] == 0 and checks["terminal_pairs_ok"]
+    ok = _structure_ok(counts, checks)
     report["ok"] = ok
     sys.stdout.write(_json_text(report))
     print(
@@ -298,6 +301,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except EmbeddingError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

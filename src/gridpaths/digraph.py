@@ -19,6 +19,8 @@ from functools import cmp_to_key
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
+from .errors import EmbeddingError
+
 Label = Hashable
 Coord = tuple[Fraction, Fraction]
 Edge = tuple[Label, Label]
@@ -324,7 +326,7 @@ def _ccw_compare(d1, d2) -> int:
         return -1
     if cross < 0:
         return 1
-    raise ValueError("collinear neighbor directions; rotation is ambiguous")
+    raise EmbeddingError("collinear neighbor directions; rotation is ambiguous")
 
 
 class EmbeddedDigraph(Digraph):

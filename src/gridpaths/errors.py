@@ -1,4 +1,4 @@
-"""Exception types shared across solver modules."""
+"""Exception types shared across modules."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -7,3 +7,10 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, budget: int):
         super().__init__(f"expansion budget of {budget} exhausted")
         self.budget = budget
+
+
+class EmbeddingError(ValueError):
+    """Coordinates give no rotation system: two neighbours share a direction.
+
+    On a gadget built from a valid instance this is a layout defect, not bad input.
+    """

@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import ReductionOutput, grid_dims, grid_vertex_parts, level_set
+from .reduction import ReductionOutput, grid_vertex_parts, level_set
 
 
 class InvalidSolutionError(ValueError):
@@ -36,33 +36,33 @@ class ExtractionFailedError(RuntimeError):
     """No shared whole vertex exists in some cell; the reduction is broken."""
 
 
-def row_path(g: EmbeddedDigraph, i: int, j: int, ell: int) -> list:
+def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Left-to-right path across row ell of grid (i, j).
 
     Runs from the lb copy in column 1 to the tr copy in column N, taking the
     dotted edge at every split position and passing straight through whole
     vertices.
     """
-    _, n = grid_dims(g)
+    n = out.provenance.N
     if not (1 <= ell <= n):
         raise ValueError(f"row index {ell} out of range for N={n}")
     verts: list[Label] = []
     for q in range(1, n + 1):
-        entry, exit_ = grid_vertex_parts(g, i, j, q, ell)
+        entry, exit_ = grid_vertex_parts(out.graph, i, j, q, ell)
         verts.append(entry)
         if exit_ != entry:
             verts.append(exit_)
     return verts
 
 
-def column_path(g: EmbeddedDigraph, i: int, j: int, ell: int) -> list:
+def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Bottom-to-top path up column ell of grid (i, j); mirror of row_path."""
-    _, n = grid_dims(g)
+    n = out.provenance.N
     if not (1 <= ell <= n):
         raise ValueError(f"column index {ell} out of range for N={n}")
     verts: list[Label] = []
     for r in range(1, n + 1):
-        entry, exit_ = grid_vertex_parts(g, i, j, ell, r)
+        entry, exit_ = grid_vertex_parts(out.graph, i, j, ell, r)
         verts.append(entry)
         if exit_ != entry:
             verts.append(exit_)
@@ -124,7 +124,7 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
         first = grid_vertex_parts(g, i, 1, alpha[1], 1)[0]
         path = [source] + _fan_interior(g, source, first, outward=True)
         for j in range(1, k + 1):
-            path += column_path(g, i, j, alpha[j])
+            path += column_path(out, i, j, alpha[j])
             if j < k:
                 path += [
                     VConnector(i, j, ell)
@@ -140,7 +140,7 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
         first = grid_vertex_parts(g, 1, j, 1, beta[1])[0]
         path = [source] + _fan_interior(g, source, first, outward=True)
         for i in range(1, k + 1):
-            path += row_path(g, i, j, beta[i])
+            path += row_path(out, i, j, beta[i])
             if i < k:
                 path += [
                     HConnector(i, j, ell)
@@ -193,15 +193,14 @@ def check_level_confinement(out: ReductionOutput, ps: PathSet) -> bool:
     Path i must keep every edge within the vertical stratum of column i and
     path k+j within the horizontal stratum of row j.
     """
-    g = out.graph
     k = out.provenance.k
     if len(ps.paths) != 2 * k:
         raise ValueError(f"expected {2 * k} paths, got {len(ps.paths)}")
     for idx, path in enumerate(ps.paths):
         if idx < k:
-            stratum = level_set(g, "vertical", idx + 1)
+            stratum = level_set(out, "vertical", idx + 1)
         else:
-            stratum = level_set(g, "horizontal", idx - k + 1)
+            stratum = level_set(out, "horizontal", idx - k + 1)
         for u, v in zip(path, path[1:]):
             if u not in stratum or v not in stratum:
                 return False

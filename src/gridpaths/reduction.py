@@ -117,17 +117,45 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not isinstance(N, int) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    return _build(k, N, None)
+
+
+def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDigraph:
+    """Split every grid vertex whose (q, ell) is absent from its cell's set.
+
+    ``g1`` must be the base graph for the instance's (k, N); the split graph
+    is then built straight from the instance, the same graph ``reduce``
+    returns.
+    """
+    violations = validate_instance(inst)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(violations))
+    if g1 != build_g1(inst.k, inst.N):
+        raise ValueError("graph does not match the base construction for this instance")
+    return _build(inst.k, inst.N, inst.sets)
+
+
+def _build(k: int, N: int, sets: dict | None) -> EmbeddedDigraph:
+    """The base graph with each grid position split or whole, in one pass.
+
+    With ``sets`` None every position is whole (the base graph).  Otherwise a
+    position whose (q, ell) is absent from its cell's set becomes an lb copy
+    at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
+    dotted lb -> tr edge; edges arrive at lb and leave from tr.  The dotted
+    edges come after all others, in grid-vertex order.
+    """
     pitch = N + 1
     verts: list[Label] = []
     edges: list[tuple[Label, Label]] = []
     coords: dict[Label, tuple[Fraction, Fraction]] = {}
+    # grid position (i, j, q, ell) -> the label its edges arrive at / leave from
+    head: dict[tuple[int, int, int, int], GridVertex] = {}
+    tail: dict[tuple[int, int, int, int], GridVertex] = {}
+    dotted: list[tuple[Label, Label]] = []
 
     def add_vertex(v: Label, x, y) -> None:
         verts.append(v)
         coords[v] = (Fraction(x), Fraction(y))
-
-    def w(i, j, q, ell) -> GridVertex:
-        return GridVertex(i, j, q, ell)
 
     for i in range(1, k + 1):
         for j in range(1, k + 1):
@@ -135,16 +163,28 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
             y0 = (j - 1) * pitch
             for q in range(1, N + 1):
                 for ell in range(1, N + 1):
-                    add_vertex(w(i, j, q, ell), x0 + q, y0 + ell)
+                    pos = (i, j, q, ell)
+                    x, y = x0 + q, y0 + ell
+                    if sets is None or (q, ell) in sets[(i, j)]:
+                        v = GridVertex(i, j, q, ell)
+                        add_vertex(v, x, y)
+                        head[pos] = tail[pos] = v
+                    else:
+                        lb = GridVertex(i, j, q, ell, LB)
+                        tr = GridVertex(i, j, q, ell, TR)
+                        add_vertex(lb, x - QUARTER, y - QUARTER)
+                        add_vertex(tr, x + QUARTER, y + QUARTER)
+                        head[pos], tail[pos] = lb, tr
+                        dotted.append((lb, tr))
 
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             for q in range(1, N + 1):
                 for ell in range(1, N):
-                    edges.append((w(i, j, q, ell), w(i, j, q, ell + 1)))
+                    edges.append((tail[i, j, q, ell], head[i, j, q, ell + 1]))
             for q in range(1, N):
                 for ell in range(1, N + 1):
-                    edges.append((w(i, j, q, ell), w(i, j, q + 1, ell)))
+                    edges.append((tail[i, j, q, ell], head[i, j, q + 1, ell]))
 
     # horizontal connector chains between grid (i, j) and grid (i+1, j)
     for i in range(1, k):
@@ -154,9 +194,9 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
             for ell in range(1, N):
                 edges.append((HConnector(i, j, ell), HConnector(i, j, ell + 1)))
             for ell in range(1, N + 1):
-                edges.append((w(i, j, N, ell), HConnector(i, j, ell)))
+                edges.append((tail[i, j, N, ell], HConnector(i, j, ell)))
             for ell in range(1, N + 1):
-                edges.append((HConnector(i, j, ell), w(i + 1, j, 1, ell)))
+                edges.append((HConnector(i, j, ell), head[i + 1, j, 1, ell]))
 
     # vertical connector chains between grid (i, j) and grid (i, j+1)
     for i in range(1, k + 1):
@@ -166,9 +206,9 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
             for ell in range(1, N):
                 edges.append((VConnector(i, j, ell), VConnector(i, j, ell + 1)))
             for ell in range(1, N + 1):
-                edges.append((w(i, j, ell, N), VConnector(i, j, ell)))
+                edges.append((tail[i, j, ell, N], VConnector(i, j, ell)))
             for ell in range(1, N + 1):
-                edges.append((VConnector(i, j, ell), w(i, j + 1, ell, 1)))
+                edges.append((VConnector(i, j, ell), head[i, j + 1, ell, 1]))
 
     half = Fraction(pitch, 2)
     for i in range(1, k + 1):
@@ -180,64 +220,18 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
 
     for i in range(1, k + 1):
         for ell in range(1, N + 1):
-            edges.append((Terminal("a", i), w(i, 1, ell, 1)))
+            edges.append((Terminal("a", i), head[i, 1, ell, 1]))
     for i in range(1, k + 1):
         for ell in range(1, N + 1):
-            edges.append((w(i, k, ell, N), Terminal("b", i)))
+            edges.append((tail[i, k, ell, N], Terminal("b", i)))
     for j in range(1, k + 1):
         for ell in range(1, N + 1):
-            edges.append((Terminal("c", j), w(1, j, 1, ell)))
+            edges.append((Terminal("c", j), head[1, j, 1, ell]))
     for j in range(1, k + 1):
         for ell in range(1, N + 1):
-            edges.append((w(k, j, N, ell), Terminal("d", j)))
+            edges.append((tail[k, j, N, ell], Terminal("d", j)))
 
-    return EmbeddedDigraph(verts, edges, coords)
-
-
-def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDigraph:
-    """Split every grid vertex whose (q, ell) is absent from its cell's set.
-
-    The split vertex is replaced by lb and tr copies offset by 1/4 along the
-    SW/NE diagonal and joined by the dotted lb -> tr edge; incoming edges are
-    rewired to lb and outgoing edges to tr.  Vertices whose coordinates are
-    in the set stay whole.
-    """
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
-    if g1 != build_g1(inst.k, inst.N):
-        raise ValueError("graph does not match the base construction for this instance")
-
-    def is_split(v: Label) -> bool:
-        return isinstance(v, GridVertex) and (v.q, v.ell) not in inst.sets[(v.i, v.j)]
-
-    verts: list[Label] = []
-    coords: dict[Label, tuple[Fraction, Fraction]] = {}
-    lb_of: dict[Label, GridVertex] = {}
-    tr_of: dict[Label, GridVertex] = {}
-    for v in g1.vertices:
-        x, y = g1.coord(v)
-        if is_split(v):
-            lb = GridVertex(v.i, v.j, v.q, v.ell, LB)
-            tr = GridVertex(v.i, v.j, v.q, v.ell, TR)
-            lb_of[v] = lb
-            tr_of[v] = tr
-            verts.append(lb)
-            coords[lb] = (x - QUARTER, y - QUARTER)
-            verts.append(tr)
-            coords[tr] = (x + QUARTER, y + QUARTER)
-        else:
-            verts.append(v)
-            coords[v] = (x, y)
-
-    edges: list[tuple[Label, Label]] = []
-    for u, v in g1.edges:
-        edges.append((tr_of.get(u, u), lb_of.get(v, v)))
-    for v in g1.vertices:
-        if v in lb_of:
-            edges.append((lb_of[v], tr_of[v]))
-
-    return EmbeddedDigraph(verts, edges, coords)
+    return EmbeddedDigraph(verts, edges + dotted, coords)
 
 
 def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> GraphCounts:
@@ -260,11 +254,11 @@ def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> 
 
 
 def reduce(inst: GridTilingInstance) -> ReductionOutput:
-    """Full reduction: build the base graph, split, and attach terminal pairs."""
+    """Full reduction: build the split graph and attach terminal pairs."""
     violations = validate_instance(inst)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(violations))
-    g2 = split_vertices(build_g1(inst.k, inst.N), inst)
+    g2 = _build(inst.k, inst.N, inst.sets)
     pairs = tuple((Terminal("a", i), Terminal("b", i)) for i in range(1, inst.k + 1))
     pairs += tuple((Terminal("c", j), Terminal("d", j)) for j in range(1, inst.k + 1))
     return ReductionOutput(
@@ -273,19 +267,6 @@ def reduce(inst: GridTilingInstance) -> ReductionOutput:
         provenance=inst,
         counts=predicted_counts(inst),
     )
-
-
-def grid_dims(g: EmbeddedDigraph) -> tuple[int, int]:
-    """(k, N) recovered from the grid vertex labels."""
-    k = 0
-    n = 0
-    for v in g.vertices:
-        if isinstance(v, GridVertex):
-            k = max(k, v.i, v.j)
-            n = max(n, v.q, v.ell)
-    if k == 0:
-        raise ValueError("graph has no grid vertices")
-    return k, n
 
 
 def grid_vertex_parts(
@@ -302,45 +283,46 @@ def grid_vertex_parts(
     raise ValueError(f"no grid vertex at cell ({i},{j}) position ({q},{ell})")
 
 
-def boundary(g: EmbeddedDigraph, i: int, j: int, side: str) -> list:
+def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
     """The N boundary vertices of grid (i, j) on ``side``, in ell order.
 
     Split positions contribute the lb copy on the left/bottom sides and the
     tr copy on the right/top sides; whole positions contribute the single
     vertex either way.
     """
-    k, n = grid_dims(g)
+    g = out.graph
+    k, n = out.provenance.k, out.provenance.N
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"grid index ({i},{j}) out of range for k={k}")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    out = []
+    result = []
     for ell in range(1, n + 1):
         if side == "left":
-            out.append(grid_vertex_parts(g, i, j, 1, ell)[0])
+            result.append(grid_vertex_parts(g, i, j, 1, ell)[0])
         elif side == "right":
-            out.append(grid_vertex_parts(g, i, j, n, ell)[1])
+            result.append(grid_vertex_parts(g, i, j, n, ell)[1])
         elif side == "top":
-            out.append(grid_vertex_parts(g, i, j, ell, n)[1])
+            result.append(grid_vertex_parts(g, i, j, ell, n)[1])
         else:
-            out.append(grid_vertex_parts(g, i, j, ell, 1)[0])
-    return out
+            result.append(grid_vertex_parts(g, i, j, ell, 1)[0])
+    return result
 
 
-def level_set(g: EmbeddedDigraph, kind: str, index: int) -> set:
+def level_set(out: ReductionOutput, kind: str, index: int) -> set:
     """The horizontal (row) or vertical (column) stratum of the gadget.
 
     Horizontal(j) holds c_j, d_j, every vertex of the grids (i, j), the
     horizontal connectors at row j, and any fan-tree nodes of c_j/d_j;
     Vertical(i) is the column analogue for a_i, b_i.
     """
-    k, _ = grid_dims(g)
+    k = out.provenance.k
     if kind not in ("horizontal", "vertical"):
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
     if not (1 <= index <= k):
         raise ValueError(f"index {index} out of range for k={k}")
     result = set()
-    for v in g.vertices:
+    for v in out.graph.vertices:
         if kind == "horizontal":
             if isinstance(v, GridVertex) and v.j == index:
                 result.add(v)
@@ -362,7 +344,7 @@ def level_set(g: EmbeddedDigraph, kind: str, index: int) -> set:
     return result
 
 
-def _fan_tree_specs(g: EmbeddedDigraph, k: int, n: int):
+def _fan_tree_specs(out: ReductionOutput):
     """Replacement plan for each terminal fan.
 
     Yields (root, leaves, outward, span_axis, depth_coord_bounds) where
@@ -370,11 +352,12 @@ def _fan_tree_specs(g: EmbeddedDigraph, k: int, n: int):
     when vertically, and ``depth_coord_bounds`` is (root level, leaf-side
     level) along the other axis.
     """
+    k, n = out.provenance.k, out.provenance.N
     pitch = n + 1
     for i in range(1, k + 1):
         yield (
             Terminal("a", i),
-            boundary(g, i, 1, "bottom"),
+            boundary(out, i, 1, "bottom"),
             True,
             0,
             (Fraction(-1), Fraction(3, 4)),
@@ -382,7 +365,7 @@ def _fan_tree_specs(g: EmbeddedDigraph, k: int, n: int):
     for i in range(1, k + 1):
         yield (
             Terminal("b", i),
-            boundary(g, i, k, "top"),
+            boundary(out, i, k, "top"),
             False,
             0,
             (Fraction(k * pitch + 1), Fraction((k - 1) * pitch + n) + QUARTER),
@@ -390,7 +373,7 @@ def _fan_tree_specs(g: EmbeddedDigraph, k: int, n: int):
     for j in range(1, k + 1):
         yield (
             Terminal("c", j),
-            boundary(g, 1, j, "left"),
+            boundary(out, 1, j, "left"),
             True,
             1,
             (Fraction(-1), Fraction(3, 4)),
@@ -398,7 +381,7 @@ def _fan_tree_specs(g: EmbeddedDigraph, k: int, n: int):
     for j in range(1, k + 1):
         yield (
             Terminal("d", j),
-            boundary(g, k, j, "right"),
+            boundary(out, k, j, "right"),
             False,
             1,
             (Fraction(k * pitch + 1), Fraction((k - 1) * pitch + n) + QUARTER),
@@ -418,7 +401,7 @@ def reduce_degree(out: ReductionOutput) -> ReductionOutput:
         raise AlreadyReducedError("degree reduction was already applied")
     g = out.graph
     inst = out.provenance
-    k, n = inst.k, inst.N
+    n = inst.N
     # depth of the deepest internal tree node in a balanced tree on n leaves
     max_internal_depth = (n - 1).bit_length() - 1
 
@@ -427,7 +410,7 @@ def reduce_degree(out: ReductionOutput) -> ReductionOutput:
     drop: set[tuple[Label, Label]] = set()
     tree_edges: list[tuple[Label, Label]] = []
 
-    for root, leaves, outward, span_axis, (s_root, s_leaf) in _fan_tree_specs(g, k, n):
+    for root, leaves, outward, span_axis, (s_root, s_leaf) in _fan_tree_specs(out):
         for leaf in leaves:
             star = (root, leaf) if outward else (leaf, root)
             if not g.has_edge(*star):

@@ -3,6 +3,7 @@ import json
 from gridpaths.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -95,6 +96,14 @@ class TestReduce:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "reduce", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_USAGE
+
+    def test_layout_defect_on_valid_instance_exits_4(self, capsys, tmp_path):
+        # N = 13 trips the known collinear fan geometry; the instance itself is valid
+        inst = tmp_path / "n13.json"
+        run(capsys, "gen", "1", "13", "--out", str(inst))
+        code, _, err = run(capsys, "reduce", str(inst), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_INTERNAL
+        assert "collinear" in err
 
 
 class TestRoundtrip:

@@ -123,7 +123,7 @@ class TestNeighborhoods:
 
     def test_vertical_level_out_neighbors_are_h_connectors(self):
         out = reduce(generate_planted(2, 2, noise=0, seed=0))
-        vertical = level_set(out.graph, "vertical", 1)
+        vertical = level_set(out, "vertical", 1)
         expected = {
             v for v in out.graph.vertices if isinstance(v, HConnector) and v.i == 1
         }

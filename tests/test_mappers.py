@@ -46,13 +46,13 @@ def full_instance(k, n):
 class TestRowColumnPaths:
     def test_row_through_whole_vertices(self):
         out = reduce(full_instance(1, 3))
-        path = row_path(out.graph, 1, 1, 2)
+        path = row_path(out, 1, 1, 2)
         assert path == [GridVertex(1, 1, q, 2) for q in (1, 2, 3)]
 
     def test_row_through_split_vertices(self):
         inst = GridTilingInstance(k=1, N=2, sets={(1, 1): set()})
         out = reduce(inst)
-        path = row_path(out.graph, 1, 1, 1)
+        path = row_path(out, 1, 1, 1)
         assert [(v.q, v.part) for v in path] == [
             (1, "lb"),
             (1, "tr"),
@@ -63,7 +63,7 @@ class TestRowColumnPaths:
     def test_column_through_split_vertices(self):
         inst = GridTilingInstance(k=1, N=2, sets={(1, 1): set()})
         out = reduce(inst)
-        path = column_path(out.graph, 1, 1, 2)
+        path = column_path(out, 1, 1, 2)
         assert [(v.q, v.ell, v.part) for v in path] == [
             (2, 1, "lb"),
             (2, 1, "tr"),
@@ -74,15 +74,15 @@ class TestRowColumnPaths:
     def test_paths_are_directed_paths(self):
         out = reduce(generate_random(2, 3, 0.5, seed=1))
         for ell in (1, 2, 3):
-            for path in (row_path(out.graph, 2, 1, ell), column_path(out.graph, 1, 2, ell)):
+            for path in (row_path(out, 2, 1, ell), column_path(out, 1, 2, ell)):
                 for u, v in zip(path, path[1:]):
                     assert out.graph.has_edge(u, v)
 
     def test_row_and_column_cross_edge_disjointly_at_whole_vertex(self):
         inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})
         out = reduce(inst)
-        row = row_path(out.graph, 1, 1, 1)
-        col = column_path(out.graph, 1, 1, 1)
+        row = row_path(out, 1, 1, 1)
+        col = column_path(out, 1, 1, 1)
         row_edges = set(zip(row, row[1:]))
         col_edges = set(zip(col, col[1:]))
         assert not row_edges & col_edges
@@ -91,9 +91,9 @@ class TestRowColumnPaths:
     def test_out_of_range_rejected(self):
         out = reduce(full_instance(1, 2))
         with pytest.raises(ValueError):
-            row_path(out.graph, 1, 1, 3)
+            row_path(out, 1, 1, 3)
         with pytest.raises(ValueError):
-            column_path(out.graph, 1, 1, 0)
+            column_path(out, 1, 1, 0)
 
 
 class TestForwardDirection:
