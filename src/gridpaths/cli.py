@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import edp, gridtiling, mappers, reduction
 from .digraph import EmbeddedDigraph, is_dotted_edge
-from .errors import BudgetExceededError, EmbeddingError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, EmbeddingError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,7 +61,7 @@ class RunReport:
 def _solver_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
-        return edp.DEFAULT_BUDGET
+        return DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError as exc:

@@ -1,12 +1,13 @@
 """Exact edge-disjoint and vertex-disjoint path search on DAGs.
 
-The edge-disjoint solver routes terminal pairs one at a time in the given
-order: paths for the current pair are enumerated depth-first over edges not
-already used (tracked in a bitmask), extensions into vertices that cannot
-reach the current target are skipped, and after each committed path every
-remaining pair must stay reachable in the residual edge set or the branch
-is abandoned.  The search is exhaustive, so a None answer is a proof of
-infeasibility at the given budget.
+One search serves both modes.  It routes terminal pairs one at a time in
+the given order: paths for the current pair are enumerated depth-first over
+resources not already used (tracked in a bitmask; edges in edge-disjoint
+mode, vertices in vertex-disjoint mode), extensions into vertices that
+cannot reach the current target are skipped, and after each committed path
+every remaining pair must stay reachable in the residual graph or the
+branch is abandoned.  The search is exhaustive, so a None answer is a proof
+of infeasibility at the given budget.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -15,12 +16,9 @@ legal and consumes no edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .digraph import Digraph, Label, label_from_json, label_to_json
-from .errors import BudgetExceededError
-
-DEFAULT_BUDGET = 10_000_000
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 
 @dataclass
@@ -99,20 +97,6 @@ def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:
     return True
 
 
-def _index_graph(g: Digraph, pairs: Sequence[tuple[Label, Label]]):
-    verts = g.vertices
-    vid = {v: num for num, v in enumerate(verts)}
-    for s, t in pairs:
-        if s not in vid or t not in vid:
-            raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
-    out_adj: list[list[tuple[int, int]]] = [[] for _ in verts]
-    in_adj: list[list[int]] = [[] for _ in verts]
-    for eidx, (u, v) in enumerate(g.edges):
-        out_adj[vid[u]].append((eidx, vid[v]))
-        in_adj[vid[v]].append(vid[u])
-    return verts, vid, out_adj, in_adj
-
-
 def _require_dag(g: Digraph) -> None:
     _, cycle = g.topological_sort()
     if cycle is not None:
@@ -132,6 +116,104 @@ def _ancestor_mask(target: int, in_adj: list[list[int]]) -> int:
     return mask
 
 
+def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
+    """The backtracking search behind both solvers, over integer vertex ids.
+
+    Each arc consumes one resource bit of the ``used`` mask: its edge in
+    edge-disjoint mode, its head vertex in vertex-disjoint mode, which also
+    claims each path's start vertex.  The search runs on an explicit stack of
+    frames [pair, vertex, used, next arc], so its depth is not bounded by the
+    recursion limit; the frames of one pair spell out that pair's path.
+    """
+    _require_dag(g)
+    pairs = _pairs(terminals)
+    if vertex_disjoint:
+        seen_terms: set[Label] = set()
+        for s, t in pairs:
+            for v in (s, t) if s != t else (s,):
+                if v in seen_terms:
+                    raise ValueError(f"terminal vertex {v!r} appears in two pairs")
+                seen_terms.add(v)
+    verts = g.vertices
+    vid = {v: num for num, v in enumerate(verts)}
+    for s, t in pairs:
+        if s not in vid or t not in vid:
+            raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
+    out_adj: list[list[tuple[int, int]]] = [[] for _ in verts]
+    in_adj: list[list[int]] = [[] for _ in verts]
+    for eidx, (u, v) in enumerate(g.edges):
+        head = vid[v]
+        out_adj[vid[u]].append((1 << (head if vertex_disjoint else eidx), head))
+        in_adj[head].append(vid[u])
+    ends = [(vid[s], vid[t]) for s, t in pairs]
+    claims = [(1 << sv) if vertex_disjoint else 0 for sv, _ in ends]
+    anc_masks = [_ancestor_mask(tv, in_adj) for _, tv in ends]
+    npairs = len(pairs)
+
+    def reachable(idx: int, used: int) -> bool:
+        sv, tv = ends[idx]
+        if used & claims[idx]:
+            return False
+        if sv == tv:
+            return True
+        seen = 1 << sv
+        stack = [sv]
+        while stack:
+            for bit, w in out_adj[stack.pop()]:
+                if used & bit:
+                    continue
+                if w == tv:
+                    return True
+                wbit = 1 << w
+                if not seen & wbit:
+                    seen |= wbit
+                    stack.append(w)
+        return False
+
+    def remaining_ok(idx: int, used: int) -> bool:
+        return all(reachable(j, used) for j in range(idx, npairs))
+
+    if not remaining_ok(0, 0):
+        return None
+    if not pairs:
+        return PathSet([])
+    expansions = 0
+    frames = [[0, ends[0][0], claims[0], 0]]
+    while frames:
+        frame = frames[-1]
+        idx, v, used, nxt = frame
+        if v == ends[idx][1]:
+            # A target frame is visited twice: first to hand over to the next
+            # pair, then once that pair has failed from here.
+            if nxt or not remaining_ok(idx + 1, used):
+                frames.pop()
+            elif idx + 1 == npairs:
+                paths: list[list[Label]] = [[] for _ in pairs]
+                for fidx, fv, _, _ in frames:
+                    paths[fidx].append(verts[fv])
+                return PathSet(paths)
+            else:
+                frame[3] = 1
+                frames.append([idx + 1, ends[idx + 1][0], used | claims[idx + 1], 0])
+            continue
+        arcs = out_adj[v]
+        anc = anc_masks[idx]
+        while nxt < len(arcs):
+            bit, w = arcs[nxt]
+            nxt += 1
+            if used & bit or not (anc >> w) & 1:
+                continue
+            expansions += 1
+            if expansions > budget:
+                raise BudgetExceededError(budget)
+            frame[3] = nxt
+            frames.append([idx, w, used | bit, 0])
+            break
+        else:
+            frames.pop()
+    return None
+
+
 def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact edge-disjoint routing on a DAG; None means provably infeasible.
 
@@ -139,165 +221,16 @@ def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     the graph's edge order.  Raises BudgetExceededError when the expansion
     cap is hit before the search finishes.
     """
-    _require_dag(g)
-    pairs = _pairs(terminals)
-    verts, vid, out_adj, in_adj = _index_graph(g, pairs)
-    pvids = [(vid[s], vid[t]) for s, t in pairs]
-    anc_masks = [_ancestor_mask(tv, in_adj) for _, tv in pvids]
-    npairs = len(pairs)
-    result: list[list[int]] = [[] for _ in range(npairs)]
-    expansions = 0
-
-    def reachable(sv: int, tv: int, used: int) -> bool:
-        if sv == tv:
-            return True
-        seen = 1 << sv
-        stack = [sv]
-        while stack:
-            v = stack.pop()
-            for eidx, w in out_adj[v]:
-                if used & (1 << eidx):
-                    continue
-                if w == tv:
-                    return True
-                bit = 1 << w
-                if not seen & bit:
-                    seen |= bit
-                    stack.append(w)
-        return False
-
-    def remaining_ok(idx: int, used: int) -> bool:
-        return all(reachable(sv, tv, used) for sv, tv in pvids[idx:])
-
-    def route(idx: int, used: int) -> bool:
-        nonlocal expansions
-        if idx == npairs:
-            return True
-        sv, tv = pvids[idx]
-        if sv == tv:
-            result[idx] = [sv]
-            return route(idx + 1, used)
-        anc = anc_masks[idx]
-        path = [sv]
-
-        def dfs(v: int, used_now: int) -> bool:
-            nonlocal expansions
-            if v == tv:
-                if remaining_ok(idx + 1, used_now):
-                    result[idx] = list(path)
-                    if route(idx + 1, used_now):
-                        return True
-                return False
-            for eidx, w in out_adj[v]:
-                bit = 1 << eidx
-                if used_now & bit:
-                    continue
-                if not (anc >> w) & 1:
-                    continue
-                expansions += 1
-                if expansions > budget:
-                    raise BudgetExceededError(budget)
-                path.append(w)
-                if dfs(w, used_now | bit):
-                    return True
-                path.pop()
-            return False
-
-        return dfs(sv, used)
-
-    if not remaining_ok(0, 0):
-        return None
-    if route(0, 0):
-        return PathSet([[verts[v] for v in p] for p in result])
-    return None
+    return _search(g, terminals, budget, vertex_disjoint=False)
 
 
 def solve_vdp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact vertex-disjoint routing on a DAG (disjoint on all vertices).
 
-    Independent of solve_edp_dag: occupancy is tracked per vertex, so this
-    doubles as the cross-check for the line-graph transform.
+    The same search as solve_edp_dag with vertices as the consumed resource;
+    terminal vertices must be pairwise distinct across pairs.
     """
-    _require_dag(g)
-    pairs = _pairs(terminals)
-    seen_terms: set[Label] = set()
-    for s, t in pairs:
-        for v in (s, t) if s != t else (s,):
-            if v in seen_terms:
-                raise ValueError(f"terminal vertex {v!r} appears in two pairs")
-            seen_terms.add(v)
-    verts, vid, out_adj, in_adj = _index_graph(g, pairs)
-    pvids = [(vid[s], vid[t]) for s, t in pairs]
-    anc_masks = [_ancestor_mask(tv, in_adj) for _, tv in pvids]
-    npairs = len(pairs)
-    result: list[list[int]] = [[] for _ in range(npairs)]
-    expansions = 0
-
-    def reachable(sv: int, tv: int, used: int) -> bool:
-        if used & (1 << sv) or used & (1 << tv):
-            return False
-        if sv == tv:
-            return True
-        seen = 1 << sv
-        stack = [sv]
-        while stack:
-            v = stack.pop()
-            for _, w in out_adj[v]:
-                if w == tv:
-                    return True
-                bit = 1 << w
-                if used & bit or seen & bit:
-                    continue
-                seen |= bit
-                stack.append(w)
-        return False
-
-    def remaining_ok(idx: int, used: int) -> bool:
-        return all(reachable(sv, tv, used) for sv, tv in pvids[idx:])
-
-    def route(idx: int, used: int) -> bool:
-        nonlocal expansions
-        if idx == npairs:
-            return True
-        sv, tv = pvids[idx]
-        if sv == tv:
-            result[idx] = [sv]
-            if remaining_ok(idx + 1, used | (1 << sv)):
-                return route(idx + 1, used | (1 << sv))
-            return False
-        anc = anc_masks[idx]
-        path = [sv]
-
-        def dfs(v: int, used_now: int) -> bool:
-            nonlocal expansions
-            if v == tv:
-                if remaining_ok(idx + 1, used_now):
-                    result[idx] = list(path)
-                    if route(idx + 1, used_now):
-                        return True
-                return False
-            for _, w in out_adj[v]:
-                bit = 1 << w
-                if used_now & bit:
-                    continue
-                if not (anc >> w) & 1:
-                    continue
-                expansions += 1
-                if expansions > budget:
-                    raise BudgetExceededError(budget)
-                path.append(w)
-                if dfs(w, used_now | bit):
-                    return True
-                path.pop()
-            return False
-
-        return dfs(sv, used | (1 << sv))
-
-    if not remaining_ok(0, 0):
-        return None
-    if route(0, 0):
-        return PathSet([[verts[v] for v in p] for p in result])
-    return None
+    return _search(g, terminals, budget, vertex_disjoint=True)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Exception types shared across modules."""
+"""Exception types and the solver budget shared across modules."""
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):

@@ -16,12 +16,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 Pair = tuple[int, int]
 Cell = tuple[int, int]
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

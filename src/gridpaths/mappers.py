@@ -25,7 +25,7 @@ from .digraph import (
 )
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import ReductionOutput, grid_vertex_parts, level_set
+from .reduction import ReductionOutput, _in_level, grid_vertex_parts
 
 
 class InvalidSolutionError(ValueError):
@@ -196,12 +196,10 @@ def check_level_confinement(out: ReductionOutput, ps: PathSet) -> bool:
     k = out.provenance.k
     if len(ps.paths) != 2 * k:
         raise ValueError(f"expected {2 * k} paths, got {len(ps.paths)}")
+    g = out.graph
     for idx, path in enumerate(ps.paths):
-        if idx < k:
-            stratum = level_set(out, "vertical", idx + 1)
-        else:
-            stratum = level_set(out, "horizontal", idx - k + 1)
-        for u, v in zip(path, path[1:]):
-            if u not in stratum or v not in stratum:
-                return False
+        kind, index = ("vertical", idx + 1) if idx < k else ("horizontal", idx - k + 1)
+        # a path without edges has nothing to confine
+        if len(path) > 1 and not all(v in g and _in_level(v, kind, index) for v in path):
+            return False
     return True

@@ -321,27 +321,17 @@ def level_set(out: ReductionOutput, kind: str, index: int) -> set:
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
     if not (1 <= index <= k):
         raise ValueError(f"index {index} out of range for k={k}")
-    result = set()
-    for v in out.graph.vertices:
-        if kind == "horizontal":
-            if isinstance(v, GridVertex) and v.j == index:
-                result.add(v)
-            elif isinstance(v, HConnector) and v.j == index:
-                result.add(v)
-            elif isinstance(v, Terminal) and v.family in ("c", "d") and v.index == index:
-                result.add(v)
-            elif isinstance(v, TreeNode) and v.family in ("c", "d") and v.index == index:
-                result.add(v)
-        else:
-            if isinstance(v, GridVertex) and v.i == index:
-                result.add(v)
-            elif isinstance(v, VConnector) and v.i == index:
-                result.add(v)
-            elif isinstance(v, Terminal) and v.family in ("a", "b") and v.index == index:
-                result.add(v)
-            elif isinstance(v, TreeNode) and v.family in ("a", "b") and v.index == index:
-                result.add(v)
-    return result
+    return {v for v in out.graph.vertices if _in_level(v, kind, index)}
+
+
+def _in_level(v: Label, kind: str, index: int) -> bool:
+    """Whether label ``v`` belongs to stratum ``kind`` ``index`` (see level_set)."""
+    horizontal = kind == "horizontal"
+    if isinstance(v, (GridVertex, HConnector if horizontal else VConnector)):
+        return (v.j if horizontal else v.i) == index
+    if isinstance(v, (Terminal, TreeNode)):
+        return v.index == index and v.family in (("c", "d") if horizontal else ("a", "b"))
+    return False
 
 
 def _fan_tree_specs(out: ReductionOutput):

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to cross-check the solvers.
 
 These deliberately share no code with the package's search routines: the
-grid tiling oracle enumerates full assignment products, and the path oracle
-enumerates every tuple of simple paths.
+grid tiling oracle enumerates full assignment products, and the two path
+oracles enumerate every tuple of simple paths.
 """
 
 from __future__ import annotations
@@ -58,6 +58,22 @@ def edp_feasible_exhaustive(g: Digraph, pairs) -> bool:
                 used.add(edge)
             if not ok:
                 break
+        if ok:
+            return True
+    return False
+
+
+def vdp_feasible_exhaustive(g: Digraph, pairs) -> bool:
+    """Try every tuple of candidate paths for pairwise vertex-disjointness."""
+    pools = [list(iter_all_paths(g, s, t)) for s, t in pairs]
+    for combo in itertools.product(*pools):
+        used = set()
+        ok = True
+        for path in combo:
+            if used.intersection(path):
+                ok = False
+                break
+            used.update(path)
         if ok:
             return True
     return False

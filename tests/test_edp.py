@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gridpaths.digraph import Digraph
@@ -17,7 +19,7 @@ from gridpaths.gridtiling import GridTilingInstance, generate_planted, solve_gt_
 from gridpaths.mappers import gt_solution_to_paths
 from gridpaths.reduction import reduce
 
-from ._oracles import edp_feasible_exhaustive, random_dag
+from ._oracles import edp_feasible_exhaustive, random_dag, vdp_feasible_exhaustive
 
 
 def cross_graph():
@@ -166,6 +168,15 @@ class TestVdp:
         with pytest.raises(ValueError, match="two pairs"):
             solve_vdp_dag(g, [("s1", "t1"), ("s1", "t2")])
 
+    def test_agrees_with_exhaustive_enumeration(self):
+        for seed in range(40):
+            g, pairs = random_dag(seed)
+            got = solve_vdp_dag(g, pairs)
+            want = vdp_feasible_exhaustive(g, pairs)
+            assert (got is not None) == want, f"seed {seed}"
+            if got is not None:
+                assert check_vdp_solution(g, pairs, got)
+
 
 class TestTransform:
     def test_single_path_shape(self):
@@ -216,3 +227,43 @@ class TestPathSetJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             PathSet.from_json_dict({"nope": []})
+
+
+class TestSearchCore:
+    # SHA-256 of both solvers' answers (the repr of the paths, "none" or
+    # "budget") over the cases below; a change to the search must keep it.
+    # The repr stands in for PathSet JSON, which encodes reduction labels only.
+    DIGEST = "1def2f33362924a293b251038f63dae8bea1a466a49d065186b8d29f46bae4b5"
+
+    @staticmethod
+    def _answer(solver, g, pairs, budget):
+        try:
+            ps = solver(g, pairs, budget=budget)
+        except BudgetExceededError:
+            return "budget"
+        return "none" if ps is None else repr(ps.paths)
+
+    def test_answers_match_pinned_digest(self):
+        cases = []
+        for seed in range(60):
+            g, pairs = random_dag(seed)
+            cases.append((g, pairs, (3, 50, 10_000)))
+            cases.append((*edp_to_vdp_dag(g, pairs), (3, 50, 10_000)))
+        for k in (1, 2):
+            for n in (2, 3):
+                out = reduce(generate_planted(k, n, noise=2, seed=k * 10 + n))
+                cases.append((out.graph, out.terminals.pairs, (10_000,)))
+        digest = hashlib.sha256()
+        for g, pairs, budgets in cases:
+            for budget in budgets:
+                for solver in (solve_edp_dag, solve_vdp_dag):
+                    answer = self._answer(solver, g, pairs, budget)
+                    digest.update(answer.encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 5000
+        g = Digraph(range(n), [(v, v + 1) for v in range(n - 1)])
+        for solver in (solve_edp_dag, solve_vdp_dag):
+            ps = solver(g, [(0, n - 1)])
+            assert ps.paths == [list(range(n))]
