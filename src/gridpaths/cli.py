@@ -3,8 +3,9 @@
 Every command writes a machine-readable JSON report to stdout and a short
 human summary to stderr.  Exit codes: 0 all checks pass, 1 check failure,
 2 usage or parse error, 3 solver budget exhausted, 4 internal error (the
-gadget's drawing has no well-defined embedding).  The DPATH_BUDGET
-environment variable overrides the solvers' node-expansion cap.
+gadget's drawing has no well-defined embedding, face tracing breaks Euler's
+formula, or a mapper rejects or cannot read the solvers' own answers).  The
+DPATH_BUDGET environment variable overrides the solvers' node-expansion cap.
 """
 
 from __future__ import annotations
@@ -301,7 +302,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except EmbeddingError as exc:
+    except (EmbeddingError, mappers.InvalidSolutionError, RuntimeError) as exc:
+        # after the budget case: BudgetExceededError is a RuntimeError too
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -1,19 +1,20 @@
 """Labeled directed graphs with coordinate-derived rotation systems.
 
 Vertices are hashable label objects carrying their meaning (grid position,
-connector chain, terminal, fan-tree node).  Embedded graphs additionally
-carry exact rational coordinates, which are the single source of truth for
-the combinatorial embedding: the counterclockwise angular order of the
-neighbors around each vertex is the rotation system, its faces are traced,
-and Euler's formula V - E + F = 2 - 2g yields the genus.  Genus zero
-certifies that the drawing is planar; no general-purpose planarity test is
-involved.
+connector chain, terminal, fan-tree node).  Inside, a vertex is the int id
+of its place in the vertex list and an edge the int id of its place in the
+edge list; every algorithm here runs on ids and turns them back into labels
+only in what it returns.  Embedded graphs additionally carry exact rational
+coordinates, which are the single source of truth for the combinatorial
+embedding: the counterclockwise angular order of the neighbors around each
+vertex is the rotation system, its faces are traced, and Euler's formula
+V - E + F = 2 - 2g yields the genus.  Genus zero certifies that the drawing
+is planar; no general-purpose planarity test is involved.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key
 from types import MappingProxyType
@@ -89,72 +90,64 @@ class TreeNode:
     path: tuple[int, ...]
 
 
+# One row per label class: its JSON "kind" and the prefix of its DOT name.
+_LABEL_KINDS = (
+    ("grid", GridVertex, "w_"),
+    ("hconn", HConnector, "h_"),
+    ("vconn", VConnector, "v_"),
+    ("terminal", Terminal, ""),
+    ("tree", TreeNode, "t"),
+)
+# per field annotation: (decode from JSON, encode to JSON, render in a DOT name)
+_FIELD_CODECS = {
+    "int": (int, int, str),
+    "str": (str, str, str),
+    "tuple[int, ...]": (
+        lambda bits: tuple(int(b) for b in bits),
+        list,
+        lambda bits: "".join(map(str, bits)),
+    ),
+}
+_BY_CLASS = {
+    cls: (kind, prefix, tuple((f.name, f.default, *_FIELD_CODECS[f.type]) for f in fields(cls)))
+    for kind, cls, prefix in _LABEL_KINDS
+}
+_BY_KIND = {kind: (cls, _BY_CLASS[cls][2]) for kind, cls, _ in _LABEL_KINDS}
+
+
+def _codec(label: Label) -> tuple:
+    try:
+        return _BY_CLASS[type(label)]
+    except KeyError:
+        raise TypeError(f"unsupported label type: {type(label)!r}") from None
+
+
 def label_name(label: Label) -> str:
-    """Stable readable identifier, used for DOT export."""
-    if isinstance(label, GridVertex):
-        base = f"w_{label.i}_{label.j}_{label.q}_{label.ell}"
-        return base if label.part == WHOLE else f"{base}_{label.part}"
-    if isinstance(label, HConnector):
-        return f"h_{label.i}_{label.j}_{label.ell}"
-    if isinstance(label, VConnector):
-        return f"v_{label.i}_{label.j}_{label.ell}"
-    if isinstance(label, Terminal):
-        return f"{label.family}_{label.index}"
-    if isinstance(label, TreeNode):
-        bits = "".join(str(b) for b in label.path)
-        return f"t{label.family}_{label.index}_{bits}"
-    raise TypeError(f"unsupported label type: {type(label)!r}")
+    """Stable readable identifier, used for DOT export.
+
+    The class prefix and the fields in order, joined by "_"; a field at its
+    default (the part of a whole grid vertex) is left out.
+    """
+    _, prefix, spec = _codec(label)
+    parts = []
+    for attr, default, _, _, render in spec:
+        value = getattr(label, attr)
+        if value != default:
+            parts.append(render(value))
+    return prefix + "_".join(parts)
 
 
 def label_to_json(label: Label) -> dict:
-    if isinstance(label, GridVertex):
-        return {
-            "kind": "grid",
-            "i": label.i,
-            "j": label.j,
-            "q": label.q,
-            "ell": label.ell,
-            "part": label.part,
-        }
-    if isinstance(label, HConnector):
-        return {"kind": "hconn", "i": label.i, "j": label.j, "ell": label.ell}
-    if isinstance(label, VConnector):
-        return {"kind": "vconn", "i": label.i, "j": label.j, "ell": label.ell}
-    if isinstance(label, Terminal):
-        return {"kind": "terminal", "family": label.family, "index": label.index}
-    if isinstance(label, TreeNode):
-        return {
-            "kind": "tree",
-            "family": label.family,
-            "index": label.index,
-            "path": list(label.path),
-        }
-    raise TypeError(f"unsupported label type: {type(label)!r}")
+    kind, _, spec = _codec(label)
+    return {"kind": kind, **{attr: encode(getattr(label, attr)) for attr, _, _, encode, _ in spec}}
 
 
 def label_from_json(data: dict) -> Label:
     try:
-        kind = data["kind"]
-        if kind == "grid":
-            return GridVertex(
-                i=int(data["i"]),
-                j=int(data["j"]),
-                q=int(data["q"]),
-                ell=int(data["ell"]),
-                part=str(data["part"]),
-            )
-        if kind == "hconn":
-            return HConnector(i=int(data["i"]), j=int(data["j"]), ell=int(data["ell"]))
-        if kind == "vconn":
-            return VConnector(i=int(data["i"]), j=int(data["j"]), ell=int(data["ell"]))
-        if kind == "terminal":
-            return Terminal(family=str(data["family"]), index=int(data["index"]))
-        if kind == "tree":
-            return TreeNode(
-                family=str(data["family"]),
-                index=int(data["index"]),
-                path=tuple(int(b) for b in data["path"]),
-            )
+        entry = _BY_KIND.get(data["kind"])
+        if entry is not None:
+            cls, spec = entry
+            return cls(*[decode(data[attr]) for attr, _, decode, _, _ in spec])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed vertex label: {exc}") from exc
     raise ValueError(f"unknown vertex label kind {data.get('kind')!r}")
@@ -172,32 +165,39 @@ def is_dotted_edge(u: Label, v: Label) -> bool:
 
 
 class Digraph:
-    """Immutable simple directed graph (no self-loops, no parallel edges)."""
+    """Immutable simple directed graph (no self-loops, no parallel edges).
+
+    Vertex id ``n`` is ``vertices[n]`` and edge id ``e`` is ``edges[e]``.
+    The package's algorithms work on the id arrays: ``_id`` (label -> id),
+    ``_tail``/``_head`` (per edge id), ``_out``/``_in`` (per vertex id, its
+    edge ids in insertion order) and ``_topo_ids()``.
+    """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
-        self._verts: list[Label] = []
-        vert_set: set[Label] = set()
-        for v in vertices:
-            if v in vert_set:
+        self._verts: list[Label] = list(vertices)
+        self._id: dict[Label, int] = {}
+        for n, v in enumerate(self._verts):
+            if self._id.setdefault(v, n) != n:
                 raise ValueError(f"duplicate vertex {v!r}")
-            vert_set.add(v)
-            self._verts.append(v)
-        self._vert_set = vert_set
-        self._out: dict[Label, list[Label]] = {v: [] for v in self._verts}
-        self._in: dict[Label, list[Label]] = {v: [] for v in self._verts}
-        self._edges: list[Edge] = []
-        self._edge_set: set[Edge] = set()
+        self._tail: list[int] = []
+        self._head: list[int] = []
+        self._out: list[list[int]] = [[] for _ in self._verts]
+        self._in: list[list[int]] = [[] for _ in self._verts]
+        self._pairs: set[tuple[int, int]] = set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            if u not in vert_set or v not in vert_set:
+            a, b = self._id.get(u), self._id.get(v)
+            if a is None or b is None:
                 raise ValueError(f"edge ({u!r}, {v!r}) references a missing vertex")
-            if (u, v) in self._edge_set:
+            if a == b:
+                raise ValueError(f"self-loop at {u!r}")
+            if (a, b) in self._pairs:
                 raise ValueError(f"parallel edge ({u!r}, {v!r})")
-            self._edge_set.add((u, v))
-            self._edges.append((u, v))
-            self._out[u].append(v)
-            self._in[v].append(u)
+            self._pairs.add((a, b))
+            self._out[a].append(len(self._tail))
+            self._in[b].append(len(self._tail))
+            self._tail.append(a)
+            self._head.append(b)
+        self._topo: tuple[list[int] | None, list[int] | None] | None = None
 
     @property
     def vertices(self) -> tuple:
@@ -205,7 +205,8 @@ class Digraph:
 
     @property
     def edges(self) -> tuple:
-        return tuple(self._edges)
+        verts = self._verts
+        return tuple((verts[a], verts[b]) for a, b in zip(self._tail, self._head))
 
     @property
     def num_vertices(self) -> int:
@@ -213,41 +214,70 @@ class Digraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._tail)
 
     def __contains__(self, v: Label) -> bool:
-        return v in self._vert_set
+        return v in self._id
 
     def has_edge(self, u: Label, v: Label) -> bool:
-        return (u, v) in self._edge_set
+        return (self._id.get(u), self._id.get(v)) in self._pairs
 
     def out(self, v: Label) -> tuple:
-        return tuple(self._out[v])
+        return tuple(self._verts[self._head[e]] for e in self._out[self._id[v]])
 
     def inn(self, v: Label) -> tuple:
-        return tuple(self._in[v])
+        return tuple(self._verts[self._tail[e]] for e in self._in[self._id[v]])
+
+    def _outside(self, subset: Iterable[Label], incident: list[list[int]], far: list[int]) -> set:
+        s = set(subset)
+        missing = s - self._id.keys()
+        if missing:
+            raise ValueError(f"subset contains unknown vertices: {sorted(map(repr, missing))}")
+        ids = {self._id[v] for v in s}
+        return {self._verts[far[e]] for n in ids for e in incident[n] if far[e] not in ids}
 
     def out_neighbors(self, subset: Iterable[Label]) -> set:
         """Vertices outside ``subset`` receiving an edge from it."""
-        s = set(subset)
-        missing = s - self._vert_set
-        if missing:
-            raise ValueError(f"subset contains unknown vertices: {sorted(map(repr, missing))}")
-        return {w for v in s for w in self._out[v] if w not in s}
+        return self._outside(subset, self._out, self._head)
 
     def in_neighbors(self, subset: Iterable[Label]) -> set:
         """Vertices outside ``subset`` sending an edge into it."""
-        s = set(subset)
-        missing = s - self._vert_set
-        if missing:
-            raise ValueError(f"subset contains unknown vertices: {sorted(map(repr, missing))}")
-        return {u for v in s for u in self._in[v] if u not in s}
+        return self._outside(subset, self._in, self._tail)
 
     def max_in_degree(self) -> int:
-        return max((len(us) for us in self._in.values()), default=0)
+        return max(map(len, self._in), default=0)
 
     def max_out_degree(self) -> int:
-        return max((len(ws) for ws in self._out.values()), default=0)
+        return max(map(len, self._out), default=0)
+
+    def _topo_ids(self) -> tuple[list[int] | None, list[int] | None]:
+        """Kahn's algorithm over vertex ids, run once: (order, None) or (None, cycle)."""
+        if self._topo is not None:
+            return self._topo
+        head, tail = self._head, self._tail
+        indeg = [len(es) for es in self._in]
+        # the order list is also the FIFO queue; the loop visits appended ids
+        order = [n for n, d in enumerate(indeg) if d == 0]
+        for n in order:
+            for e in self._out[n]:
+                w = head[e]
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    order.append(w)
+        cycle = None
+        if len(order) < len(indeg):
+            # every leftover vertex keeps an unprocessed in-edge, so walking
+            # predecessors inside the leftover set must close a cycle
+            v = next(n for n, d in enumerate(indeg) if d > 0)
+            trail: list[int] = []
+            pos: dict[int, int] = {}
+            while v not in pos:
+                pos[v] = len(trail)
+                trail.append(v)
+                v = next(tail[e] for e in self._in[v] if indeg[tail[e]] > 0)
+            cycle = trail[pos[v]:][::-1]
+        self._topo = (order, None) if cycle is None else (None, cycle)
+        return self._topo
 
     def topological_sort(self) -> tuple[list | None, list | None]:
         """Kahn's algorithm; returns (order, None) or (None, cycle).
@@ -255,50 +285,32 @@ class Digraph:
         The cycle witness is a list of distinct vertices v0 ... vm such that
         v0 -> v1 -> ... -> vm -> v0 are all edges.
         """
-        indeg = {v: len(self._in[v]) for v in self._verts}
-        queue = deque(v for v in self._verts if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in self._out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) == len(self._verts):
-            return order, None
-        # every leftover vertex keeps an unprocessed in-edge, so walking
-        # predecessors inside the leftover set must close a cycle
-        remaining = {v for v in self._verts if indeg[v] > 0}
-        v = next(x for x in self._verts if x in remaining)
-        trail: list[Label] = []
-        pos: dict[Label, int] = {}
-        while v not in pos:
-            pos[v] = len(trail)
-            trail.append(v)
-            v = next(u for u in self._in[v] if u in remaining)
-        cycle = trail[pos[v]:]
-        cycle.reverse()
-        return None, cycle
+        order, cycle = self._topo_ids()
+        if order is None:
+            return None, [self._verts[n] for n in cycle]
+        return [self._verts[n] for n in order], None
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""
         if len(self._verts) <= 1:
             return True
-        seen = {self._verts[0]}
-        stack = [self._verts[0]]
+        tail, head = self._tail, self._head
+        seen = bytearray(len(self._verts))
+        seen[0] = 1
+        stack = [0]
         while stack:
             v = stack.pop()
-            for w in self._out[v] + self._in[v]:
-                if w not in seen:
-                    seen.add(w)
+            for e in self._out[v] + self._in[v]:
+                w = tail[e] + head[e] - v  # the other end of e
+                if not seen[w]:
+                    seen[w] = 1
                     stack.append(w)
-        return len(seen) == len(self._verts)
+        return all(seen)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._vert_set == other._vert_set and self._edge_set == other._edge_set
+        return self._id.keys() == other._id.keys() and set(self.edges) == set(other.edges)
 
     __hash__ = None
 
@@ -339,48 +351,50 @@ class EmbeddedDigraph(Digraph):
         coords: Mapping[Label, Coord],
     ):
         super().__init__(vertices, edges)
-        self._coords: dict[Label, Coord] = {}
+        self._xy: list[Coord] = []
         for v in self._verts:
             if v not in coords:
                 raise ValueError(f"missing coordinate for {v!r}")
             x, y = coords[v]
-            self._coords[v] = (Fraction(x), Fraction(y))
+            self._xy.append((Fraction(x), Fraction(y)))
         if len(coords) != len(self._verts):
             raise ValueError("coordinates given for unknown vertices")
-        if len(set(self._coords.values())) != len(self._verts):
+        if len(set(self._xy)) != len(self._verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
-        self._rot: dict[Label, tuple] | None = None
+        self._rot: list[tuple[int, ...]] | None = None
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
-        return MappingProxyType(self._coords)
+        return MappingProxyType(dict(zip(self._verts, self._xy)))
 
     def coord(self, v: Label) -> Coord:
-        return self._coords[v]
+        return self._xy[self._id[v]]
 
-    def _rotation_map(self) -> dict[Label, tuple]:
+    def _rotation_map(self) -> list[tuple[int, ...]]:
+        """Per vertex id, its edge ids in counterclockwise order of their other ends."""
         if self._rot is None:
-            for u, v in self._edges:
-                if (v, u) in self._edge_set:
+            tail, head, xy = self._tail, self._head, self._xy
+            for a, b in zip(tail, head):
+                if (b, a) in self._pairs:
                     raise ValueError(
-                        f"antiparallel edges between {u!r} and {v!r}; "
+                        f"antiparallel edges between {self._verts[a]!r} and {self._verts[b]!r}; "
                         "the embedding check needs a simple underlying graph"
                     )
-            rot = {}
-            for v in self._verts:
-                vx, vy = self._coords[v]
+            rot = []
+            for v, (vx, vy) in enumerate(xy):
                 dirs = []
-                for u in self._out[v] + self._in[v]:
-                    ux, uy = self._coords[u]
-                    dirs.append((ux - vx, uy - vy, u))
+                for e in self._out[v] + self._in[v]:
+                    ux, uy = xy[tail[e] + head[e] - v]
+                    dirs.append((ux - vx, uy - vy, e))
                 dirs.sort(key=cmp_to_key(_ccw_compare))
-                rot[v] = tuple(u for _, _, u in dirs)
+                rot.append(tuple(e for _, _, e in dirs))
             self._rot = rot
         return self._rot
 
     def rotation(self, v: Label) -> tuple:
         """Neighbors of ``v`` in counterclockwise angular order."""
-        return self._rotation_map()[v]
+        n = self._id[v]
+        return tuple(self._verts[self._tail[e] + self._head[e] - n] for e in self._rotation_map()[n])
 
     def check_planar_embedding(self) -> EmbeddingCheck:
         """Trace all faces of the rotation system and report (faces, genus).
@@ -392,43 +406,37 @@ class EmbeddedDigraph(Digraph):
             raise NotConnectedError("empty graph has no embedding")
         if not self.is_connected():
             raise NotConnectedError("underlying undirected graph is disconnected")
-        if not self._edges:
+        if not self._tail:
             return EmbeddingCheck(faces=1, genus=0)
-        rot = self._rotation_map()
-        pos = {v: {u: idx for idx, u in enumerate(nbrs)} for v, nbrs in rot.items()}
-        visited: set[Edge] = set()
+        tail, head = self._tail, self._head
+        # Dart 2e runs along edge e from its tail, dart 2e+1 from its head.  A
+        # face arriving at v along e leaves along the edge after e around v.
+        succ = [0] * (2 * len(tail))
+        for v, rot in enumerate(self._rotation_map()):
+            for idx, e in enumerate(rot):
+                f = rot[(idx + 1) % len(rot)]
+                succ[2 * e + (tail[e] == v)] = 2 * f + (head[f] == v)
+        seen = bytearray(len(succ))
         faces = 0
-        darts: list[Edge] = []
-        for u, v in self._edges:
-            darts.append((u, v))
-            darts.append((v, u))
-        for start in darts:
-            if start in visited:
-                continue
-            faces += 1
-            dart = start
-            while True:
-                visited.add(dart)
-                u, v = dart
-                nbrs = rot[v]
-                dart = (v, nbrs[(pos[v][u] + 1) % len(nbrs)])
-                if dart == start:
-                    break
-        euler = len(self._verts) - len(self._edges) + faces
+        for dart in range(len(succ)):
+            if not seen[dart]:
+                faces += 1
+                while not seen[dart]:
+                    seen[dart] = 1
+                    dart = succ[dart]
+        euler = len(self._verts) - len(tail) + faces
         if euler > 2 or (2 - euler) % 2 != 0:
             raise RuntimeError(f"face tracing produced impossible Euler characteristic {euler}")
         return EmbeddingCheck(faces=faces, genus=(2 - euler) // 2)
 
     def to_json_dict(self) -> dict:
+        labels = [label_to_json(v) for v in self._verts]
         return {
             "vertices": [
-                {
-                    "label": label_to_json(v),
-                    "coord": [str(self._coords[v][0]), str(self._coords[v][1])],
-                }
-                for v in self._verts
+                {"label": label, "coord": [str(x), str(y)]}
+                for label, (x, y) in zip(labels, self._xy)
             ],
-            "edges": [[label_to_json(u), label_to_json(v)] for u, v in self._edges],
+            "edges": [[labels[a], labels[b]] for a, b in zip(self._tail, self._head)],
         }
 
     @classmethod
@@ -450,23 +458,19 @@ class EmbeddedDigraph(Digraph):
 
     def to_dot(self) -> str:
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
+        names = [label_name(v) for v in self._verts]
         lines = ["digraph reduction {"]
-        for v in self._verts:
-            x, y = self._coords[v]
-            lines.append(f'  "{label_name(v)}" [pos="{float(x)},{float(y)}!"];')
-        for u, v in self._edges:
-            attr = " [style=dotted]" if is_dotted_edge(u, v) else ""
-            lines.append(f'  "{label_name(u)}" -> "{label_name(v)}"{attr};')
+        for name, (x, y) in zip(names, self._xy):
+            lines.append(f'  "{name}" [pos="{float(x)},{float(y)}!"];')
+        for a, b in zip(self._tail, self._head):
+            attr = " [style=dotted]" if is_dotted_edge(self._verts[a], self._verts[b]) else ""
+            lines.append(f'  "{names[a]}" -> "{names[b]}"{attr};')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self._vert_set == other._vert_set
-            and self._edge_set == other._edge_set
-            and self._coords == other._coords
-        )
+        return super().__eq__(other) and self.coords == other.coords
 
     __hash__ = None

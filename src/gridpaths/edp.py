@@ -97,27 +97,20 @@ def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:
     return True
 
 
-def _require_dag(g: Digraph) -> None:
-    _, cycle = g.topological_sort()
-    if cycle is not None:
-        raise ValueError(f"graph is not acyclic; cycle through {cycle[0]!r}")
-
-
-def _ancestor_mask(target: int, in_adj: list[list[int]]) -> int:
+def _ancestor_mask(target: int, in_edges: list[list[int]], tail: list[int]) -> int:
     mask = 1 << target
     stack = [target]
     while stack:
-        v = stack.pop()
-        for u in in_adj[v]:
-            bit = 1 << u
-            if not mask & bit:
-                mask |= bit
+        for e in in_edges[stack.pop()]:
+            u = tail[e]
+            if not mask >> u & 1:
+                mask |= 1 << u
                 stack.append(u)
     return mask
 
 
 def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
-    """The backtracking search behind both solvers, over integer vertex ids.
+    """The backtracking search behind both solvers, over the graph's vertex ids.
 
     Each arc consumes one resource bit of the ``used`` mask: its edge in
     edge-disjoint mode, its head vertex in vertex-disjoint mode, which also
@@ -125,7 +118,9 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     frames [pair, vertex, used, next arc], so its depth is not bounded by the
     recursion limit; the frames of one pair spell out that pair's path.
     """
-    _require_dag(g)
+    _, cycle = g._topo_ids()
+    if cycle is not None:
+        raise ValueError(f"graph is not acyclic; cycle through {g._verts[cycle[0]]!r}")
     pairs = _pairs(terminals)
     if vertex_disjoint:
         seen_terms: set[Label] = set()
@@ -134,20 +129,15 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 if v in seen_terms:
                     raise ValueError(f"terminal vertex {v!r} appears in two pairs")
                 seen_terms.add(v)
-    verts = g.vertices
-    vid = {v: num for num, v in enumerate(verts)}
+    ids = g._id
     for s, t in pairs:
-        if s not in vid or t not in vid:
+        if s not in ids or t not in ids:
             raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
-    out_adj: list[list[tuple[int, int]]] = [[] for _ in verts]
-    in_adj: list[list[int]] = [[] for _ in verts]
-    for eidx, (u, v) in enumerate(g.edges):
-        head = vid[v]
-        out_adj[vid[u]].append((1 << (head if vertex_disjoint else eidx), head))
-        in_adj[head].append(vid[u])
-    ends = [(vid[s], vid[t]) for s, t in pairs]
+    head, out_edges = g._head, g._out
+    bits = [1 << r for r in (head if vertex_disjoint else range(len(head)))]
+    ends = [(ids[s], ids[t]) for s, t in pairs]
     claims = [(1 << sv) if vertex_disjoint else 0 for sv, _ in ends]
-    anc_masks = [_ancestor_mask(tv, in_adj) for _, tv in ends]
+    anc_masks = [_ancestor_mask(tv, g._in, g._tail) for _, tv in ends]
     npairs = len(pairs)
 
     def reachable(idx: int, used: int) -> bool:
@@ -159,9 +149,10 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
         seen = 1 << sv
         stack = [sv]
         while stack:
-            for bit, w in out_adj[stack.pop()]:
-                if used & bit:
+            for e in out_edges[stack.pop()]:
+                if used & bits[e]:
                     continue
+                w = head[e]
                 if w == tv:
                     return True
                 wbit = 1 << w
@@ -190,24 +181,25 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             elif idx + 1 == npairs:
                 paths: list[list[Label]] = [[] for _ in pairs]
                 for fidx, fv, _, _ in frames:
-                    paths[fidx].append(verts[fv])
+                    paths[fidx].append(g._verts[fv])
                 return PathSet(paths)
             else:
                 frame[3] = 1
                 frames.append([idx + 1, ends[idx + 1][0], used | claims[idx + 1], 0])
             continue
-        arcs = out_adj[v]
+        arcs = out_edges[v]
         anc = anc_masks[idx]
         while nxt < len(arcs):
-            bit, w = arcs[nxt]
+            e = arcs[nxt]
             nxt += 1
-            if used & bit or not (anc >> w) & 1:
+            w = head[e]
+            if used & bits[e] or not (anc >> w) & 1:
                 continue
             expansions += 1
             if expansions > budget:
                 raise BudgetExceededError(budget)
             frame[3] = nxt
-            frames.append([idx, w, used | bit, 0])
+            frames.append([idx, w, used | bits[e], 0])
             break
         else:
             frames.pop()

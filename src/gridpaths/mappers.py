@@ -36,6 +36,20 @@ class ExtractionFailedError(RuntimeError):
     """No shared whole vertex exists in some cell; the reduction is broken."""
 
 
+def _grid_line(out: ReductionOutput, i: int, j: int, ell: int, row: bool) -> list:
+    """Row ell (or column ell) of grid (i, j), entering and leaving each position."""
+    n = out.provenance.N
+    if not (1 <= ell <= n):
+        raise ValueError(f"{'row' if row else 'column'} index {ell} out of range for N={n}")
+    verts: list[Label] = []
+    for s in range(1, n + 1):
+        entry, exit_ = grid_vertex_parts(out.graph, i, j, *((s, ell) if row else (ell, s)))
+        verts.append(entry)
+        if exit_ != entry:
+            verts.append(exit_)
+    return verts
+
+
 def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Left-to-right path across row ell of grid (i, j).
 
@@ -43,30 +57,12 @@ def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     dotted edge at every split position and passing straight through whole
     vertices.
     """
-    n = out.provenance.N
-    if not (1 <= ell <= n):
-        raise ValueError(f"row index {ell} out of range for N={n}")
-    verts: list[Label] = []
-    for q in range(1, n + 1):
-        entry, exit_ = grid_vertex_parts(out.graph, i, j, q, ell)
-        verts.append(entry)
-        if exit_ != entry:
-            verts.append(exit_)
-    return verts
+    return _grid_line(out, i, j, ell, row=True)
 
 
 def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Bottom-to-top path up column ell of grid (i, j); mirror of row_path."""
-    n = out.provenance.N
-    if not (1 <= ell <= n):
-        raise ValueError(f"column index {ell} out of range for N={n}")
-    verts: list[Label] = []
-    for r in range(1, n + 1):
-        entry, exit_ = grid_vertex_parts(out.graph, i, j, ell, r)
-        verts.append(entry)
-        if exit_ != entry:
-            verts.append(exit_)
-    return verts
+    return _grid_line(out, i, j, ell, row=False)
 
 
 def _fan_interior(g: EmbeddedDigraph, terminal: Terminal, leaf: Label, outward: bool) -> list:

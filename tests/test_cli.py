@@ -1,3 +1,4 @@
+import itertools
 import json
 
 from gridpaths.cli import (
@@ -8,7 +9,9 @@ from gridpaths.cli import (
     EXIT_USAGE,
     main,
 )
-from gridpaths.gridtiling import GridTilingInstance, solve_gt_brute_force
+from gridpaths import gridtiling, mappers
+from gridpaths.digraph import EmbeddedDigraph
+from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 
 
 def run(capsys, *argv):
@@ -152,6 +155,46 @@ class TestRoundtrip:
         monkeypatch.setenv("DPATH_BUDGET", "lots")
         code, _, _ = run(capsys, "roundtrip", str(inst))
         assert code == EXIT_USAGE
+
+
+class TestInternalFaults:
+    """A fault of the program's own making exits 4, never 1 or 2."""
+
+    def test_extraction_failure_exits_4(self, capsys, tmp_path, monkeypatch):
+        def broken(out, ps):
+            raise mappers.ExtractionFailedError("paths share no whole vertex in cell (1,1)")
+
+        inst = gen_instance(capsys, tmp_path)
+        monkeypatch.setattr(mappers, "paths_to_gt_solution", broken)
+        code, _, err = run(capsys, "roundtrip", str(inst))
+        assert code == EXIT_INTERNAL
+        assert "internal error:" in err
+
+    def test_oracle_answer_rejected_by_mapper_exits_4(self, capsys, tmp_path, monkeypatch):
+        # the oracle answers with a pair outside cell (1,1)'s set; the instance is valid
+        solve = gridtiling.solve_gt_brute_force
+
+        def broken(inst, budget):
+            choice = dict(solve(inst, budget=budget).choice)
+            cell = inst.sets[(1, 1)]
+            choice[(1, 1)] = next(p for p in itertools.product(range(1, inst.N + 1), repeat=2) if p not in cell)
+            return GTAssignment(choice)
+
+        inst = gen_instance(capsys, tmp_path)
+        monkeypatch.setattr(gridtiling, "solve_gt_brute_force", broken)
+        code, _, err = run(capsys, "roundtrip", str(inst))
+        assert code == EXIT_INTERNAL
+        assert "internal error: assignment does not solve the instance" in err
+
+    def test_impossible_euler_characteristic_exits_4(self, capsys, tmp_path, monkeypatch):
+        def broken(self):
+            raise RuntimeError("face tracing produced impossible Euler characteristic 3")
+
+        inst = gen_instance(capsys, tmp_path)
+        monkeypatch.setattr(EmbeddedDigraph, "check_planar_embedding", broken)
+        code, _, err = run(capsys, "reduce", str(inst), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_INTERNAL
+        assert "internal error: face tracing" in err
 
 
 class TestExport:

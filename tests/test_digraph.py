@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,50 @@ class TestDegrees:
         assert out.graph.max_out_degree() <= 2
 
 
+def naive_kahn(verts, edges):
+    """FIFO Kahn order recomputed from the vertex and edge lists alone."""
+    indeg = {v: sum(1 for _, w in edges if w == v) for v in verts}
+    queue = [v for v in verts if indeg[v] == 0]
+    order = []
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        for u, w in edges:
+            if u == v:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    queue.append(w)
+    return order
+
+
+class TestIndexCore:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), subset_bits=st.integers(0, 2**12 - 1))
+    def test_queries_agree_with_naive_recomputation(self, seed, subset_bits):
+        dag, _ = random_dag(seed)
+        rng = random.Random(seed)
+        verts, edges = list(dag.vertices), list(dag.edges)
+        rng.shuffle(verts)
+        rng.shuffle(edges)
+        g = Digraph(verts, edges)
+        assert (g.vertices, g.edges) == (tuple(verts), tuple(edges))
+        for v in verts:
+            assert g.out(v) == tuple(w for u, w in edges if u == v)
+            assert g.inn(v) == tuple(u for u, w in edges if w == v)
+            for w in verts:
+                assert g.has_edge(v, w) == ((v, w) in edges)
+        subset = {v for n, v in enumerate(verts) if subset_bits >> n & 1}
+        assert g.out_neighbors(subset) == {w for u, w in edges if u in subset and w not in subset}
+        assert g.in_neighbors(subset) == {u for u, w in edges if w in subset and u not in subset}
+        assert g.max_out_degree() == max(sum(1 for u, _ in edges if u == v) for v in verts)
+        assert g.max_in_degree() == max(sum(1 for _, w in edges if w == v) for v in verts)
+        order, cycle = g.topological_sort()
+        assert (order, cycle) == (naive_kahn(verts, edges), None)
+        order.reverse()
+        order.append("not a vertex")
+        assert g.topological_sort() == (naive_kahn(verts, edges), None)
+
+
 class TestEmbedding:
     def test_square_has_two_faces_genus_zero(self):
         check = unit_square().check_planar_embedding()
@@ -232,6 +277,33 @@ class TestSerialization:
         ]
         for label in labels:
             assert label_from_json(label_to_json(label)) == label
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "diagonal", "i": 1, "j": 1, "ell": 1},
+            {"kind": "grid", "i": 1, "j": 1, "q": 1, "part": "whole"},
+            {"kind": "hconn", "i": "one", "j": 1, "ell": 1},
+            ["terminal", "a", 1],
+        ],
+        ids=["unknown-kind", "missing-field", "non-integer-field", "non-dict"],
+    )
+    def test_malformed_label_document_rejected(self, data):
+        with pytest.raises(ValueError):
+            label_from_json(data)
+
+    def test_label_names_are_pinned(self):
+        names = {
+            GridVertex(1, 2, 3, 4): "w_1_2_3_4",
+            GridVertex(1, 2, 3, 4, "lb"): "w_1_2_3_4_lb",
+            GridVertex(1, 2, 3, 4, "tr"): "w_1_2_3_4_tr",
+            HConnector(1, 2, 3): "h_1_2_3",
+            VConnector(2, 1, 3): "v_2_1_3",
+            Terminal("a", 2): "a_2",
+            TreeNode("c", 1, (0, 1, 1)): "tc_1_011",
+            TreeNode("d", 3, (1,)): "td_3_1",
+        }
+        assert {label: label_name(label) for label in names} == names
 
     def test_label_names_are_distinct(self):
         out = reduce_degree(reduce(generate_planted(2, 3, noise=1, seed=3)))
