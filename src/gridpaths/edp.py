@@ -2,8 +2,8 @@
 
 One search serves both modes.  It routes terminal pairs one at a time in
 the given order: paths for the current pair are enumerated depth-first over
-resources not already used (tracked in a bitmask; edges in edge-disjoint
-mode, vertices in vertex-disjoint mode), extensions into vertices that
+resources not already used (one flag per edge in edge-disjoint mode, per
+vertex in vertex-disjoint mode), extensions into vertices that
 cannot reach the current target are skipped, and after each committed path
 every remaining pair must stay reachable in the residual graph or the
 branch is abandoned.  The search is exhaustive, so a None answer is a proof
@@ -112,11 +112,13 @@ def _ancestor_mask(target: int, in_edges: list[list[int]], tail: list[int]) -> i
 def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
     """The backtracking search behind both solvers, over the graph's vertex ids.
 
-    Each arc consumes one resource bit of the ``used`` mask: its edge in
-    edge-disjoint mode, its head vertex in vertex-disjoint mode, which also
-    claims each path's start vertex.  The search runs on an explicit stack of
-    frames [pair, vertex, used, next arc], so its depth is not bounded by the
-    recursion limit; the frames of one pair spell out that pair's path.
+    Each arc consumes one resource: its edge in edge-disjoint mode, its head
+    vertex in vertex-disjoint mode, which also claims each path's start
+    vertex.  The search runs on an explicit stack of frames [pair, vertex,
+    resource taken (-1 for none), next arc], so its depth is not bounded by
+    the recursion limit; the frames of one pair spell out that pair's path.
+    One ``taken`` flag per resource holds the state of the whole stack: a
+    frame sets its resource's flag when pushed and clears it when popped.
     """
     _, cycle = g._topo_ids()
     if cycle is not None:
@@ -134,15 +136,16 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
         if s not in ids or t not in ids:
             raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
     head, out_edges = g._head, g._out
-    bits = [1 << r for r in (head if vertex_disjoint else range(len(head)))]
+    # a list: indexing a range is several times slower
+    res = head if vertex_disjoint else list(range(len(head)))
+    taken = bytearray(len(g._verts) if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
-    claims = [(1 << sv) if vertex_disjoint else 0 for sv, _ in ends]
     anc_masks = [_ancestor_mask(tv, g._in, g._tail) for _, tv in ends]
     npairs = len(pairs)
 
-    def reachable(idx: int, used: int) -> bool:
+    def reachable(idx: int) -> bool:
         sv, tv = ends[idx]
-        if used & claims[idx]:
+        if vertex_disjoint and taken[sv]:
             return False
         if sv == tv:
             return True
@@ -150,7 +153,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
         stack = [sv]
         while stack:
             for e in out_edges[stack.pop()]:
-                if used & bits[e]:
+                if taken[res[e]]:
                     continue
                 w = head[e]
                 if w == tv:
@@ -161,23 +164,35 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     stack.append(w)
         return False
 
-    def remaining_ok(idx: int, used: int) -> bool:
-        return all(reachable(j, used) for j in range(idx, npairs))
+    def remaining_ok(idx: int) -> bool:
+        return all(reachable(j) for j in range(idx, npairs))
 
-    if not remaining_ok(0, 0):
+    def start(idx: int) -> list:
+        sv = ends[idx][0]
+        if not vertex_disjoint:
+            return [idx, sv, -1, 0]
+        taken[sv] = 1
+        return [idx, sv, sv, 0]
+
+    def pop() -> None:
+        r = frames.pop()[2]
+        if r >= 0:
+            taken[r] = 0
+
+    if not remaining_ok(0):
         return None
     if not pairs:
         return PathSet([])
     expansions = 0
-    frames = [[0, ends[0][0], claims[0], 0]]
+    frames = [start(0)]
     while frames:
         frame = frames[-1]
-        idx, v, used, nxt = frame
+        idx, v, _, nxt = frame
         if v == ends[idx][1]:
             # A target frame is visited twice: first to hand over to the next
             # pair, then once that pair has failed from here.
-            if nxt or not remaining_ok(idx + 1, used):
-                frames.pop()
+            if nxt or not remaining_ok(idx + 1):
+                pop()
             elif idx + 1 == npairs:
                 paths: list[list[Label]] = [[] for _ in pairs]
                 for fidx, fv, _, _ in frames:
@@ -185,7 +200,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 return PathSet(paths)
             else:
                 frame[3] = 1
-                frames.append([idx + 1, ends[idx + 1][0], used | claims[idx + 1], 0])
+                frames.append(start(idx + 1))
             continue
         arcs = out_edges[v]
         anc = anc_masks[idx]
@@ -193,16 +208,18 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             e = arcs[nxt]
             nxt += 1
             w = head[e]
-            if used & bits[e] or not (anc >> w) & 1:
+            r = res[e]
+            if taken[r] or not (anc >> w) & 1:
                 continue
             expansions += 1
             if expansions > budget:
                 raise BudgetExceededError(budget)
             frame[3] = nxt
-            frames.append([idx, w, used | bits[e], 0])
+            taken[r] = 1
+            frames.append([idx, w, r, 0])
             break
         else:
-            frames.pop()
+            pop()
     return None
 
 

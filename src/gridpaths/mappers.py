@@ -13,19 +13,10 @@ broken, so it raises instead of recovering.
 
 from __future__ import annotations
 
-from .digraph import (
-    EmbeddedDigraph,
-    GridVertex,
-    HConnector,
-    Label,
-    Terminal,
-    TreeNode,
-    VConnector,
-    WHOLE,
-)
+from .digraph import GridVertex, HConnector, Label, Terminal, VConnector, WHOLE
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import ReductionOutput, _in_level, grid_vertex_parts
+from .reduction import ReductionOutput, _fan_route, _in_level, grid_vertex_parts
 
 
 class InvalidSolutionError(ValueError):
@@ -65,41 +56,6 @@ def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     return _grid_line(out, i, j, ell, row=False)
 
 
-def _fan_interior(g: EmbeddedDigraph, terminal: Terminal, leaf: Label, outward: bool) -> list:
-    """Interior vertices between a terminal and a boundary leaf, in path order.
-
-    Empty for a direct fan edge; for a degree-reduced graph, the unique
-    chain of this terminal's tree nodes.
-    """
-    if outward and g.has_edge(terminal, leaf):
-        return []
-    if not outward and g.has_edge(leaf, terminal):
-        return []
-
-    def is_own_tree_node(v: Label) -> bool:
-        return (
-            isinstance(v, TreeNode)
-            and v.family == terminal.family
-            and v.index == terminal.index
-        )
-
-    chain = []
-    cur = leaf
-    while True:
-        nbrs = g.inn(cur) if outward else g.out(cur)
-        parents = [u for u in nbrs if u == terminal or is_own_tree_node(u)]
-        if len(parents) != 1:
-            raise ValueError(f"no unique fan route between {terminal!r} and {leaf!r}")
-        parent = parents[0]
-        if parent == terminal:
-            break
-        chain.append(parent)
-        cur = parent
-    if outward:
-        chain.reverse()
-    return chain
-
-
 def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
     """Build the edge-disjoint path set realizing a grid tiling solution.
 
@@ -111,14 +67,12 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
     inst = out.provenance
     if not check_gt_solution(inst, asg):
         raise InvalidSolutionError("assignment does not solve the instance")
-    g = out.graph
     k = inst.k
     paths: list[list[Label]] = []
     for i in range(1, k + 1):
         alpha = {j: asg.choice[(i, j)][0] for j in range(1, k + 1)}
         source = Terminal("a", i)
-        first = grid_vertex_parts(g, i, 1, alpha[1], 1)[0]
-        path = [source] + _fan_interior(g, source, first, outward=True)
+        path = [source] + _fan_route(out, source, alpha[1])
         for j in range(1, k + 1):
             path += column_path(out, i, j, alpha[j])
             if j < k:
@@ -127,14 +81,13 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
                     for ell in range(alpha[j], alpha[j + 1] + 1)
                 ]
         sink = Terminal("b", i)
-        path += _fan_interior(g, sink, path[-1], outward=False)
+        path += _fan_route(out, sink, alpha[k])[::-1]
         path.append(sink)
         paths.append(path)
     for j in range(1, k + 1):
         beta = {i: asg.choice[(i, j)][1] for i in range(1, k + 1)}
         source = Terminal("c", j)
-        first = grid_vertex_parts(g, 1, j, 1, beta[1])[0]
-        path = [source] + _fan_interior(g, source, first, outward=True)
+        path = [source] + _fan_route(out, source, beta[1])
         for i in range(1, k + 1):
             path += row_path(out, i, j, beta[i])
             if i < k:
@@ -143,7 +96,7 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
                     for ell in range(beta[i], beta[i + 1] + 1)
                 ]
         sink = Terminal("d", j)
-        path += _fan_interior(g, sink, path[-1], outward=False)
+        path += _fan_route(out, sink, beta[k])[::-1]
         path.append(sink)
         paths.append(path)
     return PathSet(paths)

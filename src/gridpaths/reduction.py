@@ -6,8 +6,8 @@ adjacent grids, and 4k terminals fan into/out of the outermost boundary
 rows and columns.  The splitting step then replaces every grid vertex whose
 coordinates are absent from its cell's set with an lb -> tr vertex pair, so
 that edge-disjoint traffic can cross it left-to-right or bottom-to-top but
-not both.  A final optional edit replaces each terminal's N-edge fan with a
-balanced binary tree, capping in- and out-degrees at 2.
+not both.  Optionally each terminal's N-edge fan is built as a balanced
+binary tree instead, capping in- and out-degrees at 2.
 
 Everything is laid out on exact rational coordinates so that the rotation
 system derived from them passes the genus-0 embedding check, and vertex and
@@ -92,15 +92,19 @@ class ReductionOutput:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReductionOutput":
         try:
+            counts = [data["counts"][key] for key in ("vertices", "edges")]
+            degree_reduced = data["degree_reduced"]
+            # bool is an int subclass and bool("false") is True: test exact types
+            if any(type(c) is not int for c in counts):
+                raise TypeError(f"counts must be integers, got {counts!r}")
+            if type(degree_reduced) is not bool:
+                raise TypeError(f"degree_reduced must be a boolean, got {degree_reduced!r}")
             return cls(
                 graph=EmbeddedDigraph.from_json_dict(data["graph"]),
                 terminals=TerminalSet.from_json_list(data["terminals"]),
                 provenance=GridTilingInstance.from_json_dict(data["instance"]),
-                counts=GraphCounts(
-                    vertices=int(data["counts"]["vertices"]),
-                    edges=int(data["counts"]["edges"]),
-                ),
-                degree_reduced=bool(data["degree_reduced"]),
+                counts=GraphCounts(*counts),
+                degree_reduced=degree_reduced,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
@@ -135,7 +139,7 @@ def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDig
     return _build(inst.k, inst.N, inst.sets)
 
 
-def _build(k: int, N: int, sets: dict | None) -> EmbeddedDigraph:
+def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDigraph:
     """The base graph with each grid position split or whole, in one pass.
 
     With ``sets`` None every position is whole (the base graph).  Otherwise a
@@ -143,11 +147,16 @@ def _build(k: int, N: int, sets: dict | None) -> EmbeddedDigraph:
     at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
     dotted lb -> tr edge; edges arrive at lb and leave from tr.  The dotted
     edges come after all others, in grid-vertex order.
+
+    With ``trees`` each terminal's fan is a balanced binary tree instead:
+    its nodes follow the terminals (pre-order within a tree) and its edges
+    follow the dotted ones.
     """
     pitch = N + 1
     verts: list[Label] = []
     edges: list[tuple[Label, Label]] = []
-    coords: dict[Label, tuple[Fraction, Fraction]] = {}
+    # ints or Fractions; EmbeddedDigraph makes them all Fractions
+    coords: dict[Label, tuple] = {}
     # grid position (i, j, q, ell) -> the label its edges arrive at / leave from
     head: dict[tuple[int, int, int, int], GridVertex] = {}
     tail: dict[tuple[int, int, int, int], GridVertex] = {}
@@ -155,8 +164,10 @@ def _build(k: int, N: int, sets: dict | None) -> EmbeddedDigraph:
 
     def add_vertex(v: Label, x, y) -> None:
         verts.append(v)
-        coords[v] = (Fraction(x), Fraction(y))
+        coords[v] = (x, y)
 
+    # (c - 1/4, c + 1/4) for each grid line c: one Fraction per copy, not per vertex
+    shifted = [(c - QUARTER, c + QUARTER) for c in range(k * pitch)]
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             x0 = (i - 1) * pitch
@@ -172,8 +183,9 @@ def _build(k: int, N: int, sets: dict | None) -> EmbeddedDigraph:
                     else:
                         lb = GridVertex(i, j, q, ell, LB)
                         tr = GridVertex(i, j, q, ell, TR)
-                        add_vertex(lb, x - QUARTER, y - QUARTER)
-                        add_vertex(tr, x + QUARTER, y + QUARTER)
+                        (x_lb, x_tr), (y_lb, y_tr) = shifted[x], shifted[y]
+                        add_vertex(lb, x_lb, y_lb)
+                        add_vertex(tr, x_tr, y_tr)
                         head[pos], tail[pos] = lb, tr
                         dotted.append((lb, tr))
 
@@ -210,28 +222,91 @@ def _build(k: int, N: int, sets: dict | None) -> EmbeddedDigraph:
             for ell in range(1, N + 1):
                 edges.append((VConnector(i, j, ell), head[i, j + 1, ell, 1]))
 
+    # Terminals sit one unit outside the grids' bounding box, a fan tree's
+    # internal nodes on evenly spaced levels between the terminal and the
+    # split copies nearest it (a quarter outside the outermost grid line).
     half = Fraction(pitch, 2)
+    near, far = Fraction(-1), Fraction(k * pitch + 1)
     for i in range(1, k + 1):
-        add_vertex(Terminal("a", i), (i - 1) * pitch + half, -1)
-        add_vertex(Terminal("b", i), (i - 1) * pitch + half, k * pitch + 1)
+        add_vertex(Terminal("a", i), (i - 1) * pitch + half, near)
+        add_vertex(Terminal("b", i), (i - 1) * pitch + half, far)
     for j in range(1, k + 1):
-        add_vertex(Terminal("c", j), -1, (j - 1) * pitch + half)
-        add_vertex(Terminal("d", j), k * pitch + 1, (j - 1) * pitch + half)
+        add_vertex(Terminal("c", j), near, (j - 1) * pitch + half)
+        add_vertex(Terminal("d", j), far, (j - 1) * pitch + half)
+    near_leaf, far_leaf = 1 - QUARTER, (k - 1) * pitch + N + QUARTER
+    # depth of the deepest leaf of a balanced tree on N leaves; a node at
+    # depth d sits d / levels of the way from its terminal to the leaf level
+    levels = (N - 1).bit_length()
 
-    for i in range(1, k + 1):
-        for ell in range(1, N + 1):
-            edges.append((Terminal("a", i), head[i, 1, ell, 1]))
-    for i in range(1, k + 1):
-        for ell in range(1, N + 1):
-            edges.append((tail[i, k, ell, N], Terminal("b", i)))
-    for j in range(1, k + 1):
-        for ell in range(1, N + 1):
-            edges.append((Terminal("c", j), head[1, j, 1, ell]))
-    for j in range(1, k + 1):
-        for ell in range(1, N + 1):
-            edges.append((tail[k, j, N, ell], Terminal("d", j)))
+    fan_edges: list[tuple[Label, Label]] = []
+    for root, leaves, outward in _fans(k, N, lambda *pos: (head[pos], tail[pos])):
+        if not trees:
+            fan_edges += [(root, v) if outward else (v, root) for v in leaves]
+            continue
+        # the leaves line up along x for a/b (axis 0), along y for c/d
+        axis = 0 if root.family in ("a", "b") else 1
+        s_root = coords[root][1 - axis]
+        s_leaf = near_leaf if outward else far_leaf
 
-    return EmbeddedDigraph(verts, edges + dotted, coords)
+        def grow(lo: int, hi: int, path: tuple[int, ...]) -> Label:
+            if hi - lo == 1:
+                return leaves[lo]
+            node = TreeNode(root.family, root.index, path) if path else root
+            if path:
+                s = s_root + (s_leaf - s_root) * Fraction(len(path), levels)
+                t = Fraction(coords[leaves[lo]][axis] + coords[leaves[hi - 1]][axis], 2)
+                add_vertex(node, *((t, s) if axis == 0 else (s, t)))
+            mid = _tree_split(lo, hi)
+            for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
+                child = grow(clo, chi, path + (bit,))
+                fan_edges.append((node, child) if outward else (child, node))
+            return node
+
+        grow(0, N, ())
+
+    tail_edges = dotted + fan_edges if trees else fan_edges + dotted
+    return EmbeddedDigraph(verts, edges + tail_edges, coords)
+
+
+def _fans(k: int, N: int, parts) -> list[tuple[Terminal, list[Label], bool]]:
+    """(terminal, leaves, outward) per fan, families a, b, c, d in turn.
+
+    a_i fans out into the bottom row of grid (i, 1), c_j into the left
+    column of grid (1, j); b_i and d_j collect the top row of (i, k) and the
+    right column of (k, j).  Leaves are in boundary order; ``parts(i, j, q,
+    ell)`` gives a position's (entry, exit) labels.
+    """
+    ks, ells = range(1, k + 1), range(1, N + 1)
+    return (
+        [(Terminal("a", i), [parts(i, 1, ell, 1)[0] for ell in ells], True) for i in ks]
+        + [(Terminal("b", i), [parts(i, k, ell, N)[1] for ell in ells], False) for i in ks]
+        + [(Terminal("c", j), [parts(1, j, 1, ell)[0] for ell in ells], True) for j in ks]
+        + [(Terminal("d", j), [parts(k, j, N, ell)[1] for ell in ells], False) for j in ks]
+    )
+
+
+def _tree_split(lo: int, hi: int) -> int:
+    """Where a fan tree splits leaves [lo, hi): the larger half goes left."""
+    return lo + (hi - lo + 1) // 2
+
+
+def _fan_route(out: ReductionOutput, terminal: Terminal, ell: int) -> list[TreeNode]:
+    """The tree nodes between ``terminal`` and its fan's leaf ``ell``, root first.
+
+    Empty when ``out`` is not degree-reduced (the fan edge is direct).
+    """
+    if not out.degree_reduced:
+        return []
+    lo, hi, path = 0, out.provenance.N, ()
+    chain = []
+    while True:
+        mid = _tree_split(lo, hi)
+        bit = int(ell > mid)
+        lo, hi = (mid, hi) if bit else (lo, mid)
+        path += (bit,)
+        if hi - lo == 1:
+            return chain
+        chain.append(TreeNode(terminal.family, terminal.index, path))
 
 
 def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> GraphCounts:
@@ -334,50 +409,6 @@ def _in_level(v: Label, kind: str, index: int) -> bool:
     return False
 
 
-def _fan_tree_specs(out: ReductionOutput):
-    """Replacement plan for each terminal fan.
-
-    Yields (root, leaves, outward, span_axis, depth_coord_bounds) where
-    ``span_axis`` is 0 when the leaves line up horizontally (x varies) and 1
-    when vertically, and ``depth_coord_bounds`` is (root level, leaf-side
-    level) along the other axis.
-    """
-    k, n = out.provenance.k, out.provenance.N
-    pitch = n + 1
-    for i in range(1, k + 1):
-        yield (
-            Terminal("a", i),
-            boundary(out, i, 1, "bottom"),
-            True,
-            0,
-            (Fraction(-1), Fraction(3, 4)),
-        )
-    for i in range(1, k + 1):
-        yield (
-            Terminal("b", i),
-            boundary(out, i, k, "top"),
-            False,
-            0,
-            (Fraction(k * pitch + 1), Fraction((k - 1) * pitch + n) + QUARTER),
-        )
-    for j in range(1, k + 1):
-        yield (
-            Terminal("c", j),
-            boundary(out, 1, j, "left"),
-            True,
-            1,
-            (Fraction(-1), Fraction(3, 4)),
-        )
-    for j in range(1, k + 1):
-        yield (
-            Terminal("d", j),
-            boundary(out, k, j, "right"),
-            False,
-            1,
-            (Fraction(k * pitch + 1), Fraction((k - 1) * pitch + n) + QUARTER),
-        )
-
-
 def reduce_degree(out: ReductionOutput) -> ReductionOutput:
     """Replace every terminal fan with a balanced directed binary tree.
 
@@ -385,53 +416,20 @@ def reduce_degree(out: ReductionOutput) -> ReductionOutput:
     root; sink fans the mirror image.  Leaves attach in boundary order and
     internal nodes sit at the midpoints of their leaf span within the fan
     region, which keeps the rotation system planar.  The result has maximum
-    in-degree and out-degree 2 and the same feasibility answer.
+    in-degree and out-degree 2 and the same feasibility answer.  The graph
+    is built anew from ``out.provenance``.
     """
     if out.degree_reduced:
         raise AlreadyReducedError("degree reduction was already applied")
     g = out.graph
     inst = out.provenance
-    n = inst.N
-    # depth of the deepest internal tree node in a balanced tree on n leaves
-    max_internal_depth = (n - 1).bit_length() - 1
-
-    verts = list(g.vertices)
-    coords = dict(g.coords)
-    drop: set[tuple[Label, Label]] = set()
-    tree_edges: list[tuple[Label, Label]] = []
-
-    for root, leaves, outward, span_axis, (s_root, s_leaf) in _fan_tree_specs(out):
+    for root, leaves, outward in _fans(inst.k, inst.N, lambda *pos: grid_vertex_parts(g, *pos)):
         for leaf in leaves:
             star = (root, leaf) if outward else (leaf, root)
             if not g.has_edge(*star):
                 raise ValueError(f"expected fan edge {star!r} is missing")
-            drop.add(star)
-        family, index = root.family, root.index
-
-        def place(node: TreeNode, lo: int, hi: int) -> None:
-            depth = len(node.path)
-            s = s_root + (s_leaf - s_root) * Fraction(depth, max_internal_depth + 1)
-            t = (coords[leaves[lo]][span_axis] + coords[leaves[hi - 1]][span_axis]) / 2
-            coords[node] = (t, s) if span_axis == 0 else (s, t)
-            verts.append(node)
-
-        def build(lo: int, hi: int, path: tuple[int, ...]) -> Label:
-            if hi - lo == 1:
-                return leaves[lo]
-            node = root if path == () else TreeNode(family, index, path)
-            if path != ():
-                place(node, lo, hi)
-            mid = lo + (hi - lo + 1) // 2
-            for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
-                child = build(clo, chi, path + (bit,))
-                tree_edges.append((node, child) if outward else (child, node))
-            return node
-
-        build(0, len(leaves), ())
-
-    edges = [e for e in g.edges if e not in drop] + tree_edges
     return ReductionOutput(
-        graph=EmbeddedDigraph(verts, edges, coords),
+        graph=_build(inst.k, inst.N, inst.sets, trees=True),
         terminals=out.terminals,
         provenance=inst,
         counts=predicted_counts(inst, degree_reduced=True),

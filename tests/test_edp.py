@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -267,3 +268,16 @@ class TestSearchCore:
         for solver in (solve_edp_dag, solve_vdp_dag):
             ps = solver(g, [(0, n - 1)])
             assert ps.paths == [list(range(n))]
+
+    def test_memory_does_not_grow_with_edges_squared(self):
+        # ~11k edges: one |E|-bit mask per edge would peak near 9 MB
+        out = reduce(generate_planted(1, 60, noise=2, seed=0))
+        out.graph.topological_sort()  # cached on the graph, not the search's cost
+        tracemalloc.start()
+        try:
+            ps = solve_edp_dag(out.graph, out.terminals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check_edp_solution(out.graph, out.terminals, ps) == []
+        assert peak < 3_000_000

@@ -129,12 +129,16 @@ class TestForwardDirection:
             gt_solution_to_paths(out, GTAssignment({(1, 1): (2, 2)}))
 
     def test_forward_works_on_degree_reduced_graphs(self):
-        inst = generate_planted(2, 4, noise=0, seed=2)
-        red = reduce_degree(reduce(inst))
-        asg = solve_gt_brute_force(inst)
-        ps = gt_solution_to_paths(red, asg)
-        assert check_edp_solution(red.graph, red.terminals, ps) == []
-        assert check_level_confinement(red, ps)
+        # tree depth changes at N = 3, 5 and 9
+        for k in (1, 2, 3):
+            for n in range(2, 10):
+                inst = generate_planted(k, n, noise=2, seed=k * 10 + n)
+                red = reduce_degree(reduce(inst))
+                asg = solve_gt_brute_force(inst)
+                ps = gt_solution_to_paths(red, asg)
+                assert check_edp_solution(red.graph, red.terminals, ps) == [], (k, n)
+                assert check_level_confinement(red, ps), (k, n)
+                assert paths_to_gt_solution(red, ps) == asg, (k, n)
 
 
 class TestBackwardDirection:

@@ -187,6 +187,28 @@ class TestReduce:
         assert again.provenance == out.provenance
         assert again.counts == out.counts
 
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [
+            ("degree_reduced", None, "false"),
+            ("degree_reduced", None, 0),
+            ("counts", "vertices", "12"),
+            ("counts", "edges", 3.0),
+            ("counts", "edges", True),
+        ],
+        ids=["string-flag", "integer-flag", "string-count", "float-count", "boolean-count"],
+    )
+    def test_mistyped_fields_rejected(self, key, field, value):
+        from gridpaths.reduction import ReductionOutput
+
+        doc = reduce(generate_planted(1, 2, noise=0, seed=0)).to_json_dict()
+        if field is None:
+            doc[key] = value
+        else:
+            doc[key][field] = value
+        with pytest.raises(ValueError, match="malformed reduction document"):
+            ReductionOutput.from_json_dict(doc)
+
 
 class TestGoldenOutput:
     # SHA-256 of the JSON and DOT text of reduce and reduce_degree over the
@@ -210,6 +232,26 @@ class TestGoldenOutput:
                         digest.update(text.encode())
                         digest.update(x.graph.to_dot().encode())
         assert digest.hexdigest() == self.DIGEST
+
+    # Same digest over reduce_degree alone at sizes where the fan trees'
+    # depth changes (around powers of two); computed before the trees were
+    # built in the construction pass.
+    TREE_DIGEST = "d474ef38342ad1bf8a2ccf37275de5f564b1b0534bf7b1402342aa33adef2d39"
+
+    def test_fan_trees_are_byte_identical_to_pinned_digest(self):
+        digest = hashlib.sha256()
+        for k in (1, 2):
+            for n in (4, 5, 7, 8, 9, 16, 17):
+                seed = k * 100 + n
+                for inst in (
+                    generate_planted(k, n, noise=2, seed=seed),
+                    generate_random(k, n, 0.5, seed=seed),
+                ):
+                    x = reduce_degree(reduce(inst))
+                    text = json.dumps(x.to_json_dict(), indent=2, sort_keys=True)
+                    digest.update(text.encode())
+                    digest.update(x.graph.to_dot().encode())
+        assert digest.hexdigest() == self.TREE_DIGEST
 
 
 class TestBoundary:
