@@ -242,8 +242,10 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     with open(args.graph, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    graph_dict = data["graph"] if isinstance(data, dict) and "graph" in data else data
-    g = EmbeddedDigraph.from_json_dict(graph_dict)
+    if isinstance(data, dict) and "instance" in data:
+        g = reduction.ReductionOutput.from_json_dict(data).graph
+    else:
+        g = EmbeddedDigraph.from_json_dict(data)
     if args.format == "dot":
         payload = g.to_dot()
     else:

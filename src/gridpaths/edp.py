@@ -97,16 +97,18 @@ def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:
     return True
 
 
-def _ancestor_mask(target: int, in_edges: list[list[int]], tail: list[int]) -> int:
-    mask = 1 << target
+def _ancestor_flags(target: int, in_edges: list[list[int]], tail: list[int]) -> bytearray:
+    """One flag per vertex id: set for ``target`` and every vertex that reaches it."""
+    flags = bytearray(len(in_edges))
+    flags[target] = 1
     stack = [target]
     while stack:
         for e in in_edges[stack.pop()]:
             u = tail[e]
-            if not mask >> u & 1:
-                mask |= 1 << u
+            if not flags[u]:
+                flags[u] = 1
                 stack.append(u)
-    return mask
+    return flags
 
 
 def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
@@ -140,7 +142,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     res = head if vertex_disjoint else list(range(len(head)))
     taken = bytearray(len(g._verts) if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
-    anc_masks = [_ancestor_mask(tv, g._in, g._tail) for _, tv in ends]
+    anc_flags = [_ancestor_flags(tv, g._in, g._tail) for _, tv in ends]
     npairs = len(pairs)
 
     def reachable(idx: int) -> bool:
@@ -149,7 +151,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             return False
         if sv == tv:
             return True
-        seen = 1 << sv
+        seen = bytearray(len(out_edges))  # sv needs no flag: the graph is acyclic
         stack = [sv]
         while stack:
             for e in out_edges[stack.pop()]:
@@ -158,9 +160,8 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 w = head[e]
                 if w == tv:
                     return True
-                wbit = 1 << w
-                if not seen & wbit:
-                    seen |= wbit
+                if not seen[w]:
+                    seen[w] = 1
                     stack.append(w)
         return False
 
@@ -203,13 +204,13 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 frames.append(start(idx + 1))
             continue
         arcs = out_edges[v]
-        anc = anc_masks[idx]
+        anc = anc_flags[idx]
         while nxt < len(arcs):
             e = arcs[nxt]
             nxt += 1
             w = head[e]
             r = res[e]
-            if taken[r] or not (anc >> w) & 1:
+            if taken[r] or not anc[w]:
                 continue
             expansions += 1
             if expansions > budget:

@@ -57,17 +57,24 @@ class GridTilingInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridTilingInstance":
         try:
-            k = int(data["k"])
-            n = int(data["N"])
+            k = _json_int(data["k"])
+            n = _json_int(data["N"])
             sets = {}
             for key, pairs in data["sets"].items():
                 x_str, y_str = key.split(",")
                 sets[(int(x_str), int(y_str))] = frozenset(
-                    (int(a), int(b)) for a, b in pairs
+                    (_json_int(a), _json_int(b)) for a, b in pairs
                 )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"malformed grid tiling instance: {exc}") from exc
         return cls(k=k, N=n, sets=sets)
+
+
+def _json_int(value) -> int:
+    # int() would truncate 1.9, parse "2" and take true as 1: test exact types
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,9 @@ from .digraph import (
     Terminal,
     TreeNode,
     VConnector,
-    label_from_json,
     label_to_json,
 )
-from .gridtiling import GridTilingInstance, validate_instance
+from .gridtiling import GridTilingInstance, _json_int, validate_instance
 
 QUARTER = Fraction(1, 4)
 
@@ -58,10 +57,6 @@ class TerminalSet:
 
     def to_json_list(self) -> list:
         return [[label_to_json(s), label_to_json(t)] for s, t in self.pairs]
-
-    @classmethod
-    def from_json_list(cls, data: list) -> "TerminalSet":
-        return cls(tuple((label_from_json(s), label_from_json(t)) for s, t in data))
 
 
 @dataclass(frozen=True)
@@ -91,23 +86,26 @@ class ReductionOutput:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReductionOutput":
+        """Rebuild the reduction from ``instance`` and ``degree_reduced``.
+
+        ``graph``, ``terminals`` and ``counts`` must equal the rebuild's encoding.
+        """
         try:
-            counts = [data["counts"][key] for key in ("vertices", "edges")]
+            counts = [_json_int(data["counts"][key]) for key in ("vertices", "edges")]
             degree_reduced = data["degree_reduced"]
-            # bool is an int subclass and bool("false") is True: test exact types
-            if any(type(c) is not int for c in counts):
-                raise TypeError(f"counts must be integers, got {counts!r}")
+            # bool("false") is True: test the exact type
             if type(degree_reduced) is not bool:
                 raise TypeError(f"degree_reduced must be a boolean, got {degree_reduced!r}")
-            return cls(
-                graph=EmbeddedDigraph.from_json_dict(data["graph"]),
-                terminals=TerminalSet.from_json_list(data["terminals"]),
-                provenance=GridTilingInstance.from_json_dict(data["instance"]),
-                counts=GraphCounts(*counts),
-                degree_reduced=degree_reduced,
-            )
+            stored = {part: data[part] for part in ("graph", "terminals", "counts")}
+            inst = GridTilingInstance.from_json_dict(data["instance"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
+        out = _derive(_valid(inst), degree_reduced)
+        derived = out.to_json_dict()
+        for part, value in stored.items():
+            if value != derived[part]:
+                raise ValueError(f"reduction document's {part} differs from its instance's construction")
+        return out
 
 
 def build_g1(k: int, N: int) -> EmbeddedDigraph:
@@ -131,12 +129,34 @@ def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDig
     is then built straight from the instance, the same graph ``reduce``
     returns.
     """
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
+    _valid(inst)
     if g1 != build_g1(inst.k, inst.N):
         raise ValueError("graph does not match the base construction for this instance")
     return _build(inst.k, inst.N, inst.sets)
+
+
+def _valid(inst: GridTilingInstance) -> GridTilingInstance:
+    violations = validate_instance(inst)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(violations))
+    return inst
+
+
+def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> ReductionOutput:
+    """The reduction of a valid instance: its graph, terminal pairs and counts.
+
+    The only code that makes a ReductionOutput; ``reduce``, ``reduce_degree``
+    and the JSON loader all call it.
+    """
+    pairs = tuple((Terminal("a", i), Terminal("b", i)) for i in range(1, inst.k + 1))
+    pairs += tuple((Terminal("c", j), Terminal("d", j)) for j in range(1, inst.k + 1))
+    return ReductionOutput(
+        graph=_build(inst.k, inst.N, inst.sets, trees=degree_reduced),
+        terminals=TerminalSet(pairs),
+        provenance=inst,
+        counts=predicted_counts(inst, degree_reduced),
+        degree_reduced=degree_reduced,
+    )
 
 
 def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDigraph:
@@ -238,8 +258,18 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
     # depth d sits d / levels of the way from its terminal to the leaf level
     levels = (N - 1).bit_length()
 
+    # (terminal, leaves in boundary order, outward) per fan: a_i fans out into
+    # the bottom row of grid (i, 1), c_j into the left column of grid (1, j);
+    # b_i and d_j collect the top row of (i, k) and the right column of (k, j)
+    ks, ells = range(1, k + 1), range(1, N + 1)
+    fans = (
+        [(Terminal("a", i), [head[i, 1, ell, 1] for ell in ells], True) for i in ks]
+        + [(Terminal("b", i), [tail[i, k, ell, N] for ell in ells], False) for i in ks]
+        + [(Terminal("c", j), [head[1, j, 1, ell] for ell in ells], True) for j in ks]
+        + [(Terminal("d", j), [tail[k, j, N, ell] for ell in ells], False) for j in ks]
+    )
     fan_edges: list[tuple[Label, Label]] = []
-    for root, leaves, outward in _fans(k, N, lambda *pos: (head[pos], tail[pos])):
+    for root, leaves, outward in fans:
         if not trees:
             fan_edges += [(root, v) if outward else (v, root) for v in leaves]
             continue
@@ -266,23 +296,6 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
 
     tail_edges = dotted + fan_edges if trees else fan_edges + dotted
     return EmbeddedDigraph(verts, edges + tail_edges, coords)
-
-
-def _fans(k: int, N: int, parts) -> list[tuple[Terminal, list[Label], bool]]:
-    """(terminal, leaves, outward) per fan, families a, b, c, d in turn.
-
-    a_i fans out into the bottom row of grid (i, 1), c_j into the left
-    column of grid (1, j); b_i and d_j collect the top row of (i, k) and the
-    right column of (k, j).  Leaves are in boundary order; ``parts(i, j, q,
-    ell)`` gives a position's (entry, exit) labels.
-    """
-    ks, ells = range(1, k + 1), range(1, N + 1)
-    return (
-        [(Terminal("a", i), [parts(i, 1, ell, 1)[0] for ell in ells], True) for i in ks]
-        + [(Terminal("b", i), [parts(i, k, ell, N)[1] for ell in ells], False) for i in ks]
-        + [(Terminal("c", j), [parts(1, j, 1, ell)[0] for ell in ells], True) for j in ks]
-        + [(Terminal("d", j), [parts(k, j, N, ell)[1] for ell in ells], False) for j in ks]
-    )
 
 
 def _tree_split(lo: int, hi: int) -> int:
@@ -330,18 +343,7 @@ def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> 
 
 def reduce(inst: GridTilingInstance) -> ReductionOutput:
     """Full reduction: build the split graph and attach terminal pairs."""
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
-    g2 = _build(inst.k, inst.N, inst.sets)
-    pairs = tuple((Terminal("a", i), Terminal("b", i)) for i in range(1, inst.k + 1))
-    pairs += tuple((Terminal("c", j), Terminal("d", j)) for j in range(1, inst.k + 1))
-    return ReductionOutput(
-        graph=g2,
-        terminals=TerminalSet(pairs),
-        provenance=inst,
-        counts=predicted_counts(inst),
-    )
+    return _derive(_valid(inst))
 
 
 def grid_vertex_parts(
@@ -416,22 +418,9 @@ def reduce_degree(out: ReductionOutput) -> ReductionOutput:
     root; sink fans the mirror image.  Leaves attach in boundary order and
     internal nodes sit at the midpoints of their leaf span within the fan
     region, which keeps the rotation system planar.  The result has maximum
-    in-degree and out-degree 2 and the same feasibility answer.  The graph
-    is built anew from ``out.provenance``.
+    in-degree and out-degree 2 and the same feasibility answer.  The whole
+    output is derived anew from ``out.provenance``.
     """
     if out.degree_reduced:
         raise AlreadyReducedError("degree reduction was already applied")
-    g = out.graph
-    inst = out.provenance
-    for root, leaves, outward in _fans(inst.k, inst.N, lambda *pos: grid_vertex_parts(g, *pos)):
-        for leaf in leaves:
-            star = (root, leaf) if outward else (leaf, root)
-            if not g.has_edge(*star):
-                raise ValueError(f"expected fan edge {star!r} is missing")
-    return ReductionOutput(
-        graph=_build(inst.k, inst.N, inst.sets, trees=True),
-        terminals=out.terminals,
-        provenance=inst,
-        counts=predicted_counts(inst, degree_reduced=True),
-        degree_reduced=True,
-    )
+    return _derive(out.provenance, degree_reduced=True)

@@ -10,7 +10,7 @@ from gridpaths.cli import (
     main,
 )
 from gridpaths import gridtiling, mappers
-from gridpaths.digraph import EmbeddedDigraph
+from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, label_to_json
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 
 
@@ -144,6 +144,13 @@ class TestRoundtrip:
         code, _, _ = run(capsys, "roundtrip", str(bad))
         assert code == EXIT_USAGE
 
+    def test_non_integer_instance_field_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"k": 1.9, "N": 2, "sets": {"1,1": [[1, 2]]}}))
+        code, _, err = run(capsys, "roundtrip", str(path))
+        assert code == EXIT_USAGE
+        assert "malformed grid tiling instance" in err
+
     def test_budget_env_var_exits_3(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
         monkeypatch.setenv("DPATH_BUDGET", "3")
@@ -244,6 +251,20 @@ class TestExport:
         assert code == EXIT_OK
         code, _, _ = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
         assert code == EXIT_OK
+
+    def test_tampered_reduction_document_exits_2(self, capsys, tmp_path):
+        # planted (2,4) noise=2 seed=1 splits (1,1,2,2) but not (1,1,2,1)
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "2", "4", "--noise", "2", "--seed", "1", "--out", str(inst))
+        red = tmp_path / "red.json"
+        run(capsys, "reduce", str(inst), "--out", str(red))
+        doc = json.loads(red.read_text())
+        edge = [label_to_json(GridVertex(1, 1, 2, 1)), label_to_json(GridVertex(1, 1, 2, 2, LB))]
+        doc["graph"]["edges"].remove(edge)
+        red.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+        assert code == EXIT_USAGE
+        assert "graph differs" in err
 
 
 class TestUsage:

@@ -204,3 +204,17 @@ class TestJsonRoundTrip:
     def test_malformed_document_raises(self):
         with pytest.raises(ValueError):
             GridTilingInstance.from_json_dict({"k": 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", 1.9), ("k", True), ("k", "2"), ("N", 2.0), ("pair", [1.5, 2]), ("pair", [1, "2"])],
+        ids=["float-k", "boolean-k", "string-k", "float-N", "float-coordinate", "string-coordinate"],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        data = {"k": 1, "N": 2, "sets": {"1,1": [[1, 2]]}}
+        if field == "pair":
+            data["sets"]["1,1"] = [value]
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match="malformed grid tiling instance"):
+            GridTilingInstance.from_json_dict(data)

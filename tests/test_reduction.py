@@ -4,12 +4,14 @@ import json
 import pytest
 
 from gridpaths.digraph import (
+    LB,
     GridVertex,
     HConnector,
     Terminal,
     TreeNode,
     VConnector,
     is_dotted_edge,
+    label_to_json,
 )
 from gridpaths.edp import solve_edp_dag
 from gridpaths.gridtiling import GridTilingInstance, generate_planted, generate_random
@@ -181,11 +183,13 @@ class TestReduce:
         out = reduce(generate_planted(2, 2, noise=1, seed=9))
         from gridpaths.reduction import ReductionOutput
 
-        again = ReductionOutput.from_json_dict(out.to_json_dict())
-        assert again.graph == out.graph
-        assert again.terminals == out.terminals
-        assert again.provenance == out.provenance
-        assert again.counts == out.counts
+        for x in (out, reduce_degree(out)):
+            again = ReductionOutput.from_json_dict(x.to_json_dict())
+            assert again.graph == x.graph
+            assert again.terminals == x.terminals
+            assert again.provenance == x.provenance
+            assert again.counts == x.counts
+            assert again.degree_reduced == x.degree_reduced
 
     @pytest.mark.parametrize(
         "key, field, value",
@@ -207,6 +211,61 @@ class TestReduce:
         else:
             doc[key][field] = value
         with pytest.raises(ValueError, match="malformed reduction document"):
+            ReductionOutput.from_json_dict(doc)
+
+
+def _drop_found_edge(doc):
+    # planted (2,4) noise=2 seed=1: (1,1,2,1) is whole and (1,1,2,2) split
+    doc["graph"]["edges"].remove(
+        [label_to_json(GridVertex(1, 1, 2, 1)), label_to_json(GridVertex(1, 1, 2, 2, LB))]
+    )
+
+
+def _move_terminal(doc):
+    (entry,) = [e for e in doc["graph"]["vertices"] if e["label"] == label_to_json(Terminal("a", 1))]
+    entry["coord"][0] = "-7/3"
+
+
+def _swap_pairs(doc):
+    pairs = doc["terminals"]
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+
+
+def _bump_count(doc):
+    doc["counts"]["edges"] += 1
+
+
+def _flip_reduced(doc):
+    doc["degree_reduced"] = not doc["degree_reduced"]
+
+
+def _invalid_instance(doc):
+    doc["instance"]["sets"]["1,1"].append([5, 1])
+
+
+class TestLoadCheck:
+    """A reduction document is checked in full against its instance's construction."""
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            (_drop_found_edge, "graph differs"),
+            (_move_terminal, "graph differs"),
+            (_swap_pairs, "terminals differs"),
+            (_bump_count, "counts differs"),
+            (_flip_reduced, "graph differs"),
+            (_invalid_instance, "invalid instance"),
+        ],
+        ids=["missing-grid-edge", "moved-coordinate", "swapped-pairs", "count-off-by-one",
+             "flipped-degree-reduced", "invalid-instance"],
+    )
+    def test_tampered_document_rejected(self, tamper, match):
+        from gridpaths.reduction import ReductionOutput
+
+        doc = json.loads(json.dumps(reduce(generate_planted(2, 4, noise=2, seed=1)).to_json_dict()))
+        ReductionOutput.from_json_dict(doc)
+        tamper(doc)
+        with pytest.raises(ValueError, match=match):
             ReductionOutput.from_json_dict(doc)
 
 
