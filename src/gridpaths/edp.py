@@ -9,6 +9,13 @@ every remaining pair must stay reachable in the residual graph or the
 branch is abandoned.  The search is exhaustive, so a None answer is a proof
 of infeasibility at the given budget.
 
+The reachability test is exact but cheap.  It searches only among the
+ancestors of the pair's target, through which every route to the target
+runs, and it first rechecks the last route it found for the pair: if none
+of that route's resources has been taken since, the route still exists and
+no search is needed.  Its answers are those of a plain search of the
+residual graph, so the search tree and its expansion count are the same.
+
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
 """
@@ -121,6 +128,15 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     the recursion limit; the frames of one pair spell out that pair's path.
     One ``taken`` flag per resource holds the state of the whole stack: a
     frame sets its resource's flag when pushed and clears it when popped.
+
+    ``reachable(j)`` decides whether pair j still has a residual route.  It
+    keeps the resources of the last route it found for j as a witness; a
+    witness is a fixed path of the graph, so it is a route again whenever
+    none of its flags is set, whatever was pushed or popped in between.
+    Otherwise a depth-first search from the source pushes only ancestors of
+    the target, since a route can only run through those, and records the
+    edge that reached each vertex so the route it finds becomes the next
+    witness.  Either way the answer is that of a full residual search.
     """
     _, cycle = g._topo_ids()
     if cycle is not None:
@@ -137,12 +153,14 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     for s, t in pairs:
         if s not in ids or t not in ids:
             raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
-    head, out_edges = g._head, g._out
+    head, tail, out_edges = g._head, g._tail, g._out
     # a list: indexing a range is several times slower
     res = head if vertex_disjoint else list(range(len(head)))
     taken = bytearray(len(g._verts) if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
-    anc_flags = [_ancestor_flags(tv, g._in, g._tail) for _, tv in ends]
+    anc_flags = [_ancestor_flags(tv, g._in, tail) for _, tv in ends]
+    # per pair, the resources of the last path ``reachable`` found for it
+    witness: list[list[int]] = [[] for _ in pairs]
     npairs = len(pairs)
 
     def reachable(idx: int) -> bool:
@@ -151,7 +169,11 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             return False
         if sv == tv:
             return True
-        seen = bytearray(len(out_edges))  # sv needs no flag: the graph is acyclic
+        wit = witness[idx]
+        if wit and not any(map(taken.__getitem__, wit)):
+            return True
+        anc = anc_flags[idx]
+        parent = {sv: -1}  # the edge that first reached each vertex
         stack = [sv]
         while stack:
             for e in out_edges[stack.pop()]:
@@ -159,9 +181,15 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     continue
                 w = head[e]
                 if w == tv:
+                    wit = [res[e]]
+                    e = parent[tail[e]]
+                    while e >= 0:
+                        wit.append(res[e])
+                        e = parent[tail[e]]
+                    witness[idx] = wit
                     return True
-                if not seen[w]:
-                    seen[w] = 1
+                if anc[w] and w not in parent:
+                    parent[w] = e
                     stack.append(w)
         return False
 

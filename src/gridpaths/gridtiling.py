@@ -13,6 +13,7 @@ oracle that the path-routing side of the package is checked against.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -61,13 +62,20 @@ class GridTilingInstance:
             n = _json_int(data["N"])
             sets = {}
             for key, pairs in data["sets"].items():
-                x_str, y_str = key.split(",")
-                sets[(int(x_str), int(y_str))] = frozenset(
+                cell = _CELL_KEY.fullmatch(key)
+                if cell is None:
+                    raise ValueError(f"cell key {key!r} is not '<x>,<y>' in positive decimals")
+                sets[(int(cell[1]), int(cell[2]))] = frozenset(
                     (_json_int(a), _json_int(b)) for a, b in pairs
                 )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed grid tiling instance: {exc}") from exc
         return cls(k=k, N=n, sets=sets)
+
+
+# the keys to_json_dict writes, and only those: no sign, space or leading
+# zero, so that no two keys name one cell
+_CELL_KEY = re.compile(r"([1-9][0-9]*),([1-9][0-9]*)")
 
 
 def _json_int(value) -> int:

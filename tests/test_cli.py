@@ -151,6 +151,13 @@ class TestRoundtrip:
         assert code == EXIT_USAGE
         assert "malformed grid tiling instance" in err
 
+    def test_non_canonical_cell_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps({"k": 1, "N": 2, "sets": {" +1,1 ": [[1, 2]]}}))
+        code, _, err = run(capsys, "roundtrip", str(path))
+        assert code == EXIT_USAGE
+        assert "malformed grid tiling instance" in err
+
     def test_budget_env_var_exits_3(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
         monkeypatch.setenv("DPATH_BUDGET", "3")

@@ -16,7 +16,12 @@ from gridpaths.edp import (
     solve_vdp_dag,
 )
 from gridpaths.errors import BudgetExceededError
-from gridpaths.gridtiling import GridTilingInstance, generate_planted, solve_gt_brute_force
+from gridpaths.gridtiling import (
+    GridTilingInstance,
+    generate_planted,
+    generate_random,
+    solve_gt_brute_force,
+)
 from gridpaths.mappers import gt_solution_to_paths
 from gridpaths.reduction import reduce
 
@@ -37,6 +42,20 @@ def bridge_graph():
         ["s1", "s2", "x", "y", "t1", "t2"],
         [("s1", "x"), ("s2", "x"), ("x", "y"), ("y", "t1"), ("y", "t2")],
     )
+
+
+def witness_graph(second_route: bool):
+    # Pair 0's only route s0-a-b-t0 takes the edge a -> b (and the vertices
+    # a, b) of the first route the reachability test finds for pair 1,
+    # s1-a-b-t1: the search reaches s1's later arc s1 -> a first.  With
+    # second_route, pair 1 can still go round by s1-c-t1.
+    verts = ["s0", "s1", "a", "b", "t0", "t1"]
+    edges = [("s0", "a"), ("a", "b"), ("b", "t0"), ("b", "t1")]
+    if second_route:
+        verts.append("c")
+        edges += [("s1", "c"), ("c", "t1")]
+    edges.append(("s1", "a"))
+    return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
 
 
 class TestCheckEdpSolution:
@@ -135,7 +154,7 @@ class TestSolveEdp:
         assert first.paths == second.paths
 
     def test_agrees_with_exhaustive_enumeration(self):
-        for seed in range(15):
+        for seed in range(40):
             g, pairs = random_dag(seed)
             got = solve_edp_dag(g, pairs)
             want = edp_feasible_exhaustive(g, pairs)
@@ -218,6 +237,36 @@ class TestTransform:
         assert check_vdp_solution(gprime, vpairs, ps)
 
 
+class TestWitnessInvalidation:
+    """Pair 1's remembered route is blocked once pair 0 is routed."""
+
+    @staticmethod
+    def _cases(second_route):
+        # (solver, graph, pairs, oracle, arcs on pair 0's one route)
+        g, pairs = witness_graph(second_route)
+        return [
+            (solve_edp_dag, g, pairs, edp_feasible_exhaustive, 3),
+            (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive, 3),
+            (solve_vdp_dag, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive, 4),
+        ]
+
+    def test_second_route_is_found(self):
+        for solver, g, pairs, oracle, _ in self._cases(second_route=True):
+            ps = solver(g, pairs)
+            assert ps is not None and oracle(g, pairs)
+            if solver is solve_vdp_dag:
+                assert check_vdp_solution(g, pairs, ps)
+            else:
+                assert check_edp_solution(g, pairs, ps) == []
+
+    def test_blocked_witness_prunes_at_pair_0_target(self):
+        for solver, g, pairs, oracle, arcs in self._cases(second_route=False):
+            assert not oracle(g, pairs)
+            # routing pair 0 costs one expansion per arc; a stale witness
+            # trusted at its target would let pair 1's search expand further
+            assert solver(g, pairs, budget=arcs) is None
+
+
 class TestPathSetJson:
     def test_round_trip(self):
         out = reduce(generate_planted(2, 2, noise=0, seed=0))
@@ -261,6 +310,56 @@ class TestSearchCore:
                     answer = self._answer(solver, g, pairs, budget)
                     digest.update(answer.encode())
         assert digest.hexdigest() == self.DIGEST
+
+    # SHA-256 of each solver's expansion count (the smallest budget at which
+    # it finishes, or "budget" past 10^4) on the cases above plus deeper
+    # planted and infeasible random reductions: pins the search tree itself,
+    # so pruning may get cheaper but not prune differently.
+    COUNT_DIGEST = "589cbe08261d6f0a33e918bbc69d1c3ce9386c96027ad5d270e5f32baf72a731"
+
+    @staticmethod
+    def _expansions(solver, g, pairs) -> str:
+        cap = 10_000
+
+        def finishes(budget):
+            try:
+                solver(g, pairs, budget=budget)
+            except BudgetExceededError:
+                return False
+            return True
+
+        if not finishes(cap):
+            return "budget"
+        lo, hi = 0, cap  # the count lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if finishes(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return str(lo)
+
+    def test_expansion_counts_match_pinned_digest(self):
+        cases = []
+        for seed in range(60):
+            g, pairs = random_dag(seed)
+            cases.append((g, pairs))
+            cases.append(edp_to_vdp_dag(g, pairs))
+        for k in (1, 2):
+            for n in (2, 3):
+                out = reduce(generate_planted(k, n, noise=2, seed=k * 10 + n))
+                cases.append((out.graph, out.terminals.pairs))
+        for k, n in ((2, 4), (3, 3), (3, 4)):
+            out = reduce(generate_planted(k, n, noise=2, seed=k * 10 + n))
+            cases.append((out.graph, out.terminals.pairs))
+        for k, n in ((2, 3), (2, 4), (3, 3)):  # no tiling: the search must exhaust
+            out = reduce(generate_random(k, n, density=0.15, seed=0))
+            cases.append((out.graph, out.terminals.pairs))
+        digest = hashlib.sha256()
+        for g, pairs in cases:
+            for solver in (solve_edp_dag, solve_vdp_dag):
+                digest.update(f"{self._expansions(solver, g, pairs)};".encode())
+        assert digest.hexdigest() == self.COUNT_DIGEST
 
     def test_long_chain_needs_no_recursion(self):
         n = 5000

@@ -207,13 +207,26 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("k", 1.9), ("k", True), ("k", "2"), ("N", 2.0), ("pair", [1.5, 2]), ("pair", [1, "2"])],
-        ids=["float-k", "boolean-k", "string-k", "float-N", "float-coordinate", "string-coordinate"],
+        [
+            ("k", 1.9), ("k", True), ("k", "2"), ("N", 2.0), ("pair", [1.5, 2]), ("pair", [1, "2"]),
+            ("pair", [1, 1, 1]), ("pair", [1]),
+            ("key", " +1,1 "), ("key", "+1,1"), ("key", "01,1"), ("key", "0,1"),
+            ("key", "1.0,1"), ("key", "1,2,3"), ("key", "1"),
+        ],
+        ids=[
+            "float-k", "boolean-k", "string-k", "float-N", "float-coordinate", "string-coordinate",
+            "triple-pair", "single-pair",
+            "spaced-signed-key", "signed-key", "leading-zero-key", "zero-key",
+            "decimal-point-key", "three-coordinate-key", "one-coordinate-key",
+        ],
     )
     def test_non_integer_fields_rejected(self, field, value):
+        # cell keys are only the canonical "<x>,<y>": no two keys name one cell
         data = {"k": 1, "N": 2, "sets": {"1,1": [[1, 2]]}}
         if field == "pair":
             data["sets"]["1,1"] = [value]
+        elif field == "key":
+            data["sets"] = {value: [[1, 2]]}
         else:
             data[field] = value
         with pytest.raises(ValueError, match="malformed grid tiling instance"):
