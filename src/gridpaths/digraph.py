@@ -14,9 +14,10 @@ is planar; no general-purpose planarity test is involved.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cmp_to_key
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -323,26 +324,12 @@ class EmbeddingCheck:
     genus: int
 
 
-def _angle_half(dx: Fraction, dy: Fraction) -> int:
-    # 0 for directions with angle in [0, pi), 1 for [pi, 2*pi)
-    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-
-def _ccw_compare(d1, d2) -> int:
-    h1 = _angle_half(d1[0], d1[1])
-    h2 = _angle_half(d2[0], d2[1])
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    raise EmbeddingError("collinear neighbor directions; rotation is ambiguous")
-
-
 class EmbeddedDigraph(Digraph):
-    """Digraph whose vertices carry distinct exact rational coordinates."""
+    """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
+
+    Vertex id ``n`` sits at ``_xy[n] / _den``: integer numerators over the least common
+    denominator.  Only the accessors and the JSON writer and reader make Fractions.
+    """
 
     def __init__(
         self,
@@ -351,43 +338,55 @@ class EmbeddedDigraph(Digraph):
         coords: Mapping[Label, Coord],
     ):
         super().__init__(vertices, edges)
-        self._xy: list[Coord] = []
-        for v in self._verts:
-            if v not in coords:
-                raise ValueError(f"missing coordinate for {v!r}")
-            x, y = coords[v]
-            self._xy.append((Fraction(x), Fraction(y)))
+        try:
+            given = [coords[v] for v in self._verts]
+        except KeyError as exc:
+            raise ValueError(f"missing coordinate for {exc.args[0]!r}") from None
         if len(coords) != len(self._verts):
             raise ValueError("coordinates given for unknown vertices")
+        den = self._den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
+        self._xy = [
+            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in given
+        ]
         if len(set(self._xy)) != len(self._verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
         self._rot: list[tuple[int, ...]] | None = None
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
-        return MappingProxyType(dict(zip(self._verts, self._xy)))
+        return MappingProxyType({v: self.coord(v) for v in self._verts})
 
     def coord(self, v: Label) -> Coord:
-        return self._xy[self._id[v]]
+        return tuple(Fraction(c, self._den) for c in self._xy[self._id[v]])
 
     def _rotation_map(self) -> list[tuple[int, ...]]:
-        """Per vertex id, its edge ids in counterclockwise order of their other ends."""
+        """Per vertex id, its edge ids in counterclockwise order of their other ends.
+
+        The key of direction (dx, dy), s = |dx| + |dy|, is floor(m * p) for the pseudo-angle
+        p = 1 - dx/s on [0, pi), 3 + dx/s on [pi, 2 pi), which grows with the angle from +x.
+        Distinct dx/s differ by >= 1/m for m = (x spread + y spread)**2: equal keys mean one ray.
+        """
         if self._rot is None:
             tail, head, xy = self._tail, self._head, self._xy
-            for a, b in zip(tail, head):
-                if (b, a) in self._pairs:
-                    raise ValueError(
-                        f"antiparallel edges between {self._verts[a]!r} and {self._verts[b]!r}; "
-                        "the embedding check needs a simple underlying graph"
-                    )
+            m = sum(max(c) - min(c) for c in zip(*xy)) ** 2
             rot = []
             for v, (vx, vy) in enumerate(xy):
                 dirs = []
                 for e in self._out[v] + self._in[v]:
                     ux, uy = xy[tail[e] + head[e] - v]
-                    dirs.append((ux - vx, uy - vy, e))
-                dirs.sort(key=cmp_to_key(_ccw_compare))
-                rot.append(tuple(e for _, _, e in dirs))
+                    dx, dy = ux - vx, uy - vy
+                    r = dx * m // (abs(dx) + abs(dy))
+                    dirs.append((m - r if dy > 0 or (dy == 0 and dx > 0) else 3 * m + r, e))
+                dirs.sort()
+                for (key, e), (next_key, f) in zip(dirs, dirs[1:]):
+                    if key == next_key:
+                        u, w = (self._verts[tail[d] + head[d] - v] for d in (e, f))
+                        if u == w:
+                            raise ValueError(f"antiparallel edges between {self._verts[v]!r} and {u!r}")
+                        raise EmbeddingError(
+                            f"collinear neighbor directions at {self._verts[v]!r}: {u!r} and {w!r} on one ray"
+                        )
+                rot.append(tuple(e for _, e in dirs))
             self._rot = rot
         return self._rot
 
@@ -431,9 +430,10 @@ class EmbeddedDigraph(Digraph):
 
     def to_json_dict(self) -> dict:
         labels = [label_to_json(v) for v in self._verts]
+        text = {n: str(Fraction(n, self._den)) for n in {c for xy in self._xy for c in xy}}
         return {
             "vertices": [
-                {"label": label, "coord": [str(x), str(y)]}
+                {"label": label, "coord": [text[x], text[y]]}
                 for label, (x, y) in zip(labels, self._xy)
             ],
             "edges": [[labels[a], labels[b]] for a, b in zip(self._tail, self._head)],
@@ -448,20 +448,21 @@ class EmbeddedDigraph(Digraph):
                 v = label_from_json(entry["label"])
                 x_str, y_str = entry["coord"]
                 verts.append(v)
-                coords[v] = (Fraction(x_str), Fraction(y_str))
+                coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
             edges = [
                 (label_from_json(u), label_from_json(v)) for u, v in data["edges"]
             ]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(verts, edges, coords)
 
     def to_dot(self) -> str:
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
-        names = [label_name(v) for v in self._verts]
+        names, den = [label_name(v) for v in self._verts], self._den
         lines = ["digraph reduction {"]
+        # int / int is correctly rounded: the same float as float(Fraction)
         for name, (x, y) in zip(names, self._xy):
-            lines.append(f'  "{name}" [pos="{float(x)},{float(y)}!"];')
+            lines.append(f'  "{name}" [pos="{x / den},{y / den}!"];')
         for a, b in zip(self._tail, self._head):
             attr = " [style=dotted]" if is_dotted_edge(self._verts[a], self._verts[b]) else ""
             lines.append(f'  "{names[a]}" -> "{names[b]}"{attr};')
@@ -473,4 +474,13 @@ class EmbeddedDigraph(Digraph):
             return NotImplemented
         return super().__eq__(other) and self.coords == other.coords
 
-    __hash__ = None
+
+# exactly the str(Fraction) that to_json_dict writes: no leading zero, d > 1 in lowest terms
+_COORD = re.compile(r"(-?[1-9][0-9]*|0)(?:/([2-9]|[1-9][0-9]+))?")
+
+
+def _parse_coord(text) -> int | Fraction:
+    match = _COORD.fullmatch(text) if type(text) is str else None
+    if match is None or (match[2] and math.gcd(int(match[1]), int(match[2])) != 1):
+        raise ValueError(f"coordinate {text!r} is not '<n>' or '<n>/<d>' in lowest terms")
+    return Fraction(int(match[1]), int(match[2])) if match[2] else int(match[1])

@@ -34,8 +34,6 @@ from .digraph import (
 )
 from .gridtiling import GridTilingInstance, _json_int, validate_instance
 
-QUARTER = Fraction(1, 4)
-
 SIDES = ("left", "right", "top", "bottom")
 
 
@@ -173,21 +171,16 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
     follow the dotted ones.
     """
     pitch = N + 1
-    verts: list[Label] = []
     edges: list[tuple[Label, Label]] = []
-    # ints or Fractions; EmbeddedDigraph makes them all Fractions
+    # the vertices in order, each with its coordinates: ints where whole, else Fractions
     coords: dict[Label, tuple] = {}
     # grid position (i, j, q, ell) -> the label its edges arrive at / leave from
     head: dict[tuple[int, int, int, int], GridVertex] = {}
     tail: dict[tuple[int, int, int, int], GridVertex] = {}
     dotted: list[tuple[Label, Label]] = []
 
-    def add_vertex(v: Label, x, y) -> None:
-        verts.append(v)
-        coords[v] = (x, y)
-
     # (c - 1/4, c + 1/4) for each grid line c: one Fraction per copy, not per vertex
-    shifted = [(c - QUARTER, c + QUARTER) for c in range(k * pitch)]
+    shifted = [(Fraction(4 * c - 1, 4), Fraction(4 * c + 1, 4)) for c in range(k * pitch)]
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             x0 = (i - 1) * pitch
@@ -198,14 +191,12 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
                     x, y = x0 + q, y0 + ell
                     if sets is None or (q, ell) in sets[(i, j)]:
                         v = GridVertex(i, j, q, ell)
-                        add_vertex(v, x, y)
+                        coords[v] = (x, y)
                         head[pos] = tail[pos] = v
                     else:
                         lb = GridVertex(i, j, q, ell, LB)
                         tr = GridVertex(i, j, q, ell, TR)
-                        (x_lb, x_tr), (y_lb, y_tr) = shifted[x], shifted[y]
-                        add_vertex(lb, x_lb, y_lb)
-                        add_vertex(tr, x_tr, y_tr)
+                        coords[lb], coords[tr] = zip(shifted[x], shifted[y])
                         head[pos], tail[pos] = lb, tr
                         dotted.append((lb, tr))
 
@@ -222,7 +213,7 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
     for i in range(1, k):
         for j in range(1, k + 1):
             for ell in range(1, N + 1):
-                add_vertex(HConnector(i, j, ell), i * pitch, (j - 1) * pitch + ell)
+                coords[HConnector(i, j, ell)] = (i * pitch, (j - 1) * pitch + ell)
             for ell in range(1, N):
                 edges.append((HConnector(i, j, ell), HConnector(i, j, ell + 1)))
             for ell in range(1, N + 1):
@@ -234,7 +225,7 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
     for i in range(1, k + 1):
         for j in range(1, k):
             for ell in range(1, N + 1):
-                add_vertex(VConnector(i, j, ell), (i - 1) * pitch + ell, j * pitch)
+                coords[VConnector(i, j, ell)] = ((i - 1) * pitch + ell, j * pitch)
             for ell in range(1, N):
                 edges.append((VConnector(i, j, ell), VConnector(i, j, ell + 1)))
             for ell in range(1, N + 1):
@@ -245,15 +236,14 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
     # Terminals sit one unit outside the grids' bounding box, a fan tree's
     # internal nodes on evenly spaced levels between the terminal and the
     # split copies nearest it (a quarter outside the outermost grid line).
-    half = Fraction(pitch, 2)
-    near, far = Fraction(-1), Fraction(k * pitch + 1)
+    half = Fraction(pitch, 2) if pitch % 2 else pitch // 2
+    near, far = -1, k * pitch + 1
     for i in range(1, k + 1):
-        add_vertex(Terminal("a", i), (i - 1) * pitch + half, near)
-        add_vertex(Terminal("b", i), (i - 1) * pitch + half, far)
+        coords[Terminal("a", i)] = ((i - 1) * pitch + half, near)
+        coords[Terminal("b", i)] = ((i - 1) * pitch + half, far)
     for j in range(1, k + 1):
-        add_vertex(Terminal("c", j), near, (j - 1) * pitch + half)
-        add_vertex(Terminal("d", j), far, (j - 1) * pitch + half)
-    near_leaf, far_leaf = 1 - QUARTER, (k - 1) * pitch + N + QUARTER
+        coords[Terminal("c", j)] = (near, (j - 1) * pitch + half)
+        coords[Terminal("d", j)] = (far, (j - 1) * pitch + half)
     # depth of the deepest leaf of a balanced tree on N leaves; a node at
     # depth d sits d / levels of the way from its terminal to the leaf level
     levels = (N - 1).bit_length()
@@ -273,19 +263,19 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
         if not trees:
             fan_edges += [(root, v) if outward else (v, root) for v in leaves]
             continue
-        # the leaves line up along x for a/b (axis 0), along y for c/d
+        # the leaves line up along x for a/b (axis 0), along y for c/d; in
+        # quarter units the split copies nearest the terminal sit 7 further in
         axis = 0 if root.family in ("a", "b") else 1
-        s_root = coords[root][1 - axis]
-        s_leaf = near_leaf if outward else far_leaf
+        s_root, step = (4 * near, 7) if outward else (4 * far, -7)
 
         def grow(lo: int, hi: int, path: tuple[int, ...]) -> Label:
             if hi - lo == 1:
                 return leaves[lo]
             node = TreeNode(root.family, root.index, path) if path else root
             if path:
-                s = s_root + (s_leaf - s_root) * Fraction(len(path), levels)
+                s = Fraction(s_root * levels + step * len(path), 4 * levels)
                 t = Fraction(coords[leaves[lo]][axis] + coords[leaves[hi - 1]][axis], 2)
-                add_vertex(node, *((t, s) if axis == 0 else (s, t)))
+                coords[node] = (t, s) if axis == 0 else (s, t)
             mid = _tree_split(lo, hi)
             for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
                 child = grow(clo, chi, path + (bit,))
@@ -295,7 +285,7 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
         grow(0, N, ())
 
     tail_edges = dotted + fan_edges if trees else fan_edges + dotted
-    return EmbeddedDigraph(verts, edges + tail_edges, coords)
+    return EmbeddedDigraph(coords, edges + tail_edges, coords)
 
 
 def _tree_split(lo: int, hi: int) -> int:

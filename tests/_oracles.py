@@ -2,15 +2,19 @@
 
 These deliberately share no code with the package's search routines: the
 grid tiling oracle enumerates full assignment products, and the two path
-oracles enumerate every tuple of simple paths.
+oracles enumerate every tuple of simple paths.  The rotation oracle sorts
+each vertex's neighbours with a comparator over Fraction directions, as the
+package did before it derived rotations from integer keys.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from functools import cmp_to_key
 
-from gridpaths.digraph import Digraph
+from gridpaths.digraph import Digraph, EmbeddedDigraph
+from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, check_gt_solution
 
 
@@ -93,3 +97,39 @@ def random_dag(seed: int, max_vertices: int = 12) -> tuple[Digraph, list[tuple]]
     ]
     pairs = [(names[0], names[n - 1]), (names[1], names[n - 2])]
     return Digraph(names, edges), pairs
+
+
+def _angle_half(dx, dy) -> int:
+    # 0 for directions with angle in [0, pi), 1 for [pi, 2*pi)
+    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+
+def _ccw_compare(d1, d2) -> int:
+    h1 = _angle_half(d1[0], d1[1])
+    h2 = _angle_half(d2[0], d2[1])
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cross = d1[0] * d2[1] - d1[1] * d2[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    raise EmbeddingError("collinear neighbor directions; rotation is ambiguous")
+
+
+def rotations_by_comparison(g: EmbeddedDigraph) -> dict:
+    """Each vertex's neighbours in counterclockwise order from +x.
+
+    Sorts the Fraction directions from ``g.coords`` with a pairwise
+    comparator; raises EmbeddingError when two neighbours lie on one ray
+    (a comparison sort must compare every two neighbours it places
+    side by side, so it meets every such pair).
+    """
+    coords = g.coords
+    result = {}
+    for v in g.vertices:
+        vx, vy = coords[v]
+        dirs = [(coords[u][0] - vx, coords[u][1] - vy, u) for u in g.out(v) + g.inn(v)]
+        dirs.sort(key=cmp_to_key(_ccw_compare))
+        result[v] = tuple(u for _, _, u in dirs)
+    return result

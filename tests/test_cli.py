@@ -107,6 +107,10 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", str(inst), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_INTERNAL
         assert "collinear" in err
+        # the fan edge c1 -> w(1,1,1,1) runs through the lb copy of (1,1,1,2)
+        assert "at GridVertex(i=1, j=1, q=1, ell=1, part='whole')" in err
+        assert "GridVertex(i=1, j=1, q=1, ell=2, part='lb')" in err
+        assert "Terminal(family='c', index=1)" in err
 
 
 class TestRoundtrip:
@@ -258,6 +262,19 @@ class TestExport:
         assert code == EXIT_OK
         code, _, _ = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
         assert code == EXIT_OK
+
+    def test_zero_denominator_in_graph_document_exits_2(self, capsys, tmp_path):
+        inst = gen_instance(capsys, tmp_path)
+        red = tmp_path / "red.json"
+        run(capsys, "reduce", str(inst), "--out", str(red))
+        gjson = tmp_path / "g.json"
+        run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
+        doc = json.loads(gjson.read_text())
+        doc["vertices"][0]["coord"][0] = "1/0"
+        gjson.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+        assert code == EXIT_USAGE
+        assert "malformed graph document" in err
 
     def test_tampered_reduction_document_exits_2(self, capsys, tmp_path):
         # planted (2,4) noise=2 seed=1 splits (1,1,2,2) but not (1,1,2,1)

@@ -20,10 +20,11 @@ from gridpaths.digraph import (
     label_name,
     label_to_json,
 )
+from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import generate_planted
 from gridpaths.reduction import build_g1, level_set, reduce, reduce_degree
 
-from ._oracles import random_dag
+from ._oracles import random_dag, rotations_by_comparison
 
 
 def unit_square():
@@ -41,6 +42,30 @@ def k5():
     }
     edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     return EmbeddedDigraph(list(range(5)), edges, coords)
+
+
+def random_embedded(seed: int) -> EmbeddedDigraph:
+    """A random simple graph on distinct points with denominators 1, 2, 3, 4 and 8.
+
+    Half the draws add a vertex on the ray from a vertex c through another
+    vertex u, joined to c along with u, so that c has two neighbours on one ray.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    points: list[tuple] = []
+    while len(points) < n:
+        point = tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 8))) for _ in "xy")
+        if point not in points:
+            points.append(point)
+    pairs = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5}
+    if rng.random() < 0.5:
+        c, u = rng.sample(range(n), 2)
+        t = rng.choice((Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(3)))
+        w = tuple(p + t * (q - p) for p, q in zip(points[c], points[u]))
+        if w not in points:
+            points.append(w)
+            pairs |= {(min(c, u), max(c, u)), (c, n)}
+    return EmbeddedDigraph(range(len(points)), sorted(pairs), dict(enumerate(points)))
 
 
 class TestConstruction:
@@ -257,6 +282,25 @@ class TestRotation:
         )
         assert g.rotation("o") == ("e", "n", "w", "s")
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_comparison_sort_oracle(self, seed):
+        g = random_embedded(seed)
+        try:
+            expected = rotations_by_comparison(g)
+        except EmbeddingError:
+            with pytest.raises(EmbeddingError, match="collinear"):
+                g.rotation(g.vertices[0])
+            return
+        assert {v: g.rotation(v) for v in g.vertices} == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gadgets_match_comparison_sort_oracle(self, k):
+        for n in range(2, 13):
+            out = reduce(generate_planted(k, n, noise=2, seed=n))
+            for g in (out.graph, reduce_degree(out).graph):
+                assert {v: g.rotation(v) for v in g.vertices} == rotations_by_comparison(g)
+
     def test_rederiving_rotation_is_idempotent(self):
         out = reduce(generate_planted(2, 2, noise=0, seed=1))
         g = out.graph
@@ -309,6 +353,29 @@ class TestSerialization:
         out = reduce_degree(reduce(generate_planted(2, 3, noise=1, seed=3)))
         names = [label_name(v) for v in out.graph.vertices]
         assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize(
+        "coord",
+        [
+            ["1/0", "0"], [" 1/4 ", "0"], ["0.25", "0"], ["1e3", "0"], ["2/4", "0"], [True, "0"],
+            [0.1, "0"], ["1", "2", "3"], ["-0", "0"], ["3/1", "0"], ["01", "0"], [1, "0"],
+        ],
+        ids=[
+            "zero-denominator", "spaces", "decimal-point", "exponent", "not-lowest-terms", "json-true",
+            "json-float", "three-elements", "minus-zero", "denominator-one", "leading-zero", "json-int",
+        ],
+    )
+    def test_non_canonical_coordinate_rejected(self, coord):
+        data = reduce(generate_planted(1, 2, noise=0, seed=0)).graph.to_json_dict()
+        data["vertices"][0]["coord"] = coord
+        with pytest.raises(ValueError, match="malformed graph document"):
+            EmbeddedDigraph.from_json_dict(data)
+
+    def test_canonical_coordinates_accepted(self):
+        g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
+        data = g.to_json_dict()
+        data["vertices"][0]["coord"] = ["-7/3", "-12"]
+        assert EmbeddedDigraph.from_json_dict(data).coord(g.vertices[0]) == (Fraction(-7, 3), -12)
 
     def test_graph_json_round_trip(self):
         g = reduce(generate_planted(2, 2, noise=1, seed=5)).graph
