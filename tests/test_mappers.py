@@ -1,10 +1,15 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpaths.digraph import (
     EmbeddedDigraph,
     GridVertex,
     HConnector,
     Terminal,
+    TreeNode,
     VConnector,
 )
 from gridpaths.edp import PathSet, check_edp_solution, solve_edp_dag
@@ -29,6 +34,7 @@ from gridpaths.reduction import (
     GraphCounts,
     ReductionOutput,
     TerminalSet,
+    boundary,
     reduce,
     reduce_degree,
 )
@@ -271,3 +277,97 @@ class TestLevelConfinement:
         out = reduce(full_instance(1, 2))
         with pytest.raises(ValueError):
             check_level_confinement(out, PathSet([[Terminal("a", 1)]]))
+
+
+class TestPinnedMaps:
+    # SHA-256 of the repr of the forward map, of every boundary and of every
+    # row and column path over the instance list below; computed before the
+    # column and row rules were written once for both orientations.
+    DIGEST = "7d65cc5a4532644d8f896dd7d237dbb9e0fcc6f9923bd53eb26a4a4506fd6347"
+
+    def test_maps_match_pinned_digest(self):
+        digest = hashlib.sha256()
+        for k in (1, 2, 3):
+            for n in range(2, 7):
+                seed = k * 10 + n
+                for inst in (
+                    generate_planted(k, n, noise=2, seed=seed),
+                    generate_random(k, n, 0.5, seed=seed),
+                ):
+                    out = reduce(inst)
+                    asg = solve_gt_brute_force(inst)
+                    for x in (out, reduce_degree(out)):
+                        ps = None if asg is None else gt_solution_to_paths(x, asg)
+                        digest.update(repr(ps).encode())
+                        for cell in inst.cells():
+                            for side in ("left", "right", "top", "bottom"):
+                                digest.update(repr(boundary(x, *cell, side)).encode())
+                            for ell in range(1, n + 1):
+                                digest.update(repr(row_path(x, *cell, ell)).encode())
+                                digest.update(repr(column_path(x, *cell, ell)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+# Swapping x and y maps the column half of the gadget onto the row half:
+# a/b terminals onto c/d, vertical connectors onto horizontal ones, grid
+# position (q, ell) onto (ell, q), while the lb/tr split copies stay lb/tr.
+_SWAP_FAMILY = {"a": "c", "b": "d", "c": "a", "d": "b"}
+_SWAP_SIDE = {"left": "bottom", "bottom": "left", "right": "top", "top": "right"}
+
+
+def transpose_instance(inst):
+    sets = {(y, x): {(b, a) for a, b in pairs} for (x, y), pairs in inst.sets.items()}
+    return GridTilingInstance(k=inst.k, N=inst.N, sets=sets)
+
+
+def transpose_label(v):
+    if isinstance(v, GridVertex):
+        return GridVertex(v.j, v.i, v.ell, v.q, v.part)
+    if isinstance(v, HConnector):
+        return VConnector(v.j, v.i, v.ell)
+    if isinstance(v, VConnector):
+        return HConnector(v.j, v.i, v.ell)
+    if isinstance(v, Terminal):
+        return Terminal(_SWAP_FAMILY[v.family], v.index)
+    assert isinstance(v, TreeNode)
+    return TreeNode(_SWAP_FAMILY[v.family], v.index, v.path)
+
+
+@st.composite
+def instances(draw):
+    """A random instance; with ``planted`` every cell (x, y) holds (min(y, N), min(x, N))."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    planted = draw(st.booleans())
+    sets = {}
+    for x in range(1, k + 1):
+        for y in range(1, k + 1):
+            sets[(x, y)] = draw(st.frozensets(pair, max_size=n * n))
+            if planted:
+                sets[(x, y)] |= {(min(y, n), min(x, n))}
+    return GridTilingInstance(k=k, N=n, sets=sets), planted
+
+
+class TestTransposition:
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=instances(), degree2=st.booleans())
+    def test_gadget_commutes_with_transposition(self, drawn, degree2):
+        inst, planted = drawn
+        k, n = inst.k, inst.N
+        out, tout = reduce(inst), reduce(transpose_instance(inst))
+        if degree2:
+            out, tout = reduce_degree(out), reduce_degree(tout)
+        t = transpose_label
+        assert set(tout.graph.edges) == {(t(u), t(v)) for u, v in out.graph.edges}
+        assert dict(tout.graph.coords) == {t(v): (y, x) for v, (x, y) in out.graph.coords.items()}
+        pairs = out.terminals.pairs
+        assert tout.terminals.pairs == tuple((t(s), t(d)) for s, d in pairs[k:] + pairs[:k])
+        for (i, j) in inst.cells():
+            for side, tside in _SWAP_SIDE.items():
+                assert boundary(tout, j, i, tside) == [t(v) for v in boundary(out, i, j, side)]
+        if planted:
+            choice = {(x, y): (min(y, n), min(x, n)) for x, y in inst.cells()}
+            ps = gt_solution_to_paths(out, GTAssignment(choice))
+            tchoice = {(y, x): (b, a) for (x, y), (a, b) in choice.items()}
+            tps = gt_solution_to_paths(tout, GTAssignment(tchoice))
+            assert tps.paths == [[t(v) for v in p] for p in ps.paths[k:] + ps.paths[:k]]
