@@ -32,10 +32,8 @@ class GridTilingInstance:
     sets: Mapping[Cell, frozenset[Pair]]
 
     def __post_init__(self):
-        norm = {}
-        for cell, pairs in dict(self.sets).items():
-            key = (int(cell[0]), int(cell[1]))
-            norm[key] = frozenset((int(a), int(b)) for a, b in pairs)
+        # no int(): it would truncate 1.9 and parse "1"; validate_instance reports such values
+        norm = {cell: frozenset(pairs) for cell, pairs in dict(self.sets).items()}
         object.__setattr__(self, "sets", norm)
 
     def cells(self) -> Iterator[Cell]:
@@ -85,6 +83,11 @@ def _json_int(value) -> int:
     return value
 
 
+def _int_pair(value) -> bool:
+    """Whether ``value`` is a tuple of two ints, by exact type as ``_json_int`` tests."""
+    return type(value) is tuple and len(value) == 2 and all(type(c) is int for c in value)
+
+
 @dataclass(frozen=True)
 class GTAssignment:
     """One chosen pair per cell; a candidate grid tiling solution."""
@@ -92,34 +95,34 @@ class GTAssignment:
     choice: Mapping[Cell, Pair]
 
     def __post_init__(self):
-        norm = {
-            (int(x), int(y)): (int(a), int(b))
-            for (x, y), (a, b) in dict(self.choice).items()
-        }
-        object.__setattr__(self, "choice", norm)
+        object.__setattr__(self, "choice", dict(self.choice))
 
 
 def validate_instance(inst: GridTilingInstance) -> list[str]:
     """Return a list of invariant violations; empty means the instance is valid."""
     violations = []
-    if not isinstance(inst.k, int) or inst.k < 1:
+    if type(inst.k) is not int or inst.k < 1:
         violations.append(f"k must be a positive integer, got {inst.k!r}")
-    if not isinstance(inst.N, int) or inst.N < 2:
+    if type(inst.N) is not int or inst.N < 2:
         violations.append(f"N must be an integer >= 2, got {inst.N!r}")
     if violations:
         return violations
     expected = {(x, y) for x in range(1, inst.k + 1) for y in range(1, inst.k + 1)}
-    present = set(inst.sets)
+    # values of other types are reported by repr: sorting them with ints would raise
+    present = {cell for cell in inst.sets if _int_pair(cell)}
+    for cell in sorted(set(inst.sets) - present, key=repr):
+        violations.append(f"cell key {cell!r} is not a pair of integers")
     for cell in sorted(expected - present):
         violations.append(f"missing set for cell {cell}")
     for cell in sorted(present - expected):
         violations.append(f"unexpected cell {cell} outside [1,{inst.k}]^2")
     for cell in sorted(present & expected):
-        for a, b in sorted(inst.sets[cell]):
+        pairs = {pair for pair in inst.sets[cell] if _int_pair(pair)}
+        for pair in sorted(inst.sets[cell] - pairs, key=repr):
+            violations.append(f"cell {cell}: pair {pair!r} is not a pair of integers")
+        for a, b in sorted(pairs):
             if not (1 <= a <= inst.N and 1 <= b <= inst.N):
-                violations.append(
-                    f"cell {cell}: pair ({a},{b}) outside [1,{inst.N}]^2"
-                )
+                violations.append(f"cell {cell}: pair ({a},{b}) outside [1,{inst.N}]^2")
     return violations
 
 
@@ -134,7 +137,9 @@ def check_gt_solution(inst: GridTilingInstance, asg: GTAssignment) -> bool:
     if missing:
         raise ValueError(f"assignment is not total; missing cells {missing}")
     for cell in cells:
-        if asg.choice[cell] not in inst.sets.get(cell, frozenset()):
+        # (1.0, 1) == (1, 1): a member must be a pair of ints, not only equal to one
+        pair = asg.choice[cell]
+        if not _int_pair(pair) or pair not in inst.sets.get(cell, frozenset()):
             return False
     for y in range(1, inst.k + 1):
         for x in range(1, inst.k):

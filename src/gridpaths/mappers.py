@@ -13,10 +13,13 @@ broken, so it raises instead of recovering.
 
 from __future__ import annotations
 
-from .digraph import GridVertex, HConnector, Label, Terminal, VConnector, WHOLE
+from itertools import product
+
+from .digraph import GridVertex, Label, Terminal, WHOLE
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import ReductionOutput, _fan_route, _in_level, grid_vertex_parts
+from .reduction import _COLUMNS, _FAMILIES, _ROWS, ReductionOutput, _Family, _fan_route, _in_level
+from .reduction import _orient, grid_vertex_parts
 
 
 class InvalidSolutionError(ValueError):
@@ -27,17 +30,13 @@ class ExtractionFailedError(RuntimeError):
     """No shared whole vertex exists in some cell; the reduction is broken."""
 
 
-def _grid_line(out: ReductionOutput, i: int, j: int, ell: int, row: bool) -> list:
-    """Row ell (or column ell) of grid (i, j), entering and leaving each position."""
-    n = out.provenance.N
-    if not (1 <= ell <= n):
-        raise ValueError(f"{'row' if row else 'column'} index {ell} out of range for N={n}")
+def _grid_line(out: ReductionOutput, fam: _Family, i: int, j: int, lane: int) -> list:
+    """Lane ``lane`` of grid (i, j) along the family's paths, entering and leaving each position."""
     verts: list[Label] = []
-    for s in range(1, n + 1):
-        entry, exit_ = grid_vertex_parts(out.graph, i, j, *((s, ell) if row else (ell, s)))
-        verts.append(entry)
-        if exit_ != entry:
-            verts.append(exit_)
+    # grid_vertex_parts rejects a lane or cell out of range
+    for s in range(1, out.provenance.N + 1):
+        # a whole position's entry is its exit: keep one of them
+        verts += dict.fromkeys(grid_vertex_parts(out, i, j, *_orient(fam, lane, s)))
     return verts
 
 
@@ -48,12 +47,12 @@ def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     dotted edge at every split position and passing straight through whole
     vertices.
     """
-    return _grid_line(out, i, j, ell, row=True)
+    return _grid_line(out, _ROWS, i, j, ell)
 
 
 def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Bottom-to-top path up column ell of grid (i, j); mirror of row_path."""
-    return _grid_line(out, i, j, ell, row=False)
+    return _grid_line(out, _COLUMNS, i, j, ell)
 
 
 def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
@@ -67,38 +66,19 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
     inst = out.provenance
     if not check_gt_solution(inst, asg):
         raise InvalidSolutionError("assignment does not solve the instance")
-    k = inst.k
+    ks = range(1, inst.k + 1)
     paths: list[list[Label]] = []
-    for i in range(1, k + 1):
-        alpha = {j: asg.choice[(i, j)][0] for j in range(1, k + 1)}
-        source = Terminal("a", i)
-        path = [source] + _fan_route(out, source, alpha[1])
-        for j in range(1, k + 1):
-            path += column_path(out, i, j, alpha[j])
-            if j < k:
-                path += [
-                    VConnector(i, j, ell)
-                    for ell in range(alpha[j], alpha[j + 1] + 1)
-                ]
-        sink = Terminal("b", i)
-        path += _fan_route(out, sink, alpha[k])[::-1]
-        path.append(sink)
-        paths.append(path)
-    for j in range(1, k + 1):
-        beta = {i: asg.choice[(i, j)][1] for i in range(1, k + 1)}
-        source = Terminal("c", j)
-        path = [source] + _fan_route(out, source, beta[1])
-        for i in range(1, k + 1):
-            path += row_path(out, i, j, beta[i])
-            if i < k:
-                path += [
-                    HConnector(i, j, ell)
-                    for ell in range(beta[i], beta[i + 1] + 1)
-                ]
-        sink = Terminal("d", j)
-        path += _fan_route(out, sink, beta[k])[::-1]
-        path.append(sink)
-        paths.append(path)
+    for fam, m in product(_FAMILIES, ks):
+        cells = [_orient(fam, m, n) for n in ks]
+        # the lane chosen in each cell: alpha for a column, beta for a row
+        lanes = [asg.choice[cell][fam.axis] for cell in cells]
+        source, sink = (Terminal(family, m) for family in fam.terminals)
+        path = [source] + _fan_route(out, source, lanes[0])
+        for n, cell in enumerate(cells):
+            path += _grid_line(out, fam, *cell, lanes[n])
+            if n + 1 < len(cells):
+                path += [fam.connector(*cell, ell) for ell in range(lanes[n], lanes[n + 1] + 1)]
+        paths.append(path + _fan_route(out, sink, lanes[-1])[::-1] + [sink])
     return PathSet(paths)
 
 
@@ -147,8 +127,8 @@ def check_level_confinement(out: ReductionOutput, ps: PathSet) -> bool:
         raise ValueError(f"expected {2 * k} paths, got {len(ps.paths)}")
     g = out.graph
     for idx, path in enumerate(ps.paths):
-        kind, index = ("vertical", idx + 1) if idx < k else ("horizontal", idx - k + 1)
+        fam, index = _FAMILIES[idx // k], idx % k + 1
         # a path without edges has nothing to confine
-        if len(path) > 1 and not all(v in g and _in_level(v, kind, index) for v in path):
+        if len(path) > 1 and not all(v in g and _in_level(v, fam, index) for v in path):
             return False
     return True

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from typing import Callable, NamedTuple
 
 from .digraph import (
     LB,
     TR,
-    WHOLE,
     EmbeddedDigraph,
     GridVertex,
     HConnector,
@@ -35,6 +36,47 @@ from .digraph import (
 from .gridtiling import GridTilingInstance, _json_int, validate_instance
 
 SIDES = ("left", "right", "top", "bottom")
+
+
+class _Family(NamedTuple):
+    """The columns' or the rows' half of the gadget; swapping x and y maps one onto the other.
+
+    Path m runs from terminal family terminals[0] to terminals[1] in the lane of cells with
+    (i, j)[axis] == m, entering each grid by sides[0], leaving by sides[1], and riding
+    ``connector`` chains in between.
+    """
+
+    axis: int
+    terminals: tuple[str, str]
+    connector: type
+    sides: tuple[str, str]
+
+
+_FAMILIES = _COLUMNS, _ROWS = (  # in emission order: the columns first
+    _Family(0, ("a", "b"), VConnector, ("bottom", "top")),
+    _Family(1, ("c", "d"), HConnector, ("left", "right")),
+)
+# side -> (the family whose paths cross it, 0 where they enter a grid, 1 where they leave)
+_SIDES = {side: (fam, end) for fam in _FAMILIES for end, side in enumerate(fam.sides)}
+
+
+def _orient(fam: _Family, lane, step) -> tuple:
+    """(x, y) of the point ``lane`` across and ``step`` along ``fam``'s paths, and back."""
+    return (lane, step) if fam.axis == 0 else (step, lane)
+
+
+def _split(sets: dict | None, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
+    """(entry, exit) at a grid position: (v, v) if (q, ell) is in the cell's set, else (lb, tr)."""
+    if sets is None or (q, ell) in sets[(i, j)]:
+        v = GridVertex(i, j, q, ell)
+        return v, v
+    return GridVertex(i, j, q, ell, LB), GridVertex(i, j, q, ell, TR)
+
+
+def _boundary(parts: Callable, n: int, i: int, j: int, side: str) -> list[GridVertex]:
+    """Grid (i, j)'s N vertices on ``side``; ``parts`` maps (i, j, q, ell) to (entry, exit)."""
+    fam, end = _SIDES[side]
+    return [parts((i, j, *_orient(fam, ell, (1, n)[end])))[end] for ell in range(1, n + 1)]
 
 
 class AlreadyReducedError(ValueError):
@@ -146,8 +188,8 @@ def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> Reduction
     The only code that makes a ReductionOutput; ``reduce``, ``reduce_degree``
     and the JSON loader all call it.
     """
-    pairs = tuple((Terminal("a", i), Terminal("b", i)) for i in range(1, inst.k + 1))
-    pairs += tuple((Terminal("c", j), Terminal("d", j)) for j in range(1, inst.k + 1))
+    ks = range(1, inst.k + 1)
+    pairs = [[Terminal(family, m) for family in fam.terminals] for fam in _FAMILIES for m in ks]
     return ReductionOutput(
         graph=_build(inst.k, inst.N, inst.sets, trees=degree_reduced),
         terminals=TerminalSet(pairs),
@@ -171,119 +213,89 @@ def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDi
     follow the dotted ones.
     """
     pitch = N + 1
+    ks, ells = range(1, k + 1), range(1, N + 1)
     edges: list[tuple[Label, Label]] = []
     # the vertices in order, each with its coordinates: ints where whole, else Fractions
     coords: dict[Label, tuple] = {}
-    # grid position (i, j, q, ell) -> the label its edges arrive at / leave from
-    head: dict[tuple[int, int, int, int], GridVertex] = {}
-    tail: dict[tuple[int, int, int, int], GridVertex] = {}
-    dotted: list[tuple[Label, Label]] = []
+    # grid position (i, j, q, ell) -> the labels its edges arrive at and leave from
+    parts: dict[tuple[int, int, int, int], tuple[GridVertex, GridVertex]] = {}
 
     # (c - 1/4, c + 1/4) for each grid line c: one Fraction per copy, not per vertex
     shifted = [(Fraction(4 * c - 1, 4), Fraction(4 * c + 1, 4)) for c in range(k * pitch)]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            x0 = (i - 1) * pitch
-            y0 = (j - 1) * pitch
-            for q in range(1, N + 1):
-                for ell in range(1, N + 1):
-                    pos = (i, j, q, ell)
-                    x, y = x0 + q, y0 + ell
-                    if sets is None or (q, ell) in sets[(i, j)]:
-                        v = GridVertex(i, j, q, ell)
-                        coords[v] = (x, y)
-                        head[pos] = tail[pos] = v
-                    else:
-                        lb = GridVertex(i, j, q, ell, LB)
-                        tr = GridVertex(i, j, q, ell, TR)
-                        coords[lb], coords[tr] = zip(shifted[x], shifted[y])
-                        head[pos], tail[pos] = lb, tr
-                        dotted.append((lb, tr))
+    for pos in product(ks, ks, ells, ells):
+        i, j, q, ell = pos
+        x, y = (i - 1) * pitch + q, (j - 1) * pitch + ell
+        parts[pos] = entry, exit_ = _split(sets, *pos)
+        if entry is exit_:
+            coords[entry] = (x, y)
+        else:
+            coords[entry], coords[exit_] = zip(shifted[x], shifted[y])
 
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            for q in range(1, N + 1):
-                for ell in range(1, N):
-                    edges.append((tail[i, j, q, ell], head[i, j, q, ell + 1]))
-            for q in range(1, N):
-                for ell in range(1, N + 1):
-                    edges.append((tail[i, j, q, ell], head[i, j, q + 1, ell]))
+    # each grid's edges one step along the columns' paths, then the rows'
+    for i, j in product(ks, ks):
+        for fam in _FAMILIES:
+            dq, dl = _orient(fam, 0, 1)
+            for q, ell in product(range(1, N + 1 - dq), range(1, N + 1 - dl)):
+                edges.append((parts[i, j, q, ell][1], parts[i, j, q + dq, ell + dl][0]))
 
-    # horizontal connector chains between grid (i, j) and grid (i+1, j)
-    for i in range(1, k):
-        for j in range(1, k + 1):
-            for ell in range(1, N + 1):
-                coords[HConnector(i, j, ell)] = (i * pitch, (j - 1) * pitch + ell)
-            for ell in range(1, N):
-                edges.append((HConnector(i, j, ell), HConnector(i, j, ell + 1)))
-            for ell in range(1, N + 1):
-                edges.append((tail[i, j, N, ell], HConnector(i, j, ell)))
-            for ell in range(1, N + 1):
-                edges.append((HConnector(i, j, ell), head[i + 1, j, 1, ell]))
-
-    # vertical connector chains between grid (i, j) and grid (i, j+1)
-    for i in range(1, k + 1):
-        for j in range(1, k):
-            for ell in range(1, N + 1):
-                coords[VConnector(i, j, ell)] = ((i - 1) * pitch + ell, j * pitch)
-            for ell in range(1, N):
-                edges.append((VConnector(i, j, ell), VConnector(i, j, ell + 1)))
-            for ell in range(1, N + 1):
-                edges.append((tail[i, j, ell, N], VConnector(i, j, ell)))
-            for ell in range(1, N + 1):
-                edges.append((VConnector(i, j, ell), head[i, j + 1, ell, 1]))
+    # a connector chain collects the exit side of grid (i, j) and feeds the entry
+    # side of the next grid along the family's paths; the rows' chains come first
+    for fam in reversed(_FAMILIES):
+        di, dj = _orient(fam, 0, 1)
+        for i, j in product(range(1, k + 1 - di), range(1, k + 1 - dj)):
+            lane, step = _orient(fam, i, j)
+            chain = [fam.connector(i, j, ell) for ell in ells]
+            for ell, c in zip(ells, chain):
+                coords[c] = _orient(fam, (lane - 1) * pitch + ell, step * pitch)
+            edges += zip(chain, chain[1:])
+            edges += zip(_boundary(parts.__getitem__, N, i, j, fam.sides[1]), chain)
+            edges += zip(chain, _boundary(parts.__getitem__, N, i + di, j + dj, fam.sides[0]))
 
     # Terminals sit one unit outside the grids' bounding box, a fan tree's
     # internal nodes on evenly spaced levels between the terminal and the
     # split copies nearest it (a quarter outside the outermost grid line).
     half = Fraction(pitch, 2) if pitch % 2 else pitch // 2
-    near, far = -1, k * pitch + 1
-    for i in range(1, k + 1):
-        coords[Terminal("a", i)] = ((i - 1) * pitch + half, near)
-        coords[Terminal("b", i)] = ((i - 1) * pitch + half, far)
-    for j in range(1, k + 1):
-        coords[Terminal("c", j)] = (near, (j - 1) * pitch + half)
-        coords[Terminal("d", j)] = (far, (j - 1) * pitch + half)
+    outside = (-1, k * pitch + 1)
+    for fam, m in product(_FAMILIES, ks):
+        for end, family in enumerate(fam.terminals):
+            coords[Terminal(family, m)] = _orient(fam, (m - 1) * pitch + half, outside[end])
     # depth of the deepest leaf of a balanced tree on N leaves; a node at
     # depth d sits d / levels of the way from its terminal to the leaf level
     levels = (N - 1).bit_length()
 
-    # (terminal, leaves in boundary order, outward) per fan: a_i fans out into
-    # the bottom row of grid (i, 1), c_j into the left column of grid (1, j);
-    # b_i and d_j collect the top row of (i, k) and the right column of (k, j)
-    ks, ells = range(1, k + 1), range(1, N + 1)
-    fans = (
-        [(Terminal("a", i), [head[i, 1, ell, 1] for ell in ells], True) for i in ks]
-        + [(Terminal("b", i), [tail[i, k, ell, N] for ell in ells], False) for i in ks]
-        + [(Terminal("c", j), [head[1, j, 1, ell] for ell in ells], True) for j in ks]
-        + [(Terminal("d", j), [tail[k, j, N, ell] for ell in ells], False) for j in ks]
-    )
+    # Terminal m of a family fans out into the entry side of the family's
+    # first grid in lane m, or collects the exit side of its last grid, its
+    # leaves in boundary order: a_i bottom, b_i top, c_j left, d_j right.
     fan_edges: list[tuple[Label, Label]] = []
-    for root, leaves, outward in fans:
-        if not trees:
-            fan_edges += [(root, v) if outward else (v, root) for v in leaves]
-            continue
-        # the leaves line up along x for a/b (axis 0), along y for c/d; in
-        # quarter units the split copies nearest the terminal sit 7 further in
-        axis = 0 if root.family in ("a", "b") else 1
-        s_root, step = (4 * near, 7) if outward else (4 * far, -7)
+    for side, (fam, end) in _SIDES.items():
+        outward = end == 0
+        for m in ks:
+            root = Terminal(fam.terminals[end], m)
+            leaves = _boundary(parts.__getitem__, N, *_orient(fam, m, (1, k)[end]), side)
+            if not trees:
+                fan_edges += [(root, v) if outward else (v, root) for v in leaves]
+                continue
+            # the leaves line up along the family's axis; in quarter units the
+            # split copies nearest the terminal sit 7 further in
+            s_root, step = 4 * outside[end], (7, -7)[end]
 
-        def grow(lo: int, hi: int, path: tuple[int, ...]) -> Label:
-            if hi - lo == 1:
-                return leaves[lo]
-            node = TreeNode(root.family, root.index, path) if path else root
-            if path:
-                s = Fraction(s_root * levels + step * len(path), 4 * levels)
-                t = Fraction(coords[leaves[lo]][axis] + coords[leaves[hi - 1]][axis], 2)
-                coords[node] = (t, s) if axis == 0 else (s, t)
-            mid = _tree_split(lo, hi)
-            for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
-                child = grow(clo, chi, path + (bit,))
-                fan_edges.append((node, child) if outward else (child, node))
-            return node
+            def grow(lo: int, hi: int, path: tuple[int, ...]) -> Label:
+                if hi - lo == 1:
+                    return leaves[lo]
+                node = TreeNode(root.family, root.index, path) if path else root
+                if path:
+                    s = Fraction(s_root * levels + step * len(path), 4 * levels)
+                    t = Fraction(coords[leaves[lo]][fam.axis] + coords[leaves[hi - 1]][fam.axis], 2)
+                    coords[node] = _orient(fam, t, s)
+                mid = _tree_split(lo, hi)
+                for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
+                    child = grow(clo, chi, path + (bit,))
+                    fan_edges.append((node, child) if outward else (child, node))
+                return node
 
-        grow(0, N, ())
+            grow(0, N, ())
 
+    dotted = [(entry, exit_) for entry, exit_ in parts.values() if entry is not exit_]
     tail_edges = dotted + fan_edges if trees else fan_edges + dotted
     return EmbeddedDigraph(coords, edges + tail_edges, coords)
 
@@ -337,17 +349,13 @@ def reduce(inst: GridTilingInstance) -> ReductionOutput:
 
 
 def grid_vertex_parts(
-    g: EmbeddedDigraph, i: int, j: int, q: int, ell: int
+    out: ReductionOutput, i: int, j: int, q: int, ell: int
 ) -> tuple[GridVertex, GridVertex]:
     """(entry, exit) labels at a grid position: equal when whole, (lb, tr) when split."""
-    whole = GridVertex(i, j, q, ell, WHOLE)
-    if whole in g:
-        return whole, whole
-    lb = GridVertex(i, j, q, ell, LB)
-    tr = GridVertex(i, j, q, ell, TR)
-    if lb in g and tr in g:
-        return lb, tr
-    raise ValueError(f"no grid vertex at cell ({i},{j}) position ({q},{ell})")
+    k, n = out.provenance.k, out.provenance.N
+    if not (1 <= i <= k and 1 <= j <= k and 1 <= q <= n and 1 <= ell <= n):
+        raise ValueError(f"no grid vertex at cell ({i},{j}) position ({q},{ell})")
+    return _split(out.provenance.sets, i, j, q, ell)
 
 
 def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
@@ -357,23 +365,12 @@ def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
     tr copy on the right/top sides; whole positions contribute the single
     vertex either way.
     """
-    g = out.graph
     k, n = out.provenance.k, out.provenance.N
     if not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"grid index ({i},{j}) out of range for k={k}")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    result = []
-    for ell in range(1, n + 1):
-        if side == "left":
-            result.append(grid_vertex_parts(g, i, j, 1, ell)[0])
-        elif side == "right":
-            result.append(grid_vertex_parts(g, i, j, n, ell)[1])
-        elif side == "top":
-            result.append(grid_vertex_parts(g, i, j, ell, n)[1])
-        else:
-            result.append(grid_vertex_parts(g, i, j, ell, 1)[0])
-    return result
+    return _boundary(lambda pos: grid_vertex_parts(out, *pos), n, i, j, side)
 
 
 def level_set(out: ReductionOutput, kind: str, index: int) -> set:
@@ -388,16 +385,16 @@ def level_set(out: ReductionOutput, kind: str, index: int) -> set:
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
     if not (1 <= index <= k):
         raise ValueError(f"index {index} out of range for k={k}")
-    return {v for v in out.graph.vertices if _in_level(v, kind, index)}
+    fam = _ROWS if kind == "horizontal" else _COLUMNS
+    return {v for v in out.graph.vertices if _in_level(v, fam, index)}
 
 
-def _in_level(v: Label, kind: str, index: int) -> bool:
-    """Whether label ``v`` belongs to stratum ``kind`` ``index`` (see level_set)."""
-    horizontal = kind == "horizontal"
-    if isinstance(v, (GridVertex, HConnector if horizontal else VConnector)):
-        return (v.j if horizontal else v.i) == index
+def _in_level(v: Label, fam: _Family, index: int) -> bool:
+    """Whether label ``v`` belongs to the stratum of path ``index`` of ``fam`` (see level_set)."""
+    if isinstance(v, (GridVertex, fam.connector)):
+        return (v.i, v.j)[fam.axis] == index
     if isinstance(v, (Terminal, TreeNode)):
-        return v.index == index and v.family in (("c", "d") if horizontal else ("a", "b"))
+        return v.index == index and v.family in fam.terminals
     return False
 
 

@@ -7,9 +7,10 @@ from gridpaths.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    _json_text,
     main,
 )
-from gridpaths import gridtiling, mappers
+from gridpaths import gridtiling, mappers, reduction
 from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, label_to_json
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 
@@ -88,6 +89,19 @@ class TestReduce:
         assert report["checks"]["max_in_degree"] <= 2
         assert report["checks"]["max_out_degree"] <= 2
         assert report["checks"]["degree_reduced"] is True
+
+    def test_degree2_builds_once_and_writes_reduce_degree_bytes(self, capsys, tmp_path, monkeypatch):
+        inst = gen_instance(capsys, tmp_path)
+        red = tmp_path / "red2.json"
+        builds = []
+        build = reduction._build
+        monkeypatch.setattr(reduction, "_build", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+        code, _, _ = run(capsys, "reduce", str(inst), "--degree2", "--out", str(red))
+        assert code == EXIT_OK
+        assert len(builds) == 1
+        loaded = GridTilingInstance.from_json_dict(json.loads(inst.read_text()))
+        expected = reduction.reduce_degree(reduction.reduce(loaded))
+        assert red.read_text() == _json_text(expected.to_json_dict())
 
     def test_full_density_reports_zero_dotted_edges(self, capsys, tmp_path):
         inst = tmp_path / "full.json"

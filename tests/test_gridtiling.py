@@ -12,6 +12,7 @@ from gridpaths.gridtiling import (
     solve_gt_brute_force,
     validate_instance,
 )
+from gridpaths.reduction import reduce
 
 from ._oracles import gt_solutions_exhaustive
 
@@ -51,6 +52,29 @@ class TestValidateInstance:
         assert validate_instance(GridTilingInstance(k=0, N=2, sets={}))
         assert validate_instance(GridTilingInstance(k=1, N=1, sets={(1, 1): set()}))
 
+    # each value was coerced by int() when the instance was made, and passed
+    @pytest.mark.parametrize(
+        "k, sets, fragment",
+        [
+            (1, {(1, 1): {(1.9, 2)}}, "pair (1.9, 2) is not a pair of integers"),
+            (1, {("1", 1): {(1, 1)}}, "cell key ('1', 1) is not a pair of integers"),
+            (True, {(1, 1): {(1, 1)}}, "k must be a positive integer, got True"),
+        ],
+    )
+    def test_non_int_value_is_reported_not_coerced(self, k, sets, fragment):
+        inst = GridTilingInstance(k=k, N=2, sets=sets)
+        assert inst.sets == {cell: frozenset(pairs) for cell, pairs in sets.items()}
+        assert any(fragment in v for v in validate_instance(inst))
+        for solve in (solve_gt_brute_force, reduce):
+            with pytest.raises(ValueError, match="invalid instance"):
+                solve(inst)
+
+    def test_mixed_cell_key_types_are_reported_without_sorting_error(self):
+        sets = {(1, 1): {(1, 1)}, ("2", 1): {(1, 1)}, (1.0, 2): set()}
+        violations = validate_instance(GridTilingInstance(k=2, N=2, sets=sets))
+        assert sum("is not a pair of integers" in v for v in violations) == 2
+        assert sum("missing set" in v for v in violations) == 3
+
 
 class TestCheckSolution:
     def test_single_cell_has_no_monotonicity_constraints(self):
@@ -81,6 +105,13 @@ class TestCheckSolution:
     def test_membership_is_required(self):
         inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})
         assert not check_gt_solution(inst, GTAssignment({(1, 1): (2, 2)}))
+
+    def test_non_int_choice_is_not_a_member(self):
+        # (1.7, 1) was truncated to (1, 1); (1.0, 1) equals (1, 1) but is no pair of ints
+        inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})
+        assert not check_gt_solution(inst, GTAssignment({(1, 1): (1.7, 1)}))
+        assert not check_gt_solution(inst, GTAssignment({(1, 1): (1.0, 1)}))
+        assert GTAssignment({(1, 1): (1.7, 1)}).choice == {(1, 1): (1.7, 1)}
 
     def test_partial_assignment_raises(self):
         inst = GridTilingInstance(k=2, N=2, sets=full_sets(2, 2))
