@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +152,46 @@ class TestBruteForce:
         inst = GridTilingInstance(k=2, N=3, sets=full_sets(2, 3))
         with pytest.raises(BudgetExceededError):
             solve_gt_brute_force(inst, budget=2)
+
+    # SHA-256 of each instance's answer and expansion count (the smallest
+    # budget at which the oracle finishes, or "budget" past 10^4) on planted
+    # and random instances: pins the search itself, so the oracle may get
+    # cheaper but must try the same candidates in the same order.
+    ANSWER_DIGEST = "db9db76110e5893c2cd8806b4e7f28e49013a32df0e972cb20fe50b864251f16"
+
+    @staticmethod
+    def _answer_and_expansions(inst) -> str:
+        cap = 10_000
+
+        def run(budget):
+            try:
+                return True, solve_gt_brute_force(inst, budget=budget)
+            except BudgetExceededError:
+                return False, None
+
+        finished, asg = run(cap)
+        if not finished:
+            return "budget"
+        lo, hi = 0, cap  # the count lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if run(mid)[0]:
+                hi = mid
+            else:
+                lo = mid + 1
+        answer = None if asg is None else sorted(asg.choice.items())
+        return f"{answer}:{lo}"
+
+    def test_answers_and_expansion_counts_match_pinned_digest(self):
+        digest = hashlib.sha256()
+        for k, n, seed in product(range(1, 5), range(2, 6), range(6)):
+            for inst in (
+                generate_planted(k, n, noise=2, seed=seed),
+                generate_random(k, n, 0.1, seed),
+                generate_random(k, n, 0.3, seed),
+            ):
+                digest.update(f"{self._answer_and_expansions(inst)};".encode())
+        assert digest.hexdigest() == self.ANSWER_DIGEST
 
     @settings(max_examples=40, deadline=None)
     @given(
