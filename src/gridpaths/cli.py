@@ -42,20 +42,16 @@ def _solver_budget() -> int:
     return value
 
 
-def _instance_summary(inst: gridtiling.GridTilingInstance) -> dict:
-    return {
-        "k": inst.k,
-        "N": inst.N,
-        "set_sizes": {f"{x},{y}": len(inst.sets[(x, y)]) for x, y in inst.cells()},
-    }
+def _structure_report(out: reduction.ReductionOutput, timings: dict) -> dict:
+    """The report on ``out``: its instance's sizes, its counts and checks, ``timings`` and ``ok``.
 
-
-def _structural_checks(out: reduction.ReductionOutput) -> tuple[dict, dict]:
-    g = out.graph
+    ``ok`` holds when the sizes match the closed forms, the graph is a planar
+    DAG and the terminals are well-formed.
+    """
+    g, inst = out.graph, out.provenance
     _, cycle = g.topological_sort()
     embedding = g.check_planar_embedding()
-    k = out.provenance.k
-    pair_ok = len(out.terminals) == 2 * k
+    pair_ok = len(out.terminals) == 2 * inst.k
     if pair_ok:
         for s, t in out.terminals.pairs:
             if g.inn(s) or g.out(t):
@@ -76,22 +72,23 @@ def _structural_checks(out: reduction.ReductionOutput) -> tuple[dict, dict]:
         "dotted_edges": sum(1 for u, v in g.edges if is_dotted_edge(u, v)),
         "degree_reduced": out.degree_reduced,
     }
-    return counts, checks
-
-
-def _structure_ok(counts: dict, checks: dict) -> bool:
-    """Sizes match the closed forms, the graph is a planar DAG, terminals are well-formed."""
-    return counts["match"] and checks["dag"] and checks["genus"] == 0 and checks["terminal_pairs_ok"]
+    return {
+        "instance": {
+            "k": inst.k,
+            "N": inst.N,
+            "set_sizes": {f"{x},{y}": len(inst.sets[(x, y)]) for x, y in inst.cells()},
+        },
+        "counts": counts,
+        "checks": checks,
+        "timings": timings,
+        "ok": counts["match"] and checks["dag"] and checks["genus"] == 0 and pair_ok,
+    }
 
 
 def _load_instance(path: str) -> gridtiling.GridTilingInstance:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    inst = gridtiling.GridTilingInstance.from_json_dict(data)
-    violations = gridtiling.validate_instance(inst)
-    if violations:
-        raise ValueError(f"{path}: " + "; ".join(violations))
-    return inst
+    return gridtiling._valid(gridtiling.GridTilingInstance.from_json_dict(data), path)
 
 
 def _emit(payload: str, out_path: str | None) -> None:
@@ -125,25 +122,17 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     # the instance is valid: derive the requested form once, not reduce then rebuild
     out = reduction._derive(inst, args.degree2)
-    elapsed = time.perf_counter() - t0
-    counts, checks = _structural_checks(out)
-    report = {
-        "instance": _instance_summary(inst),
-        "counts": counts,
-        "checks": checks,
-        "timings": {"reduce_s": elapsed},
-    }
+    report = _structure_report(out, {"reduce_s": time.perf_counter() - t0})
     _emit(_json_text(out.to_json_dict()), args.out)
-    ok = _structure_ok(counts, checks)
-    report["ok"] = ok
     sys.stdout.write(_json_text(report))
+    actual, checks = report["counts"]["actual"], report["checks"]
     print(
-        f"reduced {args.instance}: |V|={counts['actual']['vertices']} "
-        f"|E|={counts['actual']['edges']} genus={checks['genus']} "
+        f"reduced {args.instance}: |V|={actual['vertices']} "
+        f"|E|={actual['edges']} genus={checks['genus']} "
         f"dag={checks['dag']} -> {args.out}",
         file=sys.stderr,
     )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
 def roundtrip_report(inst: gridtiling.GridTilingInstance, budget: int) -> dict:
@@ -152,11 +141,10 @@ def roundtrip_report(inst: gridtiling.GridTilingInstance, budget: int) -> dict:
     The report's ``ok`` holds when the structure is sound, the two solvers
     agree, and every roundtrip check that ran (both answers feasible) passed.
     """
-    timings = {}
     t0 = time.perf_counter()
     out = reduction.reduce(inst)
-    timings["reduce_s"] = time.perf_counter() - t0
-    counts, checks = _structural_checks(out)
+    report = _structure_report(out, {"reduce_s": time.perf_counter() - t0})
+    timings = report["timings"]
 
     t0 = time.perf_counter()
     gt_answer = gridtiling.solve_gt_brute_force(inst, budget=budget)
@@ -181,16 +169,9 @@ def roundtrip_report(inst: gridtiling.GridTilingInstance, budget: int) -> dict:
             "extraction_valid": gridtiling.check_gt_solution(inst, extracted),
             "identity": mappers.paths_to_gt_solution(out, forward) == gt_answer,
         }
-    ok = _structure_ok(counts, checks) and solver["agree"] and all((roundtrip or {}).values())
-    return {
-        "instance": _instance_summary(inst),
-        "counts": counts,
-        "checks": checks,
-        "solver": solver,
-        "roundtrip": roundtrip,
-        "timings": timings,
-        "ok": ok,
-    }
+    report.update(solver=solver, roundtrip=roundtrip)
+    report["ok"] = report["ok"] and solver["agree"] and all((roundtrip or {}).values())
+    return report
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -283,7 +264,7 @@ def main(argv=None) -> int:
         # after the budget case: BudgetExceededError is a RuntimeError too
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

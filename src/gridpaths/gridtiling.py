@@ -98,13 +98,19 @@ class GTAssignment:
         object.__setattr__(self, "choice", dict(self.choice))
 
 
+def _size_violations(k, N) -> list[str]:
+    """The size rule: k >= 1 and N >= 2, both exact ints, so True and 2.0 are not sizes."""
+    violations = []
+    if type(k) is not int or k < 1:
+        violations.append(f"k must be a positive integer, got {k!r}")
+    if type(N) is not int or N < 2:
+        violations.append(f"N must be an integer >= 2, got {N!r}")
+    return violations
+
+
 def validate_instance(inst: GridTilingInstance) -> list[str]:
     """Return a list of invariant violations; empty means the instance is valid."""
-    violations = []
-    if type(inst.k) is not int or inst.k < 1:
-        violations.append(f"k must be a positive integer, got {inst.k!r}")
-    if type(inst.N) is not int or inst.N < 2:
-        violations.append(f"N must be an integer >= 2, got {inst.N!r}")
+    violations = _size_violations(inst.k, inst.N)
     if violations:
         return violations
     expected = {(x, y) for x in range(1, inst.k + 1) for y in range(1, inst.k + 1)}
@@ -124,6 +130,14 @@ def validate_instance(inst: GridTilingInstance) -> list[str]:
             if not (1 <= a <= inst.N and 1 <= b <= inst.N):
                 violations.append(f"cell {cell}: pair ({a},{b}) outside [1,{inst.N}]^2")
     return violations
+
+
+def _valid(inst: GridTilingInstance, prefix: str = "invalid instance") -> GridTilingInstance:
+    """``inst`` if it is valid, else a ValueError naming its violations after ``prefix``."""
+    violations = validate_instance(inst)
+    if violations:
+        raise ValueError(f"{prefix}: " + "; ".join(violations))
+    return inst
 
 
 def check_gt_solution(inst: GridTilingInstance, asg: GTAssignment) -> bool:
@@ -160,37 +174,34 @@ def solve_gt_brute_force(
     Returns a valid assignment, or None iff no assignment satisfies
     ``check_gt_solution``.  Partial assignments violating a row or column
     condition are pruned immediately.  Raises BudgetExceededError when more
-    than ``budget`` candidate pairs have been tried.
+    than ``budget`` candidate pairs have been tried.  The search keeps its
+    own stack, so its depth (k^2 cells) does not meet the recursion limit.
     """
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
-    order = list(inst.cells())
-    candidates = {cell: sorted(inst.sets[cell]) for cell in order}
-    choice: dict[Cell, Pair] = {}
+    _valid(inst)
+    k, cells = inst.k, list(inst.cells())
+    pools = [sorted(inst.sets[cell]) for cell in cells]
+    chosen: list[Pair] = []  # the pairs picked for cells[0 .. len(chosen) - 1]
+    # the open cells' candidate iterators: each resumes where its cell left off
+    stack = [iter(pools[0])]
     expansions = 0
-
-    def backtrack(pos: int) -> bool:
-        nonlocal expansions
-        if pos == len(order):
-            return True
-        x, y = order[pos]
-        for a, b in candidates[(x, y)]:
+    while stack:
+        pos = len(chosen)
+        for a, b in stack[-1]:
             expansions += 1
             if expansions > budget:
                 raise BudgetExceededError(budget)
-            if x > 1 and choice[(x - 1, y)][1] > b:
-                continue
-            if y > 1 and choice[(x, y - 1)][0] > a:
-                continue
-            choice[(x, y)] = (a, b)
-            if backtrack(pos + 1):
-                return True
-            del choice[(x, y)]
-        return False
-
-    if backtrack(0):
-        return GTAssignment(dict(choice))
+            # the left neighbour is pos - 1 unless x = 1, the lower one pos - k unless y = 1
+            if (pos % k == 0 or chosen[pos - 1][1] <= b) and (pos < k or chosen[pos - k][0] <= a):
+                chosen.append((a, b))
+                break
+        else:  # cell pos is exhausted: take back the previous cell's pick
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        if len(chosen) == len(cells):
+            return GTAssignment(dict(zip(cells, chosen)))
+        stack.append(iter(pools[pos + 1]))
     return None
 
 
@@ -200,10 +211,8 @@ def generate_planted(k: int, N: int, noise: int = 0, seed: int = 0) -> GridTilin
     Cell (x, y) always contains (min(y, N), min(x, N)), which is monotone by
     construction, plus ``noise`` uniformly random extra pairs per cell.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    if violations := _size_violations(k, N):
+        raise ValueError("; ".join(violations))
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     rng = random.Random(seed)
@@ -219,10 +228,8 @@ def generate_planted(k: int, N: int, noise: int = 0, seed: int = 0) -> GridTilin
 
 def generate_random(k: int, N: int, density: float, seed: int = 0) -> GridTilingInstance:
     """Instance where each pair joins each cell independently with probability ``density``."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    if violations := _size_violations(k, N):
+        raise ValueError("; ".join(violations))
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)

@@ -33,7 +33,7 @@ from .digraph import (
     VConnector,
     label_to_json,
 )
-from .gridtiling import GridTilingInstance, _json_int, validate_instance
+from .gridtiling import GridTilingInstance, _json_int, _size_violations, _valid
 
 SIDES = ("left", "right", "top", "bottom")
 
@@ -65,9 +65,9 @@ def _orient(fam: _Family, lane, step) -> tuple:
     return (lane, step) if fam.axis == 0 else (step, lane)
 
 
-def _split(sets: dict | None, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
+def _split(sets: dict, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
     """(entry, exit) at a grid position: (v, v) if (q, ell) is in the cell's set, else (lb, tr)."""
-    if sets is None or (q, ell) in sets[(i, j)]:
+    if (q, ell) in sets[(i, j)]:
         v = GridVertex(i, j, q, ell)
         return v, v
     return GridVertex(i, j, q, ell, LB), GridVertex(i, j, q, ell, TR)
@@ -154,12 +154,12 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
     Grid vertex (i, j, q, ell) sits at x = (i-1)(N+1) + q, y = (j-1)(N+1) + ell,
     connectors on the interstitial grid lines, terminals outside the bounding
     box.  Every grid vertex ends up with in-degree and out-degree exactly 2.
+    It is the split graph of the instance whose every cell holds all of [N]^2.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if not isinstance(N, int) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
-    return _build(k, N, None)
+    if violations := _size_violations(k, N):
+        raise ValueError("; ".join(violations))
+    full = frozenset(product(range(1, N + 1), repeat=2))
+    return _build(k, N, dict.fromkeys(product(range(1, k + 1), repeat=2), full))
 
 
 def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDigraph:
@@ -173,13 +173,6 @@ def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDig
     if g1 != build_g1(inst.k, inst.N):
         raise ValueError("graph does not match the base construction for this instance")
     return _build(inst.k, inst.N, inst.sets)
-
-
-def _valid(inst: GridTilingInstance) -> GridTilingInstance:
-    violations = validate_instance(inst)
-    if violations:
-        raise ValueError("invalid instance: " + "; ".join(violations))
-    return inst
 
 
 def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> ReductionOutput:
@@ -199,11 +192,10 @@ def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> Reduction
     )
 
 
-def _build(k: int, N: int, sets: dict | None, trees: bool = False) -> EmbeddedDigraph:
+def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
     """The base graph with each grid position split or whole, in one pass.
 
-    With ``sets`` None every position is whole (the base graph).  Otherwise a
-    position whose (q, ell) is absent from its cell's set becomes an lb copy
+    A position whose (q, ell) is absent from its cell's set becomes an lb copy
     at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
     dotted lb -> tr edge; edges arrive at lb and leave from tr.  The dotted
     edges come after all others, in grid-vertex order.
@@ -365,12 +357,9 @@ def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
     tr copy on the right/top sides; whole positions contribute the single
     vertex either way.
     """
-    k, n = out.provenance.k, out.provenance.N
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise ValueError(f"grid index ({i},{j}) out of range for k={k}")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    return _boundary(lambda pos: grid_vertex_parts(out, *pos), n, i, j, side)
+    return _boundary(lambda pos: grid_vertex_parts(out, *pos), out.provenance.N, i, j, side)
 
 
 def level_set(out: ReductionOutput, kind: str, index: int) -> set:

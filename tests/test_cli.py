@@ -176,6 +176,21 @@ class TestRoundtrip:
         assert code == EXIT_USAGE
         assert "malformed grid tiling instance" in err
 
+    def test_invalid_instance_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps({"k": 1, "N": 2, "sets": {"1,1": [[3, 1]]}}))
+        code, _, err = run(capsys, "roundtrip", str(path))
+        assert code == EXIT_USAGE
+        assert err == f"error: {path}: cell (1, 1): pair (3,1) outside [1,2]^2\n"
+
+    def test_deep_grid_needs_no_recursion(self, capsys, tmp_path):
+        # k = 32: the grid tiling oracle searches 1024 cells deep
+        path = tmp_path / "deep.json"
+        assert run(capsys, "gen", "32", "2", "--out", str(path))[0] == EXIT_OK
+        code, out, _ = run(capsys, "roundtrip", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["ok"] is True
+
     def test_budget_env_var_exits_3(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
         monkeypatch.setenv("DPATH_BUDGET", "3")

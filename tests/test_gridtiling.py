@@ -148,6 +148,12 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             solve_gt_brute_force(inst)
 
+    def test_deep_grid_needs_no_recursion(self):
+        # 1024 cells, one search level each: past the default recursion limit
+        inst = generate_planted(32, 2)
+        asg = solve_gt_brute_force(inst)
+        assert asg is not None and check_gt_solution(inst, asg)
+
     def test_budget_exceeded(self):
         inst = GridTilingInstance(k=2, N=3, sets=full_sets(2, 3))
         with pytest.raises(BudgetExceededError):
@@ -236,12 +242,19 @@ class TestGenerators:
         assert solve_gt_brute_force(inst) is None
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            generate_planted(0, 2)
-        with pytest.raises(ValueError):
-            generate_planted(1, 1)
-        with pytest.raises(ValueError):
-            generate_random(1, 2, 1.5)
+        # sizes follow validate_instance's rule and wording: True and 2.0 are not sizes
+        for generate, args, message in [
+            (generate_planted, (0, 2), "k must be a positive integer, got 0"),
+            (generate_planted, (1, 1), "N must be an integer >= 2, got 1"),
+            (generate_planted, (True, 2), "k must be a positive integer, got True"),
+            (generate_random, (True, 2, 0.5), "k must be a positive integer, got True"),
+            (generate_planted, (2.0, 3), "k must be a positive integer, got 2.0"),
+            (generate_random, (3, 2.0, 0.5), "N must be an integer >= 2, got 2.0"),
+            (generate_random, (1, 2, 1.5), "density must be in [0, 1], got 1.5"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                generate(*args)
+            assert str(exc.value) == message
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -63,10 +63,23 @@ class TestBuildBase:
                     assert len(g.out(v)) == 2, v
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            build_g1(0, 2)
-        with pytest.raises(ValueError):
-            build_g1(1, 1)
+        # validate_instance's size rule and wording: True and 2.0 are not sizes
+        for k, n, message in [
+            (0, 2, "k must be a positive integer, got 0"),
+            (1, 1, "N must be an integer >= 2, got 1"),
+            (True, 2, "k must be a positive integer, got True"),
+            (2.0, 3, "k must be a positive integer, got 2.0"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                build_g1(k, n)
+            assert str(exc.value) == message
+
+    def test_base_graph_is_the_full_instance_graph(self):
+        for k in range(1, 4):
+            for n in range(2, 7):
+                g, full = build_g1(k, n), reduce(full_instance(k, n)).graph
+                assert json.dumps(g.to_json_dict()) == json.dumps(full.to_json_dict())
+                assert g.to_dot() == full.to_dot()
 
     def test_base_graph_is_planar_dag(self):
         g = build_g1(2, 3)
@@ -340,7 +353,7 @@ class TestBoundary:
 
     def test_out_of_range_rejected(self):
         out = reduce(full_instance(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"no grid vertex at cell \(2,1\)"):
             boundary(out, 2, 1, "left")
         with pytest.raises(ValueError):
             boundary(out, 1, 1, "north")
