@@ -108,6 +108,11 @@ def _size_violations(k, N) -> list[str]:
     return violations
 
 
+def _seed_violations(seed) -> list[str]:
+    """A generator's seed is an exact int, like the sizes."""
+    return [] if type(seed) is int else [f"seed must be an integer, got {seed!r}"]
+
+
 def validate_instance(inst: GridTilingInstance) -> list[str]:
     """Return a list of invariant violations; empty means the instance is valid."""
     violations = _size_violations(inst.k, inst.N)
@@ -211,10 +216,11 @@ def generate_planted(k: int, N: int, noise: int = 0, seed: int = 0) -> GridTilin
     Cell (x, y) always contains (min(y, N), min(x, N)), which is monotone by
     construction, plus ``noise`` uniformly random extra pairs per cell.
     """
-    if violations := _size_violations(k, N):
+    violations = _size_violations(k, N)
+    if type(noise) is not int or noise < 0:
+        violations.append(f"noise must be an integer >= 0, got {noise!r}")
+    if violations := violations + _seed_violations(seed):
         raise ValueError("; ".join(violations))
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
     rng = random.Random(seed)
     sets = {}
     for y in range(1, k + 1):
@@ -228,10 +234,11 @@ def generate_planted(k: int, N: int, noise: int = 0, seed: int = 0) -> GridTilin
 
 def generate_random(k: int, N: int, density: float, seed: int = 0) -> GridTilingInstance:
     """Instance where each pair joins each cell independently with probability ``density``."""
-    if violations := _size_violations(k, N):
+    violations = _size_violations(k, N)
+    if type(density) not in (int, float) or not 0 <= density <= 1:
+        violations.append(f"density must be a number in [0, 1], got {density!r}")
+    if violations := violations + _seed_violations(seed):
         raise ValueError("; ".join(violations))
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
     sets = {}
     for y in range(1, k + 1):

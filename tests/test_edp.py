@@ -58,6 +58,24 @@ def witness_graph(second_route: bool):
     return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
 
 
+def cut_graph(second_route: bool, third_pair: bool = False):
+    # Pair 0's first route s0-x-y-t0 takes the edge x -> y (and the vertices
+    # x, y) that pair 1's only route s1-x-y-t1 needs, so pair 1's test fails
+    # with x -> y in its blocking cut.  With second_route, pair 0 then goes
+    # round by s0-c-t0 and frees it; without, its second route s0-c-x-y-t0
+    # keeps it taken.  A third pair s2 -> t2 shares nothing with the others,
+    # but once pair 1 is routed it takes every resource of pair 1's cut.
+    verts = ["s0", "s1", "x", "y", "c", "t0", "t1"]
+    edges = [("s0", "x"), ("x", "y"), ("y", "t0"), ("s1", "x"), ("y", "t1"), ("s0", "c")]
+    edges.append(("c", "t0") if second_route else ("c", "x"))
+    pairs = [("s0", "t0"), ("s1", "t1")]
+    if third_pair:
+        verts += ["s2", "t2"]
+        edges.append(("s2", "t2"))
+        pairs.append(("s2", "t2"))
+    return Digraph(verts, edges), pairs
+
+
 class TestCheckEdpSolution:
     def test_vertex_sharing_is_allowed(self):
         g = cross_graph()
@@ -265,6 +283,46 @@ class TestWitnessInvalidation:
             # routing pair 0 costs one expansion per arc; a stale witness
             # trusted at its target would let pair 1's search expand further
             assert solver(g, pairs, budget=arcs) is None
+
+
+class TestCutInvalidation:
+    """Pair 1's blocking cut is freed, or kept, by pair 0's second route."""
+
+    @staticmethod
+    def _cases(second_route, third_pair=False):
+        # (solver, graph, pairs, oracle)
+        g, pairs = cut_graph(second_route, third_pair)
+        return [
+            (solve_edp_dag, g, pairs, edp_feasible_exhaustive),
+            (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive),
+            (solve_vdp_dag, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive),
+        ]
+
+    @staticmethod
+    def _assert_solved(solver, g, pairs):
+        ps = solver(g, pairs)
+        assert ps is not None
+        if solver is solve_vdp_dag:
+            assert check_vdp_solution(g, pairs, ps)
+        else:
+            assert check_edp_solution(g, pairs, ps) == []
+
+    def test_freed_cut_is_searched_again(self):
+        # trusting the cut left by pair 0's first route would answer None
+        for solver, g, pairs, oracle in self._cases(second_route=True):
+            assert oracle(g, pairs)
+            self._assert_solved(solver, g, pairs)
+
+    def test_kept_cut_refutes(self):
+        for solver, g, pairs, oracle in self._cases(second_route=False):
+            assert not oracle(g, pairs)
+            assert solver(g, pairs) is None
+
+    def test_cut_belongs_to_its_pair(self):
+        # when pair 2 is tested, pair 1's route holds all of pair 1's cut
+        for solver, g, pairs, oracle in self._cases(second_route=True, third_pair=True):
+            assert oracle(g, pairs)
+            self._assert_solved(solver, g, pairs)
 
 
 class TestPathSetJson:

@@ -242,7 +242,8 @@ class TestGenerators:
         assert solve_gt_brute_force(inst) is None
 
     def test_invalid_parameters(self):
-        # sizes follow validate_instance's rule and wording: True and 2.0 are not sizes
+        # sizes follow validate_instance's rule and wording: True and 2.0 are not sizes;
+        # noise, density and seed follow the same exact-type rule
         for generate, args, message in [
             (generate_planted, (0, 2), "k must be a positive integer, got 0"),
             (generate_planted, (1, 1), "N must be an integer >= 2, got 1"),
@@ -250,7 +251,21 @@ class TestGenerators:
             (generate_random, (True, 2, 0.5), "k must be a positive integer, got True"),
             (generate_planted, (2.0, 3), "k must be a positive integer, got 2.0"),
             (generate_random, (3, 2.0, 0.5), "N must be an integer >= 2, got 2.0"),
-            (generate_random, (1, 2, 1.5), "density must be in [0, 1], got 1.5"),
+            (generate_random, (1, 2, 1.5), "density must be a number in [0, 1], got 1.5"),
+            (generate_random, (2, 3, "0.5"), "density must be a number in [0, 1], got '0.5'"),
+            (generate_random, (2, 3, True), "density must be a number in [0, 1], got True"),
+            (generate_planted, (2, 3, -1), "noise must be an integer >= 0, got -1"),
+            (generate_planted, (2, 3, 1.5), "noise must be an integer >= 0, got 1.5"),
+            (generate_planted, (2, 3, True), "noise must be an integer >= 0, got True"),
+            (generate_planted, (2, 3, 0, 1.5), "seed must be an integer, got 1.5"),
+            (generate_random, (2, 3, 0.5, "x"), "seed must be an integer, got 'x'"),
+            (generate_random, (2, 3, 0.5, True), "seed must be an integer, got True"),
+            (
+                generate_planted,
+                (0, 3, -1, None),
+                "k must be a positive integer, got 0; noise must be an integer >= 0, got -1; "
+                "seed must be an integer, got None",
+            ),
         ]:
             with pytest.raises(ValueError) as exc:
                 generate(*args)
