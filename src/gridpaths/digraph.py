@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -91,6 +92,13 @@ class TreeNode:
     path: tuple[int, ...]
 
 
+def _exact(kind: type, value):
+    # int() would truncate 1.9, parse "1" and take true as 1: test exact types
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 # One row per label class: its JSON "kind" and the prefix of its DOT name.
 _LABEL_KINDS = (
     ("grid", GridVertex, "w_"),
@@ -101,10 +109,10 @@ _LABEL_KINDS = (
 )
 # per field annotation: (decode from JSON, encode to JSON, render in a DOT name)
 _FIELD_CODECS = {
-    "int": (int, int, str),
-    "str": (str, str, str),
+    "int": (partial(_exact, int), int, str),
+    "str": (partial(_exact, str), str, str),
     "tuple[int, ...]": (
-        lambda bits: tuple(int(b) for b in bits),
+        lambda bits: tuple(_exact(int, b) for b in _exact(list, bits)),
         list,
         lambda bits: "".join(map(str, bits)),
     ),
@@ -148,6 +156,8 @@ def label_from_json(data: dict) -> Label:
         entry = _BY_KIND.get(data["kind"])
         if entry is not None:
             cls, spec = entry
+            if len(data) != 1 + len(spec):  # "kind" and each field (a missing one fails below)
+                raise TypeError(f"keys {sorted(data)}, expected kind and {[a for a, *_ in spec]}")
             return cls(*[decode(data[attr]) for attr, _, decode, _, _ in spec])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed vertex label: {exc}") from exc

@@ -11,16 +11,17 @@ of infeasibility at the given budget.
 
 The reachability test is exact but cheap.  It searches only among the
 ancestors of the pair's target, through which every route to the target
-runs, and it keeps for each pair the proof of its last answer.  A "yes" is
-proved by a route: while none of the route's resources is taken, the route
-still exists.  A "no" is proved by a blocking cut, the taken resources on
-arcs that leave the explored set into ancestors of the target: while all of
-them stay taken, no route leaves that set, whatever is freed inside it.
-Only a proof that no longer holds costs a new search.  The pairs still to
-route are tested from the one that failed last, which is the likeliest to
-fail again.  The answers are those of a plain search of the residual graph,
-and the order of the tests does not change their conjunction, so the search
-tree and its expansion count are the same.
+runs, and it keeps for each pair the blocking cut of its last failed
+search: the resources on the arcs from the explored set into unexplored
+ancestors of the target, all of them taken when the search failed.  That
+set of arcs is fixed by the graph, and every route has to leave the
+explored set by one of them, so while all of the cut is taken the target is
+out of reach, whatever was freed or taken in between.  Only a cut that no
+longer holds costs a new search.  The pairs still to route are tested from
+the one that failed last, which is the likeliest to fail again.  The
+answers are those of a plain search of the residual graph, and the order of
+the tests does not change their conjunction, so the search tree and its
+expansion count are the same.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -136,21 +137,17 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     frame sets its resource's flag when pushed and clears it when popped.
 
     ``reachable(j)`` decides whether pair j still has a residual route.  It
-    keeps one proof per pair, of its last answer for that pair, and trusts
-    it while it holds, whatever was pushed or popped in between:
-    - a witness, the resources of the last route found: a fixed path of the
-      graph, so it is a route again whenever none of its flags is set;
-    - a blocking cut, the taken resources on arcs from the explored set of
-      the last failed search into unexplored ancestors of the target: while
-      all of its flags stay set, every route still has to leave that set
-      through one of them, so there is none.
-    Otherwise a depth-first search from the source pushes only ancestors of
-    the target, since a route can only run through those.  It records the
-    edge that reached each vertex, so a route it finds becomes the witness,
-    and the taken arcs it meets, from which a failure keeps the cut.  Either
-    way the answer is that of a full residual search.  ``remaining_ok``
-    tests the pair that failed last first; a conjunction is the same in any
-    order, so the search tree does not change.
+    keeps pair j's last blocking cut, the resources of the arcs from the
+    explored set of its last failed search into unexplored ancestors of the
+    target, and answers "no" while all of their flags are set: every route
+    still has to leave that set through one of them.  A "yes" leaves the cut
+    in place, since the arcs are fixed by the graph.  Otherwise a
+    depth-first search from the source pushes only ancestors of the target,
+    since a route can only run through those, and a failure keeps the cut
+    from the taken arcs it met.  Either way the answer is that of a full
+    residual search.  ``remaining_ok`` tests the pair that failed last
+    first; a conjunction is the same in any order, so the search tree does
+    not change.
     """
     _, cycle = g._topo_ids()
     if cycle is not None:
@@ -173,9 +170,8 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     taken = bytearray(len(g._verts) if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
     anc_flags = [_ancestor_flags(tv, g._in, tail) for _, tv in ends]
-    # per pair, what ``reachable`` last proved: (True, the resources of a
-    # route) or (False, the resources of a blocking cut)
-    proofs: list[tuple[bool, list[int]] | None] = [None] * len(pairs)
+    # per pair, the resources of the blocking cut of its last failed search
+    cuts: list[list[int] | None] = [None] * len(pairs)
     npairs = len(pairs)
     failed = -1  # the pair whose reachability test failed last
 
@@ -185,16 +181,11 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             return False
         if sv == tv:
             return True
-        proof = proofs[idx]
-        if proof is not None:
-            found, rs = proof
-            if found:
-                if not any(map(taken.__getitem__, rs)):
-                    return True
-            elif all(map(taken.__getitem__, rs)):
-                return False
+        cut = cuts[idx]
+        if cut is not None and all(map(taken.__getitem__, cut)):
+            return False
         anc = anc_flags[idx]
-        parent = {sv: -1}  # the edge that first reached each vertex
+        seen = {sv}
         stack = [sv]
         blocked = []  # the taken arcs met on the way
         while stack:
@@ -204,22 +195,13 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     continue
                 w = head[e]
                 if w == tv:
-                    wit = [res[e]]
-                    e = parent[tail[e]]
-                    while e >= 0:
-                        wit.append(res[e])
-                        e = parent[tail[e]]
-                    proofs[idx] = (True, wit)
                     return True
-                if anc[w] and w not in parent:
-                    parent[w] = e
+                if anc[w] and w not in seen:
+                    seen.add(w)
                     stack.append(w)
         # Every arc from the explored set into an unexplored ancestor is
         # taken, so while those stay taken the target stays out of reach.
-        proofs[idx] = (
-            False,
-            [res[e] for e in blocked if anc[head[e]] and head[e] not in parent],
-        )
+        cuts[idx] = [res[e] for e in blocked if anc[head[e]] and head[e] not in seen]
         return False
 
     def remaining_ok(idx: int) -> bool:

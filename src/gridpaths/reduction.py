@@ -345,8 +345,11 @@ def grid_vertex_parts(
 ) -> tuple[GridVertex, GridVertex]:
     """(entry, exit) labels at a grid position: equal when whole, (lb, tr) when split."""
     k, n = out.provenance.k, out.provenance.N
-    if not (1 <= i <= k and 1 <= j <= k and 1 <= q <= n and 1 <= ell <= n):
-        raise ValueError(f"no grid vertex at cell ({i},{j}) position ({q},{ell})")
+    # exact ints, so that no label it returns holds a bool, a float or a str
+    if {type(i), type(j), type(q), type(ell)} != {int} or not (
+        1 <= i <= k and 1 <= j <= k and 1 <= q <= n and 1 <= ell <= n
+    ):
+        raise ValueError(f"no grid vertex at cell ({i!r},{j!r}) position ({q!r},{ell!r})")
     return _split(out.provenance.sets, i, j, q, ell)
 
 
@@ -372,8 +375,8 @@ def level_set(out: ReductionOutput, kind: str, index: int) -> set:
     k = out.provenance.k
     if kind not in ("horizontal", "vertical"):
         raise ValueError(f"kind must be 'horizontal' or 'vertical', got {kind!r}")
-    if not (1 <= index <= k):
-        raise ValueError(f"index {index} out of range for k={k}")
+    if type(index) is not int or not (1 <= index <= k):
+        raise ValueError(f"index must be an int in [1, {k}], got {index!r}")
     fam = _ROWS if kind == "horizontal" else _COLUMNS
     return {v for v in out.graph.vertices if _in_level(v, fam, index)}
 

@@ -329,8 +329,19 @@ class TestSerialization:
             {"kind": "grid", "i": 1, "j": 1, "q": 1, "part": "whole"},
             {"kind": "hconn", "i": "one", "j": 1, "ell": 1},
             ["terminal", "a", 1],
+            {"kind": "grid", "i": 1.9, "j": 1, "q": 1, "ell": 1, "part": "whole"},
+            {"kind": "grid", "i": True, "j": 1, "q": 1, "ell": 1, "part": "whole"},
+            {"kind": "grid", "i": 1, "j": "1", "q": 1, "ell": 1, "part": "whole"},
+            {"kind": "terminal", "family": 5, "index": 1},
+            {"kind": "tree", "family": "c", "index": 1, "path": "10"},
+            {"kind": "tree", "family": "c", "index": 1, "path": [1, False]},
+            {"kind": "hconn", "i": 1, "j": 1, "ell": 1, "part": "whole"},
         ],
-        ids=["unknown-kind", "missing-field", "non-integer-field", "non-dict"],
+        ids=[
+            "unknown-kind", "missing-field", "non-integer-field", "non-dict", "float-field",
+            "bool-field", "string-digit-field", "non-string-field", "string-path", "bool-path-bit",
+            "extra-field",
+        ],
     )
     def test_malformed_label_document_rejected(self, data):
         with pytest.raises(ValueError):

@@ -58,17 +58,26 @@ def witness_graph(second_route: bool):
     return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
 
 
-def cut_graph(second_route: bool, third_pair: bool = False):
+def cut_graph(second_route: bool, third_pair: bool = False, retake: bool = False):
     # Pair 0's first route s0-x-y-t0 takes the edge x -> y (and the vertices
     # x, y) that pair 1's only route s1-x-y-t1 needs, so pair 1's test fails
     # with x -> y in its blocking cut.  With second_route, pair 0 then goes
     # round by s0-c-t0 and frees it; without, its second route s0-c-x-y-t0
     # keeps it taken.  A third pair s2 -> t2 shares nothing with the others,
     # but once pair 1 is routed it takes every resource of pair 1's cut.
+    # With retake, pair 0's second route s0-c-e-t0 frees the cut, so pair 1
+    # answers "yes", but takes the c -> e of pair s2 -> t2's only route
+    # s2-c-e-t2; its third route s0-d-x-y-t0 takes the cut again, and only
+    # its fourth, s0-f-t0, leaves both pairs a route.
     verts = ["s0", "s1", "x", "y", "c", "t0", "t1"]
     edges = [("s0", "x"), ("x", "y"), ("y", "t0"), ("s1", "x"), ("y", "t1"), ("s0", "c")]
-    edges.append(("c", "t0") if second_route else ("c", "x"))
     pairs = [("s0", "t0"), ("s1", "t1")]
+    if retake:
+        verts += ["e", "d", "f", "s2", "t2"]
+        edges += [("c", "e"), ("e", "t0"), ("s2", "c"), ("e", "t2")]
+        edges += [("s0", "d"), ("d", "x"), ("s0", "f"), ("f", "t0")]
+        return Digraph(verts, edges), pairs + [("s2", "t2")]
+    edges.append(("c", "t0") if second_route else ("c", "x"))
     if third_pair:
         verts += ["s2", "t2"]
         edges.append(("s2", "t2"))
@@ -256,7 +265,7 @@ class TestTransform:
 
 
 class TestWitnessInvalidation:
-    """Pair 1's remembered route is blocked once pair 0 is routed."""
+    """Pair 1's first route is blocked by pair 0's: pair 1 is refuted at pair 0's target."""
 
     @staticmethod
     def _cases(second_route):
@@ -280,8 +289,8 @@ class TestWitnessInvalidation:
     def test_blocked_witness_prunes_at_pair_0_target(self):
         for solver, g, pairs, oracle, arcs in self._cases(second_route=False):
             assert not oracle(g, pairs)
-            # routing pair 0 costs one expansion per arc; a stale witness
-            # trusted at its target would let pair 1's search expand further
+            # routing pair 0 costs one expansion per arc, so pair 1 must be
+            # refuted at pair 0's target, before its search expands further
             assert solver(g, pairs, budget=arcs) is None
 
 
@@ -289,9 +298,9 @@ class TestCutInvalidation:
     """Pair 1's blocking cut is freed, or kept, by pair 0's second route."""
 
     @staticmethod
-    def _cases(second_route, third_pair=False):
+    def _cases(second_route, third_pair=False, retake=False):
         # (solver, graph, pairs, oracle)
-        g, pairs = cut_graph(second_route, third_pair)
+        g, pairs = cut_graph(second_route, third_pair, retake)
         return [
             (solve_edp_dag, g, pairs, edp_feasible_exhaustive),
             (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive),
@@ -321,6 +330,13 @@ class TestCutInvalidation:
     def test_cut_belongs_to_its_pair(self):
         # when pair 2 is tested, pair 1's route holds all of pair 1's cut
         for solver, g, pairs, oracle in self._cases(second_route=True, third_pair=True):
+            assert oracle(g, pairs)
+            self._assert_solved(solver, g, pairs)
+
+    def test_cut_survives_a_yes(self):
+        # pair 1's cut, kept through its "yes" at pair 0's second route,
+        # refutes it at the third and must not refute it at the fourth
+        for solver, g, pairs, oracle in self._cases(second_route=True, retake=True):
             assert oracle(g, pairs)
             self._assert_solved(solver, g, pairs)
 

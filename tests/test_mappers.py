@@ -100,6 +100,11 @@ class TestRowColumnPaths:
             row_path(out, 1, 1, 3)
         with pytest.raises(ValueError):
             column_path(out, 1, 1, 0)
+        # grid_vertex_parts takes an index only as an int, not a bool or a float
+        with pytest.raises(ValueError):
+            row_path(out, 1, 1, 2.0)
+        with pytest.raises(ValueError):
+            column_path(out, 1, True, 1)
 
 
 class TestForwardDirection:

@@ -19,6 +19,7 @@ from gridpaths.reduction import (
     AlreadyReducedError,
     boundary,
     build_g1,
+    grid_vertex_parts,
     level_set,
     predicted_counts,
     reduce,
@@ -357,6 +358,13 @@ class TestBoundary:
             boundary(out, 2, 1, "left")
         with pytest.raises(ValueError):
             boundary(out, 1, 1, "north")
+        with pytest.raises(ValueError, match=r"no grid vertex at cell \(1\.0,1\)"):
+            boundary(out, 1.0, 1, "left")
+        with pytest.raises(ValueError, match=r"no grid vertex at cell \(True,1\)"):
+            grid_vertex_parts(out, True, 1, 1, 1)
+        for bad in (1.0, "1", None):
+            with pytest.raises(ValueError):
+                grid_vertex_parts(out, 1, 1, 1, bad)
 
 
 class TestLevelSets:
@@ -391,6 +399,9 @@ class TestLevelSets:
             level_set(out, "diagonal", 1)
         with pytest.raises(ValueError):
             level_set(out, "vertical", 2)
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="index must be an int"):
+                level_set(out, "vertical", bad)
 
 
 class TestDegreeReduction:
