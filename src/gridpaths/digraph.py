@@ -18,7 +18,6 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -99,6 +98,24 @@ def _exact(kind: type, value):
     return value
 
 
+def _domain(kind: type, ok, what: str):
+    """A decoder of JSON values of exact type ``kind`` for which ``ok`` holds."""
+
+    def decode(value):
+        if not ok(_exact(kind, value)):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+
+    return decode
+
+
+def _choices(bits) -> tuple[int, ...]:
+    path = tuple(_exact(int, b) for b in _exact(list, bits))
+    if not path or not set(path) <= {0, 1}:
+        raise ValueError(f"expected a non-empty list of 0/1 choices, got {bits!r}")
+    return path
+
+
 # One row per label class: its JSON "kind" and the prefix of its DOT name.
 _LABEL_KINDS = (
     ("grid", GridVertex, "w_"),
@@ -107,18 +124,18 @@ _LABEL_KINDS = (
     ("terminal", Terminal, ""),
     ("tree", TreeNode, "t"),
 )
-# per field annotation: (decode from JSON, encode to JSON, render in a DOT name)
+# per field: (decode from JSON, encode to JSON, render in a DOT name).  A
+# decoder takes only values the reduction makes: ints from 1, the three
+# parts, families a-d and non-empty 0/1 paths, so label_name is injective.
+_INDEX = (_domain(int, lambda n: n >= 1, "an int >= 1"), int, str)
 _FIELD_CODECS = {
-    "int": (partial(_exact, int), int, str),
-    "str": (partial(_exact, str), str, str),
-    "tuple[int, ...]": (
-        lambda bits: tuple(_exact(int, b) for b in _exact(list, bits)),
-        list,
-        lambda bits: "".join(map(str, bits)),
-    ),
+    **dict.fromkeys(("i", "j", "q", "ell", "index"), _INDEX),
+    "part": (_domain(str, {WHOLE, LB, TR}.__contains__, "whole, lb or tr"), str, str),
+    "family": (_domain(str, {"a", "b", "c", "d"}.__contains__, "a family a-d"), str, str),
+    "path": (_choices, list, lambda bits: "".join(map(str, bits))),
 }
 _BY_CLASS = {
-    cls: (kind, prefix, tuple((f.name, f.default, *_FIELD_CODECS[f.type]) for f in fields(cls)))
+    cls: (kind, prefix, tuple((f.name, f.default, *_FIELD_CODECS[f.name]) for f in fields(cls)))
     for kind, cls, prefix in _LABEL_KINDS
 }
 _BY_KIND = {kind: (cls, _BY_CLASS[cls][2]) for kind, cls, _ in _LABEL_KINDS}
@@ -159,7 +176,7 @@ def label_from_json(data: dict) -> Label:
             if len(data) != 1 + len(spec):  # "kind" and each field (a missing one fails below)
                 raise TypeError(f"keys {sorted(data)}, expected kind and {[a for a, *_ in spec]}")
             return cls(*[decode(data[attr]) for attr, _, decode, _, _ in spec])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vertex label: {exc}") from exc
     raise ValueError(f"unknown vertex label kind {data.get('kind')!r}")
 
@@ -181,7 +198,8 @@ class Digraph:
     Vertex id ``n`` is ``vertices[n]`` and edge id ``e`` is ``edges[e]``.
     The package's algorithms work on the id arrays: ``_id`` (label -> id),
     ``_tail``/``_head`` (per edge id), ``_out``/``_in`` (per vertex id, its
-    edge ids in insertion order) and ``_topo_ids()``.
+    edge ids in insertion order), ``_pairs`` (the (tail, head) id pair of
+    every edge) and ``_topo_ids()``.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):

@@ -11,17 +11,22 @@ of infeasibility at the given budget.
 
 The reachability test is exact but cheap.  It searches only among the
 ancestors of the pair's target, through which every route to the target
-runs, and it keeps for each pair the blocking cut of its last failed
-search: the resources on the arcs from the explored set into unexplored
-ancestors of the target, all of them taken when the search failed.  That
-set of arcs is fixed by the graph, and every route has to leave the
-explored set by one of them, so while all of the cut is taken the target is
-out of reach, whatever was freed or taken in between.  Only a cut that no
-longer holds costs a new search.  The pairs still to route are tested from
-the one that failed last, which is the likeliest to fail again.  The
-answers are those of a plain search of the residual graph, and the order of
-the tests does not change their conjunction, so the search tree and its
-expansion count are the same.
+runs, and it keeps for each pair the blocking cuts of its last failed
+searches: each the resources on the arcs from the explored set into
+unexplored ancestors of the target, all of them taken when the search
+failed.  That set of arcs is fixed by the graph, and every route has to
+leave the explored set by one of them, so while all of any held cut is
+taken the target is out of reach, whatever was freed or taken in between.
+Only when no held cut holds does the test search again.  A pair keeps at
+most 16 cuts, the oldest dropped first: a search may run for millions of
+expansions, and every test scans the held cuts.  They are kept most
+recently used first, a cut moving to the front when it is found or refutes,
+because the search backtracks to states close to recent ones, where the cut
+that held last is the likeliest to hold again.  The pairs still to route are
+tested from the one that failed last, for the same reason.  The answers are
+those of a plain search of the residual graph, and the order of the tests
+does not change their conjunction, so the search tree and its expansion
+count are the same.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -29,10 +34,14 @@ legal and consumes no edges.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .digraph import Digraph, Label, label_from_json, label_to_json
 from .errors import DEFAULT_BUDGET, BudgetExceededError
+
+# blocking cuts kept per pair by the path search's reachability test
+_HELD_CUTS = 16
 
 
 @dataclass
@@ -62,13 +71,26 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
 
     Each path must be a directed path from its pair's source to its sink
     without repeating an edge, and no edge may appear in two paths.  Sharing
-    vertices is allowed; single-vertex paths share nothing.
+    vertices is allowed; single-vertex paths share nothing.  Edges are
+    compared as pairs of vertex ids; a label not in the graph gets an id of
+    its own, so its edges are missing but can still be shared.
     """
     pairs = _pairs(terminals)
     violations = []
     if len(ps.paths) != len(pairs):
         return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
-    for idx, (path, (s, t)) in enumerate(zip(ps.paths, pairs)):
+    ids, edges = g._id, g._pairs
+    strangers: dict[Label, int] = {}
+
+    def to_ids(path: list[Label]) -> list:
+        nums = list(map(ids.get, path))
+        if None in nums:
+            fresh = strangers.setdefault
+            nums = [fresh(v, -1 - len(strangers)) if n is None else n for n, v in zip(nums, path)]
+        return nums
+
+    id_paths = [to_ids(path) for path in ps.paths]
+    for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
         if not path:
             violations.append(f"path {idx} is empty")
             continue
@@ -77,19 +99,19 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
         if path[-1] != t:
             violations.append(f"path {idx} ends at {path[-1]!r}, expected {t!r}")
         seen = set()
-        for u, v in zip(path, path[1:]):
-            if not g.has_edge(u, v):
-                violations.append(f"path {idx} uses missing edge ({u!r}, {v!r})")
-            elif (u, v) in seen:
-                violations.append(f"path {idx} repeats edge ({u!r}, {v!r})")
-            seen.add((u, v))
-    owner: dict[tuple[Label, Label], int] = {}
-    for idx, path in enumerate(ps.paths):
-        for edge in zip(path, path[1:]):
+        for n, edge in enumerate(zip(nums, nums[1:])):
+            if edge not in edges:
+                violations.append(f"path {idx} uses missing edge ({path[n]!r}, {path[n + 1]!r})")
+            elif edge in seen:
+                violations.append(f"path {idx} repeats edge ({path[n]!r}, {path[n + 1]!r})")
+            seen.add(edge)
+    owner: dict[tuple[int, int], int] = {}
+    for idx, (path, nums) in enumerate(zip(ps.paths, id_paths)):
+        for n, edge in enumerate(zip(nums, nums[1:])):
             prev = owner.setdefault(edge, idx)
             if prev != idx:
                 violations.append(
-                    f"paths {prev} and {idx} share edge ({edge[0]!r}, {edge[1]!r})"
+                    f"paths {prev} and {idx} share edge ({path[n]!r}, {path[n + 1]!r})"
                 )
     return violations
 
@@ -137,17 +159,21 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     frame sets its resource's flag when pushed and clears it when popped.
 
     ``reachable(j)`` decides whether pair j still has a residual route.  It
-    keeps pair j's last blocking cut, the resources of the arcs from the
-    explored set of its last failed search into unexplored ancestors of the
-    target, and answers "no" while all of their flags are set: every route
-    still has to leave that set through one of them.  A "yes" leaves the cut
-    in place, since the arcs are fixed by the graph.  Otherwise a
-    depth-first search from the source pushes only ancestors of the target,
-    since a route can only run through those, and a failure keeps the cut
-    from the taken arcs it met.  Either way the answer is that of a full
-    residual search.  ``remaining_ok`` tests the pair that failed last
-    first; a conjunction is the same in any order, so the search tree does
-    not change.
+    keeps pair j's blocking cuts, each the resources of the arcs from the
+    explored set of a failed search into unexplored ancestors of the
+    target, and answers "no" when all of the flags of any one of them are
+    set: every route still has to leave that cut's explored set through one
+    of its arcs.  A "yes" leaves the cuts in place, since the arcs are
+    fixed by the graph.  Otherwise a depth-first search from the source
+    pushes only ancestors of the target, since a route can only run through
+    those, and a failure adds the cut from the taken arcs it met.  Either
+    way the answer is that of a full residual search.  The cuts are held
+    most recently used first, a new one or one that just refuted moved to
+    the front, since nearby states of the search are refuted by the same
+    cut, and ``_HELD_CUTS`` of them at most, since a test may scan them all
+    however long the search runs.  ``remaining_ok`` tests the pair
+    that failed last first; a conjunction is the same in any order, so the
+    search tree does not change.
     """
     _, cycle = g._topo_ids()
     if cycle is not None:
@@ -170,8 +196,9 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     taken = bytearray(len(g._verts) if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
     anc_flags = [_ancestor_flags(tv, g._in, tail) for _, tv in ends]
-    # per pair, the resources of the blocking cut of its last failed search
-    cuts: list[list[int] | None] = [None] * len(pairs)
+    # per pair, the resources of the blocking cuts of its last failed searches,
+    # the one that refuted last first
+    cuts = [deque(maxlen=_HELD_CUTS) for _ in pairs]
     npairs = len(pairs)
     failed = -1  # the pair whose reachability test failed last
 
@@ -181,9 +208,13 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             return False
         if sv == tv:
             return True
-        cut = cuts[idx]
-        if cut is not None and all(map(taken.__getitem__, cut)):
-            return False
+        held = cuts[idx]
+        for n, cut in enumerate(held):
+            if all(map(taken.__getitem__, cut)):
+                if n:
+                    del held[n]
+                    held.appendleft(cut)
+                return False
         anc = anc_flags[idx]
         seen = {sv}
         stack = [sv]
@@ -201,7 +232,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     stack.append(w)
         # Every arc from the explored set into an unexplored ancestor is
         # taken, so while those stay taken the target stays out of reach.
-        cuts[idx] = [res[e] for e in blocked if anc[head[e]] and head[e] not in seen]
+        held.appendleft([res[e] for e in blocked if anc[head[e]] and head[e] not in seen])
         return False
 
     def remaining_ok(idx: int) -> bool:

@@ -10,7 +10,7 @@ from gridpaths.cli import (
     _json_text,
     main,
 )
-from gridpaths import gridtiling, mappers, reduction
+from gridpaths import cli, gridtiling, mappers, reduction
 from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, label_to_json
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 
@@ -326,3 +326,15 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_repeated_calls_match_fresh_ones(self, capsys):
+        # main reuses one parser per process: each call must still answer
+        # as the first call of a fresh process does
+        argvs = [["frobnicate"], ["gen", "1", "2", "--seed", "3"], [], ["gen", "2", "3", "--noise", "1"]]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._parser.cache_clear()
+        assert [run(capsys, *argv) for argv in argvs] == fresh
+        assert [code for code, _, _ in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK]

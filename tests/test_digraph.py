@@ -336,11 +336,21 @@ class TestSerialization:
             {"kind": "tree", "family": "c", "index": 1, "path": "10"},
             {"kind": "tree", "family": "c", "index": 1, "path": [1, False]},
             {"kind": "hconn", "i": 1, "j": 1, "ell": 1, "part": "whole"},
+            {"kind": "grid", "i": -3, "j": 1, "q": 1, "ell": 1, "part": "middle"},
+            {"kind": "grid", "i": 1, "j": 1, "q": 0, "ell": 1, "part": "whole"},
+            {"kind": "grid", "i": 1, "j": 1, "q": 1, "ell": 1, "part": "middle"},
+            {"kind": "vconn", "i": 1, "j": 1, "ell": 0},
+            {"kind": "terminal", "family": "e", "index": 1},
+            {"kind": "terminal", "family": "a", "index": 0},
+            {"kind": "tree", "family": "c", "index": 1, "path": [10]},
+            {"kind": "tree", "family": "c", "index": 1, "path": []},
+            {"kind": "tree", "family": "c", "index": 1, "path": [0, -1]},
         ],
         ids=[
             "unknown-kind", "missing-field", "non-integer-field", "non-dict", "float-field",
             "bool-field", "string-digit-field", "non-string-field", "string-path", "bool-path-bit",
-            "extra-field",
+            "extra-field", "negative-field-and-part", "zero-field", "unknown-part", "zero-chain-index",
+            "unknown-family", "zero-index", "non-binary-path", "empty-path", "negative-path-bit",
         ],
     )
     def test_malformed_label_document_rejected(self, data):

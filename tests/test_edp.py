@@ -85,6 +85,33 @@ def cut_graph(second_route: bool, third_pair: bool = False, retake: bool = False
     return Digraph(verts, edges), pairs
 
 
+def returning_cut_graph():
+    # Pair 1's only route is s1-a-b-c-d-t1.  Pair 0's routes, in search
+    # order: s0-c-d-t0 leaves pair 1 the cut c -> d (at c when vertices are
+    # the resource), s0-a-b-c-d-t0 holds that cut too, s0-a-b-t0 a new one,
+    # a -> b (at a), s0-e-c-d-t0 the first one again while the second is
+    # free, and s0-f-t0 leaves pair 1 its route.
+    verts = ["s0", "s1", "a", "b", "c", "d", "e", "f", "t0", "t1"]
+    edges = [("s1", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "t1"), ("s0", "c"), ("d", "t0")]
+    edges += [("s0", "a"), ("b", "t0"), ("s0", "e"), ("e", "c"), ("s0", "f"), ("f", "t0")]
+    return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
+
+
+def stale_cut_graph():
+    # Pair 1 runs s1-a-b-h-t1 or s1-c-d-t1, or crosses over by b -> c or
+    # h -> c.  Pair 0's first two routes, s0-a-b-h-c-d-t0 and
+    # s0-a-b-c-d-t0, leave pair 1 the cut {a -> b, c -> d} (at a and c when
+    # vertices are the resource), its third, s0-b-h-c-d-t0, the cut
+    # {b -> h, c -> d} (at b and c).  Its next route, s0-b-c-d-t0
+    # (s0-g-c-d-t0 when vertices are the resource, as b is on pair 1's
+    # route), takes part of both held cuts but all of neither, and pair 1
+    # still has a route.
+    verts = ["s0", "s1", "a", "b", "h", "c", "d", "g", "t0", "t1"]
+    edges = [("s1", "a"), ("a", "b"), ("b", "h"), ("h", "t1"), ("s1", "c"), ("c", "d"), ("d", "t1")]
+    edges += [("b", "c"), ("h", "c"), ("d", "t0"), ("s0", "a"), ("s0", "b"), ("s0", "g"), ("g", "c")]
+    return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
+
+
 class TestCheckEdpSolution:
     def test_vertex_sharing_is_allowed(self):
         g = cross_graph()
@@ -111,6 +138,22 @@ class TestCheckEdpSolution:
         violations = check_edp_solution(g, [("s1", "t1"), ("s2", "t2")], ps)
         assert any("starts at" in v for v in violations)
         assert any("missing edge" in v for v in violations)
+
+    def test_vertex_outside_graph_and_shared_edges_reported(self):
+        # "z" and "w" are not in the graph: their edges are missing; the
+        # edge y -> z in both paths is shared, y -> w and y -> z are not one
+        g = bridge_graph()
+        ps = PathSet([["s1", "x", "y", "z", "t1"], ["s2", "x", "y", "w", "y", "z", "t2"]])
+        assert check_edp_solution(g, [("s1", "t1"), ("s2", "t2")], ps) == [
+            "path 0 uses missing edge ('y', 'z')",
+            "path 0 uses missing edge ('z', 't1')",
+            "path 1 uses missing edge ('y', 'w')",
+            "path 1 uses missing edge ('w', 'y')",
+            "path 1 uses missing edge ('y', 'z')",
+            "path 1 uses missing edge ('z', 't2')",
+            "paths 0 and 1 share edge ('x', 'y')",
+            "paths 0 and 1 share edge ('y', 'z')",
+        ]
 
     def test_wrong_path_count_reported(self):
         g = cross_graph()
@@ -299,8 +342,11 @@ class TestCutInvalidation:
 
     @staticmethod
     def _cases(second_route, third_pair=False, retake=False):
+        return TestCutInvalidation._modes(*cut_graph(second_route, third_pair, retake))
+
+    @staticmethod
+    def _modes(g, pairs):
         # (solver, graph, pairs, oracle)
-        g, pairs = cut_graph(second_route, third_pair, retake)
         return [
             (solve_edp_dag, g, pairs, edp_feasible_exhaustive),
             (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive),
@@ -337,6 +383,18 @@ class TestCutInvalidation:
         # pair 1's cut, kept through its "yes" at pair 0's second route,
         # refutes it at the third and must not refute it at the fourth
         for solver, g, pairs, oracle in self._cases(second_route=True, retake=True):
+            assert oracle(g, pairs)
+            self._assert_solved(solver, g, pairs)
+
+    def test_older_cut_refutes_again(self):
+        # pair 1 is refuted by one cut, then by another, then by the first
+        for solver, g, pairs, oracle in self._modes(*returning_cut_graph()):
+            assert oracle(g, pairs)
+            self._assert_solved(solver, g, pairs)
+
+    def test_stale_cuts_are_not_trusted(self):
+        # both held cuts are partly taken when pair 1 has a route again
+        for solver, g, pairs, oracle in self._modes(*stale_cut_graph()):
             assert oracle(g, pairs)
             self._assert_solved(solver, g, pairs)
 
