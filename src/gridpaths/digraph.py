@@ -4,20 +4,25 @@ Vertices are hashable label objects carrying their meaning (grid position,
 connector chain, terminal, fan-tree node).  Inside, a vertex is the int id
 of its place in the vertex list and an edge the int id of its place in the
 edge list; every algorithm here runs on ids and turns them back into labels
-only in what it returns.  Embedded graphs additionally carry exact rational
-coordinates, which are the single source of truth for the combinatorial
-embedding: the counterclockwise angular order of the neighbors around each
-vertex is the rotation system, its faces are traced, and Euler's formula
-V - E + F = 2 - 2g yields the genus.  Genus zero certifies that the drawing
-is planar; no general-purpose planarity test is involved.
+only in what it returns.  Every graph is made by one id-level initializer,
+``_init``: the label constructors map labels to ids and Fractions to integer
+numerators and call it, and the reduction, which hands out ids itself, calls
+it directly.  Embedded graphs carry exact rational coordinates, which are
+the single source of truth for the combinatorial embedding: the
+counterclockwise angular order of the neighbors around each vertex is the
+rotation system, its faces are traced, and Euler's formula V - E + F = 2 - 2g
+yields the genus.  Genus zero certifies that the drawing is planar; no
+general-purpose planarity test is involved.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -192,6 +197,14 @@ def is_dotted_edge(u: Label, v: Label) -> bool:
     )
 
 
+def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, list[int], list[int], dict]:
+    """(vertices, tails, heads, label -> id) of a graph given by labels; an unknown end is -1."""
+    verts = list(vertices)
+    ids = dict(zip(verts, range(len(verts))))
+    ends = [(ids.get(u, -1), ids.get(v, -1)) for u, v in edges]
+    return verts, [a for a, _ in ends], [b for _, b in ends], ids
+
+
 class Digraph:
     """Immutable simple directed graph (no self-loops, no parallel edges).
 
@@ -199,33 +212,41 @@ class Digraph:
     The package's algorithms work on the id arrays: ``_id`` (label -> id),
     ``_tail``/``_head`` (per edge id), ``_out``/``_in`` (per vertex id, its
     edge ids in insertion order), ``_pairs`` (the (tail, head) id pair of
-    every edge) and ``_topo_ids()``.
+    every edge) and ``_topo_ids()``.  The constructor maps labels to ids and
+    calls ``_init``, which holds every check and is the only construction path.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
-        self._verts: list[Label] = list(vertices)
-        self._id: dict[Label, int] = {}
-        for n, v in enumerate(self._verts):
-            if self._id.setdefault(v, n) != n:
-                raise ValueError(f"duplicate vertex {v!r}")
-        self._tail: list[int] = []
-        self._head: list[int] = []
-        self._out: list[list[int]] = [[] for _ in self._verts]
-        self._in: list[list[int]] = [[] for _ in self._verts]
-        self._pairs: set[tuple[int, int]] = set()
-        for u, v in edges:
-            a, b = self._id.get(u), self._id.get(v)
-            if a is None or b is None:
-                raise ValueError(f"edge ({u!r}, {v!r}) references a missing vertex")
-            if a == b:
-                raise ValueError(f"self-loop at {u!r}")
-            if (a, b) in self._pairs:
-                raise ValueError(f"parallel edge ({u!r}, {v!r})")
-            self._pairs.add((a, b))
-            self._out[a].append(len(self._tail))
-            self._in[b].append(len(self._tail))
-            self._tail.append(a)
-            self._head.append(b)
+        self._init(*_label_ids(vertices, edges))
+
+    def _init(self, verts: list, tail: list[int], head: list[int], ids: dict | None = None) -> None:
+        """Vertex ``n`` is ``verts[n]``, edge ``e`` runs ``tail[e] -> head[e]``; ``ids`` maps labels to ids."""
+        n = len(verts)
+        self._verts: list[Label] = verts
+        self._id: dict[Label, int] = dict(zip(verts, range(n))) if ids is None else ids
+        if len(self._id) != n:
+            raise ValueError(f"duplicate vertex {next(v for m, v in enumerate(verts) if self._id[v] != m)!r}")
+        self._pairs: set[tuple[int, int]] = set(zip(tail, head))
+        ends = tail + head
+        if len(self._pairs) < len(tail) or any(map(operator.eq, tail, head)) or (
+            ends and not 0 <= min(ends) <= max(ends) < n
+        ):
+            seen = set()  # report the first bad edge
+            for e, (a, b) in enumerate(zip(tail, head)):
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"edge {e} references a missing vertex")
+                if a == b:
+                    raise ValueError(f"self-loop at {verts[a]!r}")
+                if (a, b) in seen:
+                    raise ValueError(f"parallel edge ({verts[a]!r}, {verts[b]!r})")
+                seen.add((a, b))
+        self._tail: list[int] = tail
+        self._head: list[int] = head
+        self._out: list[list[int]] = [[] for _ in verts]
+        self._in: list[list[int]] = [[] for _ in verts]
+        for e, (a, b) in enumerate(zip(tail, head)):
+            self._out[a].append(e)
+            self._in[b].append(e)
         self._topo: tuple[list[int] | None, list[int] | None] | None = None
 
     @property
@@ -359,24 +380,25 @@ class EmbeddedDigraph(Digraph):
     denominator.  Only the accessors and the JSON writer and reader make Fractions.
     """
 
-    def __init__(
-        self,
-        vertices: Iterable[Label],
-        edges: Iterable[Edge],
-        coords: Mapping[Label, Coord],
-    ):
-        super().__init__(vertices, edges)
+    def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
+        verts, tail, head, ids = _label_ids(vertices, edges)
         try:
-            given = [coords[v] for v in self._verts]
+            given = [coords[v] for v in verts]
         except KeyError as exc:
             raise ValueError(f"missing coordinate for {exc.args[0]!r}") from None
-        if len(coords) != len(self._verts):
+        if len(coords) != len(ids):
             raise ValueError("coordinates given for unknown vertices")
-        den = self._den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
-        self._xy = [
-            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in given
-        ]
-        if len(set(self._xy)) != len(self._verts):
+        den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
+        xy = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in given]
+        self._init(verts, tail, head, xy, den, ids)
+
+    def _init(self, verts, tail, head, xy: list[tuple[int, int]], den: int, ids=None) -> None:
+        """Digraph._init, with vertex ``n`` at ``xy[n] / den``; the fraction is reduced here."""
+        super()._init(verts, tail, head, ids)
+        g = math.gcd(den, *chain.from_iterable(xy))
+        self._den = den // g
+        self._xy = xy if g == 1 else [(x // g, y // g) for x, y in xy]
+        if len(set(self._xy)) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
         self._rot: list[tuple[int, ...]] | None = None
 
@@ -477,9 +499,7 @@ class EmbeddedDigraph(Digraph):
                 x_str, y_str = entry["coord"]
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
-            edges = [
-                (label_from_json(u), label_from_json(v)) for u, v in data["edges"]
-            ]
+            edges = [(label_from_json(u), label_from_json(v)) for u, v in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(verts, edges, coords)

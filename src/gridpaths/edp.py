@@ -232,7 +232,9 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     stack.append(w)
         # Every arc from the explored set into an unexplored ancestor is
         # taken, so while those stay taken the target stays out of reach.
-        held.appendleft([res[e] for e in blocked if anc[head[e]] and head[e] not in seen])
+        # Each resource is listed once: in vertex-disjoint mode several
+        # blocked arcs can share a head.
+        held.appendleft(list(dict.fromkeys(res[e] for e in blocked if anc[head[e]] and head[e] not in seen)))
         return False
 
     def remaining_ok(idx: int) -> bool:

@@ -17,7 +17,6 @@ edge counts follow closed forms that the test suite pins exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -193,42 +192,60 @@ def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> Reduction
 
 
 def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
-    """The base graph with each grid position split or whole, in one pass.
+    """The base graph with each grid position split or whole, in one pass, on vertex ids.
 
     A position whose (q, ell) is absent from its cell's set becomes an lb copy
     at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
-    dotted lb -> tr edge; edges arrive at lb and leave from tr.  The dotted
-    edges come after all others, in grid-vertex order.
+    dotted lb -> tr edge; edges arrive at lb and leave from tr.  With
+    ``trees`` each terminal's fan is a balanced binary tree instead.
 
-    With ``trees`` each terminal's fan is a balanced binary tree instead:
-    its nodes follow the terminals (pre-order within a tree) and its edges
-    follow the dotted ones.
+    Ids are handed out in order: grid positions by (i, j, q, ell), lb before
+    tr, the connector chains (the rows' first), the terminals, the tree
+    nodes (pre-order).  Edges: grid, connector, then fan and dotted edges, or
+    with trees dotted and tree edges.  Coordinates are numerators over 4, or
+    8 * levels with trees, which the graph reduces to the least denominator.
     """
     pitch = N + 1
     ks, ells = range(1, k + 1), range(1, N + 1)
-    edges: list[tuple[Label, Label]] = []
-    # the vertices in order, each with its coordinates: ints where whole, else Fractions
-    coords: dict[Label, tuple] = {}
-    # grid position (i, j, q, ell) -> the labels its edges arrive at and leave from
-    parts: dict[tuple[int, int, int, int], tuple[GridVertex, GridVertex]] = {}
-
-    # (c - 1/4, c + 1/4) for each grid line c: one Fraction per copy, not per vertex
-    shifted = [(Fraction(4 * c - 1, 4), Fraction(4 * c + 1, 4)) for c in range(k * pitch)]
+    # depth of the deepest leaf of a balanced tree on N leaves; a node at
+    # depth d sits d / levels of the way from its terminal to the leaf level
+    levels = (N - 1).bit_length()
+    den = 8 * levels if trees else 4
+    quarter = den // 4
+    verts: list[Label] = []
+    xy: list[tuple[int, int]] = []
+    # the ids that grid position p = (((i-1)k + j-1)N + q-1)N + ell-1 receives
+    # its edges at and sends them from: one id if whole, the lb and tr ids if split
+    entry: list[int] = []
+    exit_: list[int] = []
     for pos in product(ks, ks, ells, ells):
         i, j, q, ell = pos
-        x, y = (i - 1) * pitch + q, (j - 1) * pitch + ell
-        parts[pos] = entry, exit_ = _split(sets, *pos)
-        if entry is exit_:
-            coords[entry] = (x, y)
+        x, y = ((i - 1) * pitch + q) * den, ((j - 1) * pitch + ell) * den
+        copies = _split(sets, *pos)
+        entry.append(len(verts))
+        if copies[0] is copies[1]:
+            verts.append(copies[0])
+            xy.append((x, y))
         else:
-            coords[entry], coords[exit_] = zip(shifted[x], shifted[y])
+            verts += copies
+            xy += ((x - quarter, y - quarter), (x + quarter, y + quarter))
+        exit_.append(len(verts) - 1)
 
-    # each grid's edges one step along the columns' paths, then the rows'
-    for i, j in product(ks, ks):
+    def parts(pos: tuple[int, int, int, int]) -> tuple[int, int]:
+        i, j, q, ell = pos
+        p = (((i - 1) * k + j - 1) * N + q - 1) * N + ell - 1
+        return entry[p], exit_[p]
+
+    # each grid's edges one step along the columns' paths, then the rows',
+    # a run of positions with one q at a time
+    tail: list[int] = []
+    head: list[int] = []
+    for base in range(0, k * k * N * N, N * N):
         for fam in _FAMILIES:
             dq, dl = _orient(fam, 0, 1)
-            for q, ell in product(range(1, N + 1 - dq), range(1, N + 1 - dl)):
-                edges.append((parts[i, j, q, ell][1], parts[i, j, q + dq, ell + dl][0]))
+            for r in range(base, base + (N - dq) * N, N):
+                tail += exit_[r : r + N - dl]
+                head += entry[r + dq * N + dl : r + dq * N + N]
 
     # a connector chain collects the exit side of grid (i, j) and feeds the entry
     # side of the next grid along the family's paths; the rows' chains come first
@@ -236,60 +253,63 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
         di, dj = _orient(fam, 0, 1)
         for i, j in product(range(1, k + 1 - di), range(1, k + 1 - dj)):
             lane, step = _orient(fam, i, j)
-            chain = [fam.connector(i, j, ell) for ell in ells]
-            for ell, c in zip(ells, chain):
-                coords[c] = _orient(fam, (lane - 1) * pitch + ell, step * pitch)
-            edges += zip(chain, chain[1:])
-            edges += zip(_boundary(parts.__getitem__, N, i, j, fam.sides[1]), chain)
-            edges += zip(chain, _boundary(parts.__getitem__, N, i + di, j + dj, fam.sides[0]))
+            chain = range(len(verts), len(verts) + N)
+            verts += [fam.connector(i, j, ell) for ell in ells]
+            xy += [_orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den) for ell in ells]
+            tail += [*chain[:-1], *_boundary(parts, N, i, j, fam.sides[1]), *chain]
+            head += [*chain[1:], *chain, *_boundary(parts, N, i + di, j + dj, fam.sides[0])]
 
     # Terminals sit one unit outside the grids' bounding box, a fan tree's
     # internal nodes on evenly spaced levels between the terminal and the
     # split copies nearest it (a quarter outside the outermost grid line).
-    half = Fraction(pitch, 2) if pitch % 2 else pitch // 2
-    outside = (-1, k * pitch + 1)
+    outside = (-den, (k * pitch + 1) * den)
+    roots = {}
     for fam, m in product(_FAMILIES, ks):
         for end, family in enumerate(fam.terminals):
-            coords[Terminal(family, m)] = _orient(fam, (m - 1) * pitch + half, outside[end])
-    # depth of the deepest leaf of a balanced tree on N leaves; a node at
-    # depth d sits d / levels of the way from its terminal to the leaf level
-    levels = (N - 1).bit_length()
+            roots[family, m] = len(verts)
+            verts.append(Terminal(family, m))
+            xy.append(_orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end]))
 
     # Terminal m of a family fans out into the entry side of the family's
     # first grid in lane m, or collects the exit side of its last grid, its
     # leaves in boundary order: a_i bottom, b_i top, c_j left, d_j right.
-    fan_edges: list[tuple[Label, Label]] = []
+    fan: tuple[list[int], list[int]] = ([], [])  # tails, heads: a root's end is fan[end]
     for side, (fam, end) in _SIDES.items():
-        outward = end == 0
         for m in ks:
-            root = Terminal(fam.terminals[end], m)
-            leaves = _boundary(parts.__getitem__, N, *_orient(fam, m, (1, k)[end]), side)
+            family = fam.terminals[end]
+            root = roots[family, m]
+            leaves = _boundary(parts, N, *_orient(fam, m, (1, k)[end]), side)
             if not trees:
-                fan_edges += [(root, v) if outward else (v, root) for v in leaves]
+                fan[end].extend([root] * N)
+                fan[1 - end].extend(leaves)
                 continue
-            # the leaves line up along the family's axis; in quarter units the
-            # split copies nearest the terminal sit 7 further in
-            s_root, step = 4 * outside[end], (7, -7)[end]
+            # the leaves line up along the family's axis; the split copies
+            # nearest the terminal sit 7 quarters further in
+            inward = (7, -7)[end] * quarter
 
-            def grow(lo: int, hi: int, path: tuple[int, ...]) -> Label:
+            def grow(lo: int, hi: int, path: tuple[int, ...]) -> int:
                 if hi - lo == 1:
                     return leaves[lo]
-                node = TreeNode(root.family, root.index, path) if path else root
+                node = len(verts) if path else root
                 if path:
-                    s = Fraction(s_root * levels + step * len(path), 4 * levels)
-                    t = Fraction(coords[leaves[lo]][fam.axis] + coords[leaves[hi - 1]][fam.axis], 2)
-                    coords[node] = _orient(fam, t, s)
+                    verts.append(TreeNode(family, m, path))
+                    t = (xy[leaves[lo]][fam.axis] + xy[leaves[hi - 1]][fam.axis]) // 2
+                    xy.append(_orient(fam, t, outside[end] + inward * len(path) // levels))
                 mid = _tree_split(lo, hi)
                 for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
                     child = grow(clo, chi, path + (bit,))
-                    fan_edges.append((node, child) if outward else (child, node))
+                    fan[end].append(node)
+                    fan[1 - end].append(child)
                 return node
 
             grow(0, N, ())
 
-    dotted = [(entry, exit_) for entry, exit_ in parts.values() if entry is not exit_]
-    tail_edges = dotted + fan_edges if trees else fan_edges + dotted
-    return EmbeddedDigraph(coords, edges + tail_edges, coords)
+    dotted = [n for n, x in zip(entry, exit_) if n != x]
+    split = (dotted, [n + 1 for n in dotted])  # a tr copy follows its lb copy
+    first, last = (split, fan) if trees else (fan, split)
+    g = EmbeddedDigraph.__new__(EmbeddedDigraph)
+    g._init(verts, tail + first[0] + last[0], head + first[1] + last[1], xy, den)
+    return g
 
 
 def _tree_split(lo: int, hi: int) -> int:

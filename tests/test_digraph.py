@@ -98,6 +98,45 @@ class TestConstruction:
             EmbeddedDigraph(["a"], [], {"a": (0, 0), "b": (1, 1)})
 
 
+class TestIdInitializer:
+    """The id-level initializer behind both label constructors keeps every check."""
+
+    @staticmethod
+    def _embedded(tail, head, xy, den):
+        g = EmbeddedDigraph.__new__(EmbeddedDigraph)
+        g._init(["a", "b", "c"], tail, head, xy, den)
+        return g
+
+    def test_denominator_is_reduced(self):
+        g = self._embedded([0, 1], [1, 2], [(0, 0), (4, 2), (8, 12)], 8)
+        assert g._den == 4 and g._xy == [(0, 0), (2, 1), (4, 6)]
+        assert g.coords == {"a": (0, 0), "b": (Fraction(1, 2), Fraction(1, 4)), "c": (1, Fraction(3, 2))}
+        assert g == EmbeddedDigraph(["a", "b", "c"], [("a", "b"), ("b", "c")], g.coords)
+
+    @pytest.mark.parametrize(
+        "tail, head, match",
+        [
+            ([0, 3], [1, 0], "edge 1 references a missing vertex"),
+            ([0, -1], [1, 0], "edge 1 references a missing vertex"),
+            ([0, 2], [1, 2], "self-loop at 'c'"),
+            ([0, 1, 0], [1, 2, 1], "parallel edge \\('a', 'b'\\)"),
+        ],
+    )
+    def test_bad_edges_rejected(self, tail, head, match):
+        with pytest.raises(ValueError, match=match):
+            self._embedded(tail, head, [(0, 0), (1, 0), (0, 1)], 1)
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Digraph(["a", "b"], [("a", "a"), ("a", "x")])
+        with pytest.raises(ValueError, match="edge 0 references a missing vertex"):
+            Digraph(["a", "b"], [("a", "x"), ("a", "a")])
+
+    def test_coincident_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            self._embedded([0], [1], [(0, 0), (2, 2), (0, 0)], 2)
+
+
 class TestTopologicalSort:
     def test_single_edge(self):
         g = Digraph(["u", "v"], [("u", "v")])

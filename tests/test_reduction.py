@@ -2,9 +2,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpaths.digraph import (
     LB,
+    EmbeddedDigraph,
     GridVertex,
     HConnector,
     Terminal,
@@ -325,6 +328,30 @@ class TestGoldenOutput:
                     digest.update(text.encode())
                     digest.update(x.graph.to_dot().encode())
         assert digest.hexdigest() == self.TREE_DIGEST
+
+
+class TestIdConstruction:
+    """The reduction builds its graph on vertex ids; the label constructor maps into the same ids."""
+
+    # N up to 9 gives fan trees of 1 to 4 levels, so every tree denominator 8 * levels occurs
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(2, 9),
+        planted=st.booleans(),
+        trees=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_build_equals_label_construction(self, k, n, planted, trees, seed):
+        if planted:
+            inst = generate_planted(k, n, noise=2, seed=seed)
+        else:
+            inst = generate_random(k, n, 0.5, seed=seed)
+        out = reduce(inst)
+        g = reduce_degree(out).graph if trees else out.graph
+        h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
+        for attr in ("_verts", "_tail", "_head", "_out", "_in", "_pairs", "_xy", "_den"):
+            assert getattr(g, attr) == getattr(h, attr), attr
 
 
 class TestBoundary:
