@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import edp, gridtiling, mappers, reduction
-from .digraph import EmbeddedDigraph, is_dotted_edge
+from .digraph import LB, EmbeddedDigraph, GridVertex, is_dotted_edge
 from .errors import DEFAULT_BUDGET, BudgetExceededError, EmbeddingError
 
 EXIT_OK = 0
@@ -62,6 +62,14 @@ def _structure_report(out: reduction.ReductionOutput, timings: dict) -> dict:
         "actual": {"vertices": g.num_vertices, "edges": g.num_edges},
     }
     counts["match"] = counts["predicted"] == counts["actual"]
+    verts, head = g._verts, g._head
+    # a dotted edge leaves an lb copy: test only those vertices' out-edges
+    dotted = sum(
+        is_dotted_edge(u, verts[head[e]])
+        for n, u in enumerate(verts)
+        if type(u) is GridVertex and u.part == LB
+        for e in g._out[n]
+    )
     checks = {
         "dag": cycle is None,
         "faces": embedding.faces,
@@ -70,7 +78,7 @@ def _structure_report(out: reduction.ReductionOutput, timings: dict) -> dict:
         "max_out_degree": g.max_out_degree(),
         "terminal_pairs": len(out.terminals),
         "terminal_pairs_ok": pair_ok,
-        "dotted_edges": sum(1 for u, v in g.edges if is_dotted_edge(u, v)),
+        "dotted_edges": dotted,
         "degree_reduced": out.degree_reduced,
     }
     return {

@@ -491,15 +491,24 @@ class EmbeddedDigraph(Digraph):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
+        # repr tells JSON values apart exactly (1, 1.0 and true too), so an
+        # edge end spelled like a vertex's label is that label, decoded once
+        decoded: dict[str, Label] = {}
+
+        def decode(raw) -> Label:
+            label = decoded.get(repr(raw))
+            return label_from_json(raw) if label is None else label
+
         try:
             verts = []
             coords = {}
             for entry in data["vertices"]:
-                v = label_from_json(entry["label"])
+                raw = entry["label"]
+                v = decoded[repr(raw)] = label_from_json(raw)
                 x_str, y_str = entry["coord"]
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
-            edges = [(label_from_json(u), label_from_json(v)) for u, v in data["edges"]]
+            edges = [(decode(u), decode(v)) for u, v in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(verts, edges, coords)

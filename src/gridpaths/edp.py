@@ -4,29 +4,35 @@ One search serves both modes.  It routes terminal pairs one at a time in
 the given order: paths for the current pair are enumerated depth-first over
 resources not already used (one flag per edge in edge-disjoint mode, per
 vertex in vertex-disjoint mode), extensions into vertices that
-cannot reach the current target are skipped, and after each committed path
-every remaining pair must stay reachable in the residual graph or the
-branch is abandoned.  The search is exhaustive, so a None answer is a proof
-of infeasibility at the given budget.
+cannot reach the current target are skipped, and a branch in which a
+pair still to route has lost its last residual route is abandoned.  The
+search is exhaustive, so a None answer is a proof of infeasibility at the
+given budget.
 
-The reachability test is exact but cheap.  It searches only among the
-ancestors of the pair's target, through which every route to the target
-runs, and it keeps for each pair the blocking cuts of its last failed
-searches: each the resources on the arcs from the explored set into
-unexplored ancestors of the target, all of them taken when the search
-failed.  That set of arcs is fixed by the graph, and every route has to
-leave the explored set by one of them, so while all of any held cut is
-taken the target is out of reach, whatever was freed or taken in between.
-Only when no held cut holds does the test search again.  A pair keeps at
-most 16 cuts, the oldest dropped first: a search may run for millions of
-expansions, and every test scans the held cuts.  They are kept most
-recently used first, a cut moving to the front when it is found or refutes,
-because the search backtracks to states close to recent ones, where the cut
-that held last is the likeliest to hold again.  The pairs still to route are
-tested from the one that failed last, for the same reason.  The answers are
-those of a plain search of the residual graph, and the order of the tests
-does not change their conjunction, so the search tree and its expansion
-count are the same.
+Each pair still to route keeps a witness route, so a resource taken off
+no witness needs no test.  A pair whose witness loses a resource is
+tested again: first against the blocking cuts of its last failed tests,
+each the resources on the arcs from a failed search's explored set into
+unexplored ancestors of the target.  That set of arcs is fixed by the
+graph and every route has to leave the explored set by one of them, so
+while all of any held cut is taken the target is out of reach.  Only when
+no held cut holds does the test search again, for a new witness or a new
+cut.  A pair keeps at most 16 cuts, most recently used first: a search may
+run for millions of expansions, every test scans the held cuts, and the
+search backtracks to states close to recent ones, where the cut that held
+last is the likeliest to hold again.
+
+When an arc into w cuts a later pair off, the plain search would walk all
+of w's subtree for nothing: every path through it reaches the target with
+that pair still cut off.  This search counts that subtree instead of
+walking it, and the count is exact.  In a DAG nothing reachable from w
+lies on the current pair's path so far, so the subtree's size depends
+only on the resources of the earlier pairs, which stay fixed until the
+current pair is entered again; sizes are memoized per entry into a pair
+and capped at one past the budget, where the plain search would have
+raised.  The answers, the expansion counts and the budget behaviour are
+those of the plain search, which tries the pairs in order and the arcs in
+edge order and tests the remaining pairs at each target.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -158,22 +164,36 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     One ``taken`` flag per resource holds the state of the whole stack: a
     frame sets its resource's flag when pushed and clears it when popped.
 
-    ``reachable(j)`` decides whether pair j still has a residual route.  It
-    keeps pair j's blocking cuts, each the resources of the arcs from the
-    explored set of a failed search into unexplored ancestors of the
-    target, and answers "no" when all of the flags of any one of them are
-    set: every route still has to leave that cut's explored set through one
-    of its arcs.  A "yes" leaves the cuts in place, since the arcs are
-    fixed by the graph.  Otherwise a depth-first search from the source
-    pushes only ancestors of the target, since a route can only run through
-    those, and a failure adds the cut from the taken arcs it met.  Either
-    way the answer is that of a full residual search.  The cuts are held
-    most recently used first, a new one or one that just refuted moved to
-    the front, since nearby states of the search are refuted by the same
-    cut, and ``_HELD_CUTS`` of them at most, since a test may scan them all
-    however long the search runs.  ``remaining_ok`` tests the pair
-    that failed last first; a conjunction is the same in any order, so the
-    search tree does not change.
+    Each pair after the first keeps a witness route (no pair routes before
+    the first), and ``users`` maps each resource to a bitmask of the pairs
+    whose witness uses it.  Taking a resource for pair i, an arc's or its
+    start vertex, can cut off only the later pairs in its mask, so only
+    those are tested, by ``reachable(j)``: first the held cuts that contain
+    the resource just taken, as no other can hold, then a depth-first
+    search from the source over ancestors of the target, which records
+    either a new witness, through the per-vertex arcs ``via``, or a new
+    blocking cut, the resources of the arcs from the explored set into
+    unexplored ancestors of the target.  While all of any held cut is taken
+    the target is out of reach, since every route has to leave that cut's
+    explored set through one of its arcs, which the graph fixes.  The cuts
+    are held most recently used first, a new one or one that just refuted
+    moved to the front, since nearby states of the search are refuted by the
+    same cut, and ``_HELD_CUTS`` of them at most, since a test may scan them
+    all however long the search runs.  Freeing a resource breaks no
+    witness, so each later pair has a whole witness at every pushed frame,
+    and every target frame hands over to the next pair.
+
+    When a later pair is cut off by the arc into w (or by w, the start
+    vertex of pair i), a plain search would walk w's whole subtree and fail
+    at every target, since taking more resources keeps that pair cut off.
+    It would spend N(w) = the sum over the free arcs w -> x into ancestors
+    of the target of 1 + N(x) expansions, N(target) = 0, and ``subtree``
+    counts them instead.  In a DAG nothing reachable from w lies on the
+    path prefix, so N depends only on the resources of the earlier pairs:
+    it is memoized per entry into pair i (``start(i)`` draws a new key) and
+    capped at budget + 1, past which the plain search would have raised.
+    Answers, expansion counts and budget behaviour are those of the plain
+    search.
     """
     _, cycle = g._topo_ids()
     if cycle is not None:
@@ -191,88 +211,154 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
         if s not in ids or t not in ids:
             raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
     head, tail, out_edges = g._head, g._tail, g._out
+    nverts = len(g._verts)
     # a list: indexing a range is several times slower
     res = head if vertex_disjoint else list(range(len(head)))
-    taken = bytearray(len(g._verts) if vertex_disjoint else len(head))
+    taken = bytearray(nverts if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
     anc_flags = [_ancestor_flags(tv, g._in, tail) for _, tv in ends]
-    # per pair, the resources of the blocking cuts of its last failed searches,
-    # the one that refuted last first
+    # per pair: the resources of its witness and of the blocking cuts of its
+    # last failed searches, the one that refuted last first, and the key of
+    # its current entry
+    witness: list[list[int]] = [[] for _ in pairs]
     cuts = [deque(maxlen=_HELD_CUTS) for _ in pairs]
+    entry = [0] * len(pairs)
+    users = [0] * len(taken)
+    # per vertex: the arc a search reached it by and the key of that search;
+    # its subtree size and the key of the entry it was counted for
+    via, seen, size, sized = [0] * nverts, [0] * nverts, [0] * nverts, [0] * nverts
     npairs = len(pairs)
-    failed = -1  # the pair whose reachability test failed last
+    expansions = keys = 0
 
-    def reachable(idx: int) -> bool:
+    def reachable(idx: int, r: int = -1) -> bool:
+        # r is the resource just taken: pair idx had a route before, so only a
+        # held cut with r in it can hold now
+        nonlocal keys
         sv, tv = ends[idx]
         if vertex_disjoint and taken[sv]:
             return False
-        if sv == tv:
-            return True
         held = cuts[idx]
         for n, cut in enumerate(held):
-            if all(map(taken.__getitem__, cut)):
+            if r in cut and all(map(taken.__getitem__, cut)):
                 if n:
                     del held[n]
                     held.appendleft(cut)
                 return False
-        anc = anc_flags[idx]
-        seen = {sv}
-        stack = [sv]
-        blocked = []  # the taken arcs met on the way
-        while stack:
-            for e in out_edges[stack.pop()]:
-                if taken[res[e]]:
-                    blocked.append(e)
-                    continue
-                w = head[e]
-                if w == tv:
-                    return True
-                if anc[w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        # Every arc from the explored set into an unexplored ancestor is
-        # taken, so while those stay taken the target stays out of reach.
-        # Each resource is listed once: in vertex-disjoint mode several
-        # blocked arcs can share a head.
-        held.appendleft(list(dict.fromkeys(res[e] for e in blocked if anc[head[e]] and head[e] not in seen)))
-        return False
-
-    def remaining_ok(idx: int) -> bool:
-        # the pair that failed last is the likeliest to fail again
-        nonlocal failed
-        if failed >= idx and not reachable(failed):
-            return False
-        for j in range(idx, npairs):
-            if j != failed and not reachable(j):
-                failed = j
+        found = -1  # the arc that reaches the target
+        if sv != tv:
+            anc = anc_flags[idx]
+            keys += 1
+            key = seen[sv] = keys
+            via[sv] = -1
+            stack = [sv]
+            blocked = []  # the taken arcs met on the way
+            while stack and found < 0:
+                for e in out_edges[stack.pop()]:
+                    if taken[res[e]]:
+                        blocked.append(e)
+                        continue
+                    w = head[e]
+                    if w == tv:
+                        found = e
+                        break
+                    if anc[w] and seen[w] != key:
+                        seen[w] = key
+                        via[w] = e
+                        stack.append(w)
+            if found < 0:
+                # Every arc from the explored set into an unexplored ancestor
+                # is taken, so while those stay taken the target stays out of
+                # reach.  Each resource is listed once: in vertex-disjoint mode
+                # several blocked arcs can share a head.
+                held.appendleft(
+                    list(dict.fromkeys(res[e] for e in blocked if anc[head[e]] and seen[head[e]] != key))
+                )
                 return False
+        if idx:  # no pair routes before pair 0 to break its witness
+            bit = 1 << idx
+            for x in witness[idx]:
+                users[x] ^= bit
+            route = witness[idx] = [sv] if vertex_disjoint else []
+            while found >= 0:
+                route.append(res[found])
+                found = via[tail[found]]
+            for x in route:
+                users[x] |= bit
         return True
 
-    def start(idx: int) -> list:
+    def later_ok(r: int, idx: int) -> bool:
+        # every pair after idx whose witness uses resource r is reachable
+        j = idx + 1
+        mask = users[r] >> j
+        while mask:
+            if mask & 1 and not reachable(j, r):
+                return False
+            mask >>= 1
+            j += 1
+        return True
+
+    def subtree(idx: int, w: int) -> None:
+        # adds N(w) for pair idx to the expansions; raises past the budget
+        nonlocal expansions
+        anc, key = anc_flags[idx], entry[idx]
+        stack = [w]
+        while stack:
+            v = stack[-1]
+            if sized[v] == key:
+                stack.pop()
+                continue
+            total = 0  # -1 once a successor is still to count
+            for e in out_edges[v]:
+                x = head[e]
+                if taken[res[e]] or not anc[x]:
+                    continue
+                if sized[x] != key:
+                    stack.append(x)
+                    total = -1
+                elif total >= 0:
+                    total += 1 + size[x]
+            if total >= 0:
+                stack.pop()
+                size[v] = min(total, budget + 1)
+                sized[v] = key
+        expansions += size[w]
+        if expansions > budget:
+            raise BudgetExceededError(budget)
+
+    def start(idx: int) -> None:
+        # pushes pair idx's first frame, or counts the whole entry
+        nonlocal keys
+        keys += 1
+        entry[idx] = keys
         sv = ends[idx][0]
         if not vertex_disjoint:
-            return [idx, sv, -1, 0]
+            frames.append([idx, sv, -1, 0])
+            return
         taken[sv] = 1
-        return [idx, sv, sv, 0]
+        if users[sv] >= 2 << idx and not later_ok(sv, idx):
+            taken[sv] = 0
+            subtree(idx, sv)
+        else:
+            frames.append([idx, sv, sv, 0])
 
     def pop() -> None:
         r = frames.pop()[2]
         if r >= 0:
             taken[r] = 0
 
-    if not remaining_ok(0):
+    if not all(map(reachable, range(npairs))):
         return None
     if not pairs:
         return PathSet([])
-    expansions = 0
-    frames = [start(0)]
+    frames: list[list[int]] = []
+    start(0)
     while frames:
         frame = frames[-1]
         idx, v, _, nxt = frame
         if v == ends[idx][1]:
             # A target frame is visited twice: first to hand over to the next
             # pair, then once that pair has failed from here.
-            if nxt or not remaining_ok(idx + 1):
+            if nxt:
                 pop()
             elif idx + 1 == npairs:
                 paths: list[list[Label]] = [[] for _ in pairs]
@@ -281,10 +367,11 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 return PathSet(paths)
             else:
                 frame[3] = 1
-                frames.append(start(idx + 1))
+                start(idx + 1)
             continue
         arcs = out_edges[v]
         anc = anc_flags[idx]
+        above = 2 << idx  # users[r] >= above: a later pair's witness uses r
         while nxt < len(arcs):
             e = arcs[nxt]
             nxt += 1
@@ -295,8 +382,12 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             expansions += 1
             if expansions > budget:
                 raise BudgetExceededError(budget)
-            frame[3] = nxt
             taken[r] = 1
+            if users[r] >= above and not later_ok(r, idx):
+                taken[r] = 0
+                subtree(idx, w)
+                continue
+            frame[3] = nxt
             frames.append([idx, w, r, 0])
             break
         else:

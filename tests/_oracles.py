@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import cmp_to_key
 
 from gridpaths.digraph import Digraph, EmbeddedDigraph
@@ -133,3 +134,89 @@ def rotations_by_comparison(g: EmbeddedDigraph) -> dict:
         dirs.sort(key=cmp_to_key(_ccw_compare))
         result[v] = tuple(u for _, _, u in dirs)
     return result
+
+
+def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[list] | None, int]:
+    """(paths or None, expansions) of a plain enumerating backtracker.
+
+    Routes the pairs in order, trying each vertex's out-edges in edge order
+    and entering only vertices that reach the pair's target; an arc taken
+    is one expansion.  At each target it checks every remaining pair with a
+    breadth-first search of the residual graph and backtracks if one has no
+    route.  A resource is an edge, or in vertex-disjoint mode a vertex
+    (each path's start vertex included), and no two paths share one.  It
+    walks every subtree, futile or not, so its count is the one the
+    package's search must report without walking them.
+    """
+    out = {v: [] for v in g.vertices}
+    into = {v: [] for v in g.vertices}
+    for e, (u, v) in enumerate(g.edges):
+        out[u].append((e, v))
+        into[v].append(u)
+
+    def ancestors(t) -> set:
+        found, todo = {t}, [t]
+        while todo:
+            for u in into[todo.pop()]:
+                if u not in found:
+                    found.add(u)
+                    todo.append(u)
+        return found
+
+    anc = [ancestors(t) for _, t in pairs]
+    used = set()
+    expansions = 0
+
+    def free(e, w) -> bool:
+        return (w if vertex_disjoint else e) not in used
+
+    def has_route(s, t) -> bool:
+        if vertex_disjoint and s in used:
+            return False
+        frontier, reached = deque([s]), {s}
+        while frontier:
+            v = frontier.popleft()
+            if v == t:
+                return True
+            for e, w in out[v]:
+                if w not in reached and free(e, w):
+                    reached.add(w)
+                    frontier.append(w)
+        return False
+
+    def route(i):
+        if i == len(pairs):
+            return []
+        s = pairs[i][0]
+        if not vertex_disjoint:
+            return walk(i, [s])
+        used.add(s)
+        found = walk(i, [s])
+        used.discard(s)
+        return found
+
+    def walk(i, path):
+        nonlocal expansions
+        v = path[-1]
+        if v == pairs[i][1]:
+            if not all(has_route(s, t) for s, t in pairs[i + 1 :]):
+                return None
+            rest = route(i + 1)
+            return None if rest is None else [list(path)] + rest
+        for e, w in out[v]:
+            if not free(e, w) or w not in anc[i]:
+                continue
+            expansions += 1
+            r = w if vertex_disjoint else e
+            used.add(r)
+            path.append(w)
+            found = walk(i, path)
+            path.pop()
+            used.discard(r)
+            if found is not None:
+                return found
+        return None
+
+    if not all(has_route(s, t) for s, t in pairs):
+        return None, 0
+    return route(0), expansions

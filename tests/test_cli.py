@@ -11,7 +11,7 @@ from gridpaths.cli import (
     main,
 )
 from gridpaths import cli, gridtiling, mappers, reduction
-from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, label_to_json
+from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, is_dotted_edge, label_to_json
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 
 
@@ -109,6 +109,19 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", str(inst), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_OK
         assert json.loads(out)["checks"]["dotted_edges"] == 0
+
+    def test_dotted_edges_counts_every_split_vertex_edge(self):
+        # the report counts from the id arrays; the predicate on label pairs is the reference
+        for inst, degree2 in itertools.product(
+            (gridtiling.generate_planted(2, 3, noise=1, seed=4), gridtiling.generate_random(2, 3, density=0.5, seed=2)),
+            (False, True),
+        ):
+            out = reduction.reduce(inst)
+            if degree2:
+                out = reduction.reduce_degree(out)
+            want = sum(1 for u, v in out.graph.edges if is_dotted_edge(u, v))
+            assert want > 0
+            assert cli._structure_report(out, {})["checks"]["dotted_edges"] == want
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "reduce", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json"))

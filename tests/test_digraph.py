@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -436,6 +437,23 @@ class TestSerialization:
         data = g.to_json_dict()
         data["vertices"][0]["coord"] = ["-7/3", "-12"]
         assert EmbeddedDigraph.from_json_dict(data).coord(g.vertices[0]) == (Fraction(-7, 3), -12)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_edge_end_equal_to_a_vertex_only_as_a_python_value_rejected(self, value):
+        # 1 == True == 1.0, but an edge end must be spelled as its vertex's label is
+        data = json.loads(json.dumps(reduce(generate_planted(1, 2, noise=0, seed=0)).graph.to_json_dict()))
+        end = data["edges"][0][0]
+        field = next(key for key, v in end.items() if v == 1)
+        end[field] = value
+        message = f"^malformed graph document: malformed vertex label: expected a JSON int, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            EmbeddedDigraph.from_json_dict(data)
+
+    def test_edge_end_with_reordered_keys_is_its_vertex(self):
+        g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
+        data = json.loads(json.dumps(g.to_json_dict()))
+        data["edges"] = [[dict(reversed(u.items())), v] for u, v in data["edges"]]
+        assert EmbeddedDigraph.from_json_dict(data) == g
 
     def test_graph_json_round_trip(self):
         g = reduce(generate_planted(2, 2, noise=1, seed=5)).graph

@@ -2,6 +2,8 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpaths.digraph import Digraph
 from gridpaths.edp import (
@@ -25,7 +27,7 @@ from gridpaths.gridtiling import (
 from gridpaths.mappers import gt_solution_to_paths
 from gridpaths.reduction import reduce
 
-from ._oracles import edp_feasible_exhaustive, random_dag, vdp_feasible_exhaustive
+from ._oracles import edp_feasible_exhaustive, enumerate_routes, random_dag, vdp_feasible_exhaustive
 
 
 def cross_graph():
@@ -110,6 +112,39 @@ def stale_cut_graph():
     edges = [("s1", "a"), ("a", "b"), ("b", "h"), ("h", "t1"), ("s1", "c"), ("c", "d"), ("d", "t1")]
     edges += [("b", "c"), ("h", "c"), ("d", "t0"), ("s0", "a"), ("s0", "b"), ("s0", "g"), ("g", "c")]
     return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
+
+
+def diamond_ladder(d: int):
+    # Pair 0's first arc s0 -> u leads to u -> v, the bridge of pair 1's
+    # only route s1-u-v-t1.  Behind v lie d diamonds x_k -> y_k | z_k ->
+    # x_(k+1), from v = x_0 to t0 = x_d: 2^d routes, each of which reaches t0
+    # with pair 1 cut off.  Pair 0's second arc s0 -> t0 leaves the bridge
+    # free.
+    xs = ["v"] + [f"x{k}" for k in range(1, d)] + ["t0"]
+    verts = ["s0", "s1", "u", "t1"] + xs
+    edges = [("s0", "u"), ("u", "v")]
+    for k in range(d):
+        verts += [f"y{k}", f"z{k}"]
+        edges += [(xs[k], f"y{k}"), (xs[k], f"z{k}"), (f"y{k}", xs[k + 1]), (f"z{k}", xs[k + 1])]
+    edges += [("v", "t1"), ("s0", "t0"), ("s1", "u")]
+    return Digraph(verts, edges), [("s0", "t0"), ("s1", "t1")]
+
+
+def ladder_count(d: int) -> int:
+    # s0 -> u and u -> v, 4 (2^d - 1) arcs in the diamonds' routes, s0 -> t0,
+    # and pair 1's three arcs; with vertices as the resource the cut comes an
+    # arc earlier, at u, and the count is the same
+    return 4 * 2**d + 2
+
+
+@st.composite
+def dags_with_pairs(draw):
+    """A DAG on 6-10 vertices, its arcs in a drawn order, and 1-3 pairs from its first vertices to its last."""
+    n = draw(st.integers(6, 10))
+    arcs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.permutations([arc for arc in arcs if draw(st.booleans())]))
+    k = draw(st.integers(1, 3))
+    return Digraph(range(n), edges), list(zip(range(k), draw(st.permutations(range(n - k, n)))))
 
 
 class TestCheckEdpSolution:
@@ -492,6 +527,64 @@ class TestSearchCore:
             for solver in (solve_edp_dag, solve_vdp_dag):
                 digest.update(f"{self._expansions(solver, g, pairs)};".encode())
         assert digest.hexdigest() == self.COUNT_DIGEST
+
+    @staticmethod
+    def _assert_count(solver, g, pairs, answer, count):
+        # finishes with the answer at a budget of its count, raises one below
+        ps = solver(g, pairs, budget=count)
+        assert (None if ps is None else ps.paths) == answer
+        if count:
+            with pytest.raises(BudgetExceededError):
+                solver(g, pairs, budget=count - 1)
+
+    def _assert_enumerated_count(self, g, pairs):
+        # each mode's answer and expansion count are the enumerating search's
+        for solver, g, pairs, _ in TestCutInvalidation._modes(g, pairs):
+            self._assert_count(solver, g, pairs, *enumerate_routes(g, pairs, solver is solve_vdp_dag))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dags_with_pairs())
+    def test_counts_match_an_enumerating_search(self, case):
+        self._assert_enumerated_count(*case)
+
+    def test_ladder_count_matches_enumeration(self):
+        for d in range(1, 7):
+            g, pairs = diamond_ladder(d)
+            for vertex_disjoint in (False, True):
+                assert enumerate_routes(g, pairs, vertex_disjoint)[1] == ladder_count(d)
+            self._assert_enumerated_count(g, pairs)
+
+    def test_subtree_sizes_are_counted_per_entry(self):
+        # With vertices as the resource, pair 1's arc 1 -> 2 takes pair 2's
+        # source, so the subtree below 2 is counted at both of pair 1's
+        # entries: under pair 0's route 0-3-5 it is the arc 2 -> 4, under
+        # 0-5 also 2 -> 3 -> 4, as 3 is free again.
+        edges = [(0, 6), (3, 6), (0, 3), (2, 3), (3, 5), (1, 2), (3, 4), (2, 5)]
+        edges += [(0, 5), (4, 5), (2, 4), (4, 6), (1, 4), (0, 1), (5, 6), (1, 3)]
+        g, pairs = Digraph(range(7), edges), [(0, 5), (1, 4), (2, 6)]
+        assert enumerate_routes(g, pairs, True) == ([[0, 5], [1, 4], [2, 3, 6]], 15)
+        self._assert_enumerated_count(g, pairs)
+
+    def test_claimed_source_is_counted(self):
+        # With vertices as the resource, pair 0's first frame takes its
+        # source v, on pair 1's only route s1-u-v-t1: all of pair 0's tree,
+        # 4 (2^d - 1) arcs, is counted before any expansion, and a budget
+        # below it must raise.
+        for d in (3, 22):
+            g, _ = diamond_ladder(d)
+            pairs = [("v", "t0"), ("s1", "t1")]
+            if d < 7:
+                assert enumerate_routes(g, pairs, True) == (None, 4 * (2**d - 1))
+            self._assert_count(solve_vdp_dag, g, pairs, None, 4 * (2**d - 1))
+
+    def test_futile_ladder_is_counted_not_walked(self):
+        # 2^22 futile routes, about 1.7e7 expansions: an enumerating search
+        # walks them in seconds, one that counts them in a pass over 4d arcs
+        d = 22
+        g, pairs = diamond_ladder(d)
+        answer = [["s0", "t0"], ["s1", "u", "v", "t1"]]
+        for solver in (solve_edp_dag, solve_vdp_dag):
+            self._assert_count(solver, g, pairs, answer, ladder_count(d))
 
     def test_long_chain_needs_no_recursion(self):
         n = 5000
