@@ -13,6 +13,14 @@ counterclockwise angular order of the neighbors around each vertex is the
 rotation system, its faces are traced, and Euler's formula V - E + F = 2 - 2g
 yields the genus.  Genus zero certifies that the drawing is planar; no
 general-purpose planarity test is involved.
+
+The rotation system lives on flat dart lists.  Each edge gives two darts,
+one leaving either end; every dart gets an integer angle key, computed once
+per distinct edge direction, and one sort of all darts by (vertex, key)
+lays out every vertex's rotation as a contiguous run.  Two darts of one
+vertex with equal keys lie on one ray, which leaves the rotation undefined
+and is reported by name.  The faces are the cycles of the successor list
+built from the runs.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -344,18 +353,22 @@ class Digraph:
         """Connectivity of the underlying undirected graph."""
         if len(self._verts) <= 1:
             return True
-        tail, head = self._tail, self._head
+        out, inn, tail, head = self._out, self._in, self._tail, self._head
         seen = bytearray(len(self._verts))
         seen[0] = 1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in self._out[v] + self._in[v]:
-                w = tail[e] + head[e] - v  # the other end of e
+        reached = [0]  # the loop visits the ids appended to it
+        for v in reached:
+            for e in out[v]:
+                w = head[e]
                 if not seen[w]:
                     seen[w] = 1
-                    stack.append(w)
-        return all(seen)
+                    reached.append(w)
+            for e in inn[v]:
+                w = tail[e]
+                if not seen[w]:
+                    seen[w] = 1
+                    reached.append(w)
+        return len(reached) == len(seen)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -400,7 +413,7 @@ class EmbeddedDigraph(Digraph):
         self._xy = xy if g == 1 else [(x // g, y // g) for x, y in xy]
         if len(set(self._xy)) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
-        self._rot: list[tuple[int, ...]] | None = None
+        self._rot: tuple[list[int], array] | None = None  # rotation()'s (order, start)
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
@@ -409,41 +422,77 @@ class EmbeddedDigraph(Digraph):
     def coord(self, v: Label) -> Coord:
         return tuple(Fraction(c, self._den) for c in self._xy[self._id[v]])
 
-    def _rotation_map(self) -> list[tuple[int, ...]]:
-        """Per vertex id, its edge ids in counterclockwise order of their other ends.
+    def _runs(self) -> tuple[list[int], array]:
+        """(order, start): vertex id n's darts, counterclockwise from +x, are order[start[n]:start[n + 1]].
 
-        The key of direction (dx, dy), s = |dx| + |dy|, is floor(m * p) for the pseudo-angle
-        p = 1 - dx/s on [0, pi), 3 + dx/s on [pi, 2 pi), which grows with the angle from +x.
-        Distinct dx/s differ by >= 1/m for m = (x spread + y spread)**2: equal keys mean one ray.
+        Dart 2e leaves the tail of edge e and dart 2e + 1 its head.  A point is coded as x * w + y
+        for w = 2 * (y spread) + 1, so an edge's direction (dx, dy) is the difference of its ends'
+        codes, dx * w + dy, and the reverse direction's code is its negation.  The key of a
+        direction, s = |dx| + |dy|, is floor(m * p) for the pseudo-angle p = 1 - dx/s on [0, pi),
+        3 + dx/s on [pi, 2 pi), which grows with the angle from +x; distinct dx/s differ by >= 1/m
+        for m = (x spread + y spread)**2, so equal keys mean one ray.  Keys are computed once per
+        distinct code and ranked, and one sort of all D darts orders every rotation.
         """
-        if self._rot is None:
-            tail, head, xy = self._tail, self._head, self._xy
-            m = sum(max(c) - min(c) for c in zip(*xy)) ** 2
-            rot = []
-            for v, (vx, vy) in enumerate(xy):
-                dirs = []
-                for e in self._out[v] + self._in[v]:
-                    ux, uy = xy[tail[e] + head[e] - v]
-                    dx, dy = ux - vx, uy - vy
-                    r = dx * m // (abs(dx) + abs(dy))
-                    dirs.append((m - r if dy > 0 or (dy == 0 and dx > 0) else 3 * m + r, e))
-                dirs.sort()
-                for (key, e), (next_key, f) in zip(dirs, dirs[1:]):
-                    if key == next_key:
-                        u, w = (self._verts[tail[d] + head[d] - v] for d in (e, f))
-                        if u == w:
-                            raise ValueError(f"antiparallel edges between {self._verts[v]!r} and {u!r}")
-                        raise EmbeddingError(
-                            f"collinear neighbor directions at {self._verts[v]!r}: {u!r} and {w!r} on one ray"
-                        )
-                rot.append(tuple(e for _, e in dirs))
-            self._rot = rot
-        return self._rot
+        tail, head, xy = self._tail, self._head, self._xy
+        ndarts = 2 * len(tail)
+        xs, ys = zip(*xy) if xy else ((0,), (0,))
+        m = (max(xs) - min(xs) + max(ys) - min(ys)) ** 2
+        half = max(ys) - min(ys)
+        w = 2 * half + 1
+        point = [x * w + y for x, y in xy]
+        code = list(map(operator.sub, map(point.__getitem__, head), map(point.__getitem__, tail)))
+        del point
+        dirs = set(code)
+        keys = {}
+        for c in dirs | {-c for c in dirs}:
+            dy = (c + half) % w - half
+            dx = (c - dy) // w
+            r = dx * m // (abs(dx) + abs(dy))
+            keys[c] = m - r if dy > 0 or (dy == 0 and dx > 0) else 3 * m + r
+        rank = {key: i for i, key in enumerate(sorted(set(keys.values())))}
+        # Dart d sorts as ray * 2D + d, its ray being vertex * K + the rank of its key: ties go by
+        # edge id, and two darts that leave one vertex along one ray differ by less than D.  Each
+        # temporary is freed once used, and the rank terms are the shared ints of two small dicts.
+        stride = 2 * ndarts
+        rank_terms = list(map({c: rank[keys[c]] * stride for c in keys}.__getitem__, code))
+        rank_terms += map({c: rank[keys[-c]] * stride for c in keys}.__getitem__, code)
+        del code
+        vertex_terms = map(operator.mul, chain(tail, head), repeat(len(rank) * stride))
+        dart_ids = chain(range(0, ndarts, 2), range(1, ndarts, 2))
+        darts = list(map(operator.add, map(operator.add, vertex_terms, rank_terms), dart_ids))
+        del rank_terms
+        darts.sort()
+        if min(map(operator.sub, islice(darts, 1, None), darts), default=ndarts) < ndarts:
+            self._name_tie(darts, stride, len(rank))
+        order: list[int] = []
+        step = ndarts // 8 + 1
+        while darts:  # an eighth at a time, each one's sort keys freed before the next is read
+            order += map(operator.mod, islice(darts, step), repeat(stride))
+            del darts[:step]
+        degrees = map(operator.add, map(len, self._out), map(len, self._in))
+        return order, array("l", accumulate(degrees, initial=0))
+
+    def _name_tie(self, darts: list[int], stride: int, nkeys: int) -> None:
+        """Raise for the first two sorted darts that leave one vertex along one ray."""
+        verts, tail, head = self._verts, self._tail, self._head
+        for a, b in zip(darts, darts[1:]):
+            if a // stride == b // stride:
+                v = a // stride // nkeys
+                u, w = (verts[tail[d >> 1] + head[d >> 1] - v] for d in (a % stride, b % stride))
+                if u == w:
+                    raise ValueError(f"antiparallel edges between {verts[v]!r} and {u!r}")
+                raise EmbeddingError(
+                    f"collinear neighbor directions at {verts[v]!r}: {u!r} and {w!r} on one ray"
+                )
 
     def rotation(self, v: Label) -> tuple:
         """Neighbors of ``v`` in counterclockwise angular order."""
         n = self._id[v]
-        return tuple(self._verts[self._tail[e] + self._head[e] - n] for e in self._rotation_map()[n])
+        if self._rot is None:
+            self._rot = self._runs()
+        order, start = self._rot
+        ends = (self._head, self._tail)  # the far end of dart d
+        return tuple(self._verts[ends[d & 1][d >> 1]] for d in order[start[n] : start[n + 1]])
 
     def check_planar_embedding(self) -> EmbeddingCheck:
         """Trace all faces of the rotation system and report (faces, genus).
@@ -457,23 +506,23 @@ class EmbeddedDigraph(Digraph):
             raise NotConnectedError("underlying undirected graph is disconnected")
         if not self._tail:
             return EmbeddingCheck(faces=1, genus=0)
-        tail, head = self._tail, self._head
-        # Dart 2e runs along edge e from its tail, dart 2e+1 from its head.  A
-        # face arriving at v along e leaves along the edge after e around v.
-        succ = [0] * (2 * len(tail))
-        for v, rot in enumerate(self._rotation_map()):
-            for idx, e in enumerate(rot):
-                f = rot[(idx + 1) % len(rot)]
-                succ[2 * e + (tail[e] == v)] = 2 * f + (head[f] == v)
-        seen = bytearray(len(succ))
+        order, start = self._rot or self._runs()
+        ndarts = len(order)
+        # A face arriving at v along dart d ^ 1 leaves along the dart after d
+        # around v: the next one in ``order``, or for the last dart of a run
+        # (none is empty in a connected graph) the first.
+        succ = [0] * ndarts
+        for d, after in zip(order, order[1:]):
+            succ[d ^ 1] = after
+        for first, end in zip(start, start[1:]):
+            succ[order[end - 1] ^ 1] = order[first]
         faces = 0
-        for dart in range(len(succ)):
-            if not seen[dart]:
+        for dart in range(ndarts):
+            if succ[dart] >= 0:
                 faces += 1
-                while not seen[dart]:
-                    seen[dart] = 1
-                    dart = succ[dart]
-        euler = len(self._verts) - len(tail) + faces
+                while dart >= 0:  # walk the face, marking each dart passed with -1
+                    succ[dart], dart = -1, succ[dart]
+        euler = len(self._verts) - len(self._tail) + faces
         if euler > 2 or (2 - euler) % 2 != 0:
             raise RuntimeError(f"face tracing produced impossible Euler characteristic {euler}")
         return EmbeddingCheck(faces=faces, genus=(2 - euler) // 2)

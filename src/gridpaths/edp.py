@@ -40,8 +40,10 @@ legal and consumes no edges.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .digraph import Digraph, Label, label_from_json, label_to_json
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -139,17 +141,32 @@ def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:
     return True
 
 
-def _ancestor_flags(target: int, in_edges: list[list[int]], tail: list[int]) -> bytearray:
-    """One flag per vertex id: set for ``target`` and every vertex that reaches it."""
-    flags = bytearray(len(in_edges))
-    flags[target] = 1
-    stack = [target]
-    while stack:
-        for e in in_edges[stack.pop()]:
-            u = tail[e]
-            if not flags[u]:
-                flags[u] = 1
-                stack.append(u)
+# _BIT[i] maps a byte to its bit i
+_BIT = [bytes((b >> i) & 1 for b in range(256)) for i in range(8)]
+
+
+def _ancestor_flags(g: Digraph, targets: list[int]) -> list[bytes]:
+    """Per target, one flag per vertex id: set for the target and every vertex that reaches it.
+
+    One pass in reverse topological order (``g`` must be acyclic) gives each
+    vertex the bitmask of the targets it reaches; each target's flags are
+    then cut out of the masks eight targets at a time, one byte each, by a
+    table lookup per target.
+    """
+    head, out_edges = g._head, g._out
+    reach = [0] * len(out_edges)
+    for j, t in enumerate(targets):
+        reach[t] |= 1 << j
+    for v in reversed(g._topo_ids()[0]):
+        bits = reach[v]
+        for e in out_edges[v]:
+            bits |= reach[head[e]]
+        reach[v] = bits
+    flags = []
+    for j in range(len(targets)):
+        if j % 8 == 0:
+            byte = bytes(map(operator.and_, map(operator.rshift, reach, repeat(j)), repeat(255)))
+        flags.append(byte.translate(_BIT[j % 8]))
     return flags
 
 
@@ -216,7 +233,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     res = head if vertex_disjoint else list(range(len(head)))
     taken = bytearray(nverts if vertex_disjoint else len(head))
     ends = [(ids[s], ids[t]) for s, t in pairs]
-    anc_flags = [_ancestor_flags(tv, g._in, tail) for _, tv in ends]
+    anc_flags = _ancestor_flags(g, [tv for _, tv in ends])
     # per pair: the resources of its witness and of the blocking cuts of its
     # last failed searches, the one that refuted last first, and the key of
     # its current entry

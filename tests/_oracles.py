@@ -4,7 +4,8 @@ These deliberately share no code with the package's search routines: the
 grid tiling oracle enumerates full assignment products, and the two path
 oracles enumerate every tuple of simple paths.  The rotation oracle sorts
 each vertex's neighbours with a comparator over Fraction directions, as the
-package did before it derived rotations from integer keys.
+package did before it derived rotations from integer keys, and the face
+oracle traces faces over those rotations with darts keyed by label pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from collections import deque
 from functools import cmp_to_key
 
-from gridpaths.digraph import Digraph, EmbeddedDigraph
+from gridpaths.digraph import Digraph, EmbeddedDigraph, NotConnectedError
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, check_gt_solution
 
@@ -134,6 +135,42 @@ def rotations_by_comparison(g: EmbeddedDigraph) -> dict:
         dirs.sort(key=cmp_to_key(_ccw_compare))
         result[v] = tuple(u for _, _, u in dirs)
     return result
+
+
+def faces_by_tracing(g: EmbeddedDigraph) -> tuple[int, int]:
+    """(faces, genus) of the rotation system that ``rotations_by_comparison`` gives.
+
+    Works on labels only.  A dart is a (from, to) pair of neighbours, and
+    the face after dart (u, v) leaves v towards the neighbour that follows
+    u around v.  Raises NotConnectedError for an empty or disconnected
+    graph, as Euler's formula needs a connected one, and otherwise
+    EmbeddingError when two neighbours of a vertex lie on one ray.
+    """
+    verts = g.vertices
+    if not verts:
+        raise NotConnectedError("empty graph")
+    reached, todo = {verts[0]}, [verts[0]]
+    while todo:
+        v = todo.pop()
+        for u in g.out(v) + g.inn(v):
+            if u not in reached:
+                reached.add(u)
+                todo.append(u)
+    if len(reached) < len(verts):
+        raise NotConnectedError("disconnected graph")
+    after = {}
+    for v, around in rotations_by_comparison(g).items():
+        for u, w in zip(around, around[1:] + around[:1]):
+            after[u, v] = (v, w)
+    faces, seen = 0, set()
+    for dart in after:
+        if dart not in seen:
+            faces += 1
+            while dart not in seen:
+                seen.add(dart)
+                dart = after[dart]
+    faces = max(faces, 1)  # a single vertex: one face, no darts
+    return faces, (2 - (len(verts) - len(g.edges) + faces)) // 2
 
 
 def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[list] | None, int]:

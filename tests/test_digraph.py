@@ -22,10 +22,10 @@ from gridpaths.digraph import (
     label_to_json,
 )
 from gridpaths.errors import EmbeddingError
-from gridpaths.gridtiling import generate_planted
+from gridpaths.gridtiling import generate_planted, generate_random
 from gridpaths.reduction import build_g1, level_set, reduce, reduce_degree
 
-from ._oracles import random_dag, rotations_by_comparison
+from ._oracles import faces_by_tracing, random_dag, rotations_by_comparison
 
 
 def unit_square():
@@ -311,6 +311,71 @@ class TestEmbedding:
         )
         with pytest.raises(ValueError, match="collinear"):
             g.check_planar_embedding()
+
+    def test_layout_defect_message_is_pinned(self):
+        # the first tie in vertex order, then angle order, then edge order
+        g = reduce(generate_planted(2, 13, noise=0, seed=0)).graph
+        expected = (
+            "collinear neighbor directions at GridVertex(i=1, j=1, q=1, ell=1, part='whole'): "
+            "GridVertex(i=1, j=1, q=1, ell=2, part='lb') and Terminal(family='c', index=1) on one ray"
+        )
+        with pytest.raises(EmbeddingError) as info:
+            g.check_planar_embedding()
+        assert str(info.value) == expected
+
+    def test_disconnection_is_reported_before_a_collinear_vertex(self):
+        g = EmbeddedDigraph(
+            ["a", "b", "c", "d", "e"],
+            [("a", "b"), ("a", "c"), ("b", "c"), ("d", "e")],
+            {"a": (0, 0), "b": (1, 0), "c": (2, 0), "d": (0, 1), "e": (1, 1)},
+        )
+        with pytest.raises(NotConnectedError):
+            g.check_planar_embedding()
+        with pytest.raises(EmbeddingError, match="collinear"):
+            g.rotation("a")
+
+
+def _traced(check, g):
+    """(faces, genus), or which error: a disconnected graph or two neighbours on one ray."""
+    try:
+        return check(g)
+    except NotConnectedError:
+        return "disconnected"
+    except ValueError:  # EmbeddingError, or antiparallel edges, which share a ray
+        return "ray"
+
+
+def _package_check(g):
+    check = g.check_planar_embedding()
+    return check.faces, check.genus
+
+
+class TestFaceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), reverse=st.booleans())
+    def test_random_graphs_match_label_tracing(self, seed, reverse):
+        g = random_embedded(seed)
+        if reverse and g.edges:  # add the reverse of one edge: antiparallel edges
+            u, v = g.edges[seed % g.num_edges]
+            g = EmbeddedDigraph(g.vertices, g.edges + ((v, u),), dict(g.coords))
+        assert _traced(_package_check, g) == _traced(faces_by_tracing, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(2, 12),
+        density=st.sampled_from([None, 0.1, 0.3, 0.5]),
+        seed=st.integers(0, 5),
+        degree2=st.booleans(),
+    )
+    def test_reductions_match_label_tracing(self, k, n, density, seed, degree2):
+        if density is None:
+            inst = generate_planted(k, n, noise=2, seed=seed)
+        else:
+            inst = generate_random(k, n, density, seed)
+        out = reduce(inst)
+        g = (reduce_degree(out) if degree2 else out).graph
+        assert _traced(_package_check, g) == _traced(faces_by_tracing, g)
 
 
 class TestRotation:

@@ -11,6 +11,7 @@ from gridpaths.edp import (
     PairSink,
     PairSource,
     PathSet,
+    _ancestor_flags,
     check_edp_solution,
     check_vdp_solution,
     edp_to_vdp_dag,
@@ -605,3 +606,21 @@ class TestSearchCore:
             tracemalloc.stop()
         assert check_edp_solution(out.graph, out.terminals, ps) == []
         assert peak < 3_000_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_ancestor_flags_match_reachability(self, seed, data):
+        # up to 20 targets, some repeated: the masks span three bytes
+        g, _ = random_dag(seed)
+        verts = g.vertices
+        targets = data.draw(st.lists(st.sampled_from(verts), max_size=20))
+        expected = []
+        for t in targets:
+            found, todo = {t}, [t]
+            while todo:
+                for u in g.inn(todo.pop()):
+                    if u not in found:
+                        found.add(u)
+                        todo.append(u)
+            expected.append(bytes(v in found for v in verts))
+        assert _ancestor_flags(g, [verts.index(t) for t in targets]) == expected
