@@ -35,7 +35,7 @@ from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
-from .errors import EmbeddingError
+from .errors import EmbeddingError, exact
 
 Label = Hashable
 Coord = tuple[Fraction, Fraction]
@@ -105,18 +105,11 @@ class TreeNode:
     path: tuple[int, ...]
 
 
-def _exact(kind: type, value):
-    # int() would truncate 1.9, parse "1" and take true as 1: test exact types
-    if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def _domain(kind: type, ok, what: str):
     """A decoder of JSON values of exact type ``kind`` for which ``ok`` holds."""
 
     def decode(value):
-        if not ok(_exact(kind, value)):
+        if not ok(exact(kind, value)):
             raise ValueError(f"expected {what}, got {value!r}")
         return value
 
@@ -124,7 +117,7 @@ def _domain(kind: type, ok, what: str):
 
 
 def _choices(bits) -> tuple[int, ...]:
-    path = tuple(_exact(int, b) for b in _exact(list, bits))
+    path = tuple(exact(int, b) for b in exact(list, bits))
     if not path or not set(path) <= {0, 1}:
         raise ValueError(f"expected a non-empty list of 0/1 choices, got {bits!r}")
     return path
@@ -554,10 +547,10 @@ class EmbeddedDigraph(Digraph):
             for entry in data["vertices"]:
                 raw = entry["label"]
                 v = decoded[repr(raw)] = label_from_json(raw)
-                x_str, y_str = entry["coord"]
+                x_str, y_str = exact(list, entry["coord"])
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
-            edges = [(decode(u), decode(v)) for u, v in data["edges"]]
+            edges = [(decode(u), decode(v)) for u, v in map(exact, repeat(list), data["edges"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(verts, edges, coords)
@@ -586,7 +579,7 @@ _COORD = re.compile(r"(-?[1-9][0-9]*|0)(?:/([2-9]|[1-9][0-9]+))?")
 
 
 def _parse_coord(text) -> int | Fraction:
-    match = _COORD.fullmatch(text) if type(text) is str else None
+    match = _COORD.fullmatch(exact(str, text))
     if match is None or (match[2] and math.gcd(int(match[1]), int(match[2])) != 1):
         raise ValueError(f"coordinate {text!r} is not '<n>' or '<n>/<d>' in lowest terms")
     return Fraction(int(match[1]), int(match[2])) if match[2] else int(match[1])

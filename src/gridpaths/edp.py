@@ -1,38 +1,11 @@
 """Exact edge-disjoint and vertex-disjoint path search on DAGs.
 
-One search serves both modes.  It routes terminal pairs one at a time in
-the given order: paths for the current pair are enumerated depth-first over
-resources not already used (one flag per edge in edge-disjoint mode, per
-vertex in vertex-disjoint mode), extensions into vertices that
-cannot reach the current target are skipped, and a branch in which a
-pair still to route has lost its last residual route is abandoned.  The
-search is exhaustive, so a None answer is a proof of infeasibility at the
-given budget.
-
-Each pair still to route keeps a witness route, so a resource taken off
-no witness needs no test.  A pair whose witness loses a resource is
-tested again: first against the blocking cuts of its last failed tests,
-each the resources on the arcs from a failed search's explored set into
-unexplored ancestors of the target.  That set of arcs is fixed by the
-graph and every route has to leave the explored set by one of them, so
-while all of any held cut is taken the target is out of reach.  Only when
-no held cut holds does the test search again, for a new witness or a new
-cut.  A pair keeps at most 16 cuts, most recently used first: a search may
-run for millions of expansions, every test scans the held cuts, and the
-search backtracks to states close to recent ones, where the cut that held
-last is the likeliest to hold again.
-
-When an arc into w cuts a later pair off, the plain search would walk all
-of w's subtree for nothing: every path through it reaches the target with
-that pair still cut off.  This search counts that subtree instead of
-walking it, and the count is exact.  In a DAG nothing reachable from w
-lies on the current pair's path so far, so the subtree's size depends
-only on the resources of the earlier pairs, which stay fixed until the
-current pair is entered again; sizes are memoized per entry into a pair
-and capped at one past the budget, where the plain search would have
-raised.  The answers, the expansion counts and the budget behaviour are
-those of the plain search, which tries the pairs in order and the arcs in
-edge order and tests the remaining pairs at each target.
+One exhaustive backtracking search serves both modes: it routes the
+terminal pairs one at a time in the given order, each over the resources
+(edges, or vertices) the earlier pairs left free, so a None answer is a
+proof of infeasibility at the given budget.  ``_search`` documents how it
+prunes without changing the search tree.  Also here: solution checkers and
+the line-graph transform from edge-disjoint to vertex-disjoint paths.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -46,7 +19,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .digraph import Digraph, Label, label_from_json, label_to_json
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, exact
 
 # blocking cuts kept per pair by the path search's reachability test
 _HELD_CUTS = 16
@@ -64,8 +37,8 @@ class PathSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PathSet":
         try:
-            return cls([[label_from_json(v) for v in p] for p in data["paths"]])
-        except (KeyError, TypeError) as exc:
+            return cls([[label_from_json(v) for v in exact(list, p)] for p in exact(list, data["paths"])])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed path set document: {exc}") from exc
 
 
@@ -173,44 +146,50 @@ def _ancestor_flags(g: Digraph, targets: list[int]) -> list[bytes]:
 def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
     """The backtracking search behind both solvers, over the graph's vertex ids.
 
-    Each arc consumes one resource: its edge in edge-disjoint mode, its head
-    vertex in vertex-disjoint mode, which also claims each path's start
-    vertex.  The search runs on an explicit stack of frames [pair, vertex,
-    resource taken (-1 for none), next arc], so its depth is not bounded by
-    the recursion limit; the frames of one pair spell out that pair's path.
-    One ``taken`` flag per resource holds the state of the whole stack: a
-    frame sets its resource's flag when pushed and clears it when popped.
+    The plain search it reproduces routes the pairs in the given order, tries
+    each vertex's arcs in edge order, skips an arc into a vertex that cannot
+    reach the current target, and at each target abandons the branch if a
+    later pair has no route left.  Each arc consumes one resource: its edge
+    in edge-disjoint mode, its head vertex in vertex-disjoint mode, which
+    also claims each path's start vertex.  The search runs on an explicit
+    stack of frames [pair, vertex, resource taken, next arc], so its depth
+    is not bounded by the recursion limit; the frames of one pair spell out
+    that pair's path.  One ``taken`` flag per resource holds the state of
+    the whole stack: a frame sets its resource's flag when pushed and clears
+    it when popped.  A first frame in edge-disjoint mode takes resource -1,
+    a spare flag after the others.
 
     Each pair after the first keeps a witness route (no pair routes before
     the first), and ``users`` maps each resource to a bitmask of the pairs
     whose witness uses it.  Taking a resource for pair i, an arc's or its
     start vertex, can cut off only the later pairs in its mask, so only
-    those are tested, by ``reachable(j)``: first the held cuts that contain
-    the resource just taken, as no other can hold, then a depth-first
-    search from the source over ancestors of the target, which records
-    either a new witness, through the per-vertex arcs ``via``, or a new
-    blocking cut, the resources of the arcs from the explored set into
+    those are tested, by ``cut_off``, which a step calls only when that mask
+    is not empty.  It tests each by ``reachable(j)``: first the held cuts
+    that contain the resource just taken, as no other can hold, then a
+    depth-first search from the source over ancestors of the target, which
+    records either a new witness, through the per-vertex arcs ``via``, or a
+    new blocking cut, the resources of the arcs from the explored set into
     unexplored ancestors of the target.  While all of any held cut is taken
     the target is out of reach, since every route has to leave that cut's
     explored set through one of its arcs, which the graph fixes.  The cuts
     are held most recently used first, a new one or one that just refuted
     moved to the front, since nearby states of the search are refuted by the
     same cut, and ``_HELD_CUTS`` of them at most, since a test may scan them
-    all however long the search runs.  Freeing a resource breaks no
-    witness, so each later pair has a whole witness at every pushed frame,
-    and every target frame hands over to the next pair.
+    all however long the search runs.  Freeing a resource breaks no witness,
+    so each later pair has a whole witness at every pushed frame, and every
+    target frame hands over to the next pair.
 
     When a later pair is cut off by the arc into w (or by w, the start
-    vertex of pair i), a plain search would walk w's whole subtree and fail
-    at every target, since taking more resources keeps that pair cut off.
-    It would spend N(w) = the sum over the free arcs w -> x into ancestors
-    of the target of 1 + N(x) expansions, N(target) = 0, and ``subtree``
-    counts them instead.  In a DAG nothing reachable from w lies on the
-    path prefix, so N depends only on the resources of the earlier pairs:
-    it is memoized per entry into pair i (``start(i)`` draws a new key) and
-    capped at budget + 1, past which the plain search would have raised.
-    Answers, expansion counts and budget behaviour are those of the plain
-    search.
+    vertex of pair i), the plain search would walk w's whole subtree and
+    fail at every target, since taking more resources keeps that pair cut
+    off.  It would spend N(w) = the sum over the free arcs w -> x into
+    ancestors of the target of 1 + N(x) expansions, N(target) = 0;
+    ``cut_off`` frees the resource again and ``subtree`` counts them
+    instead.  In a DAG nothing reachable from w lies on the path prefix, so
+    N depends only on the resources of the earlier pairs: it is memoized
+    per entry into pair i (``start(i)`` draws a new key) and capped at
+    budget + 1, past which the plain search would have raised.  Answers,
+    expansion counts and budget behaviour are those of the plain search.
     """
     _, cycle = g._topo_ids()
     if cycle is not None:
@@ -231,7 +210,8 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     nverts = len(g._verts)
     # a list: indexing a range is several times slower
     res = head if vertex_disjoint else list(range(len(head)))
-    taken = bytearray(nverts if vertex_disjoint else len(head))
+    # one flag per resource, and a spare last one for frames that take none (-1): no witness uses it
+    taken = bytearray((nverts if vertex_disjoint else len(head)) + 1)
     ends = [(ids[s], ids[t]) for s, t in pairs]
     anc_flags = _ancestor_flags(g, [tv for _, tv in ends])
     # per pair: the resources of its witness and of the blocking cuts of its
@@ -283,10 +263,8 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                         via[w] = e
                         stack.append(w)
             if found < 0:
-                # Every arc from the explored set into an unexplored ancestor
-                # is taken, so while those stay taken the target stays out of
-                # reach.  Each resource is listed once: in vertex-disjoint mode
-                # several blocked arcs can share a head.
+                # the blocking cut, each resource once: in vertex-disjoint mode
+                # several blocked arcs can share a head
                 held.appendleft(
                     list(dict.fromkeys(res[e] for e in blocked if anc[head[e]] and seen[head[e]] != key))
                 )
@@ -303,16 +281,19 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 users[x] |= bit
         return True
 
-    def later_ok(r: int, idx: int) -> bool:
-        # every pair after idx whose witness uses resource r is reachable
+    def cut_off(idx: int, r: int, w: int) -> bool:
+        # whether taking r cut off a pair after idx whose witness uses r; if so,
+        # frees r and counts w's subtree
         j = idx + 1
         mask = users[r] >> j
         while mask:
             if mask & 1 and not reachable(j, r):
-                return False
+                taken[r] = 0
+                subtree(idx, w)
+                return True
             mask >>= 1
             j += 1
-        return True
+        return False
 
     def subtree(idx: int, w: int) -> None:
         # adds N(w) for pair idx to the expansions; raises past the budget
@@ -348,20 +329,13 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
         keys += 1
         entry[idx] = keys
         sv = ends[idx][0]
-        if not vertex_disjoint:
-            frames.append([idx, sv, -1, 0])
-            return
-        taken[sv] = 1
-        if users[sv] >= 2 << idx and not later_ok(sv, idx):
-            taken[sv] = 0
-            subtree(idx, sv)
-        else:
-            frames.append([idx, sv, sv, 0])
+        r = sv if vertex_disjoint else -1
+        taken[r] = 1
+        if not (users[r] >= 2 << idx and cut_off(idx, r, sv)):
+            frames.append([idx, sv, r, 0])
 
     def pop() -> None:
-        r = frames.pop()[2]
-        if r >= 0:
-            taken[r] = 0
+        taken[frames.pop()[2]] = 0
 
     if not all(map(reachable, range(npairs))):
         return None
@@ -400,9 +374,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             if expansions > budget:
                 raise BudgetExceededError(budget)
             taken[r] = 1
-            if users[r] >= above and not later_ok(r, idx):
-                taken[r] = 0
-                subtree(idx, w)
+            if users[r] >= above and cut_off(idx, r, w):
                 continue
             frame[3] = nxt
             frames.append([idx, w, r, 0])

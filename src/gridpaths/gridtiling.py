@@ -15,9 +15,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import Iterator, Mapping
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, exact
 
 Pair = tuple[int, int]
 Cell = tuple[int, int]
@@ -38,9 +39,7 @@ class GridTilingInstance:
 
     def cells(self) -> Iterator[Cell]:
         """All cell coordinates in row-major order (x fast, y slow)."""
-        for y in range(1, self.k + 1):
-            for x in range(1, self.k + 1):
-                yield (x, y)
+        return _cells(self.k)
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,17 +55,17 @@ class GridTilingInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridTilingInstance":
         try:
-            k = _json_int(data["k"])
-            n = _json_int(data["N"])
+            k = exact(int, data["k"])
+            n = exact(int, data["N"])
             sets = {}
-            for key, pairs in data["sets"].items():
+            for key, pairs in exact(dict, data["sets"]).items():
                 cell = _CELL_KEY.fullmatch(key)
                 if cell is None:
                     raise ValueError(f"cell key {key!r} is not '<x>,<y>' in positive decimals")
                 sets[(int(cell[1]), int(cell[2]))] = frozenset(
-                    (_json_int(a), _json_int(b)) for a, b in pairs
+                    (exact(int, a), exact(int, b)) for a, b in map(exact, repeat(list), exact(list, pairs))
                 )
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed grid tiling instance: {exc}") from exc
         return cls(k=k, N=n, sets=sets)
 
@@ -76,15 +75,15 @@ class GridTilingInstance:
 _CELL_KEY = re.compile(r"([1-9][0-9]*),([1-9][0-9]*)")
 
 
-def _json_int(value) -> int:
-    # int() would truncate 1.9, parse "2" and take true as 1: test exact types
-    if type(value) is not int:
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
+def _cells(k: int) -> Iterator[Cell]:
+    """The cells of a k x k grid in row-major order; the generators' random draws follow it."""
+    for y in range(1, k + 1):
+        for x in range(1, k + 1):
+            yield (x, y)
 
 
 def _int_pair(value) -> bool:
-    """Whether ``value`` is a tuple of two ints, by exact type as ``_json_int`` tests."""
+    """Whether ``value`` is a tuple of two ints, by exact type as ``errors.exact`` tests."""
     return type(value) is tuple and len(value) == 2 and all(type(c) is int for c in value)
 
 
@@ -118,7 +117,7 @@ def validate_instance(inst: GridTilingInstance) -> list[str]:
     violations = _size_violations(inst.k, inst.N)
     if violations:
         return violations
-    expected = {(x, y) for x in range(1, inst.k + 1) for y in range(1, inst.k + 1)}
+    expected = set(inst.cells())
     # values of other types are reported by repr: sorting them with ints would raise
     present = {cell for cell in inst.sets if _int_pair(cell)}
     for cell in sorted(set(inst.sets) - present, key=repr):
@@ -223,12 +222,11 @@ def generate_planted(k: int, N: int, noise: int = 0, seed: int = 0) -> GridTilin
         raise ValueError("; ".join(violations))
     rng = random.Random(seed)
     sets = {}
-    for y in range(1, k + 1):
-        for x in range(1, k + 1):
-            pairs = {(min(y, N), min(x, N))}
-            for _ in range(noise):
-                pairs.add((rng.randint(1, N), rng.randint(1, N)))
-            sets[(x, y)] = frozenset(pairs)
+    for x, y in _cells(k):
+        pairs = {(min(y, N), min(x, N))}
+        for _ in range(noise):
+            pairs.add((rng.randint(1, N), rng.randint(1, N)))
+        sets[(x, y)] = frozenset(pairs)
     return GridTilingInstance(k=k, N=N, sets=sets)
 
 
@@ -240,13 +238,6 @@ def generate_random(k: int, N: int, density: float, seed: int = 0) -> GridTiling
     if violations := violations + _seed_violations(seed):
         raise ValueError("; ".join(violations))
     rng = random.Random(seed)
-    sets = {}
-    for y in range(1, k + 1):
-        for x in range(1, k + 1):
-            sets[(x, y)] = frozenset(
-                (a, b)
-                for a in range(1, N + 1)
-                for b in range(1, N + 1)
-                if rng.random() < density
-            )
+    pairs = list(product(range(1, N + 1), repeat=2))
+    sets = {cell: frozenset(p for p in pairs if rng.random() < density) for cell in _cells(k)}
     return GridTilingInstance(k=k, N=N, sets=sets)

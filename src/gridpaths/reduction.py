@@ -32,7 +32,8 @@ from .digraph import (
     VConnector,
     label_to_json,
 )
-from .gridtiling import GridTilingInstance, _json_int, _size_violations, _valid
+from .errors import exact
+from .gridtiling import GridTilingInstance, _size_violations, _valid
 
 SIDES = ("left", "right", "top", "bottom")
 
@@ -130,11 +131,8 @@ class ReductionOutput:
         ``graph``, ``terminals`` and ``counts`` must equal the rebuild's encoding.
         """
         try:
-            counts = [_json_int(data["counts"][key]) for key in ("vertices", "edges")]
-            degree_reduced = data["degree_reduced"]
-            # bool("false") is True: test the exact type
-            if type(degree_reduced) is not bool:
-                raise TypeError(f"degree_reduced must be a boolean, got {degree_reduced!r}")
+            counts = [exact(int, data["counts"][key]) for key in ("vertices", "edges")]
+            degree_reduced = exact(bool, data["degree_reduced"])
             stored = {part: data[part] for part in ("graph", "terminals", "counts")}
             inst = GridTilingInstance.from_json_dict(data["instance"])
         except (KeyError, TypeError) as exc:
@@ -259,10 +257,19 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
             tail += [*chain[:-1], *_boundary(parts, N, i, j, fam.sides[1]), *chain]
             head += [*chain[1:], *chain, *_boundary(parts, N, i + di, j + dj, fam.sides[0])]
 
-    # Terminals sit one unit outside the grids' bounding box, a fan tree's
-    # internal nodes on evenly spaced levels between the terminal and the
-    # split copies nearest it (a quarter outside the outermost grid line).
-    outside = (-den, (k * pitch + 1) * den)
+    # Terminals sit ``depth`` units outside the grids' bounding box, a fan
+    # tree's internal nodes on evenly spaced levels between the terminal and
+    # the split copies nearest it (a quarter outside the outermost grid line).
+    # A direct fan edge to a leaf a units across from its terminal runs
+    # depth + 1 units deep, so it moves a / (4 (depth + 1)) across in the
+    # last quarter unit before the leaf, where the grid edge between the
+    # leaf and the split copy of its neighbour nearer the terminal moves 3/4.
+    # The fan edge stays on its own side of that grid edge only while
+    # a < 3 (depth + 1), for every a up to (N - 1) / 2: depth 1 fails from
+    # N = 13 on.  depth = ceil(N / 4) keeps a / (depth + 1) below 2 at every N.
+    depth = -(-N // 4)
+    outside = (-depth * den, (k * pitch + depth) * den)
+    inward = (4 * depth + 3) * quarter  # depth + 3/4, from a terminal to the split copies nearest it
     roots = {}
     for fam, m in product(_FAMILIES, ks):
         for end, family in enumerate(fam.terminals):
@@ -283,9 +290,6 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
                 fan[end].extend([root] * N)
                 fan[1 - end].extend(leaves)
                 continue
-            # the leaves line up along the family's axis; the split copies
-            # nearest the terminal sit 7 quarters further in
-            inward = (7, -7)[end] * quarter
 
             def grow(lo: int, hi: int, path: tuple[int, ...]) -> int:
                 if hi - lo == 1:
@@ -294,7 +298,7 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
                 if path:
                     verts.append(TreeNode(family, m, path))
                     t = (xy[leaves[lo]][fam.axis] + xy[leaves[hi - 1]][fam.axis]) // 2
-                    xy.append(_orient(fam, t, outside[end] + inward * len(path) // levels))
+                    xy.append(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
                 mid = _tree_split(lo, hi)
                 for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
                     child = grow(clo, chi, path + (bit,))

@@ -12,6 +12,7 @@ from gridpaths.cli import (
 )
 from gridpaths import cli, gridtiling, mappers, reduction
 from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, is_dotted_edge, label_to_json
+from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 
 
@@ -127,17 +128,24 @@ class TestReduce:
         code, _, _ = run(capsys, "reduce", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_USAGE
 
-    def test_layout_defect_on_valid_instance_exits_4(self, capsys, tmp_path):
-        # N = 13 trips the known collinear fan geometry; the instance itself is valid
+    def test_n13_instance_reduces_with_genus_0(self, capsys, tmp_path):
+        # from N = 13 on, terminals one unit outside the grids made two fan edges collinear
         inst = tmp_path / "n13.json"
         run(capsys, "gen", "1", "13", "--out", str(inst))
-        code, _, err = run(capsys, "reduce", str(inst), "--out", str(tmp_path / "r.json"))
+        code, out, _ = run(capsys, "reduce", str(inst), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["ok"] is True and report["checks"]["genus"] == 0
+
+    def test_embedding_error_exits_4(self, capsys, tmp_path, monkeypatch):
+        # a gadget drawing with no rotation system is a layout defect, not bad input
+        def collinear(self):
+            raise EmbeddingError("collinear neighbor directions at x: y and z on one ray")
+
+        monkeypatch.setattr(EmbeddedDigraph, "check_planar_embedding", collinear)
+        code, _, err = run(capsys, "reduce", str(gen_instance(capsys, tmp_path)), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_INTERNAL
-        assert "collinear" in err
-        # the fan edge c1 -> w(1,1,1,1) runs through the lb copy of (1,1,1,2)
-        assert "at GridVertex(i=1, j=1, q=1, ell=1, part='whole')" in err
-        assert "GridVertex(i=1, j=1, q=1, ell=2, part='lb')" in err
-        assert "Terminal(family='c', index=1)" in err
+        assert err == "internal error: collinear neighbor directions at x: y and z on one ray\n"
 
 
 class TestRoundtrip:

@@ -313,8 +313,14 @@ class TestEmbedding:
             g.check_planar_embedding()
 
     def test_layout_defect_message_is_pinned(self):
-        # the first tie in vertex order, then angle order, then edge order
-        g = reduce(generate_planted(2, 13, noise=0, seed=0)).graph
+        # the first tie in vertex order, then angle order, then edge order; the
+        # geometry of the fan corner that made N = 13 gadgets collinear
+        w, lb, c1 = GridVertex(1, 1, 1, 1), GridVertex(1, 1, 1, 2, "lb"), Terminal("c", 1)
+        g = EmbeddedDigraph(
+            [w, lb, c1],
+            [(w, lb), (c1, w), (c1, lb)],
+            {w: (1, 1), lb: (Fraction(3, 4), Fraction(7, 4)), c1: (-1, 7)},
+        )
         expected = (
             "collinear neighbor directions at GridVertex(i=1, j=1, q=1, ell=1, part='whole'): "
             "GridVertex(i=1, j=1, q=1, ell=2, part='lb') and Terminal(family='c', index=1) on one ray"
@@ -485,10 +491,12 @@ class TestSerialization:
         [
             ["1/0", "0"], [" 1/4 ", "0"], ["0.25", "0"], ["1e3", "0"], ["2/4", "0"], [True, "0"],
             [0.1, "0"], ["1", "2", "3"], ["-0", "0"], ["3/1", "0"], ["01", "0"], [1, "0"],
+            "11", {"1": 0, "3": 0},
         ],
         ids=[
             "zero-denominator", "spaces", "decimal-point", "exponent", "not-lowest-terms", "json-true",
             "json-float", "three-elements", "minus-zero", "denominator-one", "leading-zero", "json-int",
+            "string-container", "object-container",
         ],
     )
     def test_non_canonical_coordinate_rejected(self, coord):

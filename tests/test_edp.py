@@ -446,6 +446,12 @@ class TestPathSetJson:
         with pytest.raises(ValueError):
             PathSet.from_json_dict({"nope": []})
 
+    # a string or an object unpacks like a list; a bad label is named inside the document
+    @pytest.mark.parametrize("paths", ["12", [{"kind": "grid"}], [[{"kind": "grid"}]], [["x"]]])
+    def test_malformed_paths_rejected_as_a_path_set_document(self, paths):
+        with pytest.raises(ValueError, match="^malformed path set document: "):
+            PathSet.from_json_dict({"paths": paths})
+
 
 class TestSearchCore:
     # SHA-256 of both solvers' answers (the repr of the paths, "none" or

@@ -289,7 +289,9 @@ class TestLoadCheck:
 class TestGoldenOutput:
     # SHA-256 of the JSON and DOT text of reduce and reduce_degree over the
     # instance list below; a refactor of the construction must keep it.
-    DIGEST = "72575b1fad0f09d3e25c43e53f48b6284f21e9ddb33e777317b6e7fa49c86880"
+    # Re-pinned when the terminal depth became ceil(N / 4): the vertex and
+    # edge lists stayed identical, only coordinate strings changed.
+    DIGEST = "bf2b0bfcbe4f14ef049249fba8877b3a72831aaaa7b83b74b2ddc992712346d8"
 
     def test_json_and_dot_output_is_byte_identical_to_pinned_digest(self):
         digest = hashlib.sha256()
@@ -311,8 +313,8 @@ class TestGoldenOutput:
 
     # Same digest over reduce_degree alone at sizes where the fan trees'
     # depth changes (around powers of two); computed before the trees were
-    # built in the construction pass.
-    TREE_DIGEST = "d474ef38342ad1bf8a2ccf37275de5f564b1b0534bf7b1402342aa33adef2d39"
+    # built in the construction pass; re-pinned with DIGEST.
+    TREE_DIGEST = "1e9addc462dacd0d0449d41352814628c4c92172a2e151d29c2004380980e9b7"
 
     def test_fan_trees_are_byte_identical_to_pinned_digest(self):
         digest = hashlib.sha256()
@@ -352,6 +354,33 @@ class TestIdConstruction:
         h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
         for attr in ("_verts", "_tail", "_head", "_out", "_in", "_pairs", "_xy", "_den"):
             assert getattr(g, attr) == getattr(h, attr), attr
+
+
+class TestCertificateAtEverySize:
+    """DAG, genus 0 and exact counts past the N = 13 at which direct fans were once collinear."""
+
+    # planted noise 0 or 2 and random d = 0.3 all mix split and whole positions
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(2, 40),
+        noise=st.sampled_from([0, 2, None]),
+        degree2=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_mixed_instances_certify(self, k, n, noise, degree2, seed):
+        if noise is None:
+            inst = generate_random(k, n, 0.3, seed=seed)
+        else:
+            inst = generate_planted(k, n, noise=noise, seed=seed)
+        out = reduce(inst)
+        if degree2:
+            out = reduce_degree(out)
+        g = out.graph
+        assert g.topological_sort()[1] is None
+        assert g.check_planar_embedding().genus == 0
+        assert (g.num_vertices, g.num_edges) == (out.counts.vertices, out.counts.edges)
+        assert out.counts == predicted_counts(inst, degree2)
 
 
 class TestBoundary:
