@@ -4,8 +4,9 @@ Every command writes a machine-readable JSON report to stdout and a short
 human summary to stderr.  Exit codes: 0 all checks pass, 1 check failure,
 2 usage or parse error, 3 solver budget exhausted, 4 internal error (the
 gadget's drawing has no well-defined embedding, face tracing breaks Euler's
-formula, or a mapper rejects or cannot read the solvers' own answers).  The
-DPATH_BUDGET environment variable overrides the solvers' node-expansion cap.
+formula, a mapper rejects or cannot read the solvers' own answers, or any
+other exception).  The DPATH_BUDGET environment variable overrides the
+solvers' node-expansion cap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import time
 
 from . import edp, gridtiling, mappers, reduction
-from .digraph import LB, EmbeddedDigraph, GridVertex, is_dotted_edge
+from .digraph import EmbeddedDigraph
 from .errors import DEFAULT_BUDGET, BudgetExceededError, EmbeddingError
 
 EXIT_OK = 0
@@ -62,14 +63,6 @@ def _structure_report(out: reduction.ReductionOutput, timings: dict) -> dict:
         "actual": {"vertices": g.num_vertices, "edges": g.num_edges},
     }
     counts["match"] = counts["predicted"] == counts["actual"]
-    verts, head = g._verts, g._head
-    # a dotted edge leaves an lb copy: test only those vertices' out-edges
-    dotted = sum(
-        is_dotted_edge(u, verts[head[e]])
-        for n, u in enumerate(verts)
-        if type(u) is GridVertex and u.part == LB
-        for e in g._out[n]
-    )
     checks = {
         "dag": cycle is None,
         "faces": embedding.faces,
@@ -78,7 +71,7 @@ def _structure_report(out: reduction.ReductionOutput, timings: dict) -> dict:
         "max_out_degree": g.max_out_degree(),
         "terminal_pairs": len(out.terminals),
         "terminal_pairs_ok": pair_ok,
-        "dotted_edges": dotted,
+        "dotted_edges": len(g._split_edges()),
         "degree_reduced": out.degree_reduced,
     }
     return {
@@ -94,10 +87,17 @@ def _structure_report(out: reduction.ReductionOutput, timings: dict) -> dict:
     }
 
 
-def _load_instance(path: str) -> gridtiling.GridTilingInstance:
+def _read_json(path: str):
+    """The JSON document in file ``path``; every input file is read through here."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    return gridtiling._valid(gridtiling.GridTilingInstance.from_json_dict(data), path)
+        try:
+            return json.load(handle)
+        except RecursionError:  # a RuntimeError, which main would report as an internal error
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
+def _load_instance(path: str) -> gridtiling.GridTilingInstance:
+    return gridtiling._valid(gridtiling.GridTilingInstance.from_json_dict(_read_json(path)), path)
 
 
 def _emit(payload: str, out_path: str | None) -> None:
@@ -205,8 +205,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    with open(args.graph, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(args.graph)
     if isinstance(data, dict) and "instance" in data:
         g = reduction.ReductionOutput.from_json_dict(data).graph
     else:
@@ -281,6 +280,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other crash (MemoryError, a bug): never Python's exit 1, "check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

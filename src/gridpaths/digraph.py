@@ -555,15 +555,25 @@ class EmbeddedDigraph(Digraph):
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(verts, edges, coords)
 
+    def _split_edges(self) -> list[int]:
+        """The ids of the edges ``is_dotted_edge`` holds for; only an lb copy has one leaving it."""
+        verts, head = self._verts, self._head
+        lbs = (n for n, u in enumerate(verts) if isinstance(u, GridVertex) and u.part == LB)
+        return [e for n in lbs for e in self._out[n] if is_dotted_edge(verts[n], verts[head[e]])]
+
     def to_dot(self) -> str:
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
         names, den = [label_name(v) for v in self._verts], self._den
         lines = ["digraph reduction {"]
         # int / int is correctly rounded: the same float as float(Fraction)
-        for name, (x, y) in zip(names, self._xy):
-            lines.append(f'  "{name}" [pos="{x / den},{y / den}!"];')
-        for a, b in zip(self._tail, self._head):
-            attr = " [style=dotted]" if is_dotted_edge(self._verts[a], self._verts[b]) else ""
+        for v, name, (x, y) in zip(self._verts, names, self._xy):
+            try:
+                lines.append(f'  "{name}" [pos="{x / den},{y / den}!"];')
+            except OverflowError:
+                raise ValueError(f"coordinate of {v!r} is outside the float range") from None
+        dotted = set(self._split_edges())
+        for e, (a, b) in enumerate(zip(self._tail, self._head)):
+            attr = " [style=dotted]" if e in dotted else ""
             lines.append(f'  "{names[a]}" -> "{names[b]}"{attr};')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -571,7 +581,9 @@ class EmbeddedDigraph(Digraph):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return super().__eq__(other) and self.coords == other.coords
+        # each graph is in lowest terms over its least denominator: equal points, equal numerators
+        xy, ids = other._xy, other._id
+        return super().__eq__(other) and self._den == other._den and self._xy == [xy[ids[v]] for v in self._verts]
 
 
 # exactly the str(Fraction) that to_json_dict writes: no leading zero, d > 1 in lowest terms

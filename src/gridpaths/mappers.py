@@ -94,19 +94,13 @@ def paths_to_gt_solution(out: ReductionOutput, ps: PathSet) -> GTAssignment:
     if violations:
         raise InvalidSolutionError("path set is not a solution: " + "; ".join(violations))
     k = out.provenance.k
+    rows = [set(path) for path in ps.paths[k:]]
     choice = {}
     for i in range(1, k + 1):
         column_route = ps.paths[i - 1]
-        for j in range(1, k + 1):
-            row_verts = set(ps.paths[k + j - 1])
+        for j, row_verts in enumerate(rows, 1):
             for v in column_route:
-                if (
-                    isinstance(v, GridVertex)
-                    and v.part == WHOLE
-                    and v.i == i
-                    and v.j == j
-                    and v in row_verts
-                ):
+                if isinstance(v, GridVertex) and v.part == WHOLE and (v.i, v.j) == (i, j) and v in row_verts:
                     choice[(i, j)] = (v.q, v.ell)
                     break
             else:

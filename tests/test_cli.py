@@ -1,6 +1,9 @@
 import itertools
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gridpaths.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -254,6 +257,16 @@ class TestInternalFaults:
         assert code == EXIT_INTERNAL
         assert "internal error: assignment does not solve the instance" in err
 
+    def test_unmapped_exception_exits_4(self, capsys, monkeypatch):
+        # no crash may fall through to Python's default handler, whose exit 1 reads as "check failed"
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(gridtiling, "generate_planted", broken)
+        code, _, err = run(capsys, "gen", "2", "3")
+        assert code == EXIT_INTERNAL
+        assert err == "internal error: TypeError: unexpected argument\n"
+
     def test_impossible_euler_characteristic_exits_4(self, capsys, tmp_path, monkeypatch):
         def broken(self):
             raise RuntimeError("face tracing produced impossible Euler characteristic 3")
@@ -339,6 +352,96 @@ class TestExport:
         code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
         assert code == EXIT_USAGE
         assert "graph differs" in err
+
+
+def _leaf_paths(doc, path=()):
+    """The key paths to every scalar in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+_GRAPH_DOC = reduction.reduce(gridtiling.generate_planted(2, 2, noise=0, seed=0)).graph.to_json_dict()
+_GRAPH_LEAVES = list(_leaf_paths(_GRAPH_DOC))
+_HUGE_DECIMALS = ["1" + "0" * 400, "-1" + "0" * 400, "1/" + "3" * 400]
+_LEAF_VALUES = st.one_of(
+    st.integers(min_value=2**63) | st.integers(max_value=-(2**63)),
+    st.floats(),
+    st.text(max_size=6) | st.sampled_from(_HUGE_DECIMALS),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+class TestMalformedInput:
+    """Every malformed input file exits 2, however it is malformed."""
+
+    def test_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        # json.load raises RecursionError, a RuntimeError, which is not a fault of the program
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        for argv in (["export", str(path)], ["roundtrip", str(path)]):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert err == f"error: {path}: JSON nested too deeply to decode\n"
+
+    def test_coordinate_outside_float_range_exits_2_on_dot_export(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(_GRAPH_DOC))
+        doc["vertices"][0]["coord"][0] = "1" + "0" * 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export", str(path), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: coordinate of GridVertex(i=1, j=1, q=1, ell=1, part='whole') is outside")
+        code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
+        assert code == EXIT_OK
+
+    def test_huge_k_reports_missing_cells_without_making_them(self, capsys, tmp_path, monkeypatch):
+        cells = gridtiling._cells
+
+        def capped(k):
+            # the reader may list cells, but never k^2 of them
+            for n, cell in enumerate(cells(k)):
+                assert n < 10_000, "validation enumerates every cell"
+                yield cell
+
+        monkeypatch.setattr(gridtiling, "_cells", capped)
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps({"k": 100_000, "N": 2, "sets": {"1,1": [[1, 1]]}}))
+        code, _, err = run(capsys, "reduce", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_USAGE
+        named = "; ".join(f"missing set for cell (1, {y})" for y in range(2, 12))
+        assert err == f"error: {path}: {named}; missing sets for 9999999989 more cells\n"
+
+    def test_few_missing_cells_are_all_named_in_sorted_order(self, capsys, tmp_path):
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps({"k": 2, "N": 2, "sets": {"2,2": [[1, 1]], "3,1": [[1, 1]]}}))
+        code, _, err = run(capsys, "roundtrip", str(path))
+        assert code == EXIT_USAGE
+        assert err == (
+            f"error: {path}: missing set for cell (1, 1); missing set for cell (1, 2); "
+            "missing set for cell (2, 1); unexpected cell (3, 1) outside [1,2]^2\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(leaf=st.sampled_from(_GRAPH_LEAVES), value=_LEAF_VALUES)
+    def test_one_replaced_leaf_exits_0_or_2(self, tmp_path_factory, leaf, value):
+        doc = json.loads(json.dumps(_GRAPH_DOC))
+        parent = doc
+        for key in leaf[:-1]:
+            parent = parent[key]
+        parent[leaf[-1]] = value
+        path = tmp_path_factory.mktemp("leaf") / "graph.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("dot", "json"):
+            assert main(["export", str(path), "--format", fmt, "--out", str(path.with_suffix("." + fmt))]) in (
+                EXIT_OK,
+                EXIT_USAGE,
+            )
 
 
 class TestUsage:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpaths.digraph import (
+    LB,
+    TR,
     Digraph,
     EmbeddedDigraph,
     GridVertex,
@@ -547,3 +549,55 @@ class TestSerialization:
         assert is_dotted_edge(lb, tr)
         assert not is_dotted_edge(tr, lb)
         assert not is_dotted_edge(lb, GridVertex(1, 1, 2, 3, "tr"))
+
+
+class TestSplitEdges:
+    """One pass lists the split edges for the DOT writer and the structure report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(2, 5),
+        random_sets=st.booleans(),
+        seed=st.integers(0, 10_000),
+        degree2=st.booleans(),
+    )
+    def test_pass_equals_a_scan_of_every_edge(self, k, n, random_sets, seed, degree2):
+        inst = generate_random(k, n, 0.5, seed) if random_sets else generate_planted(k, n, noise=2, seed=seed)
+        out = reduce(inst)
+        g = reduce_degree(out).graph if degree2 else out.graph
+        scan = [e for e, (u, v) in enumerate(g.edges) if is_dotted_edge(u, v)]
+        assert sorted(g._split_edges()) == scan
+        assert len(scan) == sum(n * n - len(inst.sets[cell]) for cell in inst.cells())
+        dotted_lines = [line for line in g.to_dot().splitlines() if line.endswith(" [style=dotted];")]
+        assert len(dotted_lines) == len(scan)
+
+    def test_lb_copy_with_other_out_edges(self):
+        lb, tr = GridVertex(1, 1, 1, 1, LB), GridVertex(1, 1, 1, 1, TR)
+        other_tr, whole = GridVertex(1, 1, 2, 1, TR), GridVertex(1, 1, 1, 2)
+        verts = [whole, lb, tr, other_tr]
+        edges = [(lb, whole), (lb, other_tr), (lb, tr), (tr, other_tr)]
+        g = EmbeddedDigraph(verts, edges, {v: (n, n * n) for n, v in enumerate(verts)})
+        assert g._split_edges() == [2]
+        edge_lines = [line for line in g.to_dot().splitlines() if "->" in line]
+        assert [line.endswith(" [style=dotted];") for line in edge_lines] == [False, False, True, False]
+
+
+class TestEquality:
+    def test_graphs_differing_in_one_coordinate_are_unequal(self):
+        g = reduce(generate_planted(2, 2, noise=1, seed=3)).graph
+        coords = dict(g.coords)
+        v = g.vertices[5]
+        coords[v] = (coords[v][0] + Fraction(1, 8), coords[v][1])
+        moved = EmbeddedDigraph(g.vertices, g.edges, coords)
+        assert moved != g and g != moved
+        assert moved == EmbeddedDigraph(g.vertices, g.edges, coords)
+        assert g._den != moved._den  # the least denominator changed too
+
+    def test_equal_denominators_unequal_numerators(self):
+        g = EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, 0), "b": (1, 1)})
+        h = EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, 0), "b": (1, 2)})
+        swapped = EmbeddedDigraph(["b", "a"], [("a", "b")], {"a": (0, 0), "b": (1, 1)})
+        assert g._den == h._den and g != h
+        assert g == swapped  # vertex order is not part of equality
+

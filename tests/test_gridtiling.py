@@ -78,6 +78,14 @@ class TestValidateInstance:
         assert sum("is not a pair of integers" in v for v in violations) == 2
         assert sum("missing set" in v for v in violations) == 3
 
+    @pytest.mark.parametrize("given_cells, counted", [(6, None), (5, "missing sets for 1 more cells")])
+    def test_ten_missing_cells_are_named_and_the_rest_counted(self, given_cells, counted):
+        cells = sorted(product(range(1, 5), repeat=2))
+        sets = {cell: {(1, 1)} for cell in cells[-given_cells:]}
+        violations = validate_instance(GridTilingInstance(k=4, N=2, sets=sets))
+        named = [f"missing set for cell {cell}" for cell in cells[:10]]
+        assert violations == named + ([counted] if counted else [])
+
 
 class TestCheckSolution:
     def test_single_cell_has_no_monotonicity_constraints(self):
