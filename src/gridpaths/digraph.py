@@ -25,11 +25,12 @@ built from the runs.
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 import re
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
@@ -50,8 +51,32 @@ class NotConnectedError(ValueError):
     """The underlying undirected graph is not connected."""
 
 
-@dataclass(frozen=True)
-class GridVertex:
+class _Label(tuple):
+    """A vertex label: the tuple ``(kind, *fields)``, ``kind`` being its JSON "kind".
+
+    Hashing and equality are tuple's, run in C, and the kind keeps the
+    classes apart.  A subclass's ``__new__`` parameters are its fields: each
+    reads as a read-only attribute, and ``repr`` is the dataclass form.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, kind: str, prefix: str) -> None:
+        params = tuple(inspect.signature(cls.__new__).parameters.values())[1:]
+        # its JSON keys, which zip with the tuple, and the default of its last field
+        cls.kind, cls._keys, cls._default = kind, ("kind", *(p.name for p in params)), params[-1].default
+        cls._template = prefix + "_".join(["%s"] * len(params))  # its DOT name, a %-template of its fields
+        for n, param in enumerate(params, 1):
+            setattr(cls, param.name, property(operator.itemgetter(n)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._keys[1:], self[1:]))})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self[1:]
+
+
+class GridVertex(_Label, kind="grid", prefix="w_"):
     """Intersection of column q and row ell in the grid of cell (i, j).
 
     ``part`` distinguishes the two copies of a split vertex: the ``lb`` copy
@@ -59,50 +84,53 @@ class GridVertex:
     outgoing (right/top) edges, and ``whole`` marks an unsplit vertex.
     """
 
-    i: int
-    j: int
-    q: int
-    ell: int
-    part: str = WHOLE
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, q: int, ell: int, part: str = WHOLE) -> GridVertex:
+        return tuple.__new__(cls, (cls.kind, i, j, q, ell, part))
 
 
-@dataclass(frozen=True)
-class HConnector:
+class HConnector(_Label, kind="hconn", prefix="h_"):
     """Vertex ell of the chain joining cell (i, j) rightwards to cell (i+1, j)."""
 
-    i: int
-    j: int
-    ell: int
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, ell: int) -> HConnector:
+        return tuple.__new__(cls, (cls.kind, i, j, ell))
 
 
-@dataclass(frozen=True)
-class VConnector:
+class VConnector(_Label, kind="vconn", prefix="v_"):
     """Vertex ell of the chain joining cell (i, j) upwards to cell (i, j+1)."""
 
-    i: int
-    j: int
-    ell: int
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, ell: int) -> VConnector:
+        return tuple.__new__(cls, (cls.kind, i, j, ell))
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(_Label, kind="terminal", prefix=""):
     """Terminal vertex; families a/c are sources, b/d are sinks."""
 
-    family: str
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, family: str, index: int) -> Terminal:
+        return tuple.__new__(cls, (cls.kind, family, index))
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(_Label, kind="tree", prefix="t"):
     """Internal node of a degree-reduction fan tree.
 
     ``path`` is the sequence of 0/1 child choices from the tree's terminal
     root, 0 meaning the child covering the lower leaf range.
     """
 
-    family: str
-    index: int
-    path: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, family: str, index: int, path: tuple[int, ...]) -> TreeNode:
+        return tuple.__new__(cls, (cls.kind, family, index, path))
+
+
+_BY_KIND = {cls.kind: cls for cls in (GridVertex, HConnector, VConnector, Terminal, TreeNode)}
 
 
 def _domain(kind: type, ok, what: str):
@@ -123,66 +151,54 @@ def _choices(bits) -> tuple[int, ...]:
     return path
 
 
-# One row per label class: its JSON "kind" and the prefix of its DOT name.
-_LABEL_KINDS = (
-    ("grid", GridVertex, "w_"),
-    ("hconn", HConnector, "h_"),
-    ("vconn", VConnector, "v_"),
-    ("terminal", Terminal, ""),
-    ("tree", TreeNode, "t"),
-)
-# per field: (decode from JSON, encode to JSON, render in a DOT name).  A
-# decoder takes only values the reduction makes: ints from 1, the three
-# parts, families a-d and non-empty 0/1 paths, so label_name is injective.
-_INDEX = (_domain(int, lambda n: n >= 1, "an int >= 1"), int, str)
-_FIELD_CODECS = {
+# per field: its decoder from JSON.  A decoder takes only values the
+# reduction makes: ints from 1, the three parts, families a-d and non-empty
+# 0/1 paths, so label_name is injective.
+_INDEX = _domain(int, lambda n: n >= 1, "an int >= 1")
+_DECODERS = {
     **dict.fromkeys(("i", "j", "q", "ell", "index"), _INDEX),
-    "part": (_domain(str, {WHOLE, LB, TR}.__contains__, "whole, lb or tr"), str, str),
-    "family": (_domain(str, {"a", "b", "c", "d"}.__contains__, "a family a-d"), str, str),
-    "path": (_choices, list, lambda bits: "".join(map(str, bits))),
+    "part": _domain(str, {WHOLE, LB, TR}.__contains__, "whole, lb or tr"),
+    "family": _domain(str, {"a", "b", "c", "d"}.__contains__, "a family a-d"),
+    "path": _choices,
 }
-_BY_CLASS = {
-    cls: (kind, prefix, tuple((f.name, f.default, *_FIELD_CODECS[f.name]) for f in fields(cls)))
-    for kind, cls, prefix in _LABEL_KINDS
-}
-_BY_KIND = {kind: (cls, _BY_CLASS[cls][2]) for kind, cls, _ in _LABEL_KINDS}
 
 
-def _codec(label: Label) -> tuple:
-    try:
-        return _BY_CLASS[type(label)]
-    except KeyError:
-        raise TypeError(f"unsupported label type: {type(label)!r}") from None
+def _label_class(label: Label) -> type[_Label]:
+    if not isinstance(label, _Label):
+        raise TypeError(f"unsupported label type: {type(label)!r}")
+    return type(label)
 
 
 def label_name(label: Label) -> str:
     """Stable readable identifier, used for DOT export.
 
-    The class prefix and the fields in order, joined by "_"; a field at its
-    default (the part of a whole grid vertex) is left out.
+    The class prefix and the fields in order, joined by "_"; a last field at
+    its default (the part of a whole grid vertex) is left out, and a tree
+    node's path is written as its 0/1 digits.
     """
-    _, prefix, spec = _codec(label)
-    parts = []
-    for attr, default, _, _, render in spec:
-        value = getattr(label, attr)
-        if value != default:
-            parts.append(render(value))
-    return prefix + "_".join(parts)
+    cls, values = _label_class(label), label[1:]
+    if cls is TreeNode:
+        values = (*values[:2], "".join(map(str, values[2])))
+    if values[-1] == cls._default:
+        return cls._template[:-3] % values[:-1]  # the template without its last "_%s"
+    return cls._template % values
 
 
 def label_to_json(label: Label) -> dict:
-    kind, _, spec = _codec(label)
-    return {"kind": kind, **{attr: encode(getattr(label, attr)) for attr, _, _, encode, _ in spec}}
+    data = dict(zip(_label_class(label)._keys, label))
+    if "path" in data:  # the one field whose JSON form, a list, is not its value
+        data["path"] = list(data["path"])
+    return data
 
 
 def label_from_json(data: dict) -> Label:
     try:
-        entry = _BY_KIND.get(data["kind"])
-        if entry is not None:
-            cls, spec = entry
-            if len(data) != 1 + len(spec):  # "kind" and each field (a missing one fails below)
-                raise TypeError(f"keys {sorted(data)}, expected kind and {[a for a, *_ in spec]}")
-            return cls(*[decode(data[attr]) for attr, _, decode, _, _ in spec])
+        cls = _BY_KIND.get(data["kind"])
+        if cls is not None:
+            fields = cls._keys[1:]
+            if len(data) != len(cls._keys):  # "kind" and each field (a missing one fails below)
+                raise TypeError(f"keys {sorted(data)}, expected kind and {list(fields)}")
+            return cls(*[_DECODERS[attr](data[attr]) for attr in fields])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vertex label: {exc}") from exc
     raise ValueError(f"unknown vertex label kind {data.get('kind')!r}")
@@ -190,13 +206,8 @@ def label_from_json(data: dict) -> Label:
 
 def is_dotted_edge(u: Label, v: Label) -> bool:
     """True for the lb -> tr edge joining the two copies of a split vertex."""
-    return (
-        isinstance(u, GridVertex)
-        and isinstance(v, GridVertex)
-        and u.part == LB
-        and v.part == TR
-        and (u.i, u.j, u.q, u.ell) == (v.i, v.j, v.q, v.ell)
-    )
+    # ("grid", i, j, q, ell, part): v is u with the part tr in place of lb
+    return isinstance(u, GridVertex) and u[-1] == LB and isinstance(v, GridVertex) and v == u[:-1] + (TR,)
 
 
 def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, list[int], list[int], dict]:
@@ -557,20 +568,28 @@ class EmbeddedDigraph(Digraph):
 
     def _split_edges(self) -> list[int]:
         """The ids of the edges ``is_dotted_edge`` holds for; only an lb copy has one leaving it."""
-        verts, head = self._verts, self._head
-        lbs = (n for n, u in enumerate(verts) if isinstance(u, GridVertex) and u.part == LB)
-        return [e for n in lbs for e in self._out[n] if is_dotted_edge(verts[n], verts[head[e]])]
+        verts, head, out = self._verts, self._head, self._out
+        # is_dotted_edge, inlined: a call per edge costs more than the test
+        return [
+            e
+            for n, u in enumerate(verts)
+            if isinstance(u, GridVertex) and u[-1] == LB
+            for e in out[n]
+            if verts[head[e]] == u[:-1] + (TR,) and isinstance(verts[head[e]], GridVertex)
+        ]
 
     def to_dot(self) -> str:
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
-        names, den = [label_name(v) for v in self._verts], self._den
+        names, den, first = [label_name(v) for v in self._verts], self._den, {}
         lines = ["digraph reduction {"]
-        # int / int is correctly rounded: the same float as float(Fraction)
         for v, name, (x, y) in zip(self._verts, names, self._xy):
-            try:
-                lines.append(f'  "{name}" [pos="{x / den},{y / den}!"];')
+            try:  # int / int is correctly rounded: the same float as float(Fraction)
+                x, y = point = x / den, y / den
             except OverflowError:
                 raise ValueError(f"coordinate of {v!r} is outside the float range") from None
+            if first.setdefault(point, v) is not v:  # distinct rationals, one float point
+                raise ValueError(f"coordinates of {first[point]!r} and {v!r} round to one float position {x},{y}")
+            lines.append(f'  "{name}" [pos="{x},{y}!"];')
         dotted = set(self._split_edges())
         for e, (a, b) in enumerate(zip(self._tail, self._head)):
             attr = " [style=dotted]" if e in dotted else ""

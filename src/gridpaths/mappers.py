@@ -100,8 +100,9 @@ def paths_to_gt_solution(out: ReductionOutput, ps: PathSet) -> GTAssignment:
         column_route = ps.paths[i - 1]
         for j, row_verts in enumerate(rows, 1):
             for v in column_route:
-                if isinstance(v, GridVertex) and v.part == WHOLE and (v.i, v.j) == (i, j) and v in row_verts:
-                    choice[(i, j)] = (v.q, v.ell)
+                # ("grid", i, j, q, ell, part); few vertices of the column are on the row
+                if v in row_verts and isinstance(v, GridVertex) and v[-1] == WHOLE and v[1:3] == (i, j):
+                    choice[(i, j)] = v[3:5]
                     break
             else:
                 raise ExtractionFailedError(

@@ -407,10 +407,11 @@ def level_set(out: ReductionOutput, kind: str, index: int) -> set:
 
 def _in_level(v: Label, fam: _Family, index: int) -> bool:
     """Whether label ``v`` belongs to the stratum of path ``index`` of ``fam`` (see level_set)."""
+    # a label is the tuple (kind, i, j, ...) or (kind, family, index, ...)
     if isinstance(v, (GridVertex, fam.connector)):
-        return (v.i, v.j)[fam.axis] == index
+        return v[1 + fam.axis] == index
     if isinstance(v, (Terminal, TreeNode)):
-        return v.index == index and v.family in fam.terminals
+        return v[2] == index and v[1] in fam.terminals
     return False
 
 

@@ -400,6 +400,20 @@ class TestMalformedInput:
         code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
         assert code == EXIT_OK
 
+    def test_distinct_coordinates_at_one_float_position_exit_2_on_dot_export(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(_GRAPH_DOC))
+        # 1/10^400 and 1/(3 * 10^400) are distinct rationals, and both round to 0.0
+        doc["vertices"][0]["coord"] = ["1/1" + "0" * 400, "0"]
+        doc["vertices"][1]["coord"] = ["1/3" + "0" * 400, "0"]
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export", str(path), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+        assert code == EXIT_USAGE
+        first, second = (EmbeddedDigraph.from_json_dict(doc).vertices[n] for n in (0, 1))
+        assert err == f"error: coordinates of {first!r} and {second!r} round to one float position 0.0,0.0\n"
+        code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
+        assert code == EXIT_OK
+
     def test_huge_k_reports_missing_cells_without_making_them(self, capsys, tmp_path, monkeypatch):
         cells = gridtiling._cells
 

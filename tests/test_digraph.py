@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from gridpaths.digraph import (
     LB,
     TR,
+    WHOLE,
     Digraph,
     EmbeddedDigraph,
     GridVertex,
@@ -422,6 +425,119 @@ class TestRotation:
         assert {v: rebuilt.rotation(v) for v in rebuilt.vertices} == first
 
 
+# per label class: its JSON kind, its DOT prefix and a strategy per field,
+# over the values the JSON decoder accepts
+_INDICES = st.integers(1, 10**6)
+_LABEL_CLASSES = {
+    GridVertex: ("grid", "w_", {"i": _INDICES, "j": _INDICES, "q": _INDICES, "ell": _INDICES,
+                                "part": st.sampled_from((WHOLE, LB, TR))}),
+    HConnector: ("hconn", "h_", {"i": _INDICES, "j": _INDICES, "ell": _INDICES}),
+    VConnector: ("vconn", "v_", {"i": _INDICES, "j": _INDICES, "ell": _INDICES}),
+    Terminal: ("terminal", "", {"family": st.sampled_from("abcd"), "index": _INDICES}),
+    TreeNode: ("tree", "t", {"family": st.sampled_from("abcd"), "index": _INDICES,
+                             "path": st.lists(st.integers(0, 1), min_size=1, max_size=8).map(tuple)}),
+}
+
+
+@st.composite
+def _label_fields(draw):
+    """A label class and a value for each of its fields, in order."""
+    cls = draw(st.sampled_from(list(_LABEL_CLASSES)))
+    return cls, {name: draw(values) for name, values in _LABEL_CLASSES[cls][2].items()}
+
+
+class TestLabelContract:
+    """The labels keep the dataclass interface: constructor, fields, repr, immutability."""
+
+    def test_reprs_are_pinned(self):
+        assert repr(GridVertex(1, 2, 3, 4, "lb")) == "GridVertex(i=1, j=2, q=3, ell=4, part='lb')"
+        assert repr(GridVertex(1, 2, 3, 4)) == "GridVertex(i=1, j=2, q=3, ell=4, part='whole')"
+        assert repr(HConnector(1, 2, 3)) == "HConnector(i=1, j=2, ell=3)"
+        assert repr(VConnector(2, 1, 3)) == "VConnector(i=2, j=1, ell=3)"
+        assert repr(Terminal("a", 2)) == "Terminal(family='a', index=2)"
+        assert repr(TreeNode("a", 1, (0, 1))) == "TreeNode(family='a', index=1, path=(0, 1))"
+
+    @given(drawn=_label_fields())
+    def test_repr_names_each_field(self, drawn):
+        cls, values = drawn
+        fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        assert repr(cls(**values)) == f"{cls.__name__}({fields})"
+
+    @given(drawn=_label_fields())
+    def test_keyword_and_positional_construction_agree(self, drawn):
+        cls, values = drawn
+        label = cls(**values)
+        assert type(label) is cls and label == cls(*values.values())
+        assert {name: getattr(label, name) for name in values} == values
+
+    def test_part_defaults_to_whole(self):
+        assert GridVertex(1, 2, 3, 4).part == WHOLE
+        assert GridVertex(1, 2, 3, 4) == GridVertex(i=1, j=2, q=3, ell=4, part=WHOLE) != GridVertex(1, 2, 3, 4, LB)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: GridVertex(1, 2, 3), lambda: HConnector(1, 2, 3, 4), lambda: Terminal(family="a"),
+         lambda: TreeNode("a", 1, (0,), part=WHOLE)],
+        ids=["missing-field", "extra-field", "missing-keyword", "unknown-keyword"],
+    )
+    def test_constructor_signature_is_checked(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    @given(drawn=_label_fields())
+    def test_fields_are_read_only(self, drawn):
+        cls, values = drawn
+        label = cls(**values)
+        for name, value in values.items():
+            with pytest.raises(AttributeError):
+                setattr(label, name, value)
+        with pytest.raises(AttributeError):
+            label.extra = 1
+        assert {name: getattr(label, name) for name in values} == values
+
+    @given(drawn=_label_fields())
+    def test_pickle_and_copy_round_trips(self, drawn):
+        cls, values = drawn
+        label = cls(**values)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        for again in [*(pickle.loads(pickle.dumps(label, p)) for p in protocols), copy.copy(label), copy.deepcopy(label)]:
+            assert type(again) is cls and again == label and hash(again) == hash(label)
+            assert {name: getattr(again, name) for name in values} == values
+
+    def test_classes_with_equal_fields_are_distinct_keys(self):
+        h, v = HConnector(1, 1, 2), VConnector(1, 1, 2)
+        assert h != v and v != h
+        keys = {h: "h", v: "v"}
+        assert len(keys) == 2 and keys[HConnector(1, 1, 2)] == "h" and keys[VConnector(1, 1, 2)] == "v"
+
+    @given(drawn=_label_fields())
+    def test_json_round_trip(self, drawn):
+        cls, values = drawn
+        label = cls(**values)
+        kind = _LABEL_CLASSES[cls][0]
+        data = label_to_json(label)
+        assert data == {"kind": kind, **{k: list(v) if k == "path" else v for k, v in values.items()}}
+        assert all(type(v) is not tuple for v in data.values())  # a path is written as a JSON list
+        assert label_from_json(json.loads(json.dumps(data))) == label
+
+    @given(drawn=_label_fields())
+    def test_label_name_is_the_prefix_and_the_fields(self, drawn):
+        cls, values = drawn
+        shown = [
+            "".join(map(str, v)) if k == "path" else str(v)
+            for k, v in values.items()
+            if not (k == "part" and v == WHOLE)
+        ]
+        assert label_name(cls(**values)) == _LABEL_CLASSES[cls][1] + "_".join(shown)
+
+    def test_unsupported_label_type_rejected(self):
+        for label in (("grid", 1, 1, 1, 1, WHOLE), "w_1_1_1_1", 7):
+            with pytest.raises(TypeError, match="unsupported label type"):
+                label_name(label)
+            with pytest.raises(TypeError, match="unsupported label type"):
+                label_to_json(label)
+
+
 class TestSerialization:
     def test_label_json_round_trip(self):
         labels = [
@@ -542,6 +658,20 @@ class TestSerialization:
         assert 'pos="' in dot
         assert "style=dotted" in dot
         assert dot.startswith("digraph")
+
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, 1)], ids=["both-zero", "minus-zero-and-zero"])
+    def test_dot_export_rejects_distinct_points_with_one_float_position(self, signs):
+        # 1/10^400 and 1/(3 * 10^400) both round to 0.0; -0.0 and 0.0 are one position too
+        a, b = Terminal("a", 1), Terminal("b", 1)
+        coords = {a: (Fraction(signs[0], 10**400), 0), b: (Fraction(signs[1], 3 * 10**400), 0)}
+        g = EmbeddedDigraph([a, b], [(a, b)], coords)
+        message = (
+            r"^coordinates of Terminal\(family='a', index=1\) and Terminal\(family='b', index=1\) "
+            r"round to one float position -?0\.0,0\.0$"
+        )
+        with pytest.raises(ValueError, match=message):
+            g.to_dot()
+        assert EmbeddedDigraph.from_json_dict(g.to_json_dict()) == g  # the JSON form is exact
 
     def test_dotted_edge_predicate(self):
         lb = GridVertex(1, 1, 2, 2, "lb")

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridpaths
 from gridpaths.digraph import (
     LB,
     EmbeddedDigraph,
@@ -330,6 +335,30 @@ class TestGoldenOutput:
                     digest.update(text.encode())
                     digest.update(x.graph.to_dot().encode())
         assert digest.hexdigest() == self.TREE_DIGEST
+
+
+class TestHashSeedIndependence:
+    """Output does not depend on Python's string hash seed.
+
+    A label hashes its kind string, so its hash changes from process to
+    process; any output that followed the order of a set or dict of labels
+    would change with it.  The golden JSON/DOT digest and the solvers'
+    answer digest run in fresh processes under two fixed hash seeds.
+    """
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_pinned_digests_hold_under_hash_seed(self, seed):
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "from tests.test_edp import TestSearchCore\n"
+            "from tests.test_reduction import TestGoldenOutput\n"
+            "TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()\n"
+            "TestSearchCore().test_answers_match_pinned_digest()\n"
+        )
+        src = str(Path(gridpaths.__file__).resolve().parents[1])  # the package under test
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
 
 
 class TestIdConstruction:
