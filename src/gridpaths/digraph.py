@@ -5,9 +5,9 @@ connector chain, terminal, fan-tree node).  Inside, a vertex is the int id
 of its place in the vertex list and an edge the int id of its place in the
 edge list; every algorithm here runs on ids and turns them back into labels
 only in what it returns.  Every graph is made by one id-level initializer,
-``_init``: the label constructors map labels to ids and Fractions to integer
-numerators and call it, and the reduction, which hands out ids itself, calls
-it directly.  Embedded graphs carry exact rational coordinates, which are
+``_init``: the label constructors map labels to ids and Fractions, or the
+JSON reader coordinate strings, to integer numerators and call it, and the
+reduction, which hands out ids itself, calls it directly.  Embedded graphs carry exact rational coordinates, which are
 the single source of truth for the combinatorial embedding: the
 counterclockwise angular order of the neighbors around each vertex is the
 rotation system, its faces are traced, and Euler's formula V - E + F = 2 - 2g
@@ -394,7 +394,7 @@ class EmbeddedDigraph(Digraph):
     """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
 
     Vertex id ``n`` sits at ``_xy[n] / _den``: integer numerators over the least common
-    denominator.  Only the accessors and the JSON writer and reader make Fractions.
+    denominator.  Only the accessors and the JSON writer make Fractions.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
@@ -554,17 +554,22 @@ class EmbeddedDigraph(Digraph):
 
         try:
             verts = []
-            coords = {}
+            coords = []  # per vertex ((x numerator, x denominator), (y numerator, y denominator))
             for entry in data["vertices"]:
                 raw = entry["label"]
                 v = decoded[repr(raw)] = label_from_json(raw)
                 x_str, y_str = exact(list, entry["coord"])
                 verts.append(v)
-                coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
+                coords.append((_parse_coord(x_str), _parse_coord(y_str)))
             edges = [(decode(u), decode(v)) for u, v in map(exact, repeat(list), data["edges"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
-        return cls(verts, edges, coords)
+        den = math.lcm(*{d for xy in coords for _, d in xy})
+        xy = [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in coords]
+        verts, tail, head, ids = _label_ids(verts, edges)
+        g = cls.__new__(cls)
+        g._init(verts, tail, head, xy, den, ids)
+        return g
 
     def _split_edges(self) -> list[int]:
         """The ids of the edges ``is_dotted_edge`` holds for; only an lb copy has one leaving it."""
@@ -609,8 +614,9 @@ class EmbeddedDigraph(Digraph):
 _COORD = re.compile(r"(-?[1-9][0-9]*|0)(?:/([2-9]|[1-9][0-9]+))?")
 
 
-def _parse_coord(text) -> int | Fraction:
+def _parse_coord(text) -> tuple[int, int]:
+    """(numerator, denominator) of a coordinate string, the denominator 1 for an integer."""
     match = _COORD.fullmatch(exact(str, text))
     if match is None or (match[2] and math.gcd(int(match[1]), int(match[2])) != 1):
         raise ValueError(f"coordinate {text!r} is not '<n>' or '<n>/<d>' in lowest terms")
-    return Fraction(int(match[1]), int(match[2])) if match[2] else int(match[1])
+    return int(match[1]), int(match[2] or 1)

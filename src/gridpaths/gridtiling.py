@@ -84,7 +84,7 @@ def _cells(k: int) -> Iterator[Cell]:
 
 def _int_pair(value) -> bool:
     """Whether ``value`` is a tuple of two ints, by exact type as ``errors.exact`` tests."""
-    return type(value) is tuple and len(value) == 2 and all(type(c) is int for c in value)
+    return type(value) is tuple and len(value) == 2 and type(value[0]) is int and type(value[1]) is int
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,14 @@ def validate_instance(inst: GridTilingInstance) -> list[str]:
         violations.append(f"missing sets for {k * k - len(inside) - _MISSING_NAMED} more cells")
     for cell in sorted(present - inside):
         violations.append(f"unexpected cell {cell} outside [1,{k}]^2")
-    for cell in sorted(inside):
-        pairs = {pair for pair in inst.sets[cell] if _int_pair(pair)}
-        for pair in sorted(inst.sets[cell] - pairs, key=repr):
-            violations.append(f"cell {cell}: pair {pair!r} is not a pair of integers")
-        for a, b in sorted(pairs):
-            if not (1 <= a <= inst.N and 1 <= b <= inst.N):
-                violations.append(f"cell {cell}: pair ({a},{b}) outside [1,{inst.N}]^2")
+    n = inst.N
+    for cell in sorted(inside):  # one pass finds a cell's offending pairs; only those are sorted
+        bad = [p for p in inst.sets[cell] if not (_int_pair(p) and 1 <= p[0] <= n and 1 <= p[1] <= n)]
+        if bad:
+            far = sorted(pair for pair in bad if _int_pair(pair))
+            for pair in sorted(set(bad).difference(far), key=repr):
+                violations.append(f"cell {cell}: pair {pair!r} is not a pair of integers")
+            violations += [f"cell {cell}: pair ({a},{b}) outside [1,{n}]^2" for a, b in far]
     return violations
 
 

@@ -16,7 +16,9 @@ edge counts follow closed forms that the test suite pins exactly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -180,17 +182,12 @@ def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> Reduction
     """
     ks = range(1, inst.k + 1)
     pairs = [[Terminal(family, m) for family in fam.terminals] for fam in _FAMILIES for m in ks]
-    return ReductionOutput(
-        graph=_build(inst.k, inst.N, inst.sets, trees=degree_reduced),
-        terminals=TerminalSet(pairs),
-        provenance=inst,
-        counts=predicted_counts(inst, degree_reduced),
-        degree_reduced=degree_reduced,
-    )
+    graph = _build(inst.k, inst.N, inst.sets, trees=degree_reduced)
+    return ReductionOutput(graph, TerminalSet(pairs), inst, predicted_counts(inst, degree_reduced), degree_reduced)
 
 
 def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
-    """The base graph with each grid position split or whole, in one pass, on vertex ids.
+    """The base graph with each grid position split or whole, on vertex ids.
 
     A position whose (q, ell) is absent from its cell's set becomes an lb copy
     at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
@@ -202,14 +199,11 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
     nodes (pre-order).  Edges: grid, connector, then fan and dotted edges, or
     with trees dotted and tree edges.  Coordinates are numerators over 4, or
     8 * levels with trees, which the graph reduces to the least denominator.
+    The positions are made here, the rest comes from the cached ``_base``.
     """
-    pitch = N + 1
+    others, others_xy, base_tail, base_head, fan, den, ends = _base(k, N, trees)
+    pitch, quarter = N + 1, den // 4
     ks, ells = range(1, k + 1), range(1, N + 1)
-    # depth of the deepest leaf of a balanced tree on N leaves; a node at
-    # depth d sits d / levels of the way from its terminal to the leaf level
-    levels = (N - 1).bit_length()
-    den = 8 * levels if trees else 4
-    quarter = den // 4
     verts: list[Label] = []
     xy: list[tuple[int, int]] = []
     # the ids that grid position p = (((i-1)k + j-1)N + q-1)N + ell-1 receives
@@ -228,22 +222,59 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
             verts += copies
             xy += ((x - quarter, y - quarter), (x + quarter, y + quarter))
         exit_.append(len(verts) - 1)
+    first = len(verts)  # the other vertices follow the positions' copies
+    entry += range(first, first + len(others))
+    exit_ += range(first, first + len(others))
+    verts += others
+    xy += others_xy
+    # a tree node sits midway between its end leaves, each a quarter off if split
+    for n, (dx, dy), lo, hi in ends:
+        if splits := (entry[lo] != exit_[lo]) + (entry[hi] != exit_[hi]):
+            x, y = xy[first + n]
+            xy[first + n] = (x + splits * dx, y + splits * dy)
+    tail = list(map(exit_.__getitem__, base_tail))
+    head = list(map(entry.__getitem__, base_head))
+    dotted = [n for n, x in zip(entry, exit_) if n != x]
+    at = fan if trees else len(tail)
+    tail[at:at] = dotted
+    head[at:at] = [n + 1 for n in dotted]  # a tr copy follows its lb copy
+    g = EmbeddedDigraph.__new__(EmbeddedDigraph)
+    g._init(verts, tail, head, xy, den)
+    return g
 
-    def parts(pos: tuple[int, int, int, int]) -> tuple[int, int]:
-        i, j, q, ell = pos
-        p = (((i - 1) * k + j - 1) * N + q - 1) * N + ell - 1
-        return entry[p], exit_[p]
+
+@lru_cache(maxsize=32)
+def _base(k: int, N: int, trees: bool) -> tuple:
+    """(verts, xy, tail, head, fan, den, ends): the parts of G1 that no cell's set changes.
+
+    The connectors, terminals and tree nodes in id order, their numerators over den; every
+    edge, the fan or tree edges from id ``fan`` on, an end being a grid position p or, after
+    the P = k^2 N^2 positions, P + its index in verts; per tree node, that index, its shift
+    per split end leaf and its two end leaves.
+    """
+    pitch = N + 1
+    ks, ells = range(1, k + 1), range(1, N + 1)
+    # depth of the deepest leaf of a balanced tree on N leaves; a node at
+    # depth d sits d / levels of the way from its terminal to the leaf level
+    levels = (N - 1).bit_length()
+    den = 8 * levels if trees else 4
+    quarter = den // 4
+    size = k * k * N * N
+    verts, xy, ends = [], [], []
+
+    def parts(pos: tuple[int, int, int, int]) -> tuple[int, int]:  # a position is its own entry and exit
+        p = (((pos[0] - 1) * k + pos[1] - 1) * N + pos[2] - 1) * N + pos[3] - 1
+        return p, p
 
     # each grid's edges one step along the columns' paths, then the rows',
     # a run of positions with one q at a time
-    tail: list[int] = []
-    head: list[int] = []
-    for base in range(0, k * k * N * N, N * N):
+    tail, head = [], []
+    for grid in range(0, size, N * N):
         for fam in _FAMILIES:
             dq, dl = _orient(fam, 0, 1)
-            for r in range(base, base + (N - dq) * N, N):
-                tail += exit_[r : r + N - dl]
-                head += entry[r + dq * N + dl : r + dq * N + N]
+            for r in range(grid, grid + (N - dq) * N, N):
+                tail += range(r, r + N - dl)
+                head += range(r + dq * N + dl, r + dq * N + N)
 
     # a connector chain collects the exit side of grid (i, j) and feeds the entry
     # side of the next grid along the family's paths; the rows' chains come first
@@ -251,7 +282,7 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
         di, dj = _orient(fam, 0, 1)
         for i, j in product(range(1, k + 1 - di), range(1, k + 1 - dj)):
             lane, step = _orient(fam, i, j)
-            chain = range(len(verts), len(verts) + N)
+            chain = range(size + len(verts), size + len(verts) + N)
             verts += [fam.connector(i, j, ell) for ell in ells]
             xy += [_orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den) for ell in ells]
             tail += [*chain[:-1], *_boundary(parts, N, i, j, fam.sides[1]), *chain]
@@ -260,20 +291,19 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
     # Terminals sit ``depth`` units outside the grids' bounding box, a fan
     # tree's internal nodes on evenly spaced levels between the terminal and
     # the split copies nearest it (a quarter outside the outermost grid line).
-    # A direct fan edge to a leaf a units across from its terminal runs
-    # depth + 1 units deep, so it moves a / (4 (depth + 1)) across in the
-    # last quarter unit before the leaf, where the grid edge between the
-    # leaf and the split copy of its neighbour nearer the terminal moves 3/4.
-    # The fan edge stays on its own side of that grid edge only while
-    # a < 3 (depth + 1), for every a up to (N - 1) / 2: depth 1 fails from
-    # N = 13 on.  depth = ceil(N / 4) keeps a / (depth + 1) below 2 at every N.
+    # A direct fan edge to a leaf a units across from its terminal runs depth + 1
+    # units deep, so it moves a / (4 (depth + 1)) across in the last quarter unit
+    # before the leaf, where the grid edge from the leaf to the split copy of its
+    # neighbour nearer the terminal moves 3/4.  It stays on its side of that edge
+    # only while a < 3 (depth + 1), for every a up to (N - 1) / 2: depth 1 fails
+    # from N = 13 on, and depth = ceil(N / 4) keeps a / (depth + 1) below 2.
     depth = -(-N // 4)
     outside = (-depth * den, (k * pitch + depth) * den)
     inward = (4 * depth + 3) * quarter  # depth + 3/4, from a terminal to the split copies nearest it
     roots = {}
     for fam, m in product(_FAMILIES, ks):
         for end, family in enumerate(fam.terminals):
-            roots[family, m] = len(verts)
+            roots[family, m] = size + len(verts)
             verts.append(Terminal(family, m))
             xy.append(_orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end]))
 
@@ -294,10 +324,12 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
             def grow(lo: int, hi: int, path: tuple[int, ...]) -> int:
                 if hi - lo == 1:
                     return leaves[lo]
-                node = len(verts) if path else root
+                node = size + len(verts) if path else root
                 if path:
+                    # leaf ell lies ((m-1) pitch + ell) den along the lane, a quarter = 2 levels off if split
+                    ends.append((len(verts), _orient(fam, (-levels, levels)[end], 0), leaves[lo], leaves[hi - 1]))
                     verts.append(TreeNode(family, m, path))
-                    t = (xy[leaves[lo]][fam.axis] + xy[leaves[hi - 1]][fam.axis]) // 2
+                    t = (2 * (m - 1) * pitch + lo + 1 + hi) * den // 2
                     xy.append(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
                 mid = _tree_split(lo, hi)
                 for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
@@ -308,12 +340,8 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
 
             grow(0, N, ())
 
-    dotted = [n for n, x in zip(entry, exit_) if n != x]
-    split = (dotted, [n + 1 for n in dotted])  # a tr copy follows its lb copy
-    first, last = (split, fan) if trees else (fan, split)
-    g = EmbeddedDigraph.__new__(EmbeddedDigraph)
-    g._init(verts, tail + first[0] + last[0], head + first[1] + last[1], xy, den)
-    return g
+    edges = (array("l", tail + fan[0]), array("l", head + fan[1]))
+    return tuple(verts), tuple(xy), *edges, len(tail), den, tuple(ends)
 
 
 def _tree_split(lo: int, hi: int) -> int:
@@ -345,12 +373,7 @@ def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> 
     k, n = inst.k, inst.N
     missing = sum(n * n - len(inst.sets[cell]) for cell in inst.cells())
     num_verts = 4 * k + 2 * k * (k - 1) * n + k * k * n * n + missing
-    num_edges = (
-        2 * k * k * n * (n - 1)
-        + missing
-        + 2 * k * (k - 1) * (3 * n - 1)
-        + 4 * k * n
-    )
+    num_edges = 2 * k * k * n * (n - 1) + missing + 2 * k * (k - 1) * (3 * n - 1) + 4 * k * n
     if degree_reduced:
         # each of the 4k fans becomes a full binary tree: N-2 fresh internal
         # nodes and (2N-2) - N extra edges

@@ -6,6 +6,8 @@ oracles enumerate every tuple of simple paths.  The rotation oracle sorts
 each vertex's neighbours with a comparator over Fraction directions, as the
 package did before it derived rotations from integer keys, and the face
 oracle traces faces over those rotations with darts keyed by label pairs.
+The reference builder makes a reduction's whole graph in one pass, as the
+package did before it cached the parts that depend only on (k, N).
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import itertools
 import random
 from collections import deque
 from functools import cmp_to_key
+from itertools import product
 
-from gridpaths.digraph import Digraph, EmbeddedDigraph, NotConnectedError
+from gridpaths.digraph import Digraph, EmbeddedDigraph, Label, NotConnectedError, Terminal, TreeNode
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, check_gt_solution
+from gridpaths.reduction import _FAMILIES, _SIDES, _boundary, _orient, _split, _tree_split
 
 
 def gt_solutions_exhaustive(inst: GridTilingInstance) -> list[GTAssignment]:
@@ -257,3 +261,133 @@ def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[lis
     if not all(has_route(s, t) for s, t in pairs):
         return None, 0
     return route(0), expansions
+
+
+def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
+    """The base graph with each grid position split or whole, in one pass, on vertex ids.
+
+    ``reduction._build`` as it was before it took all but the grid positions
+    from a cache: every vertex, coordinate and edge made for this instance.
+
+    A position whose (q, ell) is absent from its cell's set becomes an lb copy
+    at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
+    dotted lb -> tr edge; edges arrive at lb and leave from tr.  With
+    ``trees`` each terminal's fan is a balanced binary tree instead.
+
+    Ids are handed out in order: grid positions by (i, j, q, ell), lb before
+    tr, the connector chains (the rows' first), the terminals, the tree
+    nodes (pre-order).  Edges: grid, connector, then fan and dotted edges, or
+    with trees dotted and tree edges.  Coordinates are numerators over 4, or
+    8 * levels with trees, which the graph reduces to the least denominator.
+    """
+    pitch = N + 1
+    ks, ells = range(1, k + 1), range(1, N + 1)
+    # depth of the deepest leaf of a balanced tree on N leaves; a node at
+    # depth d sits d / levels of the way from its terminal to the leaf level
+    levels = (N - 1).bit_length()
+    den = 8 * levels if trees else 4
+    quarter = den // 4
+    verts: list[Label] = []
+    xy: list[tuple[int, int]] = []
+    # the ids that grid position p = (((i-1)k + j-1)N + q-1)N + ell-1 receives
+    # its edges at and sends them from: one id if whole, the lb and tr ids if split
+    entry: list[int] = []
+    exit_: list[int] = []
+    for pos in product(ks, ks, ells, ells):
+        i, j, q, ell = pos
+        x, y = ((i - 1) * pitch + q) * den, ((j - 1) * pitch + ell) * den
+        copies = _split(sets, *pos)
+        entry.append(len(verts))
+        if copies[0] is copies[1]:
+            verts.append(copies[0])
+            xy.append((x, y))
+        else:
+            verts += copies
+            xy += ((x - quarter, y - quarter), (x + quarter, y + quarter))
+        exit_.append(len(verts) - 1)
+
+    def parts(pos: tuple[int, int, int, int]) -> tuple[int, int]:
+        i, j, q, ell = pos
+        p = (((i - 1) * k + j - 1) * N + q - 1) * N + ell - 1
+        return entry[p], exit_[p]
+
+    # each grid's edges one step along the columns' paths, then the rows',
+    # a run of positions with one q at a time
+    tail: list[int] = []
+    head: list[int] = []
+    for base in range(0, k * k * N * N, N * N):
+        for fam in _FAMILIES:
+            dq, dl = _orient(fam, 0, 1)
+            for r in range(base, base + (N - dq) * N, N):
+                tail += exit_[r : r + N - dl]
+                head += entry[r + dq * N + dl : r + dq * N + N]
+
+    # a connector chain collects the exit side of grid (i, j) and feeds the entry
+    # side of the next grid along the family's paths; the rows' chains come first
+    for fam in reversed(_FAMILIES):
+        di, dj = _orient(fam, 0, 1)
+        for i, j in product(range(1, k + 1 - di), range(1, k + 1 - dj)):
+            lane, step = _orient(fam, i, j)
+            chain = range(len(verts), len(verts) + N)
+            verts += [fam.connector(i, j, ell) for ell in ells]
+            xy += [_orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den) for ell in ells]
+            tail += [*chain[:-1], *_boundary(parts, N, i, j, fam.sides[1]), *chain]
+            head += [*chain[1:], *chain, *_boundary(parts, N, i + di, j + dj, fam.sides[0])]
+
+    # Terminals sit ``depth`` units outside the grids' bounding box, a fan
+    # tree's internal nodes on evenly spaced levels between the terminal and
+    # the split copies nearest it (a quarter outside the outermost grid line).
+    # A direct fan edge to a leaf a units across from its terminal runs
+    # depth + 1 units deep, so it moves a / (4 (depth + 1)) across in the
+    # last quarter unit before the leaf, where the grid edge between the
+    # leaf and the split copy of its neighbour nearer the terminal moves 3/4.
+    # The fan edge stays on its own side of that grid edge only while
+    # a < 3 (depth + 1), for every a up to (N - 1) / 2: depth 1 fails from
+    # N = 13 on.  depth = ceil(N / 4) keeps a / (depth + 1) below 2 at every N.
+    depth = -(-N // 4)
+    outside = (-depth * den, (k * pitch + depth) * den)
+    inward = (4 * depth + 3) * quarter  # depth + 3/4, from a terminal to the split copies nearest it
+    roots = {}
+    for fam, m in product(_FAMILIES, ks):
+        for end, family in enumerate(fam.terminals):
+            roots[family, m] = len(verts)
+            verts.append(Terminal(family, m))
+            xy.append(_orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end]))
+
+    # Terminal m of a family fans out into the entry side of the family's
+    # first grid in lane m, or collects the exit side of its last grid, its
+    # leaves in boundary order: a_i bottom, b_i top, c_j left, d_j right.
+    fan: tuple[list[int], list[int]] = ([], [])  # tails, heads: a root's end is fan[end]
+    for side, (fam, end) in _SIDES.items():
+        for m in ks:
+            family = fam.terminals[end]
+            root = roots[family, m]
+            leaves = _boundary(parts, N, *_orient(fam, m, (1, k)[end]), side)
+            if not trees:
+                fan[end].extend([root] * N)
+                fan[1 - end].extend(leaves)
+                continue
+
+            def grow(lo: int, hi: int, path: tuple[int, ...]) -> int:
+                if hi - lo == 1:
+                    return leaves[lo]
+                node = len(verts) if path else root
+                if path:
+                    verts.append(TreeNode(family, m, path))
+                    t = (xy[leaves[lo]][fam.axis] + xy[leaves[hi - 1]][fam.axis]) // 2
+                    xy.append(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
+                mid = _tree_split(lo, hi)
+                for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
+                    child = grow(clo, chi, path + (bit,))
+                    fan[end].append(node)
+                    fan[1 - end].append(child)
+                return node
+
+            grow(0, N, ())
+
+    dotted = [n for n, x in zip(entry, exit_) if n != x]
+    split = (dotted, [n + 1 for n in dotted])  # a tr copy follows its lb copy
+    first, last = (split, fan) if trees else (fan, split)
+    g = EmbeddedDigraph.__new__(EmbeddedDigraph)
+    g._init(verts, tail + first[0] + last[0], head + first[1] + last[1], xy, den)
+    return g

@@ -86,6 +86,31 @@ class TestValidateInstance:
         named = [f"missing set for cell {cell}" for cell in cells[:10]]
         assert violations == named + ([counted] if counted else [])
 
+    def test_full_violation_list_of_an_instance_with_several_faults(self):
+        # only the offending pairs are sorted; the list and its order are the ones a full sort gave
+        sets = {
+            (1, 1): {(1, 1), (2, 2.5), (4, 1), (10, 1), (0, 2), (2, 5), (1.5, 1), ("a", 2), (True, 3), (1, 2, 3)},
+            (1, 2): {(3, 3), (3, -1)},
+            ("1", 2): {(1, 1)},
+            (3, 1): {(1, 1)},
+            (2, 1): set(),
+        }
+        assert validate_instance(GridTilingInstance(k=2, N=3, sets=sets)) == [
+            "cell key ('1', 2) is not a pair of integers",
+            "missing set for cell (2, 2)",
+            "unexpected cell (3, 1) outside [1,2]^2",
+            "cell (1, 1): pair ('a', 2) is not a pair of integers",
+            "cell (1, 1): pair (1, 2, 3) is not a pair of integers",
+            "cell (1, 1): pair (1.5, 1) is not a pair of integers",
+            "cell (1, 1): pair (2, 2.5) is not a pair of integers",
+            "cell (1, 1): pair (True, 3) is not a pair of integers",
+            "cell (1, 1): pair (0,2) outside [1,3]^2",
+            "cell (1, 1): pair (2,5) outside [1,3]^2",
+            "cell (1, 1): pair (4,1) outside [1,3]^2",
+            "cell (1, 1): pair (10,1) outside [1,3]^2",
+            "cell (1, 2): pair (3,-1) outside [1,3]^2",
+        ]
+
 
 class TestCheckSolution:
     def test_single_cell_has_no_monotonicity_constraints(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridpaths
+from gridpaths import reduction
 from gridpaths.digraph import (
     LB,
     EmbeddedDigraph,
@@ -34,6 +35,8 @@ from gridpaths.reduction import (
     reduce_degree,
     split_vertices,
 )
+
+from ._oracles import build_reference
 
 
 def full_instance(k, n):
@@ -383,6 +386,61 @@ class TestIdConstruction:
         h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
         for attr in ("_verts", "_tail", "_head", "_out", "_in", "_pairs", "_xy", "_den"):
             assert getattr(g, attr) == getattr(h, attr), attr
+
+
+class TestBaseCache:
+    """``_build`` takes all but the grid positions from ``_base``, cached per (k, N) and form."""
+
+    @staticmethod
+    def make(kind, k, n, seed):
+        """A planted (noise 2), empty or full instance, or a random one whose density is ``kind``."""
+        if kind == "planted":
+            return generate_planted(k, n, noise=2, seed=seed)
+        if kind == "empty":
+            return empty_instance(k, n)
+        if kind == "full":
+            return full_instance(k, n)
+        return generate_random(k, n, kind, seed=seed)
+
+    # several instances of one shape per example: the first may fill the cache, the others hit it
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(2, 13),
+        kinds=st.lists(st.sampled_from(["planted", "empty", "full", 0.1, 0.3, 0.5, 0.9]), min_size=2, max_size=3),
+        clear=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_build_equals_the_reference(self, k, n, kinds, clear, seed):
+        if clear:
+            reduction._base.cache_clear()
+        hits = reduction._base.cache_info().hits
+        for kind in kinds:
+            sets = self.make(kind, k, n, seed).sets
+            for trees in (False, True):
+                g, h = reduction._build(k, n, sets, trees), build_reference(k, n, sets, trees)
+                for attr in ("_verts", "_tail", "_head", "_xy", "_den"):
+                    assert getattr(g, attr) == getattr(h, attr), (kind, trees, attr)
+        assert reduction._base.cache_info().hits - hits >= 2 * (len(kinds) - 1)
+
+    @pytest.mark.parametrize("trees", [False, True])
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 3), (3, 6), (4, 13)])
+    def test_cached_base_holds_no_grid_vertex(self, k, n, trees):
+        verts = reduction._base(k, n, trees)[0]
+        assert not any(isinstance(v, GridVertex) for v in verts)
+        assert len(verts) == 2 * k * (k - 1) * n + 4 * k + (4 * k * (n - 2) if trees else 0)
+
+    def test_built_graph_shares_no_mutable_list_with_the_cache(self):
+        # overwrite every built graph of the golden digest's shapes, then build them all again
+        for k in (1, 2, 3):
+            for n in (2, 3, 6):
+                out = reduce(generate_planted(k, n, noise=2, seed=k * 10 + n))
+                for g in (out.graph, reduce_degree(out).graph):
+                    g._tail[:] = [0] * len(g._tail)
+                    g._head[:] = [0] * len(g._head)
+                    g._xy[:] = [(0, 0)] * len(g._xy)
+                    g._verts[:] = [None] * len(g._verts)
+        TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()
 
 
 class TestCertificateAtEverySize:
