@@ -3,7 +3,6 @@
 from .digraph import (
     Digraph,
     EmbeddedDigraph,
-    EmbeddingCheck,
     GridVertex,
     HConnector,
     NotConnectedError,
@@ -11,7 +10,7 @@ from .digraph import (
     TreeNode,
     VConnector,
 )
-from .edp import PathSet, check_edp_solution, edp_to_vdp_dag, solve_edp_dag, solve_vdp_dag
+from .edp import PathSet, check_edp_solution, solve_edp_dag, solve_vdp_dag
 from .errors import BudgetExceededError
 from .gridtiling import (
     GTAssignment,
@@ -26,23 +25,18 @@ from .mappers import (
     ExtractionFailedError,
     InvalidSolutionError,
     check_level_confinement,
-    column_path,
     gt_solution_to_paths,
     paths_to_gt_solution,
-    row_path,
 )
 from .reduction import (
     AlreadyReducedError,
-    GraphCounts,
     ReductionOutput,
-    TerminalSet,
     boundary,
     build_g1,
     level_set,
     predicted_counts,
     reduce,
     reduce_degree,
-    split_vertices,
 )
 
 __all__ = [
@@ -50,10 +44,8 @@ __all__ = [
     "BudgetExceededError",
     "Digraph",
     "EmbeddedDigraph",
-    "EmbeddingCheck",
     "ExtractionFailedError",
     "GTAssignment",
-    "GraphCounts",
     "GridTilingInstance",
     "GridVertex",
     "HConnector",
@@ -62,7 +54,6 @@ __all__ = [
     "PathSet",
     "ReductionOutput",
     "Terminal",
-    "TerminalSet",
     "TreeNode",
     "VConnector",
     "boundary",
@@ -70,8 +61,6 @@ __all__ = [
     "check_edp_solution",
     "check_gt_solution",
     "check_level_confinement",
-    "column_path",
-    "edp_to_vdp_dag",
     "generate_planted",
     "generate_random",
     "gt_solution_to_paths",
@@ -80,10 +69,8 @@ __all__ = [
     "predicted_counts",
     "reduce",
     "reduce_degree",
-    "row_path",
     "solve_edp_dag",
     "solve_gt_brute_force",
     "solve_vdp_dag",
-    "split_vertices",
     "validate_instance",
 ]

@@ -204,12 +204,6 @@ def label_from_json(data: dict) -> Label:
     raise ValueError(f"unknown vertex label kind {data.get('kind')!r}")
 
 
-def is_dotted_edge(u: Label, v: Label) -> bool:
-    """True for the lb -> tr edge joining the two copies of a split vertex."""
-    # ("grid", i, j, q, ell, part): v is u with the part tr in place of lb
-    return isinstance(u, GridVertex) and u[-1] == LB and isinstance(v, GridVertex) and v == u[:-1] + (TR,)
-
-
 def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, list[int], list[int], dict]:
     """(vertices, tails, heads, label -> id) of a graph given by labels; an unknown end is -1."""
     verts = list(vertices)
@@ -282,30 +276,11 @@ class Digraph:
     def __contains__(self, v: Label) -> bool:
         return v in self._id
 
-    def has_edge(self, u: Label, v: Label) -> bool:
-        return (self._id.get(u), self._id.get(v)) in self._pairs
-
     def out(self, v: Label) -> tuple:
         return tuple(self._verts[self._head[e]] for e in self._out[self._id[v]])
 
     def inn(self, v: Label) -> tuple:
         return tuple(self._verts[self._tail[e]] for e in self._in[self._id[v]])
-
-    def _outside(self, subset: Iterable[Label], incident: list[list[int]], far: list[int]) -> set:
-        s = set(subset)
-        missing = s - self._id.keys()
-        if missing:
-            raise ValueError(f"subset contains unknown vertices: {sorted(map(repr, missing))}")
-        ids = {self._id[v] for v in s}
-        return {self._verts[far[e]] for n in ids for e in incident[n] if far[e] not in ids}
-
-    def out_neighbors(self, subset: Iterable[Label]) -> set:
-        """Vertices outside ``subset`` receiving an edge from it."""
-        return self._outside(subset, self._out, self._head)
-
-    def in_neighbors(self, subset: Iterable[Label]) -> set:
-        """Vertices outside ``subset`` sending an edge into it."""
-        return self._outside(subset, self._in, self._tail)
 
     def max_in_degree(self) -> int:
         return max(map(len, self._in), default=0)
@@ -572,9 +547,9 @@ class EmbeddedDigraph(Digraph):
         return g
 
     def _split_edges(self) -> list[int]:
-        """The ids of the edges ``is_dotted_edge`` holds for; only an lb copy has one leaving it."""
+        """The ids of the dotted edges: each lb copy's one edge, to its position's tr copy."""
         verts, head, out = self._verts, self._head, self._out
-        # is_dotted_edge, inlined: a call per edge costs more than the test
+        # ("grid", i, j, q, ell, part): the head is u with the part tr in place of lb
         return [
             e
             for n, u in enumerate(verts)

@@ -4,8 +4,8 @@ One exhaustive backtracking search serves both modes: it routes the
 terminal pairs one at a time in the given order, each over the resources
 (edges, or vertices) the earlier pairs left free, so a None answer is a
 proof of infeasibility at the given budget.  ``_search`` documents how it
-prunes without changing the search tree.  Also here: solution checkers and
-the line-graph transform from edge-disjoint to vertex-disjoint paths.
+prunes without changing the search tree.  Also here: the edge-disjoint
+solution checker.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -95,23 +95,6 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
                     f"paths {prev} and {idx} share edge ({path[n]!r}, {path[n + 1]!r})"
                 )
     return violations
-
-
-def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:
-    """True iff the paths are valid and pairwise vertex-disjoint.
-
-    Disjointness is required on all vertices, endpoints included; terminal
-    pairs must therefore be pairwise distinct vertices.
-    """
-    if check_edp_solution(g, terminals, ps):
-        return False
-    seen: set[Label] = set()
-    for path in ps.paths:
-        for v in path:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
 
 
 # _BIT[i] maps a byte to its bit i
@@ -401,57 +384,3 @@ def solve_vdp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     terminal vertices must be pairwise distinct across pairs.
     """
     return _search(g, terminals, budget, vertex_disjoint=True)
-
-
-@dataclass(frozen=True)
-class LineVertex:
-    """Vertex of the line-graph transform, standing for one original edge."""
-
-    tail: Label
-    head: Label
-
-
-@dataclass(frozen=True)
-class PairSource:
-    """Fresh super-source for terminal pair ``index`` in the transform."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class PairSink:
-    """Fresh super-sink for terminal pair ``index`` in the transform."""
-
-    index: int
-
-
-def edp_to_vdp_dag(g: Digraph, terminals) -> tuple[Digraph, list[tuple[Label, Label]]]:
-    """Line-graph transform: edge-disjoint on g == vertex-disjoint on the result.
-
-    One vertex per edge of g, an edge e -> f whenever head(e) = tail(f),
-    plus per pair a fresh super-source adjacent to the edges leaving its
-    source and a fresh super-sink fed by the edges entering its sink.
-    Vertex-disjoint super-source-to-super-sink paths correspond bijectively
-    to edge-disjoint original paths (a direct source -> sink edge standing
-    in for a single-vertex path when a pair's endpoints coincide).
-    """
-    pairs = _pairs(terminals)
-    verts: list[Label] = [LineVertex(u, v) for u, v in g.edges]
-    edges: list[tuple[Label, Label]] = []
-    for u, v in g.edges:
-        for w in g.out(v):
-            edges.append((LineVertex(u, v), LineVertex(v, w)))
-    new_pairs: list[tuple[Label, Label]] = []
-    for num, (s, t) in enumerate(pairs):
-        src = PairSource(num)
-        snk = PairSink(num)
-        verts.append(src)
-        verts.append(snk)
-        for w in g.out(s):
-            edges.append((src, LineVertex(s, w)))
-        for u in g.inn(t):
-            edges.append((LineVertex(u, t), snk))
-        if s == t:
-            edges.append((src, snk))
-        new_pairs.append((src, snk))
-    return Digraph(verts, edges), new_pairs

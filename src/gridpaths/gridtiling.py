@@ -46,7 +46,7 @@ class GridTilingInstance:
             "k": self.k,
             "N": self.N,
             "sets": {
-                f"{x},{y}": [list(p) for p in sorted(self.sets.get((x, y), ()))]
+                f"{x},{y}": [list(p) for p in sorted(self.sets[(x, y)])]
                 for (x, y) in self.cells()
                 if (x, y) in self.sets
             },

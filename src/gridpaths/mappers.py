@@ -18,8 +18,7 @@ from itertools import product
 from .digraph import GridVertex, Label, Terminal, WHOLE
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import _COLUMNS, _FAMILIES, _ROWS, ReductionOutput, _Family, _fan_route, _in_level
-from .reduction import _orient, grid_vertex_parts
+from .reduction import _FAMILIES, ReductionOutput, _Family, _fan_route, _in_level, _orient, grid_vertex_parts
 
 
 class InvalidSolutionError(ValueError):
@@ -38,21 +37,6 @@ def _grid_line(out: ReductionOutput, fam: _Family, i: int, j: int, lane: int) ->
         # a whole position's entry is its exit: keep one of them
         verts += dict.fromkeys(grid_vertex_parts(out, i, j, *_orient(fam, lane, s)))
     return verts
-
-
-def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
-    """Left-to-right path across row ell of grid (i, j).
-
-    Runs from the lb copy in column 1 to the tr copy in column N, taking the
-    dotted edge at every split position and passing straight through whole
-    vertices.
-    """
-    return _grid_line(out, _ROWS, i, j, ell)
-
-
-def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
-    """Bottom-to-top path up column ell of grid (i, j); mirror of row_path."""
-    return _grid_line(out, _COLUMNS, i, j, ell)
 
 
 def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:

@@ -133,7 +133,8 @@ class ReductionOutput:
         ``graph``, ``terminals`` and ``counts`` must equal the rebuild's encoding.
         """
         try:
-            counts = [exact(int, data["counts"][key]) for key in ("vertices", "edges")]
+            for key in ("vertices", "edges"):
+                exact(int, data["counts"][key])
             degree_reduced = exact(bool, data["degree_reduced"])
             stored = {part: data[part] for part in ("graph", "terminals", "counts")}
             inst = GridTilingInstance.from_json_dict(data["instance"])

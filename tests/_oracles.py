@@ -8,6 +8,12 @@ package did before it derived rotations from integer keys, and the face
 oracle traces faces over those rotations with darts keyed by label pairs.
 The reference builder makes a reduction's whole graph in one pass, as the
 package did before it cached the parts that depend only on (k, N).
+
+Also here, since only the tests call them: the line-graph transform from
+edge-disjoint to vertex-disjoint paths and the vertex-disjoint solution
+checker, which cross-check the two solver modes against each other; the
+edge and neighbourhood queries on a ``Digraph``; the lb -> tr edge test,
+an oracle for the split-edge list; and the grid-line helpers.
 """
 
 from __future__ import annotations
@@ -15,13 +21,37 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product
+from typing import Iterable
 
-from gridpaths.digraph import Digraph, EmbeddedDigraph, Label, NotConnectedError, Terminal, TreeNode
+from gridpaths.digraph import (
+    LB,
+    TR,
+    Digraph,
+    EmbeddedDigraph,
+    GridVertex,
+    Label,
+    NotConnectedError,
+    Terminal,
+    TreeNode,
+)
+from gridpaths.edp import PathSet, _pairs, check_edp_solution
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, check_gt_solution
-from gridpaths.reduction import _FAMILIES, _SIDES, _boundary, _orient, _split, _tree_split
+from gridpaths.mappers import _grid_line
+from gridpaths.reduction import (
+    _COLUMNS,
+    _FAMILIES,
+    _ROWS,
+    _SIDES,
+    ReductionOutput,
+    _boundary,
+    _orient,
+    _split,
+    _tree_split,
+)
 
 
 def gt_solutions_exhaustive(inst: GridTilingInstance) -> list[GTAssignment]:
@@ -391,3 +421,118 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
     g = EmbeddedDigraph.__new__(EmbeddedDigraph)
     g._init(verts, tail + first[0] + last[0], head + first[1] + last[1], xy, den)
     return g
+
+
+def has_edge(g: Digraph, u: Label, v: Label) -> bool:
+    return (g._id.get(u), g._id.get(v)) in g._pairs
+
+
+def _outside(g: Digraph, subset: Iterable[Label], incident: list[list[int]], far: list[int]) -> set:
+    s = set(subset)
+    missing = s - g._id.keys()
+    if missing:
+        raise ValueError(f"subset contains unknown vertices: {sorted(map(repr, missing))}")
+    ids = {g._id[v] for v in s}
+    return {g._verts[far[e]] for n in ids for e in incident[n] if far[e] not in ids}
+
+
+def out_neighbors(g: Digraph, subset: Iterable[Label]) -> set:
+    """Vertices outside ``subset`` receiving an edge from it."""
+    return _outside(g, subset, g._out, g._head)
+
+
+def in_neighbors(g: Digraph, subset: Iterable[Label]) -> set:
+    """Vertices outside ``subset`` sending an edge into it."""
+    return _outside(g, subset, g._in, g._tail)
+
+
+def is_dotted_edge(u: Label, v: Label) -> bool:
+    """True for the lb -> tr edge joining the two copies of a split vertex."""
+    # ("grid", i, j, q, ell, part): v is u with the part tr in place of lb
+    return isinstance(u, GridVertex) and u[-1] == LB and isinstance(v, GridVertex) and v == u[:-1] + (TR,)
+
+
+def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
+    """Left-to-right path across row ell of grid (i, j).
+
+    Runs from the lb copy in column 1 to the tr copy in column N, taking the
+    dotted edge at every split position and passing straight through whole
+    vertices.
+    """
+    return _grid_line(out, _ROWS, i, j, ell)
+
+
+def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
+    """Bottom-to-top path up column ell of grid (i, j); mirror of row_path."""
+    return _grid_line(out, _COLUMNS, i, j, ell)
+
+
+def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:
+    """True iff the paths are valid and pairwise vertex-disjoint.
+
+    Disjointness is required on all vertices, endpoints included; terminal
+    pairs must therefore be pairwise distinct vertices.
+    """
+    if check_edp_solution(g, terminals, ps):
+        return False
+    seen: set[Label] = set()
+    for path in ps.paths:
+        for v in path:
+            if v in seen:
+                return False
+            seen.add(v)
+    return True
+
+
+@dataclass(frozen=True)
+class LineVertex:
+    """Vertex of the line-graph transform, standing for one original edge."""
+
+    tail: Label
+    head: Label
+
+
+@dataclass(frozen=True)
+class PairSource:
+    """Fresh super-source for terminal pair ``index`` in the transform."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class PairSink:
+    """Fresh super-sink for terminal pair ``index`` in the transform."""
+
+    index: int
+
+
+def edp_to_vdp_dag(g: Digraph, terminals) -> tuple[Digraph, list[tuple[Label, Label]]]:
+    """Line-graph transform: edge-disjoint on g == vertex-disjoint on the result.
+
+    One vertex per edge of g, an edge e -> f whenever head(e) = tail(f),
+    plus per pair a fresh super-source adjacent to the edges leaving its
+    source and a fresh super-sink fed by the edges entering its sink.
+    Vertex-disjoint super-source-to-super-sink paths correspond bijectively
+    to edge-disjoint original paths (a direct source -> sink edge standing
+    in for a single-vertex path when a pair's endpoints coincide).
+    """
+    pairs = _pairs(terminals)
+    verts: list[Label] = [LineVertex(u, v) for u, v in g.edges]
+    edges: list[tuple[Label, Label]] = []
+    for u, v in g.edges:
+        for w in g.out(v):
+            edges.append((LineVertex(u, v), LineVertex(v, w)))
+    new_pairs: list[tuple[Label, Label]] = []
+    for num, (s, t) in enumerate(pairs):
+        src = PairSource(num)
+        snk = PairSink(num)
+        verts.append(src)
+        verts.append(snk)
+        for w in g.out(s):
+            edges.append((src, LineVertex(s, w)))
+        for u in g.inn(t):
+            edges.append((LineVertex(u, t), snk))
+        if s == t:
+            edges.append((src, snk))
+        new_pairs.append((src, snk))
+    return Digraph(verts, edges), new_pairs

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from gridpaths.edp import check_edp_solution, edp_to_vdp_dag, solve_edp_dag, solve_vdp_dag
+from gridpaths.edp import check_edp_solution, solve_edp_dag, solve_vdp_dag
 from gridpaths.gridtiling import (
     GridTilingInstance,
     check_gt_solution,
@@ -24,7 +24,7 @@ from gridpaths.mappers import (
 )
 from gridpaths.reduction import ReductionOutput, reduce, reduce_degree
 
-from ._oracles import edp_feasible_exhaustive, random_dag
+from ._oracles import edp_feasible_exhaustive, edp_to_vdp_dag, random_dag
 
 
 @dataclass

@@ -14,9 +14,11 @@ from gridpaths.cli import (
     main,
 )
 from gridpaths import cli, gridtiling, mappers, reduction
-from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, is_dotted_edge, label_to_json
+from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, label_to_json
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
+
+from ._oracles import is_dotted_edge
 
 
 def run(capsys, *argv):

@@ -19,7 +19,6 @@ from gridpaths.digraph import (
     Terminal,
     TreeNode,
     VConnector,
-    is_dotted_edge,
     label_to_json,
 )
 from gridpaths.edp import solve_edp_dag
@@ -36,7 +35,7 @@ from gridpaths.reduction import (
     split_vertices,
 )
 
-from ._oracles import build_reference
+from ._oracles import build_reference, is_dotted_edge
 
 
 def full_instance(k, n):
