@@ -4,8 +4,9 @@ One exhaustive backtracking search serves both modes: it routes the
 terminal pairs one at a time in the given order, each over the resources
 (edges, or vertices) the earlier pairs left free, so a None answer is a
 proof of infeasibility at the given budget.  ``_search`` documents how it
-prunes without changing the search tree.  Also here: the edge-disjoint
-solution checker.
+prunes without changing the search tree; it tests ancestry on one bitmask
+per vertex, the targets it reaches.  Also here: the edge-disjoint solution
+checker.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -13,10 +14,8 @@ legal and consumes no edges.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from .digraph import Digraph, Label, label_from_json, label_to_json
 from .errors import DEFAULT_BUDGET, BudgetExceededError, exact
@@ -60,17 +59,8 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
     violations = []
     if len(ps.paths) != len(pairs):
         return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
-    ids, edges = g._id, g._pairs
-    strangers: dict[Label, int] = {}
-
-    def to_ids(path: list[Label]) -> list:
-        nums = list(map(ids.get, path))
-        if None in nums:
-            fresh = strangers.setdefault
-            nums = [fresh(v, -1 - len(strangers)) if n is None else n for n, v in zip(nums, path)]
-        return nums
-
-    id_paths = [to_ids(path) for path in ps.paths]
+    ids, edges = dict(g._id), g._pairs
+    id_paths = [[ids.setdefault(v, len(ids)) for v in path] for path in ps.paths]
     for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
         if not path:
             violations.append(f"path {idx} is empty")
@@ -97,17 +87,11 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
     return violations
 
 
-# _BIT[i] maps a byte to its bit i
-_BIT = [bytes((b >> i) & 1 for b in range(256)) for i in range(8)]
+def _reach_bits(g: Digraph, targets: list[int]) -> list[int]:
+    """Per vertex id, the bitmask of the targets it reaches: bit j for ``targets[j]``.
 
-
-def _ancestor_flags(g: Digraph, targets: list[int]) -> list[bytes]:
-    """Per target, one flag per vertex id: set for the target and every vertex that reaches it.
-
-    One pass in reverse topological order (``g`` must be acyclic) gives each
-    vertex the bitmask of the targets it reaches; each target's flags are
-    then cut out of the masks eight targets at a time, one byte each, by a
-    table lookup per target.
+    A vertex reaches itself.  One pass in reverse topological order (``g``
+    must be acyclic) ORs each vertex's successors' masks into its own.
     """
     head, out_edges = g._head, g._out
     reach = [0] * len(out_edges)
@@ -118,12 +102,7 @@ def _ancestor_flags(g: Digraph, targets: list[int]) -> list[bytes]:
         for e in out_edges[v]:
             bits |= reach[head[e]]
         reach[v] = bits
-    flags = []
-    for j in range(len(targets)):
-        if j % 8 == 0:
-            byte = bytes(map(operator.and_, map(operator.rshift, reach, repeat(j)), repeat(255)))
-        flags.append(byte.translate(_BIT[j % 8]))
-    return flags
+    return reach
 
 
 def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
@@ -132,15 +111,17 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     The plain search it reproduces routes the pairs in the given order, tries
     each vertex's arcs in edge order, skips an arc into a vertex that cannot
     reach the current target, and at each target abandons the branch if a
-    later pair has no route left.  Each arc consumes one resource: its edge
-    in edge-disjoint mode, its head vertex in vertex-disjoint mode, which
-    also claims each path's start vertex.  The search runs on an explicit
-    stack of frames [pair, vertex, resource taken, next arc], so its depth
-    is not bounded by the recursion limit; the frames of one pair spell out
-    that pair's path.  One ``taken`` flag per resource holds the state of
-    the whole stack: a frame sets its resource's flag when pushed and clears
-    it when popped.  A first frame in edge-disjoint mode takes resource -1,
-    a spare flag after the others.
+    later pair has no route left.  ``reach[w]`` has bit i set when w reaches
+    pair i's target, so each ancestry test is ``reach[w] & bit`` with
+    bit = 1 << i.  Each arc consumes one resource: its edge in edge-disjoint
+    mode, its head vertex in vertex-disjoint mode, which also claims each
+    path's start vertex.  The search runs on an explicit stack of frames
+    [pair, vertex, resource taken, next arc], so its depth is not bounded by
+    the recursion limit; the frames of one pair spell out that pair's path.
+    One ``taken`` flag per resource holds the state of the whole stack: a
+    frame sets its resource's flag when pushed and clears it when popped.  A
+    first frame in edge-disjoint mode takes resource -1, a spare flag after
+    the others.
 
     Each pair after the first keeps a witness route (no pair routes before
     the first), and ``users`` maps each resource to a bitmask of the pairs
@@ -196,7 +177,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     # one flag per resource, and a spare last one for frames that take none (-1): no witness uses it
     taken = bytearray((nverts if vertex_disjoint else len(head)) + 1)
     ends = [(ids[s], ids[t]) for s, t in pairs]
-    anc_flags = _ancestor_flags(g, [tv for _, tv in ends])
+    reach = _reach_bits(g, [tv for _, tv in ends])
     # per pair: the resources of its witness and of the blocking cuts of its
     # last failed searches, the one that refuted last first, and the key of
     # its current entry
@@ -225,8 +206,8 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     held.appendleft(cut)
                 return False
         found = -1  # the arc that reaches the target
+        bit = 1 << idx
         if sv != tv:
-            anc = anc_flags[idx]
             keys += 1
             key = seen[sv] = keys
             via[sv] = -1
@@ -241,7 +222,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                     if w == tv:
                         found = e
                         break
-                    if anc[w] and seen[w] != key:
+                    if reach[w] & bit and seen[w] != key:
                         seen[w] = key
                         via[w] = e
                         stack.append(w)
@@ -249,11 +230,10 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 # the blocking cut, each resource once: in vertex-disjoint mode
                 # several blocked arcs can share a head
                 held.appendleft(
-                    list(dict.fromkeys(res[e] for e in blocked if anc[head[e]] and seen[head[e]] != key))
+                    list(dict.fromkeys(res[e] for e in blocked if reach[head[e]] & bit and seen[head[e]] != key))
                 )
                 return False
         if idx:  # no pair routes before pair 0 to break its witness
-            bit = 1 << idx
             for x in witness[idx]:
                 users[x] ^= bit
             route = witness[idx] = [sv] if vertex_disjoint else []
@@ -281,7 +261,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     def subtree(idx: int, w: int) -> None:
         # adds N(w) for pair idx to the expansions; raises past the budget
         nonlocal expansions
-        anc, key = anc_flags[idx], entry[idx]
+        bit, key = 1 << idx, entry[idx]
         stack = [w]
         while stack:
             v = stack[-1]
@@ -291,7 +271,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             total = 0  # -1 once a successor is still to count
             for e in out_edges[v]:
                 x = head[e]
-                if taken[res[e]] or not anc[x]:
+                if taken[res[e]] or not reach[x] & bit:
                     continue
                 if sized[x] != key:
                     stack.append(x)
@@ -344,14 +324,14 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                 start(idx + 1)
             continue
         arcs = out_edges[v]
-        anc = anc_flags[idx]
+        bit = 1 << idx
         above = 2 << idx  # users[r] >= above: a later pair's witness uses r
         while nxt < len(arcs):
             e = arcs[nxt]
             nxt += 1
             w = head[e]
             r = res[e]
-            if taken[r] or not anc[w]:
+            if taken[r] or not reach[w] & bit:
                 continue
             expansions += 1
             if expansions > budget:

@@ -14,9 +14,10 @@ from gridpaths.cli import (
     main,
 )
 from gridpaths import cli, gridtiling, mappers, reduction
-from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, label_to_json
+from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, HConnector, Terminal, label_to_json
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
+from gridpaths.reduction import GraphCounts, TerminalSet
 
 from ._oracles import is_dotted_edge
 
@@ -129,6 +130,26 @@ class TestReduce:
             assert want > 0
             assert cli._structure_report(out, {})["checks"]["dotted_edges"] == want
 
+    def test_source_with_an_in_edge_fails_the_terminal_check(self):
+        # a hand-made reduction, sound but for the in-edge u -> a of source terminal a
+        a, b, c, d = (Terminal(family, 1) for family in "abcd")
+        u = HConnector(7, 7, 1)
+        g = EmbeddedDigraph(
+            [a, b, c, d, u],
+            [(u, a), (u, c), (a, b), (c, d)],
+            {a: (0, 0), b: (2, 0), c: (0, 2), d: (2, 2), u: (1, 1)},
+        )
+        out = reduction.ReductionOutput(
+            graph=g,
+            terminals=TerminalSet(((a, b), (c, d))),
+            provenance=GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}}),
+            counts=GraphCounts(vertices=5, edges=4),
+        )
+        report = cli._structure_report(out, {})
+        assert report["counts"]["match"] and report["checks"]["dag"] and report["checks"]["genus"] == 0
+        assert report["checks"]["terminal_pairs_ok"] is False
+        assert report["ok"] is False
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "reduce", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_USAGE
@@ -225,9 +246,28 @@ class TestRoundtrip:
 
     def test_bad_budget_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
-        monkeypatch.setenv("DPATH_BUDGET", "lots")
-        code, _, _ = run(capsys, "roundtrip", str(inst))
-        assert code == EXIT_USAGE
+        for raw, reason in (("lots", "must be an integer"), ("0", "must be positive"), ("-3", "must be positive")):
+            monkeypatch.setenv("DPATH_BUDGET", raw)
+            code, _, err = run(capsys, "roundtrip", str(inst))
+            assert code == EXIT_USAGE
+            assert reason in err
+
+    def test_rejected_forward_map_exits_1_with_its_report(self, capsys, tmp_path, monkeypatch):
+        # a forward path set that the checker rejects is a failed check, not a crash of the identity check
+        forward = mappers.gt_solution_to_paths
+
+        def broken(out, asg):
+            ps = forward(out, asg)
+            del ps.paths[0][1]
+            return ps
+
+        inst = gen_instance(capsys, tmp_path)
+        monkeypatch.setattr(mappers, "gt_solution_to_paths", broken)
+        code, out, _ = run(capsys, "roundtrip", str(inst))
+        assert code == EXIT_CHECK_FAILED
+        roundtrip = json.loads(out)["runs"][0]["report"]["roundtrip"]
+        assert roundtrip["forward_valid"] is False
+        assert roundtrip["identity"] is False
 
 
 class TestInternalFaults:

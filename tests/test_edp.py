@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpaths.digraph import Digraph
-from gridpaths.edp import PathSet, _ancestor_flags, check_edp_solution, solve_edp_dag, solve_vdp_dag
+from gridpaths.edp import PathSet, _reach_bits, check_edp_solution, solve_edp_dag, solve_vdp_dag
 from gridpaths.errors import BudgetExceededError
 from gridpaths.gridtiling import (
     GridTilingInstance,
@@ -200,6 +200,16 @@ class TestCheckEdpSolution:
         g = Digraph(["p", "q"], [("p", "q")])
         assert check_edp_solution(g, [("p", "p")], PathSet([["p"]])) == []
         assert check_edp_solution(g, [("p", "q")], PathSet([["p"]]))
+
+    def test_empty_path_reported(self):
+        g = Digraph(["p", "q"], [("p", "q")])
+        assert check_edp_solution(g, [("p", "q")], PathSet([[]])) == ["path 0 is empty"]
+
+    def test_edge_repeated_within_a_path_reported(self):
+        # only a cycle lets one path use an edge twice
+        g = Digraph(["x", "y"], [("x", "y"), ("y", "x")])
+        ps = PathSet([["x", "y", "x", "y"]])
+        assert check_edp_solution(g, [("x", "y")], ps) == ["path 0 repeats edge ('x', 'y')"]
 
 
 class TestSolveEdp:
@@ -615,8 +625,8 @@ class TestSearchCore:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), data=st.data())
-    def test_ancestor_flags_match_reachability(self, seed, data):
-        # up to 20 targets, some repeated: the masks span three bytes
+    def test_reach_bits_match_reachability(self, seed, data):
+        # up to 20 targets, some repeated: masks of up to 20 bits
         g, _ = random_dag(seed)
         verts = g.vertices
         targets = data.draw(st.lists(st.sampled_from(verts), max_size=20))
@@ -628,5 +638,6 @@ class TestSearchCore:
                     if u not in found:
                         found.add(u)
                         todo.append(u)
-            expected.append(bytes(v in found for v in verts))
-        assert _ancestor_flags(g, [verts.index(t) for t in targets]) == expected
+            expected.append([v in found for v in verts])
+        reach = _reach_bits(g, [verts.index(t) for t in targets])
+        assert [[bool(bits >> j & 1) for bits in reach] for j in range(len(targets))] == expected
