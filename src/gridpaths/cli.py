@@ -172,13 +172,16 @@ def roundtrip_report(inst: gridtiling.GridTilingInstance, budget: int) -> dict:
     if gt_answer is not None and edp_answer is not None:
         forward = mappers.gt_solution_to_paths(out, gt_answer)
         extracted = mappers.paths_to_gt_solution(out, edp_answer)
-        forward_valid = not edp.check_edp_solution(out.graph, out.terminals, forward)
+        # the extraction checks the path set first: one it rejects is neither valid nor the identity
+        try:
+            backward = mappers.paths_to_gt_solution(out, forward)
+        except mappers.InvalidSolutionError:
+            backward = None
         roundtrip = {
-            "forward_valid": forward_valid,
+            "forward_valid": backward is not None,
             "level_confined": mappers.check_level_confinement(out, forward),
             "extraction_valid": gridtiling.check_gt_solution(inst, extracted),
-            # extraction raises on an invalid path set: a rejected forward map reads false
-            "identity": forward_valid and mappers.paths_to_gt_solution(out, forward) == gt_answer,
+            "identity": backward == gt_answer,
         }
     report.update(solver=solver, roundtrip=roundtrip)
     report["ok"] = report["ok"] and solver["agree"] and all((roundtrip or {}).values())

@@ -53,13 +53,26 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
     without repeating an edge, and no edge may appear in two paths.  Sharing
     vertices is allowed; single-vertex paths share nothing.  Edges are
     compared as pairs of vertex ids; a label not in the graph gets an id of
-    its own, so its edges are missing but can still be shared.
+    its own, so its edges are missing but can still be shared.  A valid set
+    is accepted by set operations on all its edges at once; the messages
+    are built only when one of those tests fails.
     """
     pairs = _pairs(terminals)
-    violations = []
     if len(ps.paths) != len(pairs):
         return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
-    ids, edges = dict(g._id), g._pairs
+    ids, edges = g._id, g._pairs
+    used: list[tuple] = []
+    for path, (s, t) in zip(ps.paths, pairs):
+        if not path or path[0] != s or path[-1] != t:
+            break
+        # a label outside the graph maps to None: no edge of the graph has it
+        nums = list(map(ids.get, path))
+        used += zip(nums, nums[1:])
+    else:
+        distinct = set(used)
+        if len(distinct) == len(used) and distinct <= edges:
+            return []
+    violations, ids = [], dict(ids)
     id_paths = [[ids.setdefault(v, len(ids)) for v in path] for path in ps.paths]
     for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
         if not path:

@@ -13,12 +13,12 @@ broken, so it raises instead of recovering.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 
 from .digraph import GridVertex, Label, Terminal, WHOLE
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import _FAMILIES, ReductionOutput, _Family, _fan_route, _in_level, _orient, grid_vertex_parts
+from .reduction import _FAMILIES, ReductionOutput, _fan_route, _in_level, _lane, _orient
 
 
 class InvalidSolutionError(ValueError):
@@ -27,16 +27,6 @@ class InvalidSolutionError(ValueError):
 
 class ExtractionFailedError(RuntimeError):
     """No shared whole vertex exists in some cell; the reduction is broken."""
-
-
-def _grid_line(out: ReductionOutput, fam: _Family, i: int, j: int, lane: int) -> list:
-    """Lane ``lane`` of grid (i, j) along the family's paths, entering and leaving each position."""
-    verts: list[Label] = []
-    # grid_vertex_parts rejects a lane or cell out of range
-    for s in range(1, out.provenance.N + 1):
-        # a whole position's entry is its exit: keep one of them
-        verts += dict.fromkeys(grid_vertex_parts(out, i, j, *_orient(fam, lane, s)))
-    return verts
 
 
 def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
@@ -59,7 +49,7 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
         source, sink = (Terminal(family, m) for family in fam.terminals)
         path = [source] + _fan_route(out, source, lanes[0])
         for n, cell in enumerate(cells):
-            path += _grid_line(out, fam, *cell, lanes[n])
+            path += _lane(inst.sets, inst.N, fam, *cell, lanes[n])
             if n + 1 < len(cells):
                 path += [fam.connector(*cell, ell) for ell in range(lanes[n], lanes[n + 1] + 1)]
         paths.append(path + _fan_route(out, sink, lanes[-1])[::-1] + [sink])
@@ -104,10 +94,12 @@ def check_level_confinement(out: ReductionOutput, ps: PathSet) -> bool:
     k = out.provenance.k
     if len(ps.paths) != 2 * k:
         raise ValueError(f"expected {2 * k} paths, got {len(ps.paths)}")
-    g = out.graph
+    ids = out.graph._id
     for idx, path in enumerate(ps.paths):
         fam, index = _FAMILIES[idx // k], idx % k + 1
         # a path without edges has nothing to confine
-        if len(path) > 1 and not all(v in g and _in_level(v, fam, index) for v in path):
+        if len(path) > 1 and not (
+            all(map(ids.__contains__, path)) and all(map(_in_level, path, repeat(fam), repeat(index)))
+        ):
             return False
     return True

@@ -75,6 +75,17 @@ def _split(sets: dict, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, Gr
     return GridVertex(i, j, q, ell, LB), GridVertex(i, j, q, ell, TR)
 
 
+def _lane(sets: dict, n: int, fam: _Family, i: int, j: int, lane: int) -> list[GridVertex]:
+    """Lane ``lane`` of grid (i, j) along ``fam``'s paths: each position's entry, then its exit if split."""
+    verts = []
+    for step in range(1, n + 1):
+        entry, exit_ = _split(sets, i, j, *_orient(fam, lane, step))
+        verts.append(entry)
+        if exit_ is not entry:
+            verts.append(exit_)
+    return verts
+
+
 def _boundary(parts: Callable, n: int, i: int, j: int, side: str) -> list[GridVertex]:
     """Grid (i, j)'s N vertices on ``side``; ``parts`` maps (i, j, q, ell) to (entry, exit)."""
     fam, end = _SIDES[side]

@@ -14,6 +14,11 @@ edge-disjoint to vertex-disjoint paths and the vertex-disjoint solution
 checker, which cross-check the two solver modes against each other; the
 edge and neighbourhood queries on a ``Digraph``; the lb -> tr edge test,
 an oracle for the split-edge list; and the grid-line helpers.
+
+The reference forward map reads each grid lane through the validating
+``grid_vertex_parts`` (``_grid_line``), and the reference checker and
+confinement rule are the package's before they worked on vertex ids:
+the tests hold the package's fast paths to them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from gridpaths.digraph import (
 from gridpaths.edp import PathSet, _pairs, check_edp_solution
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, check_gt_solution
-from gridpaths.mappers import _grid_line
 from gridpaths.reduction import (
     _COLUMNS,
     _FAMILIES,
@@ -48,9 +52,13 @@ from gridpaths.reduction import (
     _SIDES,
     ReductionOutput,
     _boundary,
+    _Family,
+    _fan_route,
+    _in_level,
     _orient,
     _split,
     _tree_split,
+    grid_vertex_parts,
 )
 
 
@@ -452,6 +460,20 @@ def is_dotted_edge(u: Label, v: Label) -> bool:
     return isinstance(u, GridVertex) and u[-1] == LB and isinstance(v, GridVertex) and v == u[:-1] + (TR,)
 
 
+def _grid_line(out: ReductionOutput, fam: _Family, i: int, j: int, lane: int) -> list:
+    """Lane ``lane`` of grid (i, j) along the family's paths, entering and leaving each position.
+
+    The oracle for ``reduction._lane``: it reads each position through the
+    public, validating ``grid_vertex_parts``.
+    """
+    verts: list[Label] = []
+    # grid_vertex_parts rejects a lane or cell out of range
+    for s in range(1, out.provenance.N + 1):
+        # a whole position's entry is its exit: keep one of them
+        verts += dict.fromkeys(grid_vertex_parts(out, i, j, *_orient(fam, lane, s)))
+    return verts
+
+
 def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Left-to-right path across row ell of grid (i, j).
 
@@ -465,6 +487,67 @@ def row_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
 def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
     """Bottom-to-top path up column ell of grid (i, j); mirror of row_path."""
     return _grid_line(out, _COLUMNS, i, j, ell)
+
+
+def gt_solution_to_paths_reference(out: ReductionOutput, asg: GTAssignment) -> PathSet:
+    """``mappers.gt_solution_to_paths`` with each grid lane read through ``_grid_line``."""
+    ks = range(1, out.provenance.k + 1)
+    paths: list[list[Label]] = []
+    for fam, m in product(_FAMILIES, ks):
+        cells = [_orient(fam, m, n) for n in ks]
+        lanes = [asg.choice[cell][fam.axis] for cell in cells]
+        source, sink = (Terminal(family, m) for family in fam.terminals)
+        path = [source] + _fan_route(out, source, lanes[0])
+        for n, cell in enumerate(cells):
+            path += _grid_line(out, fam, *cell, lanes[n])
+            if n + 1 < len(cells):
+                path += [fam.connector(*cell, ell) for ell in range(lanes[n], lanes[n + 1] + 1)]
+        paths.append(path + _fan_route(out, sink, lanes[-1])[::-1] + [sink])
+    return PathSet(paths)
+
+
+def level_confined_reference(out: ReductionOutput, ps: PathSet) -> bool:
+    """``mappers.check_level_confinement``'s rule, tested one label at a time."""
+    k, g = out.provenance.k, out.graph
+    for idx, path in enumerate(ps.paths):
+        fam, index = _FAMILIES[idx // k], idx % k + 1
+        if len(path) > 1 and not all(v in g and _in_level(v, fam, index) for v in path):
+            return False
+    return True
+
+
+def check_edp_solution_reference(g: Digraph, terminals, ps: PathSet) -> list[str]:
+    """``edp.check_edp_solution`` before its fast path: every path set goes through the message loop."""
+    pairs = _pairs(terminals)
+    violations = []
+    if len(ps.paths) != len(pairs):
+        return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
+    ids, edges = dict(g._id), g._pairs
+    id_paths = [[ids.setdefault(v, len(ids)) for v in path] for path in ps.paths]
+    for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
+        if not path:
+            violations.append(f"path {idx} is empty")
+            continue
+        if path[0] != s:
+            violations.append(f"path {idx} starts at {path[0]!r}, expected {s!r}")
+        if path[-1] != t:
+            violations.append(f"path {idx} ends at {path[-1]!r}, expected {t!r}")
+        seen = set()
+        for n, edge in enumerate(zip(nums, nums[1:])):
+            if edge not in edges:
+                violations.append(f"path {idx} uses missing edge ({path[n]!r}, {path[n + 1]!r})")
+            elif edge in seen:
+                violations.append(f"path {idx} repeats edge ({path[n]!r}, {path[n + 1]!r})")
+            seen.add(edge)
+    owner: dict[tuple[int, int], int] = {}
+    for idx, (path, nums) in enumerate(zip(ps.paths, id_paths)):
+        for n, edge in enumerate(zip(nums, nums[1:])):
+            prev = owner.setdefault(edge, idx)
+            if prev != idx:
+                violations.append(
+                    f"paths {prev} and {idx} share edge ({path[n]!r}, {path[n + 1]!r})"
+                )
+    return violations
 
 
 def check_vdp_solution(g: Digraph, terminals, ps: PathSet) -> bool:

@@ -13,6 +13,7 @@ from gridpaths.digraph import (
     VConnector,
 )
 from gridpaths.edp import PathSet, check_edp_solution, solve_edp_dag
+from gridpaths.errors import BudgetExceededError
 from gridpaths.gridtiling import (
     GTAssignment,
     GridTilingInstance,
@@ -37,7 +38,14 @@ from gridpaths.reduction import (
     reduce_degree,
 )
 
-from ._oracles import column_path, has_edge, row_path
+from ._oracles import (
+    check_edp_solution_reference,
+    column_path,
+    gt_solution_to_paths_reference,
+    has_edge,
+    level_confined_reference,
+    row_path,
+)
 
 
 def full_instance(k, n):
@@ -376,3 +384,75 @@ class TestTransposition:
             tchoice = {(y, x): (b, a) for (x, y), (a, b) in choice.items()}
             tps = gt_solution_to_paths(tout, GTAssignment(tchoice))
             assert tps.paths == [[t(v) for v in p] for p in ps.paths[k:] + ps.paths[:k]]
+
+
+@st.composite
+def reductions(draw):
+    """A planted or random reduction with k <= 3 and N <= 5, in either form."""
+    k, n, seed = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        inst = generate_planted(k, n, noise=draw(st.integers(0, 2)), seed=seed)
+    else:
+        inst = generate_random(k, n, draw(st.sampled_from([0.2, 0.5, 0.8])), seed=seed)
+    out = reduce(inst)
+    return reduce_degree(out) if draw(st.booleans()) else out
+
+
+def mutations(draw, ps: PathSet, k: int) -> list[PathSet]:
+    """The path set with one fault put in, for each kind of fault the checker names."""
+    paths = ps.paths
+    a, b = draw(st.lists(st.integers(0, 2 * k - 1), min_size=2, max_size=2, unique=True))
+
+    def with_path(idx, path):
+        return PathSet([path if n == idx else p for n, p in enumerate(paths)])
+
+    # every path has two vertices at least, the pair's source and sink
+    found = [
+        with_path(a, []),  # an empty path
+        PathSet(paths[:-1]),  # a wrong path count
+        PathSet(paths + [paths[a]]),
+        # two paths swapped
+        PathSet([paths[b] if n == a else paths[a] if n == b else p for n, p in enumerate(paths)]),
+    ]
+    # the path cut short at one end: its edges are still the graph's
+    found.append(with_path(a, paths[a][1:] if draw(st.booleans()) else paths[a][:-1]))
+    long = [n for n, p in enumerate(paths) if len(p) >= 3]
+    if long:  # an inner vertex dropped
+        idx = draw(st.sampled_from(long))
+        at = draw(st.integers(1, len(paths[idx]) - 2))
+        found.append(with_path(idx, paths[idx][:at] + paths[idx][at + 1 :]))
+    # one edge put on two paths
+    n, at = draw(st.integers(0, len(paths[a]) - 2)), draw(st.integers(0, len(paths[b])))
+    found.append(with_path(b, paths[b][:at] + paths[a][n : n + 2] + paths[b][at:]))
+    # a label outside the graph; the grid vertex would lie in path a's stratum
+    at = draw(st.integers(0, len(paths[a]) - 1))
+    index = a % k + 1
+    stranger = draw(st.sampled_from([GridVertex(index, index, 9, 9), Terminal("a", 99), "z"]))
+    found.append(with_path(a, paths[a][:at] + [stranger] + paths[a][at + 1 :]))
+    return found
+
+
+class TestAgainstReference:
+    """The checker, the forward map and the confinement rule agree with their reference oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(out=reductions(), data=st.data())
+    def test_messages_forward_map_and_confinement_match(self, out, data):
+        inst, g, terminals = out.provenance, out.graph, out.terminals
+        try:
+            asg = solve_gt_brute_force(inst, budget=10**4)
+            answer = solve_edp_dag(g, terminals, budget=10**4)
+        except BudgetExceededError:
+            asg = answer = None
+        forward = None
+        if asg is not None:
+            forward = gt_solution_to_paths(out, asg)
+            assert forward == gt_solution_to_paths_reference(out, asg)
+        base = forward or answer or PathSet([[s, t] for s, t in terminals.pairs])
+        cases = [ps for ps in (forward, answer) if ps is not None]
+        for ps in cases:
+            assert check_edp_solution(g, terminals, ps) == check_edp_solution_reference(g, terminals, ps) == []
+        for ps in cases + mutations(data.draw, base, inst.k):
+            assert check_edp_solution(g, terminals, ps) == check_edp_solution_reference(g, terminals, ps)
+            if len(ps.paths) == 2 * inst.k:
+                assert check_level_confinement(out, ps) == level_confined_reference(out, ps)
