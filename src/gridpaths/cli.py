@@ -179,7 +179,7 @@ def roundtrip_report(inst: gridtiling.GridTilingInstance, budget: int) -> dict:
             backward = None
         roundtrip = {
             "forward_valid": backward is not None,
-            "level_confined": mappers.check_level_confinement(out, forward),
+            "level_confined": mappers.check_level_confinement(out, edp_answer),
             "extraction_valid": gridtiling.check_gt_solution(inst, extracted),
             "identity": backward == gt_answer,
         }

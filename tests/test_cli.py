@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridpaths
 from gridpaths.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -33,6 +38,23 @@ def gen_instance(capsys, tmp_path, *extra):
     code, _, _ = run(capsys, "gen", "2", "3", "--seed", "1", "--out", str(path), *extra)
     assert code == EXIT_OK
     return path
+
+
+def gen_files(capsys, tmp_path):
+    """Two planted yes-instances and a random no-instance of one shape, (2, 3)."""
+    files = [tmp_path / name for name in ("yes7.json", "yes8.json", "no.json")]
+    for path, args in zip(files, (("--noise", "1", "--seed", "7"), ("--noise", "1", "--seed", "8"),
+                                  ("--mode", "random", "--density", "0.15", "--seed", "0"))):
+        assert run(capsys, "gen", "2", "3", *args, "--out", str(path))[0] == EXIT_OK
+    return files
+
+
+def untimed(text):
+    """A roundtrip payload without its timings, the one part that differs from run to run."""
+    payload = json.loads(text)
+    for entry in payload["runs"]:
+        del entry["report"]["timings"]
+    return payload
 
 
 class TestGen:
@@ -187,13 +209,15 @@ class TestRoundtrip:
         assert report["roundtrip"]["identity"] is True
 
     def test_infeasible_instance_still_passes(self, capsys, tmp_path):
-        inst = tmp_path / "none.json"
-        run(capsys, "gen", "2", "2", "--mode", "random", "--density", "0", "--out", str(inst))
-        code, out, _ = run(capsys, "roundtrip", str(inst))
-        assert code == EXIT_OK
-        report = json.loads(out)["runs"][0]["report"]
-        assert report["solver"]["agree"] is True
-        assert report["roundtrip"] is None
+        # an instance with no sets, and one whose refutation takes a search
+        for shape, density, seed in (("2", "0", "0"), ("3", "0.15", "0")):
+            inst = tmp_path / "none.json"
+            run(capsys, "gen", "2", shape, "--mode", "random", "--density", density, "--seed", seed, "--out", str(inst))
+            code, out, _ = run(capsys, "roundtrip", str(inst))
+            assert code == EXIT_OK
+            report = json.loads(out)["runs"][0]["report"]
+            assert report["solver"] == {"grid_tiling": "infeasible", "edge_disjoint_paths": "infeasible", "agree": True}
+            assert report["roundtrip"] is None
 
     def test_multiple_files(self, capsys, tmp_path):
         a = gen_instance(capsys, tmp_path)
@@ -202,6 +226,34 @@ class TestRoundtrip:
         code, out, _ = run(capsys, "roundtrip", str(a), str(b))
         assert code == EXIT_OK
         assert len(json.loads(out)["runs"]) == 2
+
+    def test_batch_reports_what_one_run_per_file_reports(self, capsys, tmp_path):
+        # later files of one shape reuse the cached base graph; a fresh process per file has none
+        files = gen_files(capsys, tmp_path)
+        code, out, _ = run(capsys, "roundtrip", *map(str, files))
+        assert code == EXIT_OK
+        batch = untimed(out)["runs"]
+        alone = []
+        for path in files:
+            reduction._base.cache_clear()
+            code, out, _ = run(capsys, "roundtrip", str(path))
+            assert code == EXIT_OK
+            alone += untimed(out)["runs"]
+        assert batch == alone
+
+    def test_planted_instances_pass_every_roundtrip_check(self, capsys, tmp_path):
+        planted = []
+        for (k, n), seed in itertools.product(((2, 3), (2, 4), (3, 3)), range(4)):
+            path = tmp_path / f"planted_{k}_{n}_{seed}.json"
+            args = ("gen", str(k), str(n), "--noise", "2", "--seed", str(seed), "--out", str(path))
+            assert run(capsys, *args)[0] == EXIT_OK
+            planted.append(str(path))
+        code, out, _ = run(capsys, "roundtrip", *planted)
+        assert code == EXIT_OK
+        runs = json.loads(out)["runs"]
+        assert len(runs) == 12
+        for entry in runs:
+            assert set(entry["report"]["roundtrip"].values()) == {True}, entry["file"]
 
     def test_corrupted_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -241,8 +293,9 @@ class TestRoundtrip:
     def test_budget_env_var_exits_3(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
         monkeypatch.setenv("DPATH_BUDGET", "3")
-        code, _, _ = run(capsys, "roundtrip", str(inst))
+        code, _, err = run(capsys, "roundtrip", str(inst))
         assert code == EXIT_BUDGET
+        assert err == "error: expansion budget of 3 exhausted\n"
 
     def test_bad_budget_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
@@ -323,6 +376,63 @@ class TestRoundtrip:
             "edp.solve_edp_dag",
         ]
         assert calls[1][2] is calls[2][2] is None
+
+    def test_level_confinement_is_checked_on_the_solver_answer(self, capsys, tmp_path, monkeypatch):
+        # the paper's backward direction rests on every edge-disjoint solution staying in its level
+        solve, confine = edp.solve_edp_dag, mappers.check_level_confinement
+        answers, checked = [], []
+        monkeypatch.setattr(edp, "solve_edp_dag", lambda *a, **kw: answers.append(solve(*a, **kw)) or answers[-1])
+        monkeypatch.setattr(
+            mappers, "check_level_confinement", lambda out, ps: checked.append(ps) or confine(out, ps)
+        )
+        code, out, _ = run(capsys, "roundtrip", str(gen_instance(capsys, tmp_path)))
+        assert code == EXIT_OK
+        assert json.loads(out)["runs"][0]["report"]["roundtrip"]["level_confined"] is True
+        assert len(checked) == 1 and checked[0] is answers[0]
+
+
+class TestEntryPoint:
+    """``python -m gridpaths.cli`` in a fresh process: exit codes and output under two hash seeds."""
+
+    @staticmethod
+    def cli(tmp_path, *argv, seed="0", budget=None):
+        src = str(Path(gridpaths.__file__).resolve().parents[1])  # the package under test
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        env.pop("DPATH_BUDGET", None)
+        if budget is not None:
+            env["DPATH_BUDGET"] = budget
+        return subprocess.run(
+            [sys.executable, "-m", "gridpaths.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_output_does_not_depend_on_the_hash_seed(self, capsys, tmp_path):
+        # every label's hash includes a string's, so set and dict order of labels changes with the seed
+        files = [str(path) for path in gen_files(capsys, tmp_path)]
+        written, reports = [], []
+        for seed in ("0", "1"):
+            red, dot = tmp_path / f"red_{seed}.json", tmp_path / f"red_{seed}.dot"
+            for argv in (
+                ("reduce", files[0], "--degree2", "--out", str(red)),
+                ("export", str(red), "--format", "dot", "--out", str(dot)),
+                ("roundtrip", *files),
+            ):
+                done = self.cli(tmp_path, *argv, seed=seed)
+                assert done.returncode == EXIT_OK, done.stderr
+            written.append((red.read_bytes(), dot.read_bytes()))
+            reports.append(untimed(done.stdout))
+        assert written[0] == written[1]
+        assert reports[0] == reports[1]
+        inst = GridTilingInstance.from_json_dict(json.loads(Path(files[0]).read_text()))
+        assert written[0][0] == _json_text(reduction.reduce_degree(reduction.reduce(inst)).to_json_dict()).encode()
+
+    def test_budget_hit_exits_3_and_bad_budget_exits_2(self, capsys, tmp_path):
+        no = str(gen_files(capsys, tmp_path)[2])
+        # refuting the no-instance within 5 expansions is impossible
+        done = self.cli(tmp_path, "roundtrip", no, budget="5")
+        assert (done.returncode, done.stderr) == (EXIT_BUDGET, "error: expansion budget of 5 exhausted\n")
+        done = self.cli(tmp_path, "roundtrip", no, budget="0")
+        assert (done.returncode, done.stderr) == (EXIT_USAGE, "error: DPATH_BUDGET must be positive, got 0\n")
 
 
 class TestInternalFaults:
@@ -415,13 +525,21 @@ class TestExport:
 
     def test_json_export_round_trips(self, capsys, tmp_path):
         inst = gen_instance(capsys, tmp_path)
-        red = tmp_path / "red.json"
-        run(capsys, "reduce", str(inst), "--out", str(red))
-        gjson = tmp_path / "g.json"
-        code, _, _ = run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
-        assert code == EXIT_OK
-        code, _, _ = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
-        assert code == EXIT_OK
+        for form in ((), ("--degree2",)):
+            red = tmp_path / "red.json"
+            run(capsys, "reduce", str(inst), *form, "--out", str(red))
+            gjson = tmp_path / "g.json"
+            code, _, _ = run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
+            assert code == EXIT_OK
+            code, _, _ = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+            assert code == EXIT_OK
+            # the reduction loader and the bare graph loader give one DOT
+            assert run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "r.dot"))[0] == EXIT_OK
+            assert (tmp_path / "g.dot").read_bytes() == (tmp_path / "r.dot").read_bytes()
+            # and a bare graph document re-exports to its own bytes
+            code, _, _ = run(capsys, "export", str(gjson), "--format", "json", "--out", str(tmp_path / "g2.json"))
+            assert code == EXIT_OK
+            assert (tmp_path / "g2.json").read_bytes() == gjson.read_bytes()
 
     def test_zero_denominator_in_graph_document_exits_2(self, capsys, tmp_path):
         inst = gen_instance(capsys, tmp_path)
@@ -429,12 +547,20 @@ class TestExport:
         run(capsys, "reduce", str(inst), "--out", str(red))
         gjson = tmp_path / "g.json"
         run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
-        doc = json.loads(gjson.read_text())
-        doc["vertices"][0]["coord"][0] = "1/0"
-        gjson.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
-        assert code == EXIT_USAGE
-        assert "malformed graph document" in err
+        good = json.loads(gjson.read_text())
+        # a zero denominator; a coordinate pair written as one string, which unpacks like a list
+        # of two; a label field of the wrong JSON type, which must not be read as another label
+        for keys, value in ((("coord", 0), "1/0"), (("coord",), "11"), (("label", "i"), 1.0)):
+            doc = json.loads(json.dumps(good))
+            parent = doc["vertices"][0]
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = value
+            gjson.write_text(json.dumps(doc))
+            for fmt in ("dot", "json"):
+                code, _, err = run(capsys, "export", str(gjson), "--format", fmt, "--out", str(tmp_path / "g.out"))
+                assert code == EXIT_USAGE
+                assert "malformed graph document" in err
 
     def test_tampered_reduction_document_exits_2(self, capsys, tmp_path):
         # planted (2,4) noise=2 seed=1 splits (1,1,2,2) but not (1,1,2,1)
@@ -442,13 +568,21 @@ class TestExport:
         run(capsys, "gen", "2", "4", "--noise", "2", "--seed", "1", "--out", str(inst))
         red = tmp_path / "red.json"
         run(capsys, "reduce", str(inst), "--out", str(red))
-        doc = json.loads(red.read_text())
+        good = red.read_text()
+        doc = json.loads(good)
         edge = [label_to_json(GridVertex(1, 1, 2, 1)), label_to_json(GridVertex(1, 1, 2, 2, LB))]
         doc["graph"]["edges"].remove(edge)
         red.write_text(json.dumps(doc))
         code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
         assert code == EXIT_USAGE
         assert "graph differs" in err
+        # counts that disagree with the instance
+        doc = json.loads(good)
+        doc["counts"]["edges"] += 1
+        red.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+        assert code == EXIT_USAGE
+        assert err == "error: reduction document's counts differs from its instance's construction\n"
 
 
 def _leaf_paths(doc, path=()):

@@ -737,4 +737,7 @@ class TestEquality:
         swapped = EmbeddedDigraph(["b", "a"], [("a", "b")], {"a": (0, 0), "b": (1, 1)})
         assert g._den == h._den and g != h
         assert g == swapped  # vertex order is not part of equality
+        # a graph is never equal to a non-graph, nor to a graph of the other class
+        plain = Digraph(["a", "b"], [("a", "b")])
+        assert g != g.edges and plain != plain.edges and plain != g and g != plain
 

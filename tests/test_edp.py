@@ -247,6 +247,8 @@ class TestSolveEdp:
         g = Digraph(["p", "q"], [("p", "q")])
         ps = solve_edp_dag(g, [("p", "p")])
         assert ps.paths == [["p"]]
+        # no pairs at all: both modes answer with the empty path set
+        assert solve_edp_dag(g, []).paths == solve_vdp_dag(g, []).paths == []
 
     def test_cyclic_graph_rejected(self):
         g = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
