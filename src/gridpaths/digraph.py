@@ -380,6 +380,8 @@ class EmbeddedDigraph(Digraph):
             raise ValueError(f"missing coordinate for {exc.args[0]!r}") from None
         if len(coords) != len(ids):
             raise ValueError("coordinates given for unknown vertices")
+        if bad := [v for v, xy in zip(verts, given) if {type(c) for c in xy} - {int, Fraction}]:  # no float or bool
+            raise ValueError(f"coordinate of {bad[0]!r} is not a pair of ints or Fractions: {coords[bad[0]]!r}")
         den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
         xy = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in given]
         self._init(verts, tail, head, xy, den, ids)

@@ -13,12 +13,12 @@ broken, so it raises instead of recovering.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 
-from .digraph import GridVertex, Label, Terminal, WHOLE
+from .digraph import GridVertex, Label, WHOLE
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import _FAMILIES, ReductionOutput, _fan_route, _in_level, _lane, _orient
+from .reduction import _FAMILIES, ReductionOutput, _base, _in_level, _orient, _position
 
 
 class InvalidSolutionError(ValueError):
@@ -35,24 +35,33 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
     Path i climbs column alpha_{i,j} of each grid (i, j), riding the vertical
     connector chain from alpha_{i,j} to alpha_{i,j+1} in between; path k+j
     runs the rows symmetrically.  Monotonicity of the assignment is exactly
-    what makes the connector rides possible.
+    what makes the connector rides possible.  Each path is a walk on the shape
+    ids of ``reduction._base``, read as the graph's own labels through the
+    layout that built the graph.
     """
     inst = out.provenance
     if not check_gt_solution(inst, asg):
         raise InvalidSolutionError("assignment does not solve the instance")
-    ks = range(1, inst.k + 1)
+    k, n = inst.k, inst.N
+    base, (entry, exit_), verts = _base(k, n, out.degree_reduced), out.layout, out.graph._verts
+    ks = range(1, k + 1)
     paths: list[list[Label]] = []
     for fam, m in product(_FAMILIES, ks):
-        cells = [_orient(fam, m, n) for n in ks]
+        cells = [_orient(fam, m, c) for c in ks]
         # the lane chosen in each cell: alpha for a column, beta for a row
         lanes = [asg.choice[cell][fam.axis] for cell in cells]
-        source, sink = (Terminal(family, m) for family in fam.terminals)
-        path = [source] + _fan_route(out, source, lanes[0])
-        for n, cell in enumerate(cells):
-            path += _lane(inst.sets, inst.N, fam, *cell, lanes[n])
-            if n + 1 < len(cells):
-                path += [fam.connector(*cell, ell) for ell in range(lanes[n], lanes[n + 1] + 1)]
-        paths.append(path + _fan_route(out, sink, lanes[-1])[::-1] + [sink])
+        source, sink = fam.terminals
+        # a walk on shape ids: the source, its fan's route to the first lane, each lane
+        # with the connector run after it, the sink's route back and the sink
+        walk = [base.roots[source, m], *base.routes[source, m][lanes[0] - 1]]
+        for c, (cell, lane) in enumerate(zip(cells, lanes), 1):
+            walk += [_position(k, n, *cell, *_orient(fam, lane, step)) for step in range(1, n + 1)]
+            if c < k:
+                chain = base.chains[(fam.axis, *cell)] - 1  # + ell: connector ell
+                walk += range(chain + lane, chain + lanes[c] + 1)
+        walk += [*reversed(base.routes[sink, m][lanes[-1] - 1]), base.roots[sink, m]]
+        # a split position is entered at its lb copy and left from the tr copy after it
+        paths.append([v for s in walk for v in verts[entry[s] : exit_[s] + 1]])
     return PathSet(paths)
 
 
@@ -67,17 +76,19 @@ def paths_to_gt_solution(out: ReductionOutput, ps: PathSet) -> GTAssignment:
     violations = check_edp_solution(out.graph, out.terminals, ps)
     if violations:
         raise InvalidSolutionError("path set is not a solution: " + "; ".join(violations))
-    k = out.provenance.k
+    k, ids, verts = out.provenance.k, out.graph._id, out.graph._verts
     rows = [set(path) for path in ps.paths[k:]]
     choice = {}
     for i in range(1, k + 1):
         column_route = ps.paths[i - 1]
         for j, row_verts in enumerate(rows, 1):
             for v in column_route:
-                # ("grid", i, j, q, ell, part); few vertices of the column are on the row
-                if v in row_verts and isinstance(v, GridVertex) and v[-1] == WHOLE and v[1:3] == (i, j):
-                    choice[(i, j)] = v[3:5]
-                    break
+                # few vertices of the column are on the row
+                if v in row_verts:
+                    v = verts[ids[v]]  # the graph's label ("grid", i, j, q, ell, part), not a copy's class
+                    if isinstance(v, GridVertex) and v[-1] == WHOLE and v[1:3] == (i, j):
+                        choice[(i, j)] = v[3:5]
+                        break
             else:
                 raise ExtractionFailedError(
                     f"paths {i - 1} and {k + j - 1} share no whole vertex in cell ({i},{j})"
@@ -94,12 +105,12 @@ def check_level_confinement(out: ReductionOutput, ps: PathSet) -> bool:
     k = out.provenance.k
     if len(ps.paths) != 2 * k:
         raise ValueError(f"expected {2 * k} paths, got {len(ps.paths)}")
-    ids = out.graph._id
+    ids, verts = out.graph._id, out.graph._verts
     for idx, path in enumerate(ps.paths):
         fam, index = _FAMILIES[idx // k], idx % k + 1
-        # a path without edges has nothing to confine
+        # a path without edges has nothing to confine; a copy of a label (a plain tuple) is read as the label
         if len(path) > 1 and not (
-            all(map(ids.__contains__, path)) and all(map(_in_level, path, repeat(fam), repeat(index)))
+            all(map(ids.__contains__, path)) and all(_in_level(verts[ids[v]], fam, index) for v in path)
         ):
             return False
     return True

@@ -17,10 +17,11 @@ edge counts follow closed forms that the test suite pins exactly.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .digraph import (
     LB,
@@ -67,29 +68,15 @@ def _orient(fam: _Family, lane, step) -> tuple:
     return (lane, step) if fam.axis == 0 else (step, lane)
 
 
-def _split(sets: dict, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
-    """(entry, exit) at a grid position: (v, v) if (q, ell) is in the cell's set, else (lb, tr)."""
-    if (q, ell) in sets[(i, j)]:
-        v = GridVertex(i, j, q, ell)
-        return v, v
-    return GridVertex(i, j, q, ell, LB), GridVertex(i, j, q, ell, TR)
+def _position(k: int, n: int, i: int, j: int, q: int, ell: int) -> int:
+    """The index p of grid position (i, j, q, ell), in the order ``_build`` makes the positions."""
+    return (((i - 1) * k + j - 1) * n + q - 1) * n + ell - 1
 
 
-def _lane(sets: dict, n: int, fam: _Family, i: int, j: int, lane: int) -> list[GridVertex]:
-    """Lane ``lane`` of grid (i, j) along ``fam``'s paths: each position's entry, then its exit if split."""
-    verts = []
-    for step in range(1, n + 1):
-        entry, exit_ = _split(sets, i, j, *_orient(fam, lane, step))
-        verts.append(entry)
-        if exit_ is not entry:
-            verts.append(exit_)
-    return verts
-
-
-def _boundary(parts: Callable, n: int, i: int, j: int, side: str) -> list[GridVertex]:
-    """Grid (i, j)'s N vertices on ``side``; ``parts`` maps (i, j, q, ell) to (entry, exit)."""
+def _boundary(k: int, n: int, i: int, j: int, side: str) -> list[int]:
+    """The positions of grid (i, j)'s N vertices on ``side``, in ell order."""
     fam, end = _SIDES[side]
-    return [parts((i, j, *_orient(fam, ell, (1, n)[end])))[end] for ell in range(1, n + 1)]
+    return [_position(k, n, i, j, *_orient(fam, ell, (1, n)[end])) for ell in range(1, n + 1)]
 
 
 class AlreadyReducedError(ValueError):
@@ -127,6 +114,8 @@ class ReductionOutput:
     provenance: GridTilingInstance
     counts: GraphCounts
     degree_reduced: bool = False
+    # per shape id of ``_base``, the (entry, exit) vertex ids that ``_build`` gave it; empty if made by hand
+    layout: tuple = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,7 +159,7 @@ def build_g1(k: int, N: int) -> EmbeddedDigraph:
     if violations := _size_violations(k, N):
         raise ValueError("; ".join(violations))
     full = frozenset(product(range(1, N + 1), repeat=2))
-    return _build(k, N, dict.fromkeys(product(range(1, k + 1), repeat=2), full))
+    return _build(k, N, dict.fromkeys(product(range(1, k + 1), repeat=2), full))[0]
 
 
 def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDigraph:
@@ -183,7 +172,7 @@ def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDig
     _valid(inst)
     if g1 != build_g1(inst.k, inst.N):
         raise ValueError("graph does not match the base construction for this instance")
-    return _build(inst.k, inst.N, inst.sets)
+    return _build(inst.k, inst.N, inst.sets)[0]
 
 
 def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> ReductionOutput:
@@ -194,12 +183,13 @@ def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> Reduction
     """
     ks = range(1, inst.k + 1)
     pairs = [[Terminal(family, m) for family in fam.terminals] for fam in _FAMILIES for m in ks]
-    graph = _build(inst.k, inst.N, inst.sets, trees=degree_reduced)
-    return ReductionOutput(graph, TerminalSet(pairs), inst, predicted_counts(inst, degree_reduced), degree_reduced)
+    graph, layout = _build(inst.k, inst.N, inst.sets, trees=degree_reduced)
+    counts = predicted_counts(inst, degree_reduced)
+    return ReductionOutput(graph, TerminalSet(pairs), inst, counts, degree_reduced, layout)
 
 
-def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
-    """The base graph with each grid position split or whole, on vertex ids.
+def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDigraph, tuple[list[int], list[int]]]:
+    """The base graph with each grid position split or whole, on vertex ids, and its layout.
 
     A position whose (q, ell) is absent from its cell's set becomes an lb copy
     at offset (-1/4, -1/4) and a tr copy at (+1/4, +1/4), joined by the
@@ -212,57 +202,67 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
     with trees dotted and tree edges.  Coordinates are numerators over 4, or
     8 * levels with trees, which the graph reduces to the least denominator.
     The positions are made here, the rest comes from the cached ``_base``.
+
+    The layout (entry, exit) maps each shape id of ``_base`` to the vertex id that
+    receives its edges and the one that sends them, which the forward map reads.
     """
-    others, others_xy, base_tail, base_head, fan, den, ends = _base(k, N, trees)
-    pitch, quarter = N + 1, den // 4
+    base = _base(k, N, trees)
+    pitch, den, quarter = N + 1, base.den, base.den // 4
     ks, ells = range(1, k + 1), range(1, N + 1)
-    verts: list[Label] = []
-    xy: list[tuple[int, int]] = []
-    # the ids that grid position p = (((i-1)k + j-1)N + q-1)N + ell-1 receives
-    # its edges at and sends them from: one id if whole, the lb and tr ids if split
-    entry: list[int] = []
-    exit_: list[int] = []
-    for pos in product(ks, ks, ells, ells):
+    verts, xy, entry, exit_ = [], [], [], []
+    for pos in product(ks, ks, ells, ells):  # in the order of their positions p (see _position)
         i, j, q, ell = pos
         x, y = ((i - 1) * pitch + q) * den, ((j - 1) * pitch + ell) * den
-        copies = _split(sets, *pos)
         entry.append(len(verts))
-        if copies[0] is copies[1]:
-            verts.append(copies[0])
+        if (q, ell) in sets[i, j]:
+            verts.append(GridVertex(*pos))
             xy.append((x, y))
         else:
-            verts += copies
+            verts += (GridVertex(*pos, LB), GridVertex(*pos, TR))
             xy += ((x - quarter, y - quarter), (x + quarter, y + quarter))
         exit_.append(len(verts) - 1)
     first = len(verts)  # the other vertices follow the positions' copies
-    entry += range(first, first + len(others))
-    exit_ += range(first, first + len(others))
-    verts += others
-    xy += others_xy
+    entry += range(first, first + len(base.verts))
+    exit_ += range(first, first + len(base.verts))
+    verts += base.verts
+    xy += base.xy
     # a tree node sits midway between its end leaves, each a quarter off if split
-    for n, (dx, dy), lo, hi in ends:
+    for n, (dx, dy), lo, hi in base.ends:
         if splits := (entry[lo] != exit_[lo]) + (entry[hi] != exit_[hi]):
             x, y = xy[first + n]
             xy[first + n] = (x + splits * dx, y + splits * dy)
-    tail = list(map(exit_.__getitem__, base_tail))
-    head = list(map(entry.__getitem__, base_head))
+    tail = list(map(exit_.__getitem__, base.tail))
+    head = list(map(entry.__getitem__, base.head))
     dotted = [n for n, x in zip(entry, exit_) if n != x]
-    at = fan if trees else len(tail)
+    at = base.fan if trees else len(tail)
     tail[at:at] = dotted
     head[at:at] = [n + 1 for n in dotted]  # a tr copy follows its lb copy
     g = EmbeddedDigraph.__new__(EmbeddedDigraph)
     g._init(verts, tail, head, xy, den)
-    return g
+    return g, (entry, exit_)
+
+
+class _Base(NamedTuple):
+    """A shape's parts; shape id P + n, after the P = k^2 N^2 grid positions p, is verts[n]."""
+
+    verts: tuple  # the connectors, terminals and tree nodes, in id order
+    xy: tuple  # their numerators over den
+    tail: array  # the ends of every edge, its fan or tree edges from edge id ``fan`` on
+    head: array
+    fan: int
+    den: int
+    ends: tuple  # per tree node: its index in verts, its shift per split end leaf, its two end leaves
+    roots: Mapping  # (family, m) -> terminal m of the family
+    chains: Mapping  # (axis, i, j) -> vertex 1 of the family's chain that leaves grid (i, j)
+    routes: Mapping  # (family, m) -> per leaf, the tree nodes between the root and it
 
 
 @lru_cache(maxsize=32)
-def _base(k: int, N: int, trees: bool) -> tuple:
-    """(verts, xy, tail, head, fan, den, ends): the parts of G1 that no cell's set changes.
+def _base(k: int, N: int, trees: bool) -> _Base:
+    """The connectors, terminals, fans or fan trees and every edge of G1, and where each sits.
 
-    The connectors, terminals and tree nodes in id order, their numerators over den; every
-    edge, the fan or tree edges from id ``fan`` on, an end being a grid position p or, after
-    the P = k^2 N^2 positions, P + its index in verts; per tree node, that index, its shift
-    per split end leaf and its two end leaves.
+    Built once per shape and shared by every graph of that shape, so every
+    table is a tuple, an array ``_build`` only reads, or a read-only mapping.
     """
     pitch = N + 1
     ks, ells = range(1, k + 1), range(1, N + 1)
@@ -273,10 +273,7 @@ def _base(k: int, N: int, trees: bool) -> tuple:
     quarter = den // 4
     size = k * k * N * N
     verts, xy, ends = [], [], []
-
-    def parts(pos: tuple[int, int, int, int]) -> tuple[int, int]:  # a position is its own entry and exit
-        p = (((pos[0] - 1) * k + pos[1] - 1) * N + pos[2] - 1) * N + pos[3] - 1
-        return p, p
+    roots, chains, routes = {}, {}, {}
 
     # each grid's edges one step along the columns' paths, then the rows',
     # a run of positions with one q at a time
@@ -295,10 +292,11 @@ def _base(k: int, N: int, trees: bool) -> tuple:
         for i, j in product(range(1, k + 1 - di), range(1, k + 1 - dj)):
             lane, step = _orient(fam, i, j)
             chain = range(size + len(verts), size + len(verts) + N)
+            chains[fam.axis, i, j] = chain[0]
             verts += [fam.connector(i, j, ell) for ell in ells]
             xy += [_orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den) for ell in ells]
-            tail += [*chain[:-1], *_boundary(parts, N, i, j, fam.sides[1]), *chain]
-            head += [*chain[1:], *chain, *_boundary(parts, N, i + di, j + dj, fam.sides[0])]
+            tail += [*chain[:-1], *_boundary(k, N, i, j, fam.sides[1]), *chain]
+            head += [*chain[1:], *chain, *_boundary(k, N, i + di, j + dj, fam.sides[0])]
 
     # Terminals sit ``depth`` units outside the grids' bounding box, a fan
     # tree's internal nodes on evenly spaced levels between the terminal and
@@ -312,7 +310,6 @@ def _base(k: int, N: int, trees: bool) -> tuple:
     depth = -(-N // 4)
     outside = (-depth * den, (k * pitch + depth) * den)
     inward = (4 * depth + 3) * quarter  # depth + 3/4, from a terminal to the split copies nearest it
-    roots = {}
     for fam, m in product(_FAMILIES, ks):
         for end, family in enumerate(fam.terminals):
             roots[family, m] = size + len(verts)
@@ -327,17 +324,21 @@ def _base(k: int, N: int, trees: bool) -> tuple:
         for m in ks:
             family = fam.terminals[end]
             root = roots[family, m]
-            leaves = _boundary(parts, N, *_orient(fam, m, (1, k)[end]), side)
+            leaves = _boundary(k, N, *_orient(fam, m, (1, k)[end]), side)
             if not trees:
                 fan[end].extend([root] * N)
                 fan[1 - end].extend(leaves)
+                routes[family, m] = ((),) * N
                 continue
+            found: list[tuple[int, ...]] = []  # per leaf, the tree nodes from the root to it
 
-            def grow(lo: int, hi: int, path: tuple[int, ...]) -> int:
+            def grow(lo: int, hi: int, path: tuple[int, ...], route: tuple[int, ...]) -> int:
                 if hi - lo == 1:
+                    found.append(route)
                     return leaves[lo]
                 node = size + len(verts) if path else root
                 if path:
+                    route += (node,)
                     # leaf ell lies ((m-1) pitch + ell) den along the lane, a quarter = 2 levels off if split
                     ends.append((len(verts), _orient(fam, (-levels, levels)[end], 0), leaves[lo], leaves[hi - 1]))
                     verts.append(TreeNode(family, m, path))
@@ -345,39 +346,22 @@ def _base(k: int, N: int, trees: bool) -> tuple:
                     xy.append(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
                 mid = _tree_split(lo, hi)
                 for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
-                    child = grow(clo, chi, path + (bit,))
+                    child = grow(clo, chi, path + (bit,), route)
                     fan[end].append(node)
                     fan[1 - end].append(child)
                 return node
 
-            grow(0, N, ())
+            grow(0, N, (), ())
+            routes[family, m] = tuple(found)
 
     edges = (array("l", tail + fan[0]), array("l", head + fan[1]))
-    return tuple(verts), tuple(xy), *edges, len(tail), den, tuple(ends)
+    tables = map(MappingProxyType, (roots, chains, routes))
+    return _Base(tuple(verts), tuple(xy), *edges, len(tail), den, tuple(ends), *tables)
 
 
 def _tree_split(lo: int, hi: int) -> int:
     """Where a fan tree splits leaves [lo, hi): the larger half goes left."""
     return lo + (hi - lo + 1) // 2
-
-
-def _fan_route(out: ReductionOutput, terminal: Terminal, ell: int) -> list[TreeNode]:
-    """The tree nodes between ``terminal`` and its fan's leaf ``ell``, root first.
-
-    Empty when ``out`` is not degree-reduced (the fan edge is direct).
-    """
-    if not out.degree_reduced:
-        return []
-    lo, hi, path = 0, out.provenance.N, ()
-    chain = []
-    while True:
-        mid = _tree_split(lo, hi)
-        bit = int(ell > mid)
-        lo, hi = (mid, hi) if bit else (lo, mid)
-        path += (bit,)
-        if hi - lo == 1:
-            return chain
-        chain.append(TreeNode(terminal.family, terminal.index, path))
 
 
 def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> GraphCounts:
@@ -399,17 +383,16 @@ def reduce(inst: GridTilingInstance) -> ReductionOutput:
     return _derive(_valid(inst))
 
 
-def grid_vertex_parts(
-    out: ReductionOutput, i: int, j: int, q: int, ell: int
-) -> tuple[GridVertex, GridVertex]:
-    """(entry, exit) labels at a grid position: equal when whole, (lb, tr) when split."""
+def grid_vertex_parts(out: ReductionOutput, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
+    """The graph's (entry, exit) labels at a grid position: equal when whole, (lb, tr) when split."""
     k, n = out.provenance.k, out.provenance.N
-    # exact ints, so that no label it returns holds a bool, a float or a str
+    # exact ints, so that no bool, float or str indexes the layout
     if {type(i), type(j), type(q), type(ell)} != {int} or not (
         1 <= i <= k and 1 <= j <= k and 1 <= q <= n and 1 <= ell <= n
     ):
         raise ValueError(f"no grid vertex at cell ({i!r},{j!r}) position ({q!r},{ell!r})")
-    return _split(out.provenance.sets, i, j, q, ell)
+    p, verts = _position(k, n, i, j, q, ell), out.graph._verts
+    return verts[out.layout[0][p]], verts[out.layout[1][p]]
 
 
 def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
@@ -421,7 +404,9 @@ def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    return _boundary(lambda pos: grid_vertex_parts(out, *pos), out.provenance.N, i, j, side)
+    grid_vertex_parts(out, i, j, 1, 1)  # a cell out of range raises
+    ids, verts = out.layout[_SIDES[side][1]], out.graph._verts
+    return [verts[ids[p]] for p in _boundary(out.provenance.k, out.provenance.N, i, j, side)]
 
 
 def level_set(out: ReductionOutput, kind: str, index: int) -> set:

@@ -7,7 +7,13 @@ each vertex's neighbours with a comparator over Fraction directions, as the
 package did before it derived rotations from integer keys, and the face
 oracle traces faces over those rotations with darts keyed by label pairs.
 The reference builder makes a reduction's whole graph in one pass, as the
-package did before it cached the parts that depend only on (k, N).
+package did before it cached the parts that depend only on (k, N).  It and
+the reference forward map read the gadget's layout from their own copies of
+the package's old rules: ``_split`` (a position's labels from its cell's
+set), ``_boundary`` (a side's positions through a callable), ``_tree_split``
+and ``_fan_route`` (a fan tree's nodes above a leaf, by replaying the
+split).  The package keeps the layout its builder made instead, so the two
+share no layout rule.
 
 Also here, since only the tests call them: the line-graph transform from
 edge-disjoint to vertex-disjoint paths and the vertex-disjoint solution
@@ -15,7 +21,7 @@ checker, which cross-check the two solver modes against each other; the
 edge and neighbourhood queries on a ``Digraph``; the lb -> tr edge test,
 an oracle for the split-edge list; and the grid-line helpers.
 
-The reference forward map reads each grid lane through the validating
+The row and column paths read each grid lane through the validating
 ``grid_vertex_parts`` (``_grid_line``), and the reference checker and
 confinement rule are the package's before they worked on vertex ids:
 the tests hold the package's fast paths to them.
@@ -29,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable
 
 from gridpaths.digraph import (
     LB,
@@ -51,13 +57,9 @@ from gridpaths.reduction import (
     _ROWS,
     _SIDES,
     ReductionOutput,
-    _boundary,
     _Family,
-    _fan_route,
     _in_level,
     _orient,
-    _split,
-    _tree_split,
     grid_vertex_parts,
 )
 
@@ -301,6 +303,44 @@ def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[lis
     return route(0), expansions
 
 
+def _split(sets: dict, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
+    """(entry, exit) at a grid position: (v, v) if (q, ell) is in the cell's set, else (lb, tr)."""
+    if (q, ell) in sets[(i, j)]:
+        v = GridVertex(i, j, q, ell)
+        return v, v
+    return GridVertex(i, j, q, ell, LB), GridVertex(i, j, q, ell, TR)
+
+
+def _boundary(parts: Callable, n: int, i: int, j: int, side: str) -> list[GridVertex]:
+    """Grid (i, j)'s N vertices on ``side``; ``parts`` maps (i, j, q, ell) to (entry, exit)."""
+    fam, end = _SIDES[side]
+    return [parts((i, j, *_orient(fam, ell, (1, n)[end])))[end] for ell in range(1, n + 1)]
+
+
+def _tree_split(lo: int, hi: int) -> int:
+    """Where a fan tree splits leaves [lo, hi): the larger half goes left."""
+    return lo + (hi - lo + 1) // 2
+
+
+def _fan_route(out: ReductionOutput, terminal: Terminal, ell: int) -> list[TreeNode]:
+    """The tree nodes between ``terminal`` and its fan's leaf ``ell``, root first.
+
+    Empty when ``out`` is not degree-reduced (the fan edge is direct).
+    """
+    if not out.degree_reduced:
+        return []
+    lo, hi, path = 0, out.provenance.N, ()
+    chain = []
+    while True:
+        mid = _tree_split(lo, hi)
+        bit = int(ell > mid)
+        lo, hi = (mid, hi) if bit else (lo, mid)
+        path += (bit,)
+        if hi - lo == 1:
+            return chain
+        chain.append(TreeNode(terminal.family, terminal.index, path))
+
+
 def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> EmbeddedDigraph:
     """The base graph with each grid position split or whole, in one pass, on vertex ids.
 
@@ -463,8 +503,7 @@ def is_dotted_edge(u: Label, v: Label) -> bool:
 def _grid_line(out: ReductionOutput, fam: _Family, i: int, j: int, lane: int) -> list:
     """Lane ``lane`` of grid (i, j) along the family's paths, entering and leaving each position.
 
-    The oracle for ``reduction._lane``: it reads each position through the
-    public, validating ``grid_vertex_parts``.
+    It reads each position through the public, validating ``grid_vertex_parts``.
     """
     verts: list[Label] = []
     # grid_vertex_parts rejects a lane or cell out of range
@@ -490,7 +529,7 @@ def column_path(out: ReductionOutput, i: int, j: int, ell: int) -> list:
 
 
 def gt_solution_to_paths_reference(out: ReductionOutput, asg: GTAssignment) -> PathSet:
-    """``mappers.gt_solution_to_paths`` with each grid lane read through ``_grid_line``."""
+    """``mappers.gt_solution_to_paths`` with its labels made from the instance by ``_split`` and ``_fan_route``."""
     ks = range(1, out.provenance.k + 1)
     paths: list[list[Label]] = []
     for fam, m in product(_FAMILIES, ks):
@@ -499,7 +538,8 @@ def gt_solution_to_paths_reference(out: ReductionOutput, asg: GTAssignment) -> P
         source, sink = (Terminal(family, m) for family in fam.terminals)
         path = [source] + _fan_route(out, source, lanes[0])
         for n, cell in enumerate(cells):
-            path += _grid_line(out, fam, *cell, lanes[n])
+            for step in range(1, out.provenance.N + 1):  # a whole position's entry is its exit
+                path += dict.fromkeys(_split(out.provenance.sets, *cell, *_orient(fam, lanes[n], step)))
             if n + 1 < len(cells):
                 path += [fam.connector(*cell, ell) for ell in range(lanes[n], lanes[n + 1] + 1)]
         paths.append(path + _fan_route(out, sink, lanes[-1])[::-1] + [sink])
@@ -511,7 +551,7 @@ def level_confined_reference(out: ReductionOutput, ps: PathSet) -> bool:
     k, g = out.provenance.k, out.graph
     for idx, path in enumerate(ps.paths):
         fam, index = _FAMILIES[idx // k], idx % k + 1
-        if len(path) > 1 and not all(v in g and _in_level(v, fam, index) for v in path):
+        if len(path) > 1 and not all(v in g and _in_level(g._verts[g._id[v]], fam, index) for v in path):
             return False
     return True
 

@@ -110,6 +110,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown"):
             EmbeddedDigraph(["a"], [], {"a": (0, 0), "b": (1, 1)})
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_inexact_coordinate_rejected(self, bad):
+        # exact ints and Fractions only: a float is not exact, and True is not the int 1
+        with pytest.raises(ValueError, match="coordinate of 'b' is not a pair of ints or Fractions"):
+            EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, Fraction(1, 2)), "b": (1, bad)})
+
 
 class TestIdInitializer:
     """The id-level initializer behind both label constructors keeps every check."""

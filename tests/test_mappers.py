@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from gridpaths.reduction import (
     ReductionOutput,
     TerminalSet,
     boundary,
+    grid_vertex_parts,
     reduce,
     reduce_degree,
 )
@@ -160,6 +162,22 @@ class TestForwardDirection:
                 assert paths_to_gt_solution(red, ps) == asg, (k, n)
 
 
+class TestLabelsMadeOnce:
+    def test_maps_and_queries_return_the_graphs_own_labels(self):
+        # the very objects in graph._verts, not equal copies, on both forms
+        for k, n in ((1, 2), (2, 3), (3, 4)):
+            inst = generate_planted(k, n, noise=2, seed=k + n)
+            asg = solve_gt_brute_force(inst)
+            for out in (reduce(inst), reduce_degree(reduce(inst))):
+                returned = [v for path in gt_solution_to_paths(out, asg).paths for v in path]
+                for cell in inst.cells():
+                    returned += (v for side in ("left", "right", "top", "bottom") for v in boundary(out, *cell, side))
+                    for q, ell in product(range(1, n + 1), repeat=2):
+                        returned += grid_vertex_parts(out, *cell, q, ell)
+                verts, ids = out.graph._verts, out.graph._id
+                assert all(verts[ids[v]] is v for v in returned), (k, n, out.degree_reduced)
+
+
 class TestBackwardDirection:
     def test_round_trip_is_identity(self):
         for inst in (
@@ -178,6 +196,17 @@ class TestBackwardDirection:
         ps = solve_edp_dag(out.graph, out.terminals)
         extracted = paths_to_gt_solution(out, ps)
         assert check_gt_solution(inst, extracted)
+
+    def test_plain_tuple_copy_of_a_solver_answer_extracts_and_is_confined(self):
+        # a label is a tuple: a copy made of plain tuples passes the checker, so it must extract and confine too
+        inst = generate_planted(2, 3, noise=2, seed=6)
+        for out in (reduce(inst), reduce_degree(reduce(inst))):
+            answer = solve_edp_dag(out.graph, out.terminals)
+            plain = PathSet([[tuple(v) for v in path] for path in answer.paths])
+            assert {type(v) for path in plain.paths for v in path} == {tuple}
+            assert check_edp_solution(out.graph, out.terminals, plain) == []
+            assert paths_to_gt_solution(out, plain) == paths_to_gt_solution(out, answer)
+            assert check_level_confinement(out, plain) and check_level_confinement(out, answer)
 
     def test_single_cell_extraction_lands_in_set(self):
         inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(2, 1)}})

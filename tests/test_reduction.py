@@ -22,7 +22,8 @@ from gridpaths.digraph import (
     label_to_json,
 )
 from gridpaths.edp import solve_edp_dag
-from gridpaths.gridtiling import GridTilingInstance, generate_planted, generate_random
+from gridpaths.gridtiling import GridTilingInstance, generate_planted, generate_random, solve_gt_brute_force
+from gridpaths.mappers import gt_solution_to_paths
 from gridpaths.reduction import (
     AlreadyReducedError,
     boundary,
@@ -35,6 +36,7 @@ from gridpaths.reduction import (
     split_vertices,
 )
 
+from . import test_mappers
 from ._oracles import build_reference, is_dotted_edge
 
 
@@ -417,7 +419,7 @@ class TestBaseCache:
         for kind in kinds:
             sets = self.make(kind, k, n, seed).sets
             for trees in (False, True):
-                g, h = reduction._build(k, n, sets, trees), build_reference(k, n, sets, trees)
+                g, h = reduction._build(k, n, sets, trees)[0], build_reference(k, n, sets, trees)
                 for attr in ("_verts", "_tail", "_head", "_xy", "_den"):
                     assert getattr(g, attr) == getattr(h, attr), (kind, trees, attr)
         assert reduction._base.cache_info().hits - hits >= 2 * (len(kinds) - 1)
@@ -430,16 +432,24 @@ class TestBaseCache:
         assert len(verts) == 2 * k * (k - 1) * n + 4 * k + (4 * k * (n - 2) if trees else 0)
 
     def test_built_graph_shares_no_mutable_list_with_the_cache(self):
-        # overwrite every built graph of the golden digest's shapes, then build them all again
+        # overwrite every built graph, kept layout and forward path set of the golden digest's
+        # shapes, then build them all again and map them again
         for k in (1, 2, 3):
             for n in (2, 3, 6):
-                out = reduce(generate_planted(k, n, noise=2, seed=k * 10 + n))
-                for g in (out.graph, reduce_degree(out).graph):
+                inst = generate_planted(k, n, noise=2, seed=k * 10 + n)
+                out = reduce(inst)
+                for x in (out, reduce_degree(out)):
+                    for path in gt_solution_to_paths(x, solve_gt_brute_force(inst)).paths:
+                        path[:] = [None] * len(path)
+                    for ids in x.layout:
+                        ids[:] = [0] * len(ids)
+                    g = x.graph
                     g._tail[:] = [0] * len(g._tail)
                     g._head[:] = [0] * len(g._head)
                     g._xy[:] = [(0, 0)] * len(g._xy)
                     g._verts[:] = [None] * len(g._verts)
         TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()
+        test_mappers.TestPinnedMaps().test_maps_match_pinned_digest()
 
 
 class TestCertificateAtEverySize:
