@@ -1,12 +1,13 @@
 """Exact edge-disjoint and vertex-disjoint path search on DAGs.
 
 One exhaustive backtracking search serves both modes: it routes the
-terminal pairs one at a time in the given order, each over the resources
-(edges, or vertices) the earlier pairs left free, so a None answer is a
-proof of infeasibility at the given budget.  ``_search`` documents how it
-prunes without changing the search tree; it tests ancestry on one bitmask
-per vertex, the targets it reaches.  Also here: the edge-disjoint solution
-checker.
+terminal pairs one at a time, each over the resources (edges, or
+vertices) the earlier pairs left free, so a None answer is a proof of
+infeasibility at the given budget.  The solvers route the pair with the
+largest cone first (``_cone_sizes``), then the others in the given order;
+``_search`` documents how it prunes without changing the search tree; it
+tests ancestry on one bitmask per vertex, the targets it reaches.  Also
+here: the edge-disjoint solution checker.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -118,10 +119,47 @@ def _reach_bits(g: Digraph, targets: list[int]) -> list[int]:
     return reach
 
 
-def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
+def _cone_sizes(g: Digraph, sources: list[int], reach: list[int]) -> list[int]:
+    """Per pair j, the size of its cone: the vertices that ``sources[j]`` reaches and that reach its target.
+
+    ``reach`` holds the targets' ``_reach_bits``.  The mirror of that pass,
+    in topological order, ORs each vertex's mask of the sources that reach
+    it into its successors' masks.  It passes on only the bits that the
+    vertex's ``reach`` mask also has, since no descendant of a vertex that
+    misses a target reaches it; so each vertex's passed-on bits are the
+    cones it lies in.
+    """
+    head, out_edges = g._head, g._out
+    sizes = [0] * len(sources)
+    into = [0] * len(out_edges)
+    for j, s in enumerate(sources):
+        into[s] |= 1 << j
+    for v in g._topo_ids()[0]:
+        bits = into[v] & reach[v]
+        if bits:
+            for e in out_edges[v]:
+                into[head[e]] |= bits
+            while bits:
+                low = bits & -bits
+                sizes[low.bit_length() - 1] += 1
+                bits ^= low
+    return sizes
+
+
+def _search(
+    g: Digraph, terminals, budget: int, vertex_disjoint: bool, cone_first: bool = False
+) -> PathSet | None:
     """The backtracking search behind both solvers, over the graph's vertex ids.
 
-    The plain search it reproduces routes the pairs in the given order, tries
+    It routes the pairs in the given order or, with ``cone_first``, the
+    pair with the largest cone (ties to the earlier pair) first and then
+    the others in the given order: the most constrained variable first.
+    Either way it checks its input in the given order first, and the paths
+    it returns are index-aligned with the given pairs.  Moving one pair to
+    the front moves its bit of every ``reach`` mask to bit 0, so both
+    passes over the graph run once.
+
+    The plain search it reproduces routes the pairs in that order, tries
     each vertex's arcs in edge order, skips an arc into a vertex that cannot
     reach the current target, and at each target abandons the branch if a
     later pair has no route left.  ``reach[w]`` has bit i set when w reaches
@@ -191,6 +229,16 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     taken = bytearray((nverts if vertex_disjoint else len(head)) + 1)
     ends = [(ids[s], ids[t]) for s, t in pairs]
     reach = _reach_bits(g, [tv for _, tv in ends])
+    order = list(range(len(pairs)))  # pair i of the search is the caller's pair order[i]
+    if cone_first and len(pairs) > 1:
+        sizes = _cone_sizes(g, [sv for sv, _ in ends], reach)
+        first = sizes.index(max(sizes))
+        if first:
+            order.insert(0, order.pop(first))
+            ends.insert(0, ends.pop(first))
+            # bit first to bit 0, the bits below it up by one
+            low, high = (1 << first) - 1, -2 << first
+            reach = [r & high | (r & low) << 1 | r >> first & 1 for r in reach]
     # per pair: the resources of its witness and of the blocking cuts of its
     # last failed searches, the one that refuted last first, and the key of
     # its current entry
@@ -330,7 +378,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             elif idx + 1 == npairs:
                 paths: list[list[Label]] = [[] for _ in pairs]
                 for fidx, fv, _, _ in frames:
-                    paths[fidx].append(g._verts[fv])
+                    paths[order[fidx]].append(g._verts[fv])
                 return PathSet(paths)
             else:
                 frame[3] = 1
@@ -363,17 +411,21 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
 def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact edge-disjoint routing on a DAG; None means provably infeasible.
 
-    Deterministic: pairs are routed in the given order and edges tried in
-    the graph's edge order.  Raises BudgetExceededError when the expansion
-    cap is hit before the search finishes.
+    Deterministic: the pair with the largest cone (the vertices on its
+    source-to-target paths; ties to the earlier pair) is routed first, then
+    the others in the given order, and edges are tried in the graph's edge
+    order.  The paths come back in the given order.  Raises
+    BudgetExceededError when the expansion cap is hit before the search
+    finishes.
     """
-    return _search(g, terminals, budget, vertex_disjoint=False)
+    return _search(g, terminals, budget, vertex_disjoint=False, cone_first=True)
 
 
 def solve_vdp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact vertex-disjoint routing on a DAG (disjoint on all vertices).
 
-    The same search as solve_edp_dag with vertices as the consumed resource;
-    terminal vertices must be pairwise distinct across pairs.
+    The same search as solve_edp_dag, in the same pair order, with vertices
+    as the consumed resource; terminal vertices must be pairwise distinct
+    across pairs.
     """
-    return _search(g, terminals, budget, vertex_disjoint=True)
+    return _search(g, terminals, budget, vertex_disjoint=True, cone_first=True)

@@ -15,6 +15,10 @@ and ``_fan_route`` (a fan tree's nodes above a leaf, by replaying the
 split).  The package keeps the layout its builder made instead, so the two
 share no layout rule.
 
+The cone sizes (descendants of a pair's source that are ancestors of its
+target) come from two breadth-first searches per pair, and give the pair
+order that the solvers route in.
+
 Also here, since only the tests call them: the line-graph transform from
 edge-disjoint to vertex-disjoint paths and the vertex-disjoint solution
 checker, which cross-check the two solver modes against each other; the
@@ -301,6 +305,32 @@ def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[lis
     if not all(has_route(s, t) for s, t in pairs):
         return None, 0
     return route(0), expansions
+
+
+def cone_sizes(g: Digraph, pairs) -> list[int]:
+    """Per pair, how many vertices its source reaches that also reach its target.
+
+    Two breadth-first searches per pair, one along the edges from the
+    source and one against them from the target; a vertex reaches itself.
+    """
+
+    def closure(v, step) -> set:
+        found, frontier = {v}, deque([v])
+        while frontier:
+            for w in step(frontier.popleft()):
+                if w not in found:
+                    found.add(w)
+                    frontier.append(w)
+        return found
+
+    return [len(closure(s, g.out) & closure(t, g.inn)) for s, t in pairs]
+
+
+def cone_first_order(g: Digraph, pairs) -> list[int]:
+    """The pair indices in the solvers' routing order: the largest cone first, the earliest on ties, then the rest as given."""
+    sizes = cone_sizes(g, pairs)
+    first = sizes.index(max(sizes))
+    return [first] + [i for i in range(len(pairs)) if i != first]
 
 
 def _split(sets: dict, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:

@@ -1,13 +1,22 @@
 import hashlib
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpaths.digraph import Digraph
-from gridpaths.edp import PathSet, _reach_bits, check_edp_solution, solve_edp_dag, solve_vdp_dag
-from gridpaths.errors import BudgetExceededError
+from gridpaths.edp import (
+    PathSet,
+    _cone_sizes,
+    _reach_bits,
+    _search,
+    check_edp_solution,
+    solve_edp_dag,
+    solve_vdp_dag,
+)
+from gridpaths.errors import DEFAULT_BUDGET, BudgetExceededError
 from gridpaths.gridtiling import (
     GridTilingInstance,
     generate_planted,
@@ -22,6 +31,8 @@ from ._oracles import (
     PairSink,
     PairSource,
     check_vdp_solution,
+    cone_first_order,
+    cone_sizes,
     edp_feasible_exhaustive,
     edp_to_vdp_dag,
     enumerate_routes,
@@ -29,6 +40,12 @@ from ._oracles import (
     random_dag,
     vdp_feasible_exhaustive,
 )
+
+# The search in the given pair order, called like the solvers.  The cases
+# below that name pair 0 and pair 1 are about that order; the solvers route
+# the pair with the largest cone first.
+search_edp = partial(_search, budget=DEFAULT_BUDGET, vertex_disjoint=False)
+search_vdp = partial(_search, budget=DEFAULT_BUDGET, vertex_disjoint=True)
 
 
 def cross_graph():
@@ -45,6 +62,17 @@ def bridge_graph():
         ["s1", "s2", "x", "y", "t1", "t2"],
         [("s1", "x"), ("s2", "x"), ("x", "y"), ("y", "t1"), ("y", "t2")],
     )
+
+
+def detour_graph():
+    # Pair 0 runs a-m-y-z or a-n-z, pair 1 s-m-y-t or s-w-v-t: the first
+    # route of each, in edge order, takes m -> y (and the vertices m and y)
+    # from the other's.  Pair 1's cone {s, m, y, t, w, v} is the largest,
+    # and pair 2 is the single vertex p.
+    verts = ["a", "m", "y", "z", "n", "s", "t", "w", "v", "p"]
+    edges = [("a", "m"), ("m", "y"), ("y", "z"), ("a", "n"), ("n", "z")]
+    edges += [("s", "m"), ("y", "t"), ("s", "w"), ("w", "v"), ("v", "t")]
+    return Digraph(verts, edges), [("a", "z"), ("s", "t"), ("p", "p")]
 
 
 def witness_graph(second_route: bool):
@@ -316,6 +344,54 @@ class TestVdp:
                 assert check_vdp_solution(g, pairs, got)
 
 
+class TestPairOrder:
+    """The solvers route the largest cone first and answer in the given pair order."""
+
+    def test_paths_are_index_aligned(self):
+        # pair 1 routed first takes m -> y, so pair 0 goes round by n
+        g, pairs = detour_graph()
+        assert cone_sizes(g, pairs) == [5, 6, 1]
+        given = [["a", "m", "y", "z"], ["s", "w", "v", "t"], ["p"]]
+        cone_first = [["a", "n", "z"], ["s", "m", "y", "t"], ["p"]]
+        for search, solver in ((search_edp, solve_edp_dag), (search_vdp, solve_vdp_dag)):
+            assert search(g, pairs).paths == given
+            ps = solver(g, pairs)
+            assert ps.paths == cone_first
+            if solver is solve_vdp_dag:
+                assert check_vdp_solution(g, pairs, ps)
+            else:
+                assert check_edp_solution(g, pairs, ps) == []
+
+    @staticmethod
+    def _assert_error(solver, g, pairs, message):
+        with pytest.raises(ValueError) as info:
+            solver(g, pairs)
+        assert str(info.value) == message
+
+    def test_input_is_checked_in_the_given_order(self):
+        # ("s", "a") and ("s", "x3") have the largest cones: a search that
+        # checked them first would name the repeated "a" before "z"
+        chain = ["s", "x1", "x2", "x3", "a"]
+        g = Digraph(chain + ["z", "n"], list(zip(chain, chain[1:])) + [("a", "z"), ("n", "z")])
+        pairs = [("a", "z"), ("n", "z"), ("s", "a")]
+        self._assert_error(solve_vdp_dag, g, pairs, "terminal vertex 'z' appears in two pairs")
+        cyclic = Digraph(["u", "v", "w"], [("u", "v"), ("v", "w"), ("w", "v")])
+        for solver in (solve_edp_dag, solve_vdp_dag):
+            pairs = [("a", "qq"), ("s", "x3"), ("rr", "n")]
+            self._assert_error(solver, g, pairs, "terminal pair ('a', 'qq') not in graph")
+            self._assert_error(solver, cyclic, [("u", "zz"), ("u", "u")], "graph is not acyclic; cycle through 'w'")
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_cone_sizes_match_two_searches(self, seed, data):
+        # up to 20 pairs, some repeated or from a vertex to itself
+        g, _ = random_dag(seed)
+        verts = g.vertices
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), max_size=20))
+        reach = _reach_bits(g, [verts.index(t) for _, t in pairs])
+        assert _cone_sizes(g, [verts.index(s) for s, _ in pairs], reach) == cone_sizes(g, pairs)
+
+
 class TestTransform:
     def test_single_path_shape(self):
         g = Digraph(["u", "v", "w"], [("u", "v"), ("v", "w")])
@@ -363,16 +439,16 @@ class TestWitnessInvalidation:
         # (solver, graph, pairs, oracle, arcs on pair 0's one route)
         g, pairs = witness_graph(second_route)
         return [
-            (solve_edp_dag, g, pairs, edp_feasible_exhaustive, 3),
-            (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive, 3),
-            (solve_vdp_dag, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive, 4),
+            (search_edp, g, pairs, edp_feasible_exhaustive, 3),
+            (search_vdp, g, pairs, vdp_feasible_exhaustive, 3),
+            (search_vdp, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive, 4),
         ]
 
     def test_second_route_is_found(self):
         for solver, g, pairs, oracle, _ in self._cases(second_route=True):
             ps = solver(g, pairs)
             assert ps is not None and oracle(g, pairs)
-            if solver is solve_vdp_dag:
+            if solver is search_vdp:
                 assert check_vdp_solution(g, pairs, ps)
             else:
                 assert check_edp_solution(g, pairs, ps) == []
@@ -396,16 +472,16 @@ class TestCutInvalidation:
     def _modes(g, pairs):
         # (solver, graph, pairs, oracle)
         return [
-            (solve_edp_dag, g, pairs, edp_feasible_exhaustive),
-            (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive),
-            (solve_vdp_dag, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive),
+            (search_edp, g, pairs, edp_feasible_exhaustive),
+            (search_vdp, g, pairs, vdp_feasible_exhaustive),
+            (search_vdp, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive),
         ]
 
     @staticmethod
     def _assert_solved(solver, g, pairs):
         ps = solver(g, pairs)
         assert ps is not None
-        if solver is solve_vdp_dag:
+        if solver is search_vdp:
             assert check_vdp_solution(g, pairs, ps)
         else:
             assert check_edp_solution(g, pairs, ps) == []
@@ -466,10 +542,13 @@ class TestPathSetJson:
 
 
 class TestSearchCore:
-    # SHA-256 of both solvers' answers (the repr of the paths, "none" or
-    # "budget") over the cases below; a change to the search must keep it.
-    # The repr stands in for PathSet JSON, which encodes reduction labels only.
+    # SHA-256 of the given-order search's answers in both modes (the repr of
+    # the paths, "none" or "budget") over the cases below; a change to the
+    # search must keep it.  The repr stands in for PathSet JSON, which
+    # encodes reduction labels only.
     DIGEST = "1def2f33362924a293b251038f63dae8bea1a466a49d065186b8d29f46bae4b5"
+    # the same over the solvers, which route the largest cone first
+    SOLVER_DIGEST = "cfa64471fa75b38c54b7c2def21243401084f9982d18756c0bf020164ebbbd87"
 
     @staticmethod
     def _answer(solver, g, pairs, budget):
@@ -479,7 +558,7 @@ class TestSearchCore:
             return "budget"
         return "none" if ps is None else repr(ps.paths)
 
-    def test_answers_match_pinned_digest(self):
+    def _answers_digest(self, solvers) -> str:
         cases = []
         for seed in range(60):
             g, pairs = random_dag(seed)
@@ -492,16 +571,24 @@ class TestSearchCore:
         digest = hashlib.sha256()
         for g, pairs, budgets in cases:
             for budget in budgets:
-                for solver in (solve_edp_dag, solve_vdp_dag):
+                for solver in solvers:
                     answer = self._answer(solver, g, pairs, budget)
                     digest.update(answer.encode())
-        assert digest.hexdigest() == self.DIGEST
+        return digest.hexdigest()
 
-    # SHA-256 of each solver's expansion count (the smallest budget at which
+    def test_answers_match_pinned_digest(self):
+        assert self._answers_digest((search_edp, search_vdp)) == self.DIGEST
+
+    def test_solver_answers_match_pinned_digest(self):
+        assert self._answers_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_DIGEST
+
+    # SHA-256 of each mode's expansion count (the smallest budget at which
     # it finishes, or "budget" past 10^4) on the cases above plus deeper
     # planted and infeasible random reductions: pins the search tree itself,
-    # so pruning may get cheaper but not prune differently.
+    # so pruning may get cheaper but not prune differently.  The first is the
+    # given-order search's, the second the solvers'.
     COUNT_DIGEST = "589cbe08261d6f0a33e918bbc69d1c3ce9386c96027ad5d270e5f32baf72a731"
+    SOLVER_COUNT_DIGEST = "12735d4d9fd6763d6dc84aa164a34ce4a335ee3781baa833bcbcfaa330d5acf1"
 
     @staticmethod
     def _expansions(solver, g, pairs) -> str:
@@ -525,7 +612,7 @@ class TestSearchCore:
                 lo = mid + 1
         return str(lo)
 
-    def test_expansion_counts_match_pinned_digest(self):
+    def _counts_digest(self, solvers) -> str:
         cases = []
         for seed in range(60):
             g, pairs = random_dag(seed)
@@ -543,9 +630,15 @@ class TestSearchCore:
             cases.append((out.graph, out.terminals.pairs))
         digest = hashlib.sha256()
         for g, pairs in cases:
-            for solver in (solve_edp_dag, solve_vdp_dag):
+            for solver in solvers:
                 digest.update(f"{self._expansions(solver, g, pairs)};".encode())
-        assert digest.hexdigest() == self.COUNT_DIGEST
+        return digest.hexdigest()
+
+    def test_expansion_counts_match_pinned_digest(self):
+        assert self._counts_digest((search_edp, search_vdp)) == self.COUNT_DIGEST
+
+    def test_solver_expansion_counts_match_pinned_digest(self):
+        assert self._counts_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_COUNT_DIGEST
 
     @staticmethod
     def _assert_count(solver, g, pairs, answer, count):
@@ -557,9 +650,17 @@ class TestSearchCore:
                 solver(g, pairs, budget=count - 1)
 
     def _assert_enumerated_count(self, g, pairs):
-        # each mode's answer and expansion count are the enumerating search's
-        for solver, g, pairs, _ in TestCutInvalidation._modes(g, pairs):
-            self._assert_count(solver, g, pairs, *enumerate_routes(g, pairs, solver is solve_vdp_dag))
+        # each mode's answer and expansion count are the enumerating search's:
+        # in the given order for the given-order search, and in the cone-first
+        # order, its paths put back in the given order, for the solver
+        for search, g, pairs, _ in TestCutInvalidation._modes(g, pairs):
+            vertex_disjoint = search is search_vdp
+            self._assert_count(search, g, pairs, *enumerate_routes(g, pairs, vertex_disjoint))
+            order = cone_first_order(g, pairs)
+            paths, count = enumerate_routes(g, [pairs[i] for i in order], vertex_disjoint)
+            if paths is not None:
+                paths = [paths[order.index(i)] for i in range(len(pairs))]
+            self._assert_count(solve_vdp_dag if vertex_disjoint else solve_edp_dag, g, pairs, paths, count)
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_pairs())

@@ -346,8 +346,8 @@ class TestHashSeedIndependence:
 
     A label hashes its kind string, so its hash changes from process to
     process; any output that followed the order of a set or dict of labels
-    would change with it.  The golden JSON/DOT digest and the solvers'
-    answer digest run in fresh processes under two fixed hash seeds.
+    would change with it.  The golden JSON/DOT digest and the search's and
+    solvers' answer digests run in fresh processes under two fixed hash seeds.
     """
 
     @pytest.mark.parametrize("seed", ["0", "1"])
@@ -358,6 +358,7 @@ class TestHashSeedIndependence:
             "from tests.test_reduction import TestGoldenOutput\n"
             "TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()\n"
             "TestSearchCore().test_answers_match_pinned_digest()\n"
+            "TestSearchCore().test_solver_answers_match_pinned_digest()\n"
         )
         src = str(Path(gridpaths.__file__).resolve().parents[1])  # the package under test
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
