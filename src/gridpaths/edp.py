@@ -3,8 +3,8 @@
 One exhaustive backtracking search serves both modes: it routes the
 terminal pairs one at a time, each over the resources (edges, or
 vertices) the earlier pairs left free, so a None answer is a proof of
-infeasibility at the given budget.  The solvers route the pair with the
-largest cone first (``_cone_sizes``), then the others in the given order;
+infeasibility at the given budget.  It routes the pair with the largest
+cone first (``_cone_sizes``), then the others in the given order.
 ``_search`` documents how it prunes without changing the search tree; it
 tests ancestry on one bitmask per vertex, the targets it reaches.  Also
 here: the edge-disjoint solution checker.
@@ -146,18 +146,14 @@ def _cone_sizes(g: Digraph, sources: list[int], reach: list[int]) -> list[int]:
     return sizes
 
 
-def _search(
-    g: Digraph, terminals, budget: int, vertex_disjoint: bool, cone_first: bool = False
-) -> PathSet | None:
+def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
     """The backtracking search behind both solvers, over the graph's vertex ids.
 
-    It routes the pairs in the given order or, with ``cone_first``, the
-    pair with the largest cone (ties to the earlier pair) first and then
-    the others in the given order: the most constrained variable first.
-    Either way it checks its input in the given order first, and the paths
-    it returns are index-aligned with the given pairs.  Moving one pair to
-    the front moves its bit of every ``reach`` mask to bit 0, so both
-    passes over the graph run once.
+    It routes the pair with the largest cone (ties to the earlier pair)
+    first, then the others in the given order: the most constrained
+    variable first.  It checks its input, and returns its paths, in the
+    given order.  Moving one pair to the front moves its bit of every
+    ``reach`` mask to bit 0, so both passes over the graph run once.
 
     The plain search it reproduces routes the pairs in that order, tries
     each vertex's arcs in edge order, skips an arc into a vertex that cannot
@@ -230,7 +226,7 @@ def _search(
     ends = [(ids[s], ids[t]) for s, t in pairs]
     reach = _reach_bits(g, [tv for _, tv in ends])
     order = list(range(len(pairs)))  # pair i of the search is the caller's pair order[i]
-    if cone_first and len(pairs) > 1:
+    if len(pairs) > 1:
         sizes = _cone_sizes(g, [sv for sv, _ in ends], reach)
         first = sizes.index(max(sizes))
         if first:
@@ -416,16 +412,18 @@ def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     the others in the given order, and edges are tried in the graph's edge
     order.  The paths come back in the given order.  Raises
     BudgetExceededError when the expansion cap is hit before the search
-    finishes.
+    finishes.  The cap counts plain backtracking's expansions, counted
+    subtrees included: it bounds the tree, not the time (random (3,5) d=0.1
+    seed 1 answers None after 7.1e6 expansions, 3.8 s on a 2-CPU VM).
     """
-    return _search(g, terminals, budget, vertex_disjoint=False, cone_first=True)
+    return _search(g, terminals, budget, vertex_disjoint=False)
 
 
 def solve_vdp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact vertex-disjoint routing on a DAG (disjoint on all vertices).
 
-    The same search as solve_edp_dag, in the same pair order, with vertices
-    as the consumed resource; terminal vertices must be pairwise distinct
-    across pairs.
+    The same search as solve_edp_dag, in the same pair order and with the
+    same budget unit, with vertices as the consumed resource; terminal
+    vertices must be pairwise distinct across pairs.
     """
-    return _search(g, terminals, budget, vertex_disjoint=True, cone_first=True)
+    return _search(g, terminals, budget, vertex_disjoint=True)

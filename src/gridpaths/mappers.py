@@ -18,7 +18,7 @@ from itertools import product
 from .digraph import GridVertex, Label, WHOLE
 from .edp import PathSet, check_edp_solution
 from .gridtiling import GTAssignment, check_gt_solution
-from .reduction import _FAMILIES, ReductionOutput, _base, _in_level, _orient, _position
+from .reduction import _FAMILIES, ReductionOutput, _base, _in_level, _layout, _orient, _position
 
 
 class InvalidSolutionError(ValueError):
@@ -43,7 +43,7 @@ def gt_solution_to_paths(out: ReductionOutput, asg: GTAssignment) -> PathSet:
     if not check_gt_solution(inst, asg):
         raise InvalidSolutionError("assignment does not solve the instance")
     k, n = inst.k, inst.N
-    base, (entry, exit_), verts = _base(k, n, out.degree_reduced), out.layout, out.graph._verts
+    base, (entry, exit_), verts = _base(k, n, out.degree_reduced), _layout(out), out.graph._verts
     ks = range(1, k + 1)
     paths: list[list[Label]] = []
     for fam, m in product(_FAMILIES, ks):

@@ -140,7 +140,7 @@ class ReductionOutput:
             inst = GridTilingInstance.from_json_dict(data["instance"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
-        out = _derive(_valid(inst), degree_reduced)
+        out = _derive(inst, degree_reduced)
         derived = out.to_json_dict()
         for part, value in stored.items():
             if value != derived[part]:
@@ -176,15 +176,16 @@ def split_vertices(g1: EmbeddedDigraph, inst: GridTilingInstance) -> EmbeddedDig
 
 
 def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> ReductionOutput:
-    """The reduction of a valid instance: its graph, terminal pairs and counts.
+    """The reduction of an instance: its graph, terminal pairs and counts.
 
     The only code that makes a ReductionOutput; ``reduce``, ``reduce_degree``
-    and the JSON loader all call it.
+    and the JSON loader all call it.  ``predicted_counts`` validates the
+    instance first, so an invalid one raises ``reduce``'s ValueError.
     """
+    counts = predicted_counts(inst, degree_reduced)
     ks = range(1, inst.k + 1)
     pairs = [[Terminal(family, m) for family in fam.terminals] for fam in _FAMILIES for m in ks]
     graph, layout = _build(inst.k, inst.N, inst.sets, trees=degree_reduced)
-    counts = predicted_counts(inst, degree_reduced)
     return ReductionOutput(graph, TerminalSet(pairs), inst, counts, degree_reduced, layout)
 
 
@@ -365,7 +366,12 @@ def _tree_split(lo: int, hi: int) -> int:
 
 
 def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> GraphCounts:
-    """Exact closed-form vertex and edge counts for the reduction output."""
+    """Exact closed-form vertex and edge counts for the reduction output.
+
+    Raises ``reduce``'s ValueError on an invalid instance, for which no
+    reduction exists to count.
+    """
+    _valid(inst)
     k, n = inst.k, inst.N
     missing = sum(n * n - len(inst.sets[cell]) for cell in inst.cells())
     num_verts = 4 * k + 2 * k * (k - 1) * n + k * k * n * n + missing
@@ -380,7 +386,7 @@ def predicted_counts(inst: GridTilingInstance, degree_reduced: bool = False) -> 
 
 def reduce(inst: GridTilingInstance) -> ReductionOutput:
     """Full reduction: build the split graph and attach terminal pairs."""
-    return _derive(_valid(inst))
+    return _derive(inst)
 
 
 def grid_vertex_parts(out: ReductionOutput, i: int, j: int, q: int, ell: int) -> tuple[GridVertex, GridVertex]:
@@ -391,8 +397,15 @@ def grid_vertex_parts(out: ReductionOutput, i: int, j: int, q: int, ell: int) ->
         1 <= i <= k and 1 <= j <= k and 1 <= q <= n and 1 <= ell <= n
     ):
         raise ValueError(f"no grid vertex at cell ({i!r},{j!r}) position ({q!r},{ell!r})")
-    p, verts = _position(k, n, i, j, q, ell), out.graph._verts
-    return verts[out.layout[0][p]], verts[out.layout[1][p]]
+    (entry, exit_), p, verts = _layout(out), _position(k, n, i, j, q, ell), out.graph._verts
+    return verts[entry[p]], verts[exit_[p]]
+
+
+def _layout(out: ReductionOutput) -> tuple:
+    """``out.layout``, or a ValueError for a ReductionOutput made by hand, which has none."""
+    if not out.layout:
+        raise ValueError("the reduction has no layout: make it with reduce or reduce_degree")
+    return out.layout
 
 
 def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
@@ -404,7 +417,7 @@ def boundary(out: ReductionOutput, i: int, j: int, side: str) -> list:
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    grid_vertex_parts(out, i, j, 1, 1)  # a cell out of range raises
+    grid_vertex_parts(out, i, j, 1, 1)  # a cell out of range, or no layout, raises
     ids, verts = out.layout[_SIDES[side][1]], out.graph._verts
     return [verts[ids[p]] for p in _boundary(out.provenance.k, out.provenance.N, i, j, side)]
 
@@ -443,7 +456,8 @@ def reduce_degree(out: ReductionOutput) -> ReductionOutput:
     internal nodes sit at the midpoints of their leaf span within the fan
     region, which keeps the rotation system planar.  The result has maximum
     in-degree and out-degree 2 and the same feasibility answer.  The whole
-    output is derived anew from ``out.provenance``.
+    output is derived anew from ``out.provenance``, which is validated as
+    ``reduce`` validates its instance.
     """
     if out.degree_reduced:
         raise AlreadyReducedError("degree reduction was already applied")

@@ -1,6 +1,5 @@
 import hashlib
 import tracemalloc
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +10,11 @@ from gridpaths.edp import (
     PathSet,
     _cone_sizes,
     _reach_bits,
-    _search,
     check_edp_solution,
     solve_edp_dag,
     solve_vdp_dag,
 )
-from gridpaths.errors import DEFAULT_BUDGET, BudgetExceededError
+from gridpaths.errors import BudgetExceededError
 from gridpaths.gridtiling import (
     GridTilingInstance,
     generate_planted,
@@ -40,13 +38,6 @@ from ._oracles import (
     random_dag,
     vdp_feasible_exhaustive,
 )
-
-# The search in the given pair order, called like the solvers.  The cases
-# below that name pair 0 and pair 1 are about that order; the solvers route
-# the pair with the largest cone first.
-search_edp = partial(_search, budget=DEFAULT_BUDGET, vertex_disjoint=False)
-search_vdp = partial(_search, budget=DEFAULT_BUDGET, vertex_disjoint=True)
-
 
 def cross_graph():
     # two routes sharing the middle vertex but no edge
@@ -76,12 +67,13 @@ def detour_graph():
 
 
 def witness_graph(second_route: bool):
-    # Pair 0's only route s0-a-b-t0 takes the edge a -> b (and the vertices
-    # a, b) of the first route the reachability test finds for pair 1,
-    # s1-a-b-t1: the search reaches s1's later arc s1 -> a first.  With
-    # second_route, pair 1 can still go round by s1-c-t1.
-    verts = ["s0", "s1", "a", "b", "t0", "t1"]
-    edges = [("s0", "a"), ("a", "b"), ("b", "t0"), ("b", "t1")]
+    # Pair 0's only route s0-p-q-r-a-b-t0 takes the edge a -> b (and the
+    # vertices a, b) of the first route the reachability test finds for
+    # pair 1, s1-a-b-t1: the search reaches s1's later arc s1 -> a first.
+    # With second_route, pair 1 can still go round by s1-c-t1.  The long
+    # route keeps pair 0's cone the largest, so the solvers route it first.
+    verts = ["s0", "s1", "p", "q", "r", "a", "b", "t0", "t1"]
+    edges = [("s0", "p"), ("p", "q"), ("q", "r"), ("r", "a"), ("a", "b"), ("b", "t0"), ("b", "t1")]
     if second_route:
         verts.append("c")
         edges += [("s1", "c"), ("c", "t1")]
@@ -351,12 +343,9 @@ class TestPairOrder:
         # pair 1 routed first takes m -> y, so pair 0 goes round by n
         g, pairs = detour_graph()
         assert cone_sizes(g, pairs) == [5, 6, 1]
-        given = [["a", "m", "y", "z"], ["s", "w", "v", "t"], ["p"]]
-        cone_first = [["a", "n", "z"], ["s", "m", "y", "t"], ["p"]]
-        for search, solver in ((search_edp, solve_edp_dag), (search_vdp, solve_vdp_dag)):
-            assert search(g, pairs).paths == given
+        for solver in (solve_edp_dag, solve_vdp_dag):
             ps = solver(g, pairs)
-            assert ps.paths == cone_first
+            assert ps.paths == [["a", "n", "z"], ["s", "m", "y", "t"], ["p"]]
             if solver is solve_vdp_dag:
                 assert check_vdp_solution(g, pairs, ps)
             else:
@@ -431,24 +420,38 @@ class TestTransform:
         assert check_vdp_solution(gprime, vpairs, ps)
 
 
+def _modes(g, pairs):
+    # (solver, graph, pairs, oracle): edge-disjoint, vertex-disjoint, and
+    # vertex-disjoint on the line graph
+    return [
+        (solve_edp_dag, g, pairs, edp_feasible_exhaustive),
+        (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive),
+        (solve_vdp_dag, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive),
+    ]
+
+
+def _routed_as_given(g, pairs):
+    # the modes of a case that names its pairs in the order the solvers route them, in every form
+    cases = _modes(g, pairs)
+    for _, g, pairs, _ in cases:
+        assert cone_first_order(g, pairs) == list(range(len(pairs)))
+    return cases
+
+
 class TestWitnessInvalidation:
     """Pair 1's first route is blocked by pair 0's: pair 1 is refuted at pair 0's target."""
 
     @staticmethod
     def _cases(second_route):
         # (solver, graph, pairs, oracle, arcs on pair 0's one route)
-        g, pairs = witness_graph(second_route)
-        return [
-            (search_edp, g, pairs, edp_feasible_exhaustive, 3),
-            (search_vdp, g, pairs, vdp_feasible_exhaustive, 3),
-            (search_vdp, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive, 4),
-        ]
+        cases = _routed_as_given(*witness_graph(second_route))
+        return [(*case, arcs) for case, arcs in zip(cases, (6, 6, 7))]
 
     def test_second_route_is_found(self):
         for solver, g, pairs, oracle, _ in self._cases(second_route=True):
             ps = solver(g, pairs)
             assert ps is not None and oracle(g, pairs)
-            if solver is search_vdp:
+            if solver is solve_vdp_dag:
                 assert check_vdp_solution(g, pairs, ps)
             else:
                 assert check_edp_solution(g, pairs, ps) == []
@@ -466,22 +469,13 @@ class TestCutInvalidation:
 
     @staticmethod
     def _cases(second_route, third_pair=False, retake=False):
-        return TestCutInvalidation._modes(*cut_graph(second_route, third_pair, retake))
-
-    @staticmethod
-    def _modes(g, pairs):
-        # (solver, graph, pairs, oracle)
-        return [
-            (search_edp, g, pairs, edp_feasible_exhaustive),
-            (search_vdp, g, pairs, vdp_feasible_exhaustive),
-            (search_vdp, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive),
-        ]
+        return _routed_as_given(*cut_graph(second_route, third_pair, retake))
 
     @staticmethod
     def _assert_solved(solver, g, pairs):
         ps = solver(g, pairs)
         assert ps is not None
-        if solver is search_vdp:
+        if solver is solve_vdp_dag:
             assert check_vdp_solution(g, pairs, ps)
         else:
             assert check_edp_solution(g, pairs, ps) == []
@@ -512,13 +506,13 @@ class TestCutInvalidation:
 
     def test_older_cut_refutes_again(self):
         # pair 1 is refuted by one cut, then by another, then by the first
-        for solver, g, pairs, oracle in self._modes(*returning_cut_graph()):
+        for solver, g, pairs, oracle in _routed_as_given(*returning_cut_graph()):
             assert oracle(g, pairs)
             self._assert_solved(solver, g, pairs)
 
     def test_stale_cuts_are_not_trusted(self):
         # both held cuts are partly taken when pair 1 has a route again
-        for solver, g, pairs, oracle in self._modes(*stale_cut_graph()):
+        for solver, g, pairs, oracle in _routed_as_given(*stale_cut_graph()):
             assert oracle(g, pairs)
             self._assert_solved(solver, g, pairs)
 
@@ -542,12 +536,9 @@ class TestPathSetJson:
 
 
 class TestSearchCore:
-    # SHA-256 of the given-order search's answers in both modes (the repr of
-    # the paths, "none" or "budget") over the cases below; a change to the
-    # search must keep it.  The repr stands in for PathSet JSON, which
-    # encodes reduction labels only.
-    DIGEST = "1def2f33362924a293b251038f63dae8bea1a466a49d065186b8d29f46bae4b5"
-    # the same over the solvers, which route the largest cone first
+    # SHA-256 of the solvers' answers (the repr of the paths, "none" or
+    # "budget") over the cases below; a change to the search must keep it.
+    # The repr stands in for PathSet JSON, which encodes reduction labels only.
     SOLVER_DIGEST = "cfa64471fa75b38c54b7c2def21243401084f9982d18756c0bf020164ebbbd87"
 
     @staticmethod
@@ -576,18 +567,13 @@ class TestSearchCore:
                     digest.update(answer.encode())
         return digest.hexdigest()
 
-    def test_answers_match_pinned_digest(self):
-        assert self._answers_digest((search_edp, search_vdp)) == self.DIGEST
-
     def test_solver_answers_match_pinned_digest(self):
         assert self._answers_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_DIGEST
 
-    # SHA-256 of each mode's expansion count (the smallest budget at which
+    # SHA-256 of each solver's expansion count (the smallest budget at which
     # it finishes, or "budget" past 10^4) on the cases above plus deeper
     # planted and infeasible random reductions: pins the search tree itself,
-    # so pruning may get cheaper but not prune differently.  The first is the
-    # given-order search's, the second the solvers'.
-    COUNT_DIGEST = "589cbe08261d6f0a33e918bbc69d1c3ce9386c96027ad5d270e5f32baf72a731"
+    # so pruning may get cheaper but not prune differently.
     SOLVER_COUNT_DIGEST = "12735d4d9fd6763d6dc84aa164a34ce4a335ee3781baa833bcbcfaa330d5acf1"
 
     @staticmethod
@@ -634,9 +620,6 @@ class TestSearchCore:
                 digest.update(f"{self._expansions(solver, g, pairs)};".encode())
         return digest.hexdigest()
 
-    def test_expansion_counts_match_pinned_digest(self):
-        assert self._counts_digest((search_edp, search_vdp)) == self.COUNT_DIGEST
-
     def test_solver_expansion_counts_match_pinned_digest(self):
         assert self._counts_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_COUNT_DIGEST
 
@@ -650,17 +633,14 @@ class TestSearchCore:
                 solver(g, pairs, budget=count - 1)
 
     def _assert_enumerated_count(self, g, pairs):
-        # each mode's answer and expansion count are the enumerating search's:
-        # in the given order for the given-order search, and in the cone-first
-        # order, its paths put back in the given order, for the solver
-        for search, g, pairs, _ in TestCutInvalidation._modes(g, pairs):
-            vertex_disjoint = search is search_vdp
-            self._assert_count(search, g, pairs, *enumerate_routes(g, pairs, vertex_disjoint))
+        # each solver's answer and expansion count are the enumerating
+        # search's in the cone-first order, its paths put back in the given order
+        for solver, g, pairs, _ in _modes(g, pairs):
             order = cone_first_order(g, pairs)
-            paths, count = enumerate_routes(g, [pairs[i] for i in order], vertex_disjoint)
+            paths, count = enumerate_routes(g, [pairs[i] for i in order], solver is solve_vdp_dag)
             if paths is not None:
                 paths = [paths[order.index(i)] for i in range(len(pairs))]
-            self._assert_count(solve_vdp_dag if vertex_disjoint else solve_edp_dag, g, pairs, paths, count)
+            self._assert_count(solver, g, pairs, paths, count)
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_pairs())

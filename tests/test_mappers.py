@@ -177,6 +177,20 @@ class TestLabelsMadeOnce:
                 verts, ids = out.graph._verts, out.graph._id
                 assert all(verts[ids[v]] is v for v in returned), (k, n, out.degree_reduced)
 
+    def test_output_without_layout_is_named(self):
+        # a ReductionOutput made by hand has no layout to read the labels through
+        inst = generate_planted(2, 3, noise=2, seed=5)
+        out = reduce(inst)
+        bare = ReductionOutput(out.graph, out.terminals, out.provenance, out.counts)
+        calls = (
+            lambda: grid_vertex_parts(bare, 1, 1, 1, 1),
+            lambda: boundary(bare, 1, 1, "left"),
+            lambda: gt_solution_to_paths(bare, solve_gt_brute_force(inst)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^the reduction has no layout: make it with reduce or reduce_degree$"):
+                call()
+
 
 class TestBackwardDirection:
     def test_round_trip_is_identity(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -162,6 +163,23 @@ class TestReduce:
     def test_invalid_instance_rejected(self):
         with pytest.raises(ValueError):
             reduce(GridTilingInstance(k=1, N=1, sets={(1, 1): set()}))
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            # one pair outside [1,2]^2: counted as a member, 10 vertices where a valid one-pair cell has 11
+            GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1), (3, 3)}}),
+            # a missing cell: a KeyError
+            GridTilingInstance(k=2, N=2, sets={(1, 1): {(1, 1)}}),
+        ],
+    )
+    def test_predicted_counts_reject_an_invalid_instance(self, inst):
+        with pytest.raises(ValueError) as want:
+            reduce(inst)
+        for degree_reduced in (False, True):
+            with pytest.raises(ValueError) as got:
+                predicted_counts(inst, degree_reduced)
+            assert str(got.value) == str(want.value)
 
     def test_edge_formula_components_match_edge_classification(self):
         # recount each edge family straight off the graph and compare with
@@ -346,8 +364,8 @@ class TestHashSeedIndependence:
 
     A label hashes its kind string, so its hash changes from process to
     process; any output that followed the order of a set or dict of labels
-    would change with it.  The golden JSON/DOT digest and the search's and
-    solvers' answer digests run in fresh processes under two fixed hash seeds.
+    would change with it.  The golden JSON/DOT digest and the solvers'
+    answer digest run in fresh processes under two fixed hash seeds.
     """
 
     @pytest.mark.parametrize("seed", ["0", "1"])
@@ -357,7 +375,6 @@ class TestHashSeedIndependence:
             "from tests.test_edp import TestSearchCore\n"
             "from tests.test_reduction import TestGoldenOutput\n"
             "TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()\n"
-            "TestSearchCore().test_answers_match_pinned_digest()\n"
             "TestSearchCore().test_solver_answers_match_pinned_digest()\n"
         )
         src = str(Path(gridpaths.__file__).resolve().parents[1])  # the package under test
@@ -604,6 +621,17 @@ class TestDegreeReduction:
         red = reduce_degree(reduce(full_instance(1, 2)))
         with pytest.raises(AlreadyReducedError):
             reduce_degree(red)
+
+    def test_invalid_provenance_rejected(self):
+        # a hand-made output whose instance reduce rejects: rebuilt from it,
+        # its counts (10 vertices) would disagree with its own graph (11)
+        invalid = GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1), (3, 3)}})
+        doctored = dataclasses.replace(reduce(GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})), provenance=invalid)
+        with pytest.raises(ValueError) as want:
+            reduce(invalid)
+        with pytest.raises(ValueError) as got:
+            reduce_degree(doctored)
+        assert str(got.value) == str(want.value)
 
     def test_tree_nodes_are_balanced_depth(self):
         red = reduce_degree(reduce(full_instance(1, 5)))
