@@ -369,7 +369,7 @@ class EmbeddedDigraph(Digraph):
     """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
 
     Vertex id ``n`` sits at ``_xy[n] / _den``: integer numerators over the least common
-    denominator.  Only the accessors and the JSON writer make Fractions.
+    denominator.  Only ``coords`` and the JSON writer make Fractions.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
@@ -394,14 +394,11 @@ class EmbeddedDigraph(Digraph):
         self._xy = xy if g == 1 else [(x // g, y // g) for x, y in xy]
         if len(set(self._xy)) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
-        self._rot: tuple[list[int], array] | None = None  # rotation()'s (order, start)
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
-        return MappingProxyType({v: self.coord(v) for v in self._verts})
-
-    def coord(self, v: Label) -> Coord:
-        return tuple(Fraction(c, self._den) for c in self._xy[self._id[v]])
+        den = self._den
+        return MappingProxyType({v: (Fraction(x, den), Fraction(y, den)) for v, (x, y) in zip(self._verts, self._xy)})
 
     def _runs(self) -> tuple[list[int], array]:
         """(order, start): vertex id n's darts, counterclockwise from +x, are order[start[n]:start[n + 1]].
@@ -466,15 +463,6 @@ class EmbeddedDigraph(Digraph):
                     f"collinear neighbor directions at {verts[v]!r}: {u!r} and {w!r} on one ray"
                 )
 
-    def rotation(self, v: Label) -> tuple:
-        """Neighbors of ``v`` in counterclockwise angular order."""
-        n = self._id[v]
-        if self._rot is None:
-            self._rot = self._runs()
-        order, start = self._rot
-        ends = (self._head, self._tail)  # the far end of dart d
-        return tuple(self._verts[ends[d & 1][d >> 1]] for d in order[start[n] : start[n + 1]])
-
     def check_planar_embedding(self) -> EmbeddingCheck:
         """Trace all faces of the rotation system and report (faces, genus).
 
@@ -487,7 +475,7 @@ class EmbeddedDigraph(Digraph):
             raise NotConnectedError("underlying undirected graph is disconnected")
         if not self._tail:
             return EmbeddingCheck(faces=1, genus=0)
-        order, start = self._rot or self._runs()
+        order, start = self._runs()
         ndarts = len(order)
         # A face arriving at v along dart d ^ 1 leaves along the dart after d
         # around v: the next one in ``order``, or for the last dart of a run

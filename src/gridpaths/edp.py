@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .digraph import Digraph, Label, label_from_json, label_to_json
-from .errors import DEFAULT_BUDGET, BudgetExceededError, exact
+from .digraph import Digraph, Label
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 # blocking cuts kept per pair by the path search's reachability test
 _HELD_CUTS = 16
@@ -30,16 +30,6 @@ class PathSet:
     """One directed path per terminal pair, index-aligned with the pair list."""
 
     paths: list[list[Label]]
-
-    def to_json_dict(self) -> dict:
-        return {"paths": [[label_to_json(v) for v in p] for p in self.paths]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PathSet":
-        try:
-            return cls([[label_from_json(v) for v in exact(list, p)] for p in exact(list, data["paths"])])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed path set document: {exc}") from exc
 
 
 def _pairs(terminals) -> list[tuple[Label, Label]]:
@@ -53,10 +43,11 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
     Each path must be a directed path from its pair's source to its sink
     without repeating an edge, and no edge may appear in two paths.  Sharing
     vertices is allowed; single-vertex paths share nothing.  Edges are
-    compared as pairs of vertex ids; a label not in the graph gets an id of
-    its own, so its edges are missing but can still be shared.  A valid set
-    is accepted by set operations on all its edges at once; the messages
-    are built only when one of those tests fails.
+    compared as pairs of vertex ids; a label not in the graph is keyed by
+    the 1-tuple ``(label,)``, which equals no int id, so its edges are
+    missing but can still be shared.  A valid set is accepted by set
+    operations on all its edges at once; the messages are built only when
+    one of those tests fails.
     """
     pairs = _pairs(terminals)
     if len(ps.paths) != len(pairs):
@@ -73,8 +64,8 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
         distinct = set(used)
         if len(distinct) == len(used) and distinct <= edges:
             return []
-    violations, ids = [], dict(ids)
-    id_paths = [[ids.setdefault(v, len(ids)) for v in path] for path in ps.paths]
+    violations = []
+    id_paths = [[ids.get(v, (v,)) for v in path] for path in ps.paths]
     for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
         if not path:
             violations.append(f"path {idx} is empty")

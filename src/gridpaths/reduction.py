@@ -16,10 +16,11 @@ edge counts follow closed forms that the test suite pins exactly.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, compress, product, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -118,34 +119,53 @@ class ReductionOutput:
     layout: tuple = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
+        parts = self._derived_parts()
+        return {"instance": self.provenance.to_json_dict(), **parts, "degree_reduced": self.degree_reduced}
+
+    def _derived_parts(self) -> dict:
+        """The encoding of what the instance and the form determine, which the loader checks."""
         return {
-            "instance": self.provenance.to_json_dict(),
             "graph": self.graph.to_json_dict(),
             "terminals": self.terminals.to_json_list(),
             "counts": {"vertices": self.counts.vertices, "edges": self.counts.edges},
-            "degree_reduced": self.degree_reduced,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReductionOutput":
         """Rebuild the reduction from ``instance`` and ``degree_reduced``.
 
-        ``graph``, ``terminals`` and ``counts`` must equal the rebuild's encoding.
+        ``graph``, ``terminals`` and ``counts`` must equal the rebuild's encoding exactly.  ``==``
+        takes 1, 1.0 and true as one value, so a part that holds a JSON type its encoding lacks is
+        malformed.  The encoding holds only dicts, lists, strs and ints, no two of which compare
+        equal, so a part made of those alone that compares equal is the encoding exactly.
         """
         try:
-            for key in ("vertices", "edges"):
-                exact(int, data["counts"][key])
             degree_reduced = exact(bool, data["degree_reduced"])
             stored = {part: data[part] for part in ("graph", "terminals", "counts")}
             inst = GridTilingInstance.from_json_dict(data["instance"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
         out = _derive(inst, degree_reduced)
-        derived = out.to_json_dict()
-        for part, value in stored.items():
-            if value != derived[part]:
+        for part, encoded in out._derived_parts().items():
+            held = _json_types(stored[part])
+            if stored[part] != encoded or not held <= {dict, list, str, int}:
+                if foreign := " and ".join(sorted(kind.__name__ for kind in held - _json_types(encoded))):
+                    raise ValueError(f"malformed reduction document: its {part} holds a value of type {foreign}")
                 raise ValueError(f"reduction document's {part} differs from its instance's construction")
         return out
+
+
+def _json_types(value) -> set[type]:
+    """The types of ``value`` and of every value nested in it, found one nesting level at a time."""
+    types, level = set(), [value]
+    while level:
+        kinds = list(map(type, level))
+        found = set(kinds)
+        types |= found
+        lists = compress(level, map(operator.is_, kinds, repeat(list))) if list in found else ()
+        dicts = compress(level, map(operator.is_, kinds, repeat(dict))) if dict in found else ()
+        level = [*chain.from_iterable(lists), *chain.from_iterable(map(dict.values, dicts))]
+    return types
 
 
 def build_g1(k: int, N: int) -> EmbeddedDigraph:

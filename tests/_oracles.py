@@ -6,6 +6,9 @@ oracles enumerate every tuple of simple paths.  The rotation oracle sorts
 each vertex's neighbours with a comparator over Fraction directions, as the
 package did before it derived rotations from integer keys, and the face
 oracle traces faces over those rotations with darts keyed by label pairs.
+The package keeps no per-vertex rotation query, since only its genus check
+reads the rotations; ``rotations_from_runs`` reads them from the dart runs
+that check traces, for the tests to compare with the oracle.
 The reference builder makes a reduction's whole graph in one pass, as the
 package did before it cached the parts that depend only on (k, N).  It and
 the reference forward map read the gadget's layout from their own copies of
@@ -183,6 +186,20 @@ def rotations_by_comparison(g: EmbeddedDigraph) -> dict:
         dirs.sort(key=cmp_to_key(_ccw_compare))
         result[v] = tuple(u for _, _, u in dirs)
     return result
+
+
+def rotations_from_runs(g: EmbeddedDigraph) -> dict:
+    """The package's rotation system: each vertex's neighbours, the far ends of its run of darts in ``g._runs()``.
+
+    Not an oracle but the reader that the tests compare with one; raises what
+    ``_runs`` raises for two neighbours of a vertex on one ray.
+    """
+    order, start = g._runs()
+    ends = (g._head, g._tail)  # the far end of dart d
+    return {
+        v: tuple(g._verts[ends[d & 1][d >> 1]] for d in order[start[n] : start[n + 1]])
+        for n, v in enumerate(g._verts)
+    }
 
 
 def faces_by_tracing(g: EmbeddedDigraph) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""The package's public API and the rule that ``src/`` holds no test-only code."""
+"""The package's public API and the rule that ``src/`` holds no test-only code, methods included."""
 
 import ast
 import importlib
@@ -70,24 +70,38 @@ def _references(node: ast.AST) -> set[str]:
 
 
 def test_no_test_only_code_in_src():
-    """Each module-level function and class in ``src/`` is public API, used in ``src/`` or hooked by the benchmark.
+    """Each function, class, method and property in ``src/`` is used in ``src/``, hooked by the benchmark or public.
 
-    A use is a name or attribute in another top-level statement of some module
-    of the package; the benchmark's hooks are found by name in its sources.
-    Code only the tests call belongs in ``tests/_oracles.py``.
+    A use is a name or attribute in another statement of the package: another
+    top-level statement for a module-level definition; for a method or property
+    of a class, another top-level statement or another member of its class.  The
+    benchmark's hooks are found by name in its sources.  Module-level names in
+    ``__all__`` are public; a method is not exempt for being on a public class,
+    and dunder methods, which Python calls, are left out.  The rule goes by
+    name alone, so one use of a name counts for every definition of it: it
+    cannot tell ``PathSet.to_json_dict`` from the graph's.  Code only the tests
+    call belongs in ``tests/_oracles.py``.
     """
     statements = [stmt for path in sorted(PACKAGE.glob("*.py")) for stmt in ast.parse(path.read_text()).body]
     references = [_references(stmt) for stmt in statements]
     benchmark = "\n".join(path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py")))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def used(name: str, elsewhere) -> bool:
+        return any(name in refs for refs in elsewhere) or re.search(rf"\b{name}\b", benchmark) is not None
+
     unused = []
     for n, stmt in enumerate(statements):
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if not isinstance(stmt, defs):
             continue
-        name = stmt.name
-        if (
-            name not in gridpaths.__all__
-            and not any(name in refs for m, refs in enumerate(references) if m != n)
-            and not re.search(rf"\b{name}\b", benchmark)
-        ):
-            unused.append(name)
+        others = [refs for m, refs in enumerate(references) if m != n]
+        if stmt.name not in gridpaths.__all__ and not used(stmt.name, others):
+            unused.append(stmt.name)
+        if isinstance(stmt, ast.ClassDef):
+            header = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            for member in stmt.body:
+                if isinstance(member, defs) and not re.fullmatch(r"__\w+__", member.name):
+                    rest = [_references(node) for node in [*header, *stmt.body] if node is not member]
+                    if not used(member.name, others + rest):
+                        unused.append(f"{stmt.name}.{member.name}")
     assert unused == []

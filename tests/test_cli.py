@@ -584,6 +584,18 @@ class TestExport:
         assert code == EXIT_USAGE
         assert err == "error: reduction document's counts differs from its instance's construction\n"
 
+    def test_inexact_value_in_reduction_document_exits_2(self, capsys, tmp_path):
+        # 1.0 == 1, so only its JSON type tells the label field from the construction's
+        inst = gen_instance(capsys, tmp_path)
+        red = tmp_path / "red.json"
+        run(capsys, "reduce", str(inst), "--out", str(red))
+        doc = json.loads(red.read_text())
+        doc["graph"]["vertices"][0]["label"]["i"] = 1.0
+        red.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
+        assert code == EXIT_USAGE
+        assert err == "error: malformed reduction document: its graph holds a value of type float\n"
+
 
 def _leaf_paths(doc, path=()):
     """The key paths to every scalar in a JSON document."""

@@ -211,6 +211,20 @@ class TestCheckEdpSolution:
             "paths 0 and 1 share edge ('y', 'z')",
         ]
 
+    def test_int_label_outside_an_int_labelled_graph_is_no_vertex(self):
+        # label 1 is not a vertex, though vertex 11 has id 1: its edges are
+        # missing, and the two paths still share them
+        g = Digraph([10, 11, 12], [(10, 11), (11, 12)])
+        ps = PathSet([[10, 1, 12], [10, 1, 12]])
+        assert check_edp_solution(g, [(10, 12), (10, 12)], ps) == [
+            "path 0 uses missing edge (10, 1)",
+            "path 0 uses missing edge (1, 12)",
+            "path 1 uses missing edge (10, 1)",
+            "path 1 uses missing edge (1, 12)",
+            "paths 0 and 1 share edge (10, 1)",
+            "paths 0 and 1 share edge (1, 12)",
+        ]
+
     def test_wrong_path_count_reported(self):
         g = cross_graph()
         ps = PathSet([["s1", "m", "t1"]])
@@ -515,24 +529,6 @@ class TestCutInvalidation:
         for solver, g, pairs, oracle in _routed_as_given(*stale_cut_graph()):
             assert oracle(g, pairs)
             self._assert_solved(solver, g, pairs)
-
-
-class TestPathSetJson:
-    def test_round_trip(self):
-        out = reduce(generate_planted(2, 2, noise=0, seed=0))
-        ps = solve_edp_dag(out.graph, out.terminals)
-        again = PathSet.from_json_dict(ps.to_json_dict())
-        assert again == ps
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            PathSet.from_json_dict({"nope": []})
-
-    # a string or an object unpacks like a list; a bad label is named inside the document
-    @pytest.mark.parametrize("paths", ["12", [{"kind": "grid"}], [[{"kind": "grid"}]], [["x"]]])
-    def test_malformed_paths_rejected_as_a_path_set_document(self, paths):
-        with pytest.raises(ValueError, match="^malformed path set document: "):
-            PathSet.from_json_dict({"paths": paths})
 
 
 class TestSearchCore:

@@ -287,6 +287,25 @@ def _invalid_instance(doc):
     doc["instance"]["sets"]["1,1"].append([5, 1])
 
 
+# == takes each of these for the int it replaces, so only the type tells them apart
+def _float_in_label(doc):
+    doc["graph"]["vertices"][0]["label"]["i"] = 1.0
+
+
+def _true_in_edge_end(doc):
+    end = next(end for edge in doc["graph"]["edges"] for end in edge if end.get("q") == 1)
+    end["q"] = True
+
+
+def _true_terminal_index(doc):
+    doc["terminals"][0][0]["index"] = True
+
+
+def _boolean_tree_path(doc):
+    label = next(entry["label"] for entry in doc["graph"]["vertices"] if entry["label"]["kind"] == "tree")
+    label["path"] = [bool(bit) for bit in label["path"]]
+
+
 class TestLoadCheck:
     """A reduction document is checked in full against its instance's construction."""
 
@@ -299,14 +318,22 @@ class TestLoadCheck:
             (_bump_count, "counts differs"),
             (_flip_reduced, "graph differs"),
             (_invalid_instance, "invalid instance"),
+            (_float_in_label, "^malformed reduction document: its graph holds a value of type float$"),
+            (_true_in_edge_end, "^malformed reduction document: its graph holds a value of type bool$"),
+            (_true_terminal_index, "^malformed reduction document: its terminals holds a value of type bool$"),
+            (_boolean_tree_path, "^malformed reduction document: its graph holds a value of type bool$"),
         ],
         ids=["missing-grid-edge", "moved-coordinate", "swapped-pairs", "count-off-by-one",
-             "flipped-degree-reduced", "invalid-instance"],
+             "flipped-degree-reduced", "invalid-instance", "float-label-field", "boolean-edge-end",
+             "boolean-terminal-index", "boolean-tree-path"],
     )
     def test_tampered_document_rejected(self, tamper, match):
         from gridpaths.reduction import ReductionOutput
 
-        doc = json.loads(json.dumps(reduce(generate_planted(2, 4, noise=2, seed=1)).to_json_dict()))
+        out = reduce(generate_planted(2, 4, noise=2, seed=1))
+        if tamper is _boolean_tree_path:  # only the degree-2 form has tree nodes
+            out = reduce_degree(out)
+        doc = json.loads(json.dumps(out.to_json_dict()))
         ReductionOutput.from_json_dict(doc)
         tamper(doc)
         with pytest.raises(ValueError, match=match):
