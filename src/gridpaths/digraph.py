@@ -220,7 +220,8 @@ class Digraph:
     ``_tail``/``_head`` (per edge id), ``_out``/``_in`` (per vertex id, its
     edge ids in insertion order), ``_pairs`` (the (tail, head) id pair of
     every edge) and ``_topo_ids()``.  The constructor maps labels to ids and
-    calls ``_init``, which holds every check and is the only construction path.
+    calls ``_init``, which holds every check and is the only construction path;
+    ``_reverse()`` is a view on those arrays, not a new graph.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
@@ -327,6 +328,17 @@ class Digraph:
         if order is None:
             return None, [self._verts[n] for n in cycle]
         return [self._verts[n] for n in order], None
+
+    def _reverse(self) -> Digraph:
+        """For the path search, the reverse graph as a view sharing this one's lists: no ``_pairs``, no copy.
+
+        Edge e runs ``_head[e] -> _tail[e]``; the topological order (or cycle) is this graph's reversed.
+        """
+        rev = Digraph.__new__(Digraph)
+        rev._verts, rev._id = self._verts, self._id
+        rev._tail, rev._head, rev._out, rev._in = self._head, self._tail, self._in, self._out
+        rev._topo = tuple(None if ids is None else ids[::-1] for ids in self._topo_ids())
+        return rev
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""

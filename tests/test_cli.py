@@ -297,6 +297,17 @@ class TestRoundtrip:
         assert code == EXIT_BUDGET
         assert err == "error: expansion budget of 3 exhausted\n"
 
+    def test_instance_decided_by_the_mirror_search_passes(self, capsys, tmp_path, monkeypatch):
+        # the first search runs out of 10^4 expansions on this planted instance; the mirror search finds the paths
+        path = tmp_path / "mirror.json"
+        assert run(capsys, "gen", "2", "4", "--noise", "2", "--seed", "10", "--out", str(path))[0] == EXIT_OK
+        monkeypatch.setenv("DPATH_BUDGET", "10000")
+        code, out, err = run(capsys, "roundtrip", str(path))
+        assert code == EXIT_OK, err
+        report = json.loads(out)["runs"][0]["report"]
+        assert report["solver"] == {"grid_tiling": "feasible", "edge_disjoint_paths": "feasible", "agree": True}
+        assert set(report["roundtrip"].values()) == {True}
+
     def test_bad_budget_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
         inst = gen_instance(capsys, tmp_path)
         for raw, reason in (("lots", "must be an integer"), ("0", "must be positive"), ("-3", "must be positive")):

@@ -189,6 +189,28 @@ class TestTopologicalSort:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert has_edge(g, a, b)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_reverse_view_is_the_reverse_graph(self, seed):
+        # the search's reverse view: each edge turned round on the same ids, the order (or cycle) reversed
+        dag, _ = random_dag(seed)
+        # a cycle through n0 and n4 (random_dag has at least 5 vertices)
+        back = [("n4", "n0")] if ("n0", "n4") in dag.edges else [("n0", "n4"), ("n4", "n0")]
+        cyclic = Digraph(dag.vertices, [*dag.edges, *back])
+        for g in (dag, cyclic):
+            rev = g._reverse()
+            assert (rev.vertices, rev.edges) == (g.vertices, tuple((v, u) for u, v in g.edges))
+            for v in g.vertices:
+                assert (rev.out(v), rev.inn(v)) == (g.inn(v), g.out(v))
+            order, cycle = rev.topological_sort()
+            if g is dag:
+                assert (order, cycle) == (g.topological_sort()[0][::-1], None)
+                position = {v: n for n, v in enumerate(order)}
+                assert all(position[u] < position[v] for u, v in rev.edges)
+            else:
+                assert order is None
+                assert set(zip(cycle, cycle[1:] + cycle[:1])) <= set(rev.edges)
+
 
 class TestNeighborhoods:
     def test_all_vertices_has_no_outside_neighbors(self):

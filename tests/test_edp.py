@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from gridpaths.edp import (
     PathSet,
     _cone_sizes,
     _reach_bits,
+    _search,
     check_edp_solution,
     solve_edp_dag,
     solve_vdp_dag,
@@ -531,11 +533,23 @@ class TestCutInvalidation:
             self._assert_solved(solver, g, pairs)
 
 
+# the solvers' first search alone, in edge- and vertex-disjoint mode: no mirror search follows it
+SEARCHES = (partial(_search, vertex_disjoint=False), partial(_search, vertex_disjoint=True))
+
+
+def _mirror(g, pairs):
+    # the instance the solvers search second: reverse graph, each pair's ends swapped, the list reversed
+    return g._reverse(), [(t, s) for s, t in reversed(pairs)]
+
+
 class TestSearchCore:
     # SHA-256 of the solvers' answers (the repr of the paths, "none" or
     # "budget") over the cases below; a change to the search must keep it.
     # The repr stands in for PathSet JSON, which encodes reduction labels only.
-    SOLVER_DIGEST = "cfa64471fa75b38c54b7c2def21243401084f9982d18756c0bf020164ebbbd87"
+    # SEARCH_DIGEST pins the first search alone, SOLVER_DIGEST the solvers,
+    # which also decide where only the mirror search finishes.
+    SOLVER_DIGEST = "c99c4dd6713135d533af0a6a68911dfc3ab21a71f8dd6bb12020ab2c75899872"
+    SEARCH_DIGEST = "cfa64471fa75b38c54b7c2def21243401084f9982d18756c0bf020164ebbbd87"
 
     @staticmethod
     def _answer(solver, g, pairs, budget):
@@ -566,19 +580,24 @@ class TestSearchCore:
     def test_solver_answers_match_pinned_digest(self):
         assert self._answers_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_DIGEST
 
-    # SHA-256 of each solver's expansion count (the smallest budget at which
-    # it finishes, or "budget" past 10^4) on the cases above plus deeper
-    # planted and infeasible random reductions: pins the search tree itself,
-    # so pruning may get cheaper but not prune differently.
+    def test_first_search_answers_match_pinned_digest(self):
+        assert self._answers_digest(SEARCHES) == self.SEARCH_DIGEST
+
+    # SHA-256 of the first search's expansion count (the smallest budget at
+    # which it finishes, or "budget" past 10^4) in each mode on the cases
+    # above plus deeper planted and infeasible random reductions: pins the
+    # search tree itself, so pruning may get cheaper but not prune
+    # differently.  The solvers' own counts are not monotone in the budget:
+    # a budget under the first search's count can let the mirror finish.
     SOLVER_COUNT_DIGEST = "12735d4d9fd6763d6dc84aa164a34ce4a335ee3781baa833bcbcfaa330d5acf1"
 
     @staticmethod
-    def _expansions(solver, g, pairs) -> str:
+    def _expansions(search, g, pairs) -> str:
         cap = 10_000
 
         def finishes(budget):
             try:
-                solver(g, pairs, budget=budget)
+                search(g, pairs, budget=budget)
             except BudgetExceededError:
                 return False
             return True
@@ -594,7 +613,7 @@ class TestSearchCore:
                 lo = mid + 1
         return str(lo)
 
-    def _counts_digest(self, solvers) -> str:
+    def _counts_digest(self, searches) -> str:
         cases = []
         for seed in range(60):
             g, pairs = random_dag(seed)
@@ -612,31 +631,33 @@ class TestSearchCore:
             cases.append((out.graph, out.terminals.pairs))
         digest = hashlib.sha256()
         for g, pairs in cases:
-            for solver in solvers:
-                digest.update(f"{self._expansions(solver, g, pairs)};".encode())
+            for search in searches:
+                digest.update(f"{self._expansions(search, g, pairs)};".encode())
         return digest.hexdigest()
 
     def test_solver_expansion_counts_match_pinned_digest(self):
-        assert self._counts_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_COUNT_DIGEST
+        assert self._counts_digest(SEARCHES) == self.SOLVER_COUNT_DIGEST
 
     @staticmethod
-    def _assert_count(solver, g, pairs, answer, count):
+    def _assert_count(search, g, pairs, answer, count):
         # finishes with the answer at a budget of its count, raises one below
-        ps = solver(g, pairs, budget=count)
+        ps = search(g, pairs, budget=count)
         assert (None if ps is None else ps.paths) == answer
         if count:
             with pytest.raises(BudgetExceededError):
-                solver(g, pairs, budget=count - 1)
+                search(g, pairs, budget=count - 1)
 
     def _assert_enumerated_count(self, g, pairs):
-        # each solver's answer and expansion count are the enumerating
-        # search's in the cone-first order, its paths put back in the given order
+        # the first search's answer and expansion count in each mode are the
+        # enumerating search's in the cone-first order, its paths put back in
+        # the given order
         for solver, g, pairs, _ in _modes(g, pairs):
+            vertex_disjoint = solver is solve_vdp_dag
             order = cone_first_order(g, pairs)
-            paths, count = enumerate_routes(g, [pairs[i] for i in order], solver is solve_vdp_dag)
+            paths, count = enumerate_routes(g, [pairs[i] for i in order], vertex_disjoint)
             if paths is not None:
                 paths = [paths[order.index(i)] for i in range(len(pairs))]
-            self._assert_count(solver, g, pairs, paths, count)
+            self._assert_count(SEARCHES[vertex_disjoint], g, pairs, paths, count)
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_pairs())
@@ -671,7 +692,7 @@ class TestSearchCore:
             pairs = [("v", "t0"), ("s1", "t1")]
             if d < 7:
                 assert enumerate_routes(g, pairs, True) == (None, 4 * (2**d - 1))
-            self._assert_count(solve_vdp_dag, g, pairs, None, 4 * (2**d - 1))
+            self._assert_count(SEARCHES[True], g, pairs, None, 4 * (2**d - 1))
 
     def test_futile_ladder_is_counted_not_walked(self):
         # 2^22 futile routes, about 1.7e7 expansions: an enumerating search
@@ -679,8 +700,8 @@ class TestSearchCore:
         d = 22
         g, pairs = diamond_ladder(d)
         answer = [["s0", "t0"], ["s1", "u", "v", "t1"]]
-        for solver in (solve_edp_dag, solve_vdp_dag):
-            self._assert_count(solver, g, pairs, answer, ladder_count(d))
+        for search in SEARCHES:
+            self._assert_count(search, g, pairs, answer, ladder_count(d))
 
     def test_long_chain_needs_no_recursion(self):
         n = 5000
@@ -720,3 +741,68 @@ class TestSearchCore:
             expected.append([v in found for v in verts])
         reach = _reach_bits(g, [verts.index(t) for t in targets])
         assert [[bool(bits >> j & 1) for bits in reach] for j in range(len(targets))] == expected
+
+
+class TestMirrorSearch:
+    """Where the first search runs out, the solvers search the mirror instance with half the budget."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dags_with_pairs())
+    def test_answers_after_a_first_search_budget_hit_are_right(self, case):
+        # at budgets 0, 1, 2, 4, ... up to the first search's count, where it
+        # raises: any answer the solver gives is right and in the given order
+        for solver, g, pairs, _ in _modes(*case):
+            vertex_disjoint = solver is solve_vdp_dag
+            feasible = enumerate_routes(g, pairs, vertex_disjoint)[0] is not None
+            budget = 0
+            while True:
+                try:
+                    SEARCHES[vertex_disjoint](g, pairs, budget=budget)
+                    break
+                except BudgetExceededError:
+                    pass
+                try:
+                    ps = solver(g, pairs, budget=budget)
+                except BudgetExceededError as exc:
+                    assert exc.budget == budget
+                else:
+                    assert (ps is not None) == feasible
+                    if ps is not None:
+                        assert [(path[0], path[-1]) for path in ps.paths] == [tuple(pair) for pair in pairs]
+                        assert check_edp_solution(g, pairs, ps) == []
+                        assert check_vdp_solution(g, pairs, ps) or not vertex_disjoint
+                budget = 2 * budget or 1
+
+    def test_mirror_decides_where_the_first_search_runs_out(self):
+        # planted (2, 4) noise 2 seed 10: the first search hits 10^4, the mirror finds the paths
+        inst = generate_planted(2, 4, noise=2, seed=10)
+        out = reduce(inst)
+        with pytest.raises(BudgetExceededError):
+            SEARCHES[False](out.graph, out.terminals, budget=10_000)
+        ps = solve_edp_dag(out.graph, out.terminals, budget=10_000)
+        mirrored = SEARCHES[False](*_mirror(out.graph, out.terminals.pairs), budget=5_000)
+        assert ps.paths == [path[::-1] for path in reversed(mirrored.paths)]
+        assert check_edp_solution(out.graph, out.terminals, ps) == []
+
+    def test_both_searches_agree_on_reductions(self):
+        # where the first and the mirror search both decide at 10^4, in either
+        # mode, they agree; in edge-disjoint mode with the grid tiling answer
+        both = set()  # the answers on which both decided
+        for k, n in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)):
+            for seed in range(3):
+                for inst in (generate_planted(k, n, noise=2, seed=seed), generate_random(k, n, 0.15, seed=seed)):
+                    out = reduce(inst)
+                    feasible = solve_gt_brute_force(inst) is not None
+                    for vertex_disjoint, search in enumerate(SEARCHES):
+                        answers = []
+                        for g, pairs in ((out.graph, out.terminals.pairs), _mirror(out.graph, out.terminals.pairs)):
+                            try:
+                                answers.append(search(g, pairs, budget=10_000) is not None)
+                            except BudgetExceededError:
+                                pass
+                        assert len(set(answers)) <= 1, (k, n, seed, inst.sets)
+                        if not vertex_disjoint:
+                            assert set(answers) <= {feasible}
+                        if len(answers) == 2:
+                            both.add(answers[0])
+        assert both == {False, True}
