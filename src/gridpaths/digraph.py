@@ -32,6 +32,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
@@ -212,16 +213,21 @@ def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, 
     return verts, [a for a, _ in ends], [b for _, b in ends], ids
 
 
+def _int_keys(tail: Iterable[int], head: Iterable[int], n: int) -> list[int]:
+    """``a * n + b`` for each pair (a, b) of ``tail`` and ``head``: an edge's key in an ``n``-vertex graph."""
+    return [a * n + b for a, b in zip(tail, head)]
+
+
 class Digraph:
     """Immutable simple directed graph (no self-loops, no parallel edges).
 
     Vertex id ``n`` is ``vertices[n]`` and edge id ``e`` is ``edges[e]``.
     The package's algorithms work on the id arrays: ``_id`` (label -> id),
     ``_tail``/``_head`` (per edge id), ``_out``/``_in`` (per vertex id, its
-    edge ids in insertion order), ``_pairs`` (the (tail, head) id pair of
-    every edge) and ``_topo_ids()``.  The constructor maps labels to ids and
-    calls ``_init``, which holds every check and is the only construction path;
-    ``_reverse()`` is a view on those arrays, not a new graph.
+    edge ids in insertion order), ``_edge_keys`` (the int key of every edge,
+    made on first use) and ``_topo_ids()``.  The constructor maps labels to ids
+    and calls ``_init``, which holds every check and is the only construction
+    path; ``_reverse()`` is a view on those arrays, not a new graph.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
@@ -234,9 +240,8 @@ class Digraph:
         self._id: dict[Label, int] = dict(zip(verts, range(n))) if ids is None else ids
         if len(self._id) != n:
             raise ValueError(f"duplicate vertex {next(v for m, v in enumerate(verts) if self._id[v] != m)!r}")
-        self._pairs: set[tuple[int, int]] = set(zip(tail, head))
         ends = tail + head
-        if len(self._pairs) < len(tail) or any(map(operator.eq, tail, head)) or (
+        if len(set(_int_keys(tail, head, n))) < len(tail) or any(map(operator.eq, tail, head)) or (
             ends and not 0 <= min(ends) <= max(ends) < n
         ):
             seen = set()  # report the first bad edge
@@ -256,6 +261,11 @@ class Digraph:
             self._out[a].append(e)
             self._in[b].append(e)
         self._topo: tuple[list[int] | None, list[int] | None] | None = None
+
+    @cached_property
+    def _edge_keys(self) -> set[int]:
+        """The ``_int_keys`` of every edge, made on first use: the solution checker's edge lookup."""
+        return set(_int_keys(self._tail, self._head, len(self._verts)))
 
     @property
     def vertices(self) -> tuple:
@@ -330,7 +340,7 @@ class Digraph:
         return [self._verts[n] for n in order], None
 
     def _reverse(self) -> Digraph:
-        """For the path search, the reverse graph as a view sharing this one's lists: no ``_pairs``, no copy.
+        """For the path search, the reverse graph as a view sharing this one's lists: no copy.
 
         Edge e runs ``_head[e] -> _tail[e]``; the topological order (or cycle) is this graph's reversed.
         """
@@ -380,8 +390,9 @@ class EmbeddingCheck:
 class EmbeddedDigraph(Digraph):
     """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
 
-    Vertex id ``n`` sits at ``_xy[n] / _den``: integer numerators over the least common
-    denominator.  Only ``coords`` and the JSON writer make Fractions.
+    Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: integer numerators over the least
+    common denominator, in two arrays of 64-bit ints (lists when a numerator does not fit).
+    Only ``coords`` and the JSON writer make Fractions.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
@@ -399,18 +410,24 @@ class EmbeddedDigraph(Digraph):
         self._init(verts, tail, head, xy, den, ids)
 
     def _init(self, verts, tail, head, xy: list[tuple[int, int]], den: int, ids=None) -> None:
-        """Digraph._init, with vertex ``n`` at ``xy[n] / den``; the fraction is reduced here."""
+        """Digraph._init, with vertex ``n`` at ``xy[n] / den``: kept as two arrays, in lowest terms."""
         super()._init(verts, tail, head, ids)
-        g = math.gcd(den, *chain.from_iterable(xy))
-        self._den = den // g
-        self._xy = xy if g == 1 else [(x // g, y // g) for x, y in xy]
-        if len(set(self._xy)) != len(verts):
+        if len(set(xy)) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
+        xs, ys = zip(*xy) if xy else ((), ())
+        g = math.gcd(den, *xs, *ys)
+        self._den = den // g
+        if g > 1:
+            xs, ys = [x // g for x in xs], [y // g for y in ys]
+        try:
+            self._x, self._y = array("q", xs), array("q", ys)
+        except OverflowError:  # a numerator past 64 bits, which a bare graph document may hold
+            self._x, self._y = list(xs), list(ys)
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
-        den = self._den
-        return MappingProxyType({v: (Fraction(x, den), Fraction(y, den)) for v, (x, y) in zip(self._verts, self._xy)})
+        den, points = self._den, zip(self._verts, self._x, self._y)
+        return MappingProxyType({v: (Fraction(x, den), Fraction(y, den)) for v, x, y in points})
 
     def _runs(self) -> tuple[list[int], array]:
         """(order, start): vertex id n's darts, counterclockwise from +x, are order[start[n]:start[n + 1]].
@@ -423,13 +440,12 @@ class EmbeddedDigraph(Digraph):
         for m = (x spread + y spread)**2, so equal keys mean one ray.  Keys are computed once per
         distinct code and ranked, and one sort of all D darts orders every rotation.
         """
-        tail, head, xy = self._tail, self._head, self._xy
+        tail, head, xs, ys = self._tail, self._head, self._x, self._y
         ndarts = 2 * len(tail)
-        xs, ys = zip(*xy) if xy else ((0,), (0,))
-        m = (max(xs) - min(xs) + max(ys) - min(ys)) ** 2
-        half = max(ys) - min(ys)
+        half = max(ys, default=0) - min(ys, default=0)
+        m = (max(xs, default=0) - min(xs, default=0) + half) ** 2
         w = 2 * half + 1
-        point = [x * w + y for x, y in xy]
+        point = _int_keys(xs, ys, w)
         code = list(map(operator.sub, map(point.__getitem__, head), map(point.__getitem__, tail)))
         del point
         dirs = set(code)
@@ -510,11 +526,11 @@ class EmbeddedDigraph(Digraph):
 
     def to_json_dict(self) -> dict:
         labels = [label_to_json(v) for v in self._verts]
-        text = {n: str(Fraction(n, self._den)) for n in {c for xy in self._xy for c in xy}}
+        text = {n: str(Fraction(n, self._den)) for n in {*self._x, *self._y}}
         return {
             "vertices": [
                 {"label": label, "coord": [text[x], text[y]]}
-                for label, (x, y) in zip(labels, self._xy)
+                for label, x, y in zip(labels, self._x, self._y)
             ],
             "edges": [[labels[a], labels[b]] for a, b in zip(self._tail, self._head)],
         }
@@ -564,7 +580,7 @@ class EmbeddedDigraph(Digraph):
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
         names, den, first = [label_name(v) for v in self._verts], self._den, {}
         lines = ["digraph reduction {"]
-        for v, name, (x, y) in zip(self._verts, names, self._xy):
+        for v, name, x, y in zip(self._verts, names, self._x, self._y):
             try:  # int / int is correctly rounded: the same float as float(Fraction)
                 x, y = point = x / den, y / den
             except OverflowError:
@@ -583,8 +599,10 @@ class EmbeddedDigraph(Digraph):
         if type(other) is not type(self):
             return NotImplemented
         # each graph is in lowest terms over its least denominator: equal points, equal numerators
-        xy, ids = other._xy, other._id
-        return super().__eq__(other) and self._den == other._den and self._xy == [xy[ids[v]] for v in self._verts]
+        xs, ys, ids = other._x, other._y, other._id
+        return super().__eq__(other) and self._den == other._den and all(
+            (x, y) == (xs[ids[v]], ys[ids[v]]) for v, x, y in zip(self._verts, self._x, self._y)
+        )
 
 
 # exactly the str(Fraction) that to_json_dict writes: no leading zero, d > 1 in lowest terms

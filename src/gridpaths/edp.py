@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice, repeat
 
-from .digraph import Digraph, Label
+from .digraph import Digraph, Label, _int_keys
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 # blocking cuts kept per pair by the path search's reachability test
@@ -45,30 +46,30 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
     Each path must be a directed path from its pair's source to its sink
     without repeating an edge, and no edge may appear in two paths.  Sharing
     vertices is allowed; single-vertex paths share nothing.  Edges are
-    compared as pairs of vertex ids; a label not in the graph is keyed by
-    the 1-tuple ``(label,)``, which equals no int id, so its edges are
-    missing but can still be shared.  A valid set is accepted by set
-    operations on all its edges at once; the messages are built only when
-    one of those tests fails.
+    compared by the graph's int keys (``Digraph._edge_keys``) of their
+    vertex ids.  A label not in the graph gets an id of its own, past the
+    graph's, so its edges are missing but can still be shared.  A valid set
+    is accepted by set operations on all its edges at once; the messages are
+    built only when one of those tests fails.
     """
     pairs = _pairs(terminals)
     if len(ps.paths) != len(pairs):
         return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
-    ids, edges = g._id, g._pairs
-    used: list[tuple] = []
+    ids, edges, n = g._id, g._edge_keys, len(g._verts)
+    used: list[int] = []
     for path, (s, t) in zip(ps.paths, pairs):
         if not path or path[0] != s or path[-1] != t:
             break
-        # a label outside the graph maps to None: no edge of the graph has it
-        nums = list(map(ids.get, path))
-        used += zip(nums, nums[1:])
+        # a label outside the graph maps to -n * n, which makes the key of each of its edges negative
+        nums = list(map(ids.get, path, repeat(-n * n)))
+        used += _int_keys(nums, islice(nums, 1, None), n)
     else:
         distinct = set(used)
         if len(distinct) == len(used) and distinct <= edges:
             return []
-    violations = []
-    id_paths = [[ids.get(v, (v,)) for v in path] for path in ps.paths]
-    for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
+    # each path's own violations in path order, then every edge that a later path shares
+    violations, shared, owner, outside = [], [], {}, {}
+    for idx, (path, (s, t)) in enumerate(zip(ps.paths, pairs)):
         if not path:
             violations.append(f"path {idx} is empty")
             continue
@@ -76,22 +77,18 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
             violations.append(f"path {idx} starts at {path[0]!r}, expected {s!r}")
         if path[-1] != t:
             violations.append(f"path {idx} ends at {path[-1]!r}, expected {t!r}")
+        nums = [ids[v] if v in ids else outside.setdefault(v, n + len(outside)) for v in path]
         seen = set()
-        for n, edge in enumerate(zip(nums, nums[1:])):
-            if edge not in edges:
-                violations.append(f"path {idx} uses missing edge ({path[n]!r}, {path[n + 1]!r})")
-            elif edge in seen:
-                violations.append(f"path {idx} repeats edge ({path[n]!r}, {path[n + 1]!r})")
-            seen.add(edge)
-    owner: dict[tuple[int, int], int] = {}
-    for idx, (path, nums) in enumerate(zip(ps.paths, id_paths)):
-        for n, edge in enumerate(zip(nums, nums[1:])):
-            prev = owner.setdefault(edge, idx)
-            if prev != idx:
-                violations.append(
-                    f"paths {prev} and {idx} share edge ({path[n]!r}, {path[n + 1]!r})"
-                )
-    return violations
+        for step, (a, b) in enumerate(zip(nums, nums[1:])):
+            where = f"edge ({path[step]!r}, {path[step + 1]!r})"
+            if not (a < n > b and a * n + b in edges):
+                violations.append(f"path {idx} uses missing {where}")
+            elif (a, b) in seen:
+                violations.append(f"path {idx} repeats {where}")
+            seen.add((a, b))
+            if (prev := owner.setdefault((a, b), idx)) != idx:
+                shared.append(f"paths {prev} and {idx} share {where}")
+    return violations + shared
 
 
 def _reach_bits(g: Digraph, targets: list[int]) -> list[int]:

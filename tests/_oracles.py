@@ -50,10 +50,12 @@ from gridpaths.digraph import (
     Digraph,
     EmbeddedDigraph,
     GridVertex,
+    HConnector,
     Label,
     NotConnectedError,
     Terminal,
     TreeNode,
+    VConnector,
 )
 from gridpaths.edp import PathSet, _pairs, check_edp_solution
 from gridpaths.errors import EmbeddingError
@@ -518,8 +520,36 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
     return g
 
 
+# the transpose tau trades the columns' terminal families for the rows'
+_TRANSPOSED_FAMILY = {"a": "c", "b": "d", "c": "a", "d": "b"}
+
+
+def transpose_instance(inst: GridTilingInstance) -> GridTilingInstance:
+    """tau on an instance: cell (x, y) -> (y, x), pair (a, b) -> (b, a)."""
+    sets = {(y, x): {(b, a) for a, b in pairs} for (x, y), pairs in inst.sets.items()}
+    return GridTilingInstance(inst.k, inst.N, sets)
+
+
+def transpose_label(v: Label) -> Label:
+    """tau on a label of a reduction: its label in the reduction of the transposed instance.
+
+    A grid position (i, j, q, ell) goes to (j, i, ell, q) with its part, a row
+    connector to the column connector with (i, j) swapped and back, and a
+    terminal or tree node to the other family's: a <-> c, b <-> d.
+    """
+    if isinstance(v, GridVertex):
+        return GridVertex(v.j, v.i, v.ell, v.q, v.part)
+    if isinstance(v, HConnector):
+        return VConnector(v.j, v.i, v.ell)
+    if isinstance(v, VConnector):
+        return HConnector(v.j, v.i, v.ell)
+    if isinstance(v, Terminal):
+        return Terminal(_TRANSPOSED_FAMILY[v.family], v.index)
+    return TreeNode(_TRANSPOSED_FAMILY[v.family], v.index, v.path)
+
+
 def has_edge(g: Digraph, u: Label, v: Label) -> bool:
-    return (g._id.get(u), g._id.get(v)) in g._pairs
+    return u in g and v in g and g._id[u] * g.num_vertices + g._id[v] in g._edge_keys
 
 
 def _outside(g: Digraph, subset: Iterable[Label], incident: list[list[int]], far: list[int]) -> set:
@@ -609,7 +639,7 @@ def check_edp_solution_reference(g: Digraph, terminals, ps: PathSet) -> list[str
     violations = []
     if len(ps.paths) != len(pairs):
         return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
-    ids, edges = dict(g._id), g._pairs
+    ids, edges = dict(g._id), set(zip(g._tail, g._head))
     id_paths = [[ids.setdefault(v, len(ids)) for v in path] for path in ps.paths]
     for idx, (path, nums, (s, t)) in enumerate(zip(ps.paths, id_paths, pairs)):
         if not path:

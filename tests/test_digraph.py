@@ -129,7 +129,7 @@ class TestIdInitializer:
 
     def test_denominator_is_reduced(self):
         g = self._embedded([0, 1], [1, 2], [(0, 0), (4, 2), (8, 12)], 8)
-        assert g._den == 4 and g._xy == [(0, 0), (2, 1), (4, 6)]
+        assert g._den == 4 and list(zip(g._x, g._y)) == [(0, 0), (2, 1), (4, 6)]
         assert g.coords == {"a": (0, 0), "b": (Fraction(1, 2), Fraction(1, 4)), "c": (1, Fraction(3, 2))}
         assert g == EmbeddedDigraph(["a", "b", "c"], [("a", "b"), ("b", "c")], g.coords)
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 from functools import partial
@@ -24,7 +25,7 @@ from gridpaths.gridtiling import (
     solve_gt_brute_force,
 )
 from gridpaths.mappers import gt_solution_to_paths
-from gridpaths.reduction import reduce
+from gridpaths.reduction import reduce, reduce_degree
 
 from ._oracles import (
     LineVertex,
@@ -722,6 +723,24 @@ class TestSearchCore:
             tracemalloc.stop()
         assert check_edp_solution(out.graph, out.terminals, ps) == []
         assert peak < 3_000_000
+
+    @pytest.mark.parametrize("degree2", [False, True])
+    def test_graph_keeps_no_per_edge_objects(self, degree2):
+        # The bytes a planted (3, 10) reduction keeps per vertex plus edge: its labels, id dict,
+        # adjacency lists and id lists come to about 190 B.  A kept set of (tail, head) tuples and
+        # a tuple per coordinate came to 247 B in the direct form and 281 B in the degree-2 form
+        inst = generate_planted(3, 10, noise=2, seed=0)
+        direct = reduce(inst)
+        build = partial(reduce_degree, direct) if degree2 else partial(reduce, inst)
+        build()  # the shape's cached base parts are no graph's cost
+        tracemalloc.start()
+        try:
+            g = build().graph
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept / (g.num_vertices + g.num_edges) < 220
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), data=st.data())

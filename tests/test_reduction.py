@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from gridpaths.reduction import (
 )
 
 from . import test_mappers
-from ._oracles import build_reference, is_dotted_edge
+from ._oracles import build_reference, is_dotted_edge, transpose_instance, transpose_label
 
 
 def full_instance(k, n):
@@ -430,7 +431,7 @@ class TestIdConstruction:
         out = reduce(inst)
         g = reduce_degree(out).graph if trees else out.graph
         h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
-        for attr in ("_verts", "_tail", "_head", "_out", "_in", "_pairs", "_xy", "_den"):
+        for attr in ("_verts", "_tail", "_head", "_out", "_in", "_edge_keys", "_x", "_y", "_den"):
             assert getattr(g, attr) == getattr(h, attr), attr
 
 
@@ -465,7 +466,7 @@ class TestBaseCache:
             sets = self.make(kind, k, n, seed).sets
             for trees in (False, True):
                 g, h = reduction._build(k, n, sets, trees)[0], build_reference(k, n, sets, trees)
-                for attr in ("_verts", "_tail", "_head", "_xy", "_den"):
+                for attr in ("_verts", "_tail", "_head", "_x", "_y", "_den"):
                     assert getattr(g, attr) == getattr(h, attr), (kind, trees, attr)
         assert reduction._base.cache_info().hits - hits >= 2 * (len(kinds) - 1)
 
@@ -486,15 +487,42 @@ class TestBaseCache:
                 for x in (out, reduce_degree(out)):
                     for path in gt_solution_to_paths(x, solve_gt_brute_force(inst)).paths:
                         path[:] = [None] * len(path)
-                    for ids in x.layout:
-                        ids[:] = [0] * len(ids)
                     g = x.graph
+                    for ids in (*x.layout, g._x, g._y):
+                        ids[:] = array(ids.typecode, bytes(ids.itemsize * len(ids)))
                     g._tail[:] = [0] * len(g._tail)
                     g._head[:] = [0] * len(g._head)
-                    g._xy[:] = [(0, 0)] * len(g._xy)
                     g._verts[:] = [None] * len(g._verts)
         TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()
         test_mappers.TestPinnedMaps().test_maps_match_pinned_digest()
+
+
+class TestSymmetry:
+    """The transpose tau maps the reduction of an instance onto the reduction of the transposed instance.
+
+    tau swaps x and y, rows and columns; the construction treats them alike.  Each
+    vertex, edge and coordinate numerator of one build is checked against a second
+    build, without the reference builder, up to N = 40, past the N <= 13 at which
+    the tests compare with it.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        n=st.integers(2, 40),
+        noise=st.sampled_from([0, 2, None]),
+        degree2=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_transpose(self, k, n, noise, degree2, seed):
+        if noise is None:
+            inst = generate_random(k, n, 0.3, seed=seed)
+        else:
+            inst = generate_planted(k, n, noise=noise, seed=seed)
+        g, h = (reduction._derive(x, degree2).graph for x in (inst, transpose_instance(inst)))
+        image = {transpose_label(v): (y, x) for v, x, y in zip(g._verts, g._x, g._y)}
+        assert image == {v: (x, y) for v, x, y in zip(h._verts, h._x, h._y)} and g._den == h._den
+        assert {(transpose_label(u), transpose_label(v)) for u, v in g.edges} == set(h.edges)
 
 
 class TestCertificateAtEverySize:
