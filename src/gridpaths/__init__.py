@@ -10,7 +10,7 @@ from .digraph import (
     TreeNode,
     VConnector,
 )
-from .edp import PathSet, check_edp_solution, solve_edp_dag, solve_vdp_dag
+from .edp import PathSet, check_edp_solution, solve_edp_dag
 from .errors import BudgetExceededError
 from .gridtiling import (
     GTAssignment,
@@ -71,6 +71,5 @@ __all__ = [
     "reduce_degree",
     "solve_edp_dag",
     "solve_gt_brute_force",
-    "solve_vdp_dag",
     "validate_instance",
 ]

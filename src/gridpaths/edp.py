@@ -1,15 +1,18 @@
-"""Exact edge-disjoint and vertex-disjoint path search on DAGs.
+"""Exact edge-disjoint path search on DAGs.
 
-One exhaustive backtracking search serves both modes: it routes the
-terminal pairs one at a time, each over the resources (edges, or
-vertices) the earlier pairs left free, so a None answer is a proof of
-infeasibility at the given budget.  It routes the pair with the largest
-cone first (``_cone_sizes``), then the others in the given order.
+One exhaustive backtracking search routes the terminal pairs one at a
+time, each over the edges the earlier pairs left free, so a None answer is
+a proof of infeasibility at the given budget.  It routes the pair with the
+largest cone first (``_cone_sizes``), then the others in the given order.
 ``_search`` documents how it prunes without changing the search tree; it
-tests ancestry on one bitmask per vertex, the targets it reaches.  A
-search that hits its budget is followed by one on the mirror instance,
-read from the sinks, with half the budget (``_solve``); the budget error
-means both ran out.  Also here: the edge-disjoint solution checker.
+tests ancestry on one bitmask per vertex, the targets it reaches.  In
+``solve_edp_dag`` a search that hits its budget is followed by one on the
+mirror instance, read from the sinks, with half the budget; the budget
+error means both ran out.  Also here: the edge-disjoint solution checker.
+
+There is no vertex-disjoint search: on a reduction all 4k terminals lie on
+the outer face with each column pair alternating with each row pair, so
+vertex-disjoint paths never exist there.
 
 A path is a vertex sequence; a single-vertex path (source equals sink) is
 legal and consumes no edges.
@@ -136,8 +139,8 @@ def _cone_sizes(g: Digraph, sources: list[int], reach: list[int]) -> list[int]:
     return sizes
 
 
-def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
-    """The backtracking search behind both solvers, over the graph's vertex ids.
+def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
+    """The backtracking search behind the solver, over the graph's vertex and edge ids.
 
     It routes the pair with the largest cone (ties to the earlier pair)
     first, then the others in the given order: the most constrained
@@ -150,45 +153,41 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     reach the current target, and at each target abandons the branch if a
     later pair has no route left.  ``reach[w]`` has bit i set when w reaches
     pair i's target, so each ancestry test is ``reach[w] & bit`` with
-    bit = 1 << i.  Each arc consumes one resource: its edge in edge-disjoint
-    mode, its head vertex in vertex-disjoint mode, which also claims each
-    path's start vertex.  The search runs on an explicit stack of frames
-    [pair, vertex, resource taken, next arc], so its depth is not bounded by
-    the recursion limit; the frames of one pair spell out that pair's path.
-    One ``taken`` flag per resource holds the state of the whole stack: a
-    frame sets its resource's flag when pushed and clears it when popped.  A
-    first frame in edge-disjoint mode takes resource -1, a spare flag after
-    the others.
+    bit = 1 << i.  Each arc takes its edge.  The search runs on an explicit
+    stack of frames [pair, vertex, edge taken, next arc], so its depth is not
+    bounded by the recursion limit; the frames of one pair spell out that
+    pair's path.  One ``taken`` flag per edge holds the state of the whole
+    stack: a frame sets its edge's flag when pushed and clears it when
+    popped.  A pair's first frame takes edge -1, a spare flag after the
+    others.
 
     Each pair after the first keeps a witness route (no pair routes before
-    the first), and ``users`` maps each resource to a bitmask of the pairs
-    whose witness uses it.  Taking a resource for pair i, an arc's or its
-    start vertex, can cut off only the later pairs in its mask, so only
-    those are tested, by ``cut_off``, which a step calls only when that mask
-    is not empty.  It tests each by ``reachable(j)``: first the held cuts
-    that contain the resource just taken, as no other can hold, then a
-    depth-first search from the source over ancestors of the target, which
-    records either a new witness, through the per-vertex arcs ``via``, or a
-    new blocking cut, the resources of the arcs from the explored set into
-    unexplored ancestors of the target.  While all of any held cut is taken
-    the target is out of reach, since every route has to leave that cut's
-    explored set through one of its arcs, which the graph fixes.  The cuts
-    are held most recently used first, a new one or one that just refuted
-    moved to the front, since nearby states of the search are refuted by the
-    same cut, and ``_HELD_CUTS`` of them at most, since a test may scan them
-    all however long the search runs.  Freeing a resource breaks no witness,
-    so each later pair has a whole witness at every pushed frame, and every
-    target frame hands over to the next pair.
+    the first), and ``users`` maps each edge to a bitmask of the pairs whose
+    witness uses it.  Taking an edge for pair i can cut off only the later
+    pairs in its mask, so only those are tested, by ``cut_off``, which a step
+    calls only when that mask is not empty.  It tests each by
+    ``reachable(j)``: first the held cuts that contain the edge just taken,
+    as no other can hold, then a depth-first search from the source over
+    ancestors of the target, which records either a new witness, through the
+    per-vertex arcs ``via``, or a new blocking cut, the taken arcs from the
+    explored set into unexplored ancestors of the target.  While all of any
+    held cut is taken the target is out of reach, since every route has to
+    leave that cut's explored set through one of its arcs, which the graph
+    fixes.  The cuts are held most recently used first, a new one or one
+    that just refuted moved to the front, since nearby states of the search
+    are refuted by the same cut, and ``_HELD_CUTS`` of them at most, since a
+    test may scan them all however long the search runs.  Freeing an edge
+    breaks no witness, so each later pair has a whole witness at every
+    pushed frame, and every target frame hands over to the next pair.
 
-    When a later pair is cut off by the arc into w (or by w, the start
-    vertex of pair i), the plain search would walk w's whole subtree and
-    fail at every target, since taking more resources keeps that pair cut
-    off.  It would spend N(w) = the sum over the free arcs w -> x into
-    ancestors of the target of 1 + N(x) expansions, N(target) = 0;
-    ``cut_off`` frees the resource again and ``subtree`` counts them
-    instead.  In a DAG nothing reachable from w lies on the path prefix, so
-    N depends only on the resources of the earlier pairs: it is memoized
-    per entry into pair i (``start(i)`` draws a new key) and capped at
+    When a later pair is cut off by the arc into w, the plain search would
+    walk w's whole subtree and fail at every target, since taking more edges
+    keeps that pair cut off.  It would spend N(w) = the sum over the free
+    arcs w -> x into ancestors of the target of 1 + N(x) expansions,
+    N(target) = 0; ``cut_off`` frees the edge again and ``subtree`` counts
+    them instead.  In a DAG nothing reachable from w lies on the path prefix,
+    so N depends only on the edges of the earlier pairs: it is memoized per
+    entry into pair i (``start(i)`` draws a new key) and capped at
     budget + 1, past which the plain search would have raised.  Answers,
     expansion counts and budget behaviour are those of the plain search.
     """
@@ -196,23 +195,14 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     if cycle is not None:
         raise ValueError(f"graph is not acyclic; cycle through {g._verts[cycle[0]]!r}")
     pairs = _pairs(terminals)
-    if vertex_disjoint:
-        seen_terms: set[Label] = set()
-        for s, t in pairs:
-            for v in (s, t) if s != t else (s,):
-                if v in seen_terms:
-                    raise ValueError(f"terminal vertex {v!r} appears in two pairs")
-                seen_terms.add(v)
     ids = g._id
     for s, t in pairs:
         if s not in ids or t not in ids:
             raise ValueError(f"terminal pair ({s!r}, {t!r}) not in graph")
     head, tail, out_edges = g._head, g._tail, g._out
     nverts = len(g._verts)
-    # a list: indexing a range is several times slower
-    res = head if vertex_disjoint else list(range(len(head)))
-    # one flag per resource, and a spare last one for frames that take none (-1): no witness uses it
-    taken = bytearray((nverts if vertex_disjoint else len(head)) + 1)
+    # one flag per edge, and a spare last one for first frames, which take none (-1): no witness uses it
+    taken = bytearray(len(head) + 1)
     ends = [(ids[s], ids[t]) for s, t in pairs]
     reach = _reach_bits(g, [tv for _, tv in ends])
     order = list(range(len(pairs)))  # pair i of the search is the caller's pair order[i]
@@ -225,13 +215,13 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             # bit first to bit 0, the bits below it up by one
             low, high = (1 << first) - 1, -2 << first
             reach = [r & high | (r & low) << 1 | r >> first & 1 for r in reach]
-    # per pair: the resources of its witness and of the blocking cuts of its
-    # last failed searches, the one that refuted last first, and the key of
-    # its current entry
+    # per pair: the edges of its witness and of the blocking cuts of its last
+    # failed searches, the one that refuted last first, and the key of its
+    # current entry
     witness: list[list[int]] = [[] for _ in pairs]
     cuts = [deque(maxlen=_HELD_CUTS) for _ in pairs]
     entry = [0] * len(pairs)
-    users = [0] * len(taken)
+    users = [0] * len(head)
     # per vertex: the arc a search reached it by and the key of that search;
     # its subtree size and the key of the entry it was counted for
     via, seen, size, sized = [0] * nverts, [0] * nverts, [0] * nverts, [0] * nverts
@@ -239,12 +229,10 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
     expansions = keys = 0
 
     def reachable(idx: int, r: int = -1) -> bool:
-        # r is the resource just taken: pair idx had a route before, so only a
+        # r is the edge just taken: pair idx had a route before, so only a
         # held cut with r in it can hold now
         nonlocal keys
         sv, tv = ends[idx]
-        if vertex_disjoint and taken[sv]:
-            return False
         held = cuts[idx]
         for n, cut in enumerate(held):
             if r in cut and all(map(taken.__getitem__, cut)):
@@ -259,10 +247,10 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             key = seen[sv] = keys
             via[sv] = -1
             stack = [sv]
-            blocked = []  # the taken arcs met on the way
+            blocked = []  # the taken arcs met on the way, each once, from its explored tail
             while stack and found < 0:
                 for e in out_edges[stack.pop()]:
-                    if taken[res[e]]:
+                    if taken[e]:
                         blocked.append(e)
                         continue
                     w = head[e]
@@ -274,21 +262,16 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
                         via[w] = e
                         stack.append(w)
             if found < 0:
-                # the blocking cut, each resource once: in vertex-disjoint mode
-                # several blocked arcs can share a head
-                held.appendleft(
-                    list(dict.fromkeys(res[e] for e in blocked if reach[head[e]] & bit and seen[head[e]] != key))
-                )
+                held.appendleft([e for e in blocked if reach[head[e]] & bit and seen[head[e]] != key])
                 return False
         if idx:  # no pair routes before pair 0 to break its witness
-            for x in witness[idx]:
-                users[x] ^= bit
-            route = witness[idx] = [sv] if vertex_disjoint else []
+            for e in witness[idx]:
+                users[e] ^= bit
+            route = witness[idx] = []
             while found >= 0:
-                route.append(res[found])
+                route.append(found)
+                users[found] |= bit
                 found = via[tail[found]]
-            for x in route:
-                users[x] |= bit
         return True
 
     def cut_off(idx: int, r: int, w: int) -> bool:
@@ -318,7 +301,7 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             total = 0  # -1 once a successor is still to count
             for e in out_edges[v]:
                 x = head[e]
-                if taken[res[e]] or not reach[x] & bit:
+                if taken[e] or not reach[x] & bit:
                     continue
                 if sized[x] != key:
                     stack.append(x)
@@ -334,15 +317,11 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             raise BudgetExceededError(budget)
 
     def start(idx: int) -> None:
-        # pushes pair idx's first frame, or counts the whole entry
+        # pushes pair idx's first frame under a new entry key
         nonlocal keys
         keys += 1
         entry[idx] = keys
-        sv = ends[idx][0]
-        r = sv if vertex_disjoint else -1
-        taken[r] = 1
-        if not (users[r] >= 2 << idx and cut_off(idx, r, sv)):
-            frames.append([idx, sv, r, 0])
+        frames.append([idx, ends[idx][0], -1, 0])
 
     def pop() -> None:
         taken[frames.pop()[2]] = 0
@@ -372,46 +351,25 @@ def _search(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSe
             continue
         arcs = out_edges[v]
         bit = 1 << idx
-        above = 2 << idx  # users[r] >= above: a later pair's witness uses r
+        above = 2 << idx  # users[e] >= above: a later pair's witness uses e
         while nxt < len(arcs):
             e = arcs[nxt]
             nxt += 1
             w = head[e]
-            r = res[e]
-            if taken[r] or not reach[w] & bit:
+            if taken[e] or not reach[w] & bit:
                 continue
             expansions += 1
             if expansions > budget:
                 raise BudgetExceededError(budget)
-            taken[r] = 1
-            if users[r] >= above and cut_off(idx, r, w):
+            taken[e] = 1
+            if users[e] >= above and cut_off(idx, e, w):
                 continue
             frame[3] = nxt
-            frames.append([idx, w, r, 0])
+            frames.append([idx, w, e, 0])
             break
         else:
             pop()
     return None
-
-
-def _solve(g: Digraph, terminals, budget: int, vertex_disjoint: bool) -> PathSet | None:
-    """``_search`` with the whole budget, then, if it runs out, on the mirror instance with half.
-
-    The mirror is the same problem read from the sinks: the reverse graph,
-    each pair (t, s), the pair list reversed.  Backtracking cost is
-    heavy-tailed across search orders, so it decides many of the first
-    search's budget hits.  When both run out, the error names the caller's budget.
-    """
-    try:
-        return _search(g, terminals, budget, vertex_disjoint)
-    except BudgetExceededError:
-        pass
-    mirror = [(t, s) for s, t in reversed(_pairs(terminals))]
-    try:
-        ps = _search(g._reverse(), mirror, (budget + 1) // 2, vertex_disjoint)
-    except BudgetExceededError:
-        raise BudgetExceededError(budget) from None
-    return None if ps is None else PathSet([path[::-1] for path in reversed(ps.paths)])
 
 
 def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
@@ -429,14 +387,16 @@ def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     subtrees included: it bounds the tree, not the time (random (3,5) d=0.1
     seed 1 answers None after 7.1e6 expansions, 3.8 s on a 2-CPU VM).
     """
-    return _solve(g, terminals, budget, vertex_disjoint=False)
+    try:
+        return _search(g, terminals, budget)
+    except BudgetExceededError:
+        pass
+    # backtracking cost is heavy-tailed across search orders, so the mirror
+    # decides many of the first search's budget hits
+    mirror = [(t, s) for s, t in reversed(_pairs(terminals))]
+    try:
+        ps = _search(g._reverse(), mirror, (budget + 1) // 2)
+    except BudgetExceededError:
+        raise BudgetExceededError(budget) from None
+    return None if ps is None else PathSet([path[::-1] for path in reversed(ps.paths)])
 
-
-def solve_vdp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
-    """Exact vertex-disjoint routing on a DAG (disjoint on all vertices).
-
-    The same two searches as solve_edp_dag, in the same pair orders and with
-    the same budgets, with vertices as the consumed resource; terminal
-    vertices must be pairwise distinct across pairs.
-    """
-    return _solve(g, terminals, budget, vertex_disjoint=True)

@@ -22,11 +22,15 @@ The cone sizes (descendants of a pair's source that are ancestors of its
 target) come from two breadth-first searches per pair, and give the pair
 order that the solvers route in.
 
-Also here, since only the tests call them: the line-graph transform from
-edge-disjoint to vertex-disjoint paths and the vertex-disjoint solution
-checker, which cross-check the two solver modes against each other; the
-edge and neighbourhood queries on a ``Digraph``; the lb -> tr edge test,
-an oracle for the split-edge list; and the grid-line helpers.
+Vertex-disjoint paths live only here, as the package has no VDP search:
+the enumerating and exhaustive path oracles both take them, and the
+line-graph transform from edge-disjoint to vertex-disjoint paths and the
+vertex-disjoint solution checker cross-check the EDP solver against the VDP
+oracle.  ``face_cycles`` and ``signed_area`` find a reduction's outer face,
+on which its terminals show that VDP is "no".  Also here, since only the
+tests call them: the edge and neighbourhood queries on a ``Digraph``; the
+lb -> tr edge test, an oracle for the split-edge list; and the grid-line
+helpers.
 
 The row and column paths read each grid lane through the validating
 ``grid_vertex_parts`` (``_grid_line``), and the reference checker and
@@ -40,6 +44,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 from typing import Callable, Iterable
@@ -207,11 +212,10 @@ def rotations_from_runs(g: EmbeddedDigraph) -> dict:
 def faces_by_tracing(g: EmbeddedDigraph) -> tuple[int, int]:
     """(faces, genus) of the rotation system that ``rotations_by_comparison`` gives.
 
-    Works on labels only.  A dart is a (from, to) pair of neighbours, and
-    the face after dart (u, v) leaves v towards the neighbour that follows
-    u around v.  Raises NotConnectedError for an empty or disconnected
-    graph, as Euler's formula needs a connected one, and otherwise
-    EmbeddingError when two neighbours of a vertex lie on one ray.
+    Works on labels only, tracing the faces with ``face_cycles``.  Raises
+    NotConnectedError for an empty or disconnected graph, as Euler's formula
+    needs a connected one, and otherwise EmbeddingError when two neighbours
+    of a vertex lie on one ray.
     """
     verts = g.vertices
     if not verts:
@@ -225,19 +229,36 @@ def faces_by_tracing(g: EmbeddedDigraph) -> tuple[int, int]:
                 todo.append(u)
     if len(reached) < len(verts):
         raise NotConnectedError("disconnected graph")
+    faces = max(len(face_cycles(g)), 1)  # a single vertex: one face, no darts
+    return faces, (2 - (len(verts) - len(g.edges) + faces)) // 2
+
+
+def face_cycles(g: EmbeddedDigraph) -> list[list[Label]]:
+    """The faces of the rotation system that ``rotations_by_comparison`` gives, each the vertices its darts leave, in order.
+
+    A dart is a (from, to) pair of neighbours, and the face after dart
+    (u, v) leaves v towards the neighbour that follows u around v.
+    """
     after = {}
     for v, around in rotations_by_comparison(g).items():
         for u, w in zip(around, around[1:] + around[:1]):
             after[u, v] = (v, w)
-    faces, seen = 0, set()
+    faces, seen = [], set()
     for dart in after:
-        if dart not in seen:
-            faces += 1
-            while dart not in seen:
-                seen.add(dart)
-                dart = after[dart]
-    faces = max(faces, 1)  # a single vertex: one face, no darts
-    return faces, (2 - (len(verts) - len(g.edges) + faces)) // 2
+        face = []
+        while dart not in seen:
+            seen.add(dart)
+            face.append(dart[0])
+            dart = after[dart]
+        if face:
+            faces.append(face)
+    return faces
+
+
+def signed_area(cycle: list[Label], coords) -> Fraction:
+    """The shoelace area of the closed polygon through ``cycle``'s points, positive when counterclockwise."""
+    points = [coords[v] for v in cycle]
+    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])), Fraction()) / 2
 
 
 def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[list] | None, int]:

@@ -45,7 +45,6 @@ def test_public_api():
         "reduce_degree",
         "solve_edp_dag",
         "solve_gt_brute_force",
-        "solve_vdp_dag",
         "validate_instance",
     ]
     for name in gridpaths.__all__:

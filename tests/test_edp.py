@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpaths.digraph import Digraph
+from gridpaths.digraph import Digraph, Terminal
 from gridpaths.edp import (
     PathSet,
     _cone_sizes,
@@ -15,7 +15,6 @@ from gridpaths.edp import (
     _search,
     check_edp_solution,
     solve_edp_dag,
-    solve_vdp_dag,
 )
 from gridpaths.errors import BudgetExceededError
 from gridpaths.gridtiling import (
@@ -37,8 +36,10 @@ from ._oracles import (
     edp_feasible_exhaustive,
     edp_to_vdp_dag,
     enumerate_routes,
+    face_cycles,
     has_edge,
     random_dag,
+    signed_area,
     vdp_feasible_exhaustive,
 )
 
@@ -60,9 +61,9 @@ def bridge_graph():
 
 def detour_graph():
     # Pair 0 runs a-m-y-z or a-n-z, pair 1 s-m-y-t or s-w-v-t: the first
-    # route of each, in edge order, takes m -> y (and the vertices m and y)
-    # from the other's.  Pair 1's cone {s, m, y, t, w, v} is the largest,
-    # and pair 2 is the single vertex p.
+    # route of each, in edge order, takes m -> y from the other's.  Pair 1's
+    # cone {s, m, y, t, w, v} is the largest, and pair 2 is the single
+    # vertex p.
     verts = ["a", "m", "y", "z", "n", "s", "t", "w", "v", "p"]
     edges = [("a", "m"), ("m", "y"), ("y", "z"), ("a", "n"), ("n", "z")]
     edges += [("s", "m"), ("y", "t"), ("s", "w"), ("w", "v"), ("v", "t")]
@@ -70,11 +71,11 @@ def detour_graph():
 
 
 def witness_graph(second_route: bool):
-    # Pair 0's only route s0-p-q-r-a-b-t0 takes the edge a -> b (and the
-    # vertices a, b) of the first route the reachability test finds for
-    # pair 1, s1-a-b-t1: the search reaches s1's later arc s1 -> a first.
-    # With second_route, pair 1 can still go round by s1-c-t1.  The long
-    # route keeps pair 0's cone the largest, so the solvers route it first.
+    # Pair 0's only route s0-p-q-r-a-b-t0 takes the edge a -> b of the
+    # first route the reachability test finds for pair 1, s1-a-b-t1: the
+    # search reaches s1's later arc s1 -> a first.  With second_route, pair
+    # 1 can still go round by s1-c-t1.  The long route keeps pair 0's cone
+    # the largest, so the solver routes it first.
     verts = ["s0", "s1", "p", "q", "r", "a", "b", "t0", "t1"]
     edges = [("s0", "p"), ("p", "q"), ("q", "r"), ("r", "a"), ("a", "b"), ("b", "t0"), ("b", "t1")]
     if second_route:
@@ -85,12 +86,12 @@ def witness_graph(second_route: bool):
 
 
 def cut_graph(second_route: bool, third_pair: bool = False, retake: bool = False):
-    # Pair 0's first route s0-x-y-t0 takes the edge x -> y (and the vertices
-    # x, y) that pair 1's only route s1-x-y-t1 needs, so pair 1's test fails
-    # with x -> y in its blocking cut.  With second_route, pair 0 then goes
-    # round by s0-c-t0 and frees it; without, its second route s0-c-x-y-t0
-    # keeps it taken.  A third pair s2 -> t2 shares nothing with the others,
-    # but once pair 1 is routed it takes every resource of pair 1's cut.
+    # Pair 0's first route s0-x-y-t0 takes the edge x -> y that pair 1's
+    # only route s1-x-y-t1 needs, so pair 1's test fails with x -> y in its
+    # blocking cut.  With second_route, pair 0 then goes round by s0-c-t0
+    # and frees it; without, its second route s0-c-x-y-t0 keeps it taken.
+    # A third pair s2 -> t2 shares nothing with the others, but once pair 1
+    # is routed it takes every edge of pair 1's cut.
     # With retake, pair 0's second route s0-c-e-t0 frees the cut, so pair 1
     # answers "yes", but takes the c -> e of pair s2 -> t2's only route
     # s2-c-e-t2; its third route s0-d-x-y-t0 takes the cut again, and only
@@ -113,10 +114,9 @@ def cut_graph(second_route: bool, third_pair: bool = False, retake: bool = False
 
 def returning_cut_graph():
     # Pair 1's only route is s1-a-b-c-d-t1.  Pair 0's routes, in search
-    # order: s0-c-d-t0 leaves pair 1 the cut c -> d (at c when vertices are
-    # the resource), s0-a-b-c-d-t0 holds that cut too, s0-a-b-t0 a new one,
-    # a -> b (at a), s0-e-c-d-t0 the first one again while the second is
-    # free, and s0-f-t0 leaves pair 1 its route.
+    # order: s0-c-d-t0 leaves pair 1 the cut c -> d, s0-a-b-c-d-t0 holds
+    # that cut too, s0-a-b-t0 a new one, a -> b, s0-e-c-d-t0 the first one
+    # again while the second is free, and s0-f-t0 leaves pair 1 its route.
     verts = ["s0", "s1", "a", "b", "c", "d", "e", "f", "t0", "t1"]
     edges = [("s1", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "t1"), ("s0", "c"), ("d", "t0")]
     edges += [("s0", "a"), ("b", "t0"), ("s0", "e"), ("e", "c"), ("s0", "f"), ("f", "t0")]
@@ -126,12 +126,10 @@ def returning_cut_graph():
 def stale_cut_graph():
     # Pair 1 runs s1-a-b-h-t1 or s1-c-d-t1, or crosses over by b -> c or
     # h -> c.  Pair 0's first two routes, s0-a-b-h-c-d-t0 and
-    # s0-a-b-c-d-t0, leave pair 1 the cut {a -> b, c -> d} (at a and c when
-    # vertices are the resource), its third, s0-b-h-c-d-t0, the cut
-    # {b -> h, c -> d} (at b and c).  Its next route, s0-b-c-d-t0
-    # (s0-g-c-d-t0 when vertices are the resource, as b is on pair 1's
-    # route), takes part of both held cuts but all of neither, and pair 1
-    # still has a route.
+    # s0-a-b-c-d-t0, leave pair 1 the cut {a -> b, c -> d}, its third,
+    # s0-b-h-c-d-t0, the cut {b -> h, c -> d}.  Its next route,
+    # s0-b-c-d-t0, takes part of both held cuts but all of neither, and
+    # pair 1 still has a route.
     verts = ["s0", "s1", "a", "b", "h", "c", "d", "g", "t0", "t1"]
     edges = [("s1", "a"), ("a", "b"), ("b", "h"), ("h", "t1"), ("s1", "c"), ("c", "d"), ("d", "t1")]
     edges += [("b", "c"), ("h", "c"), ("d", "t0"), ("s0", "a"), ("s0", "b"), ("s0", "g"), ("g", "c")]
@@ -156,8 +154,7 @@ def diamond_ladder(d: int):
 
 def ladder_count(d: int) -> int:
     # s0 -> u and u -> v, 4 (2^d - 1) arcs in the diamonds' routes, s0 -> t0,
-    # and pair 1's three arcs; with vertices as the resource the cut comes an
-    # arc earlier, at u, and the count is the same
+    # and pair 1's three arcs
     return 4 * 2**d + 2
 
 
@@ -284,8 +281,8 @@ class TestSolveEdp:
         g = Digraph(["p", "q"], [("p", "q")])
         ps = solve_edp_dag(g, [("p", "p")])
         assert ps.paths == [["p"]]
-        # no pairs at all: both modes answer with the empty path set
-        assert solve_edp_dag(g, []).paths == solve_vdp_dag(g, []).paths == []
+        # no pairs at all: the empty path set
+        assert solve_edp_dag(g, []).paths == []
 
     def test_cyclic_graph_rejected(self):
         g = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
@@ -318,7 +315,15 @@ class TestSolveEdp:
                 assert check_edp_solution(g, pairs, got) == []
 
 
+def _reduction(k, n, planted, degree2):
+    inst = generate_planted(k, n, noise=2, seed=k * 10 + n) if planted else generate_random(k, n, 0.3, seed=n)
+    out = reduce(inst)
+    return reduce_degree(out) if degree2 else out
+
+
 class TestVdp:
+    """Vertex-disjoint paths, on the oracles: the package has no VDP search, as a reduction's answer is always "no"."""
+
     def test_shared_vertex_rejected(self):
         g = cross_graph()
         ps = PathSet([["s1", "m", "t1"], ["s2", "m", "t2"]])
@@ -330,27 +335,49 @@ class TestVdp:
             [("a1", "m1"), ("m1", "z1"), ("a2", "m2"), ("m2", "z2")],
         )
         pairs = [("a1", "z1"), ("a2", "z2")]
-        ps = solve_vdp_dag(g, pairs)
-        assert ps is not None
-        assert check_vdp_solution(g, pairs, ps)
+        paths, _ = enumerate_routes(g, pairs, True)
+        assert paths is not None
+        assert check_vdp_solution(g, pairs, PathSet(paths))
 
     def test_vertex_cross_is_vdp_infeasible(self):
-        g = cross_graph()
-        assert solve_vdp_dag(g, [("s1", "t1"), ("s2", "t2")]) is None
-
-    def test_duplicate_terminals_rejected(self):
-        g = cross_graph()
-        with pytest.raises(ValueError, match="two pairs"):
-            solve_vdp_dag(g, [("s1", "t1"), ("s1", "t2")])
+        g, pairs = cross_graph(), [("s1", "t1"), ("s2", "t2")]
+        assert enumerate_routes(g, pairs, True)[0] is None
+        assert not vdp_feasible_exhaustive(g, pairs)
 
     def test_agrees_with_exhaustive_enumeration(self):
         for seed in range(40):
             g, pairs = random_dag(seed)
-            got = solve_vdp_dag(g, pairs)
-            want = vdp_feasible_exhaustive(g, pairs)
-            assert (got is not None) == want, f"seed {seed}"
-            if got is not None:
-                assert check_vdp_solution(g, pairs, got)
+            paths, _ = enumerate_routes(g, pairs, True)
+            assert (paths is not None) == vdp_feasible_exhaustive(g, pairs), f"seed {seed}"
+            if paths is not None:
+                assert check_vdp_solution(g, pairs, PathSet(paths))
+
+    @pytest.mark.parametrize("degree2", [False, True])
+    @pytest.mark.parametrize("planted", [True, False])
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 5), (2, 3), (2, 7), (3, 4), (3, 10), (4, 6)])
+    def test_reduction_terminals_alternate_on_the_outer_face(self, k, n, planted, degree2):
+        # The outer face, the face of largest area, holds all 4k terminals in the cyclic order
+        # a1 c1 ... ck b1 ... bk dk ... d1 ak ... a2.  So each column pair (a_i, b_i) alternates
+        # there with each row pair (c_j, d_j), and in a plane graph two vertex-disjoint paths
+        # between alternating terminals of one face would cross (Jordan curve): a reduction has
+        # no vertex-disjoint routing, whatever its sets.
+        out = _reduction(k, n, planted, degree2)
+        coords = out.graph.coords
+        outer = max(face_cycles(out.graph), key=lambda face: abs(signed_area(face, coords)))
+        around = [v for v in outer if isinstance(v, Terminal)]
+        ks = range(1, k + 1)
+        want = [Terminal("a", 1)] + [Terminal("c", j) for j in ks] + [Terminal("b", i) for i in ks]
+        want += [Terminal("d", j) for j in reversed(ks)] + [Terminal("a", i) for i in range(k, 1, -1)]
+        start = around.index(Terminal("a", 1))
+        around = around[start:] + around[:start]
+        assert around in (want, want[:1] + want[:0:-1])
+
+    @pytest.mark.parametrize("degree2", [False, True])
+    @pytest.mark.parametrize("planted", [True, False])
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)])
+    def test_small_reductions_have_no_vertex_disjoint_routing(self, k, n, planted, degree2):
+        out = _reduction(k, n, planted, degree2)
+        assert enumerate_routes(out.graph, out.terminals.pairs, True)[0] is None
 
 
 class TestPairOrder:
@@ -360,32 +387,24 @@ class TestPairOrder:
         # pair 1 routed first takes m -> y, so pair 0 goes round by n
         g, pairs = detour_graph()
         assert cone_sizes(g, pairs) == [5, 6, 1]
-        for solver in (solve_edp_dag, solve_vdp_dag):
-            ps = solver(g, pairs)
-            assert ps.paths == [["a", "n", "z"], ["s", "m", "y", "t"], ["p"]]
-            if solver is solve_vdp_dag:
-                assert check_vdp_solution(g, pairs, ps)
-            else:
-                assert check_edp_solution(g, pairs, ps) == []
+        ps = solve_edp_dag(g, pairs)
+        assert ps.paths == [["a", "n", "z"], ["s", "m", "y", "t"], ["p"]]
+        assert check_edp_solution(g, pairs, ps) == []
 
     @staticmethod
-    def _assert_error(solver, g, pairs, message):
+    def _assert_error(g, pairs, message):
         with pytest.raises(ValueError) as info:
-            solver(g, pairs)
+            solve_edp_dag(g, pairs)
         assert str(info.value) == message
 
     def test_input_is_checked_in_the_given_order(self):
-        # ("s", "a") and ("s", "x3") have the largest cones: a search that
-        # checked them first would name the repeated "a" before "z"
+        # ("s", "x3") has the largest cone: a search that checked it first
+        # would still name the first pair not in the graph
         chain = ["s", "x1", "x2", "x3", "a"]
         g = Digraph(chain + ["z", "n"], list(zip(chain, chain[1:])) + [("a", "z"), ("n", "z")])
-        pairs = [("a", "z"), ("n", "z"), ("s", "a")]
-        self._assert_error(solve_vdp_dag, g, pairs, "terminal vertex 'z' appears in two pairs")
         cyclic = Digraph(["u", "v", "w"], [("u", "v"), ("v", "w"), ("w", "v")])
-        for solver in (solve_edp_dag, solve_vdp_dag):
-            pairs = [("a", "qq"), ("s", "x3"), ("rr", "n")]
-            self._assert_error(solver, g, pairs, "terminal pair ('a', 'qq') not in graph")
-            self._assert_error(solver, cyclic, [("u", "zz"), ("u", "u")], "graph is not acyclic; cycle through 'w'")
+        self._assert_error(g, [("a", "qq"), ("s", "x3"), ("rr", "n")], "terminal pair ('a', 'qq') not in graph")
+        self._assert_error(cyclic, [("u", "zz"), ("u", "u")], "graph is not acyclic; cycle through 'w'")
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), data=st.data())
@@ -404,138 +423,96 @@ class TestTransform:
         gprime, pairs = edp_to_vdp_dag(g, [("u", "w")])
         assert gprime.num_vertices == 4  # two edge-vertices plus the apex pair
         assert set(pairs[0]) == {PairSource(0), PairSink(0)}
-        ps = solve_vdp_dag(gprime, pairs)
-        assert ps.paths == [
+        assert enumerate_routes(gprime, pairs, True)[0] == [
             [PairSource(0), LineVertex("u", "v"), LineVertex("v", "w"), PairSink(0)]
         ]
 
     def test_bridge_becomes_cut_vertex(self):
         g = bridge_graph()
         gprime, pairs = edp_to_vdp_dag(g, [("s1", "t1"), ("s2", "t2")])
-        assert solve_vdp_dag(gprime, pairs) is None
+        assert not vdp_feasible_exhaustive(gprime, pairs)
 
     def test_zero_edge_pair_gets_direct_edge(self):
         g = Digraph(["p", "q"], [("p", "q")])
         gprime, pairs = edp_to_vdp_dag(g, [("p", "p")])
         assert has_edge(gprime, PairSource(0), PairSink(0))
-        assert solve_vdp_dag(gprime, pairs) is not None
+        assert vdp_feasible_exhaustive(gprime, pairs)
 
     def test_feasibility_round_trip_on_random_dags(self):
         for seed in range(15):
             g, pairs = random_dag(seed)
             edp_answer = solve_edp_dag(g, pairs) is not None
             gprime, vpairs = edp_to_vdp_dag(g, pairs)
-            vdp_answer = solve_vdp_dag(gprime, vpairs) is not None
-            assert edp_answer == vdp_answer, f"seed {seed}"
+            assert edp_answer == vdp_feasible_exhaustive(gprime, vpairs), f"seed {seed}"
 
     def test_transformed_solution_checks_out(self):
         g = cross_graph()
         pairs = [("s1", "t1"), ("s2", "t2")]
         gprime, vpairs = edp_to_vdp_dag(g, pairs)
-        ps = solve_vdp_dag(gprime, vpairs)
-        assert ps is not None
-        assert check_vdp_solution(gprime, vpairs, ps)
-
-
-def _modes(g, pairs):
-    # (solver, graph, pairs, oracle): edge-disjoint, vertex-disjoint, and
-    # vertex-disjoint on the line graph
-    return [
-        (solve_edp_dag, g, pairs, edp_feasible_exhaustive),
-        (solve_vdp_dag, g, pairs, vdp_feasible_exhaustive),
-        (solve_vdp_dag, *edp_to_vdp_dag(g, pairs), vdp_feasible_exhaustive),
-    ]
+        paths, _ = enumerate_routes(gprime, vpairs, True)
+        assert paths is not None
+        assert check_vdp_solution(gprime, vpairs, PathSet(paths))
 
 
 def _routed_as_given(g, pairs):
-    # the modes of a case that names its pairs in the order the solvers route them, in every form
-    cases = _modes(g, pairs)
-    for _, g, pairs, _ in cases:
-        assert cone_first_order(g, pairs) == list(range(len(pairs)))
-    return cases
+    # a case that names its pairs in the order the solver routes them
+    assert cone_first_order(g, pairs) == list(range(len(pairs)))
+    return g, pairs
 
 
 class TestWitnessInvalidation:
     """Pair 1's first route is blocked by pair 0's: pair 1 is refuted at pair 0's target."""
 
-    @staticmethod
-    def _cases(second_route):
-        # (solver, graph, pairs, oracle, arcs on pair 0's one route)
-        cases = _routed_as_given(*witness_graph(second_route))
-        return [(*case, arcs) for case, arcs in zip(cases, (6, 6, 7))]
-
     def test_second_route_is_found(self):
-        for solver, g, pairs, oracle, _ in self._cases(second_route=True):
-            ps = solver(g, pairs)
-            assert ps is not None and oracle(g, pairs)
-            if solver is solve_vdp_dag:
-                assert check_vdp_solution(g, pairs, ps)
-            else:
-                assert check_edp_solution(g, pairs, ps) == []
+        g, pairs = _routed_as_given(*witness_graph(second_route=True))
+        ps = solve_edp_dag(g, pairs)
+        assert ps is not None and edp_feasible_exhaustive(g, pairs)
+        assert check_edp_solution(g, pairs, ps) == []
 
     def test_blocked_witness_prunes_at_pair_0_target(self):
-        for solver, g, pairs, oracle, arcs in self._cases(second_route=False):
-            assert not oracle(g, pairs)
-            # routing pair 0 costs one expansion per arc, so pair 1 must be
-            # refuted at pair 0's target, before its search expands further
-            assert solver(g, pairs, budget=arcs) is None
+        g, pairs = _routed_as_given(*witness_graph(second_route=False))
+        assert not edp_feasible_exhaustive(g, pairs)
+        # routing pair 0 costs one expansion per arc, six, so pair 1 must be
+        # refuted at pair 0's target, before its search expands further
+        assert solve_edp_dag(g, pairs, budget=6) is None
 
 
 class TestCutInvalidation:
     """Pair 1's blocking cut is freed, or kept, by pair 0's second route."""
 
     @staticmethod
-    def _cases(second_route, third_pair=False, retake=False):
-        return _routed_as_given(*cut_graph(second_route, third_pair, retake))
-
-    @staticmethod
-    def _assert_solved(solver, g, pairs):
-        ps = solver(g, pairs)
+    def _assert_solved(g, pairs):
+        g, pairs = _routed_as_given(g, pairs)
+        assert edp_feasible_exhaustive(g, pairs)
+        ps = solve_edp_dag(g, pairs)
         assert ps is not None
-        if solver is solve_vdp_dag:
-            assert check_vdp_solution(g, pairs, ps)
-        else:
-            assert check_edp_solution(g, pairs, ps) == []
+        assert check_edp_solution(g, pairs, ps) == []
 
     def test_freed_cut_is_searched_again(self):
         # trusting the cut left by pair 0's first route would answer None
-        for solver, g, pairs, oracle in self._cases(second_route=True):
-            assert oracle(g, pairs)
-            self._assert_solved(solver, g, pairs)
+        self._assert_solved(*cut_graph(second_route=True))
 
     def test_kept_cut_refutes(self):
-        for solver, g, pairs, oracle in self._cases(second_route=False):
-            assert not oracle(g, pairs)
-            assert solver(g, pairs) is None
+        g, pairs = _routed_as_given(*cut_graph(second_route=False))
+        assert not edp_feasible_exhaustive(g, pairs)
+        assert solve_edp_dag(g, pairs) is None
 
     def test_cut_belongs_to_its_pair(self):
         # when pair 2 is tested, pair 1's route holds all of pair 1's cut
-        for solver, g, pairs, oracle in self._cases(second_route=True, third_pair=True):
-            assert oracle(g, pairs)
-            self._assert_solved(solver, g, pairs)
+        self._assert_solved(*cut_graph(second_route=True, third_pair=True))
 
     def test_cut_survives_a_yes(self):
         # pair 1's cut, kept through its "yes" at pair 0's second route,
         # refutes it at the third and must not refute it at the fourth
-        for solver, g, pairs, oracle in self._cases(second_route=True, retake=True):
-            assert oracle(g, pairs)
-            self._assert_solved(solver, g, pairs)
+        self._assert_solved(*cut_graph(second_route=True, retake=True))
 
     def test_older_cut_refutes_again(self):
         # pair 1 is refuted by one cut, then by another, then by the first
-        for solver, g, pairs, oracle in _routed_as_given(*returning_cut_graph()):
-            assert oracle(g, pairs)
-            self._assert_solved(solver, g, pairs)
+        self._assert_solved(*returning_cut_graph())
 
     def test_stale_cuts_are_not_trusted(self):
         # both held cuts are partly taken when pair 1 has a route again
-        for solver, g, pairs, oracle in _routed_as_given(*stale_cut_graph()):
-            assert oracle(g, pairs)
-            self._assert_solved(solver, g, pairs)
-
-
-# the solvers' first search alone, in edge- and vertex-disjoint mode: no mirror search follows it
-SEARCHES = (partial(_search, vertex_disjoint=False), partial(_search, vertex_disjoint=True))
+        self._assert_solved(*stale_cut_graph())
 
 
 def _mirror(g, pairs):
@@ -544,13 +521,15 @@ def _mirror(g, pairs):
 
 
 class TestSearchCore:
-    # SHA-256 of the solvers' answers (the repr of the paths, "none" or
-    # "budget") over the cases below; a change to the search must keep it.
-    # The repr stands in for PathSet JSON, which encodes reduction labels only.
-    # SEARCH_DIGEST pins the first search alone, SOLVER_DIGEST the solvers,
-    # which also decide where only the mirror search finishes.
-    SOLVER_DIGEST = "c99c4dd6713135d533af0a6a68911dfc3ab21a71f8dd6bb12020ab2c75899872"
-    SEARCH_DIGEST = "cfa64471fa75b38c54b7c2def21243401084f9982d18756c0bf020164ebbbd87"
+    # SHA-256 of the answers (the repr of the paths, "none" or "budget") over
+    # the cases below; a change to the search must keep it.  The repr stands
+    # in for PathSet JSON, which encodes reduction labels only.
+    # SEARCH_DIGEST pins the first search alone (``_search``, which no mirror
+    # search follows), SOLVER_DIGEST the solver, which also decides where
+    # only the mirror search finishes.  The line-graph cases are solved
+    # edge-disjoint like the rest.
+    SOLVER_DIGEST = "c243e1afa51f59158acf8263858858bcfdb734c7a9e94b63d489f8016c479fc6"
+    SEARCH_DIGEST = "c758e8ed13d80d44d3d531a5c1865cf8928883afd09cfc0f170bcc64a0263d2e"
 
     @staticmethod
     def _answer(solver, g, pairs, budget):
@@ -560,7 +539,7 @@ class TestSearchCore:
             return "budget"
         return "none" if ps is None else repr(ps.paths)
 
-    def _answers_digest(self, solvers) -> str:
+    def _answers_digest(self, solver) -> str:
         cases = []
         for seed in range(60):
             g, pairs = random_dag(seed)
@@ -573,24 +552,22 @@ class TestSearchCore:
         digest = hashlib.sha256()
         for g, pairs, budgets in cases:
             for budget in budgets:
-                for solver in solvers:
-                    answer = self._answer(solver, g, pairs, budget)
-                    digest.update(answer.encode())
+                digest.update(self._answer(solver, g, pairs, budget).encode())
         return digest.hexdigest()
 
     def test_solver_answers_match_pinned_digest(self):
-        assert self._answers_digest((solve_edp_dag, solve_vdp_dag)) == self.SOLVER_DIGEST
+        assert self._answers_digest(solve_edp_dag) == self.SOLVER_DIGEST
 
     def test_first_search_answers_match_pinned_digest(self):
-        assert self._answers_digest(SEARCHES) == self.SEARCH_DIGEST
+        assert self._answers_digest(_search) == self.SEARCH_DIGEST
 
     # SHA-256 of the first search's expansion count (the smallest budget at
-    # which it finishes, or "budget" past 10^4) in each mode on the cases
-    # above plus deeper planted and infeasible random reductions: pins the
-    # search tree itself, so pruning may get cheaper but not prune
-    # differently.  The solvers' own counts are not monotone in the budget:
-    # a budget under the first search's count can let the mirror finish.
-    SOLVER_COUNT_DIGEST = "12735d4d9fd6763d6dc84aa164a34ce4a335ee3781baa833bcbcfaa330d5acf1"
+    # which it finishes, or "budget" past 10^4) on the cases above plus
+    # deeper planted and infeasible random reductions: pins the search tree
+    # itself, so pruning may get cheaper but not prune differently.  The
+    # solver's own counts are not monotone in the budget: a budget under the
+    # first search's count can let the mirror finish.
+    SOLVER_COUNT_DIGEST = "9f0901d905c1e57fe9d6c40e3d03812873c2436e1ea080c0b6ed8e8564c81709"
 
     @staticmethod
     def _expansions(search, g, pairs) -> str:
@@ -614,7 +591,7 @@ class TestSearchCore:
                 lo = mid + 1
         return str(lo)
 
-    def _counts_digest(self, searches) -> str:
+    def _counts_digest(self) -> str:
         cases = []
         for seed in range(60):
             g, pairs = random_dag(seed)
@@ -632,12 +609,11 @@ class TestSearchCore:
             cases.append((out.graph, out.terminals.pairs))
         digest = hashlib.sha256()
         for g, pairs in cases:
-            for search in searches:
-                digest.update(f"{self._expansions(search, g, pairs)};".encode())
+            digest.update(f"{self._expansions(_search, g, pairs)};".encode())
         return digest.hexdigest()
 
     def test_solver_expansion_counts_match_pinned_digest(self):
-        assert self._counts_digest(SEARCHES) == self.SOLVER_COUNT_DIGEST
+        assert self._counts_digest() == self.SOLVER_COUNT_DIGEST
 
     @staticmethod
     def _assert_count(search, g, pairs, answer, count):
@@ -649,16 +625,14 @@ class TestSearchCore:
                 search(g, pairs, budget=count - 1)
 
     def _assert_enumerated_count(self, g, pairs):
-        # the first search's answer and expansion count in each mode are the
-        # enumerating search's in the cone-first order, its paths put back in
-        # the given order
-        for solver, g, pairs, _ in _modes(g, pairs):
-            vertex_disjoint = solver is solve_vdp_dag
-            order = cone_first_order(g, pairs)
-            paths, count = enumerate_routes(g, [pairs[i] for i in order], vertex_disjoint)
-            if paths is not None:
-                paths = [paths[order.index(i)] for i in range(len(pairs))]
-            self._assert_count(SEARCHES[vertex_disjoint], g, pairs, paths, count)
+        # the first search's answer and expansion count are the enumerating
+        # search's in the cone-first order, its paths put back in the given
+        # order
+        order = cone_first_order(g, pairs)
+        paths, count = enumerate_routes(g, [pairs[i] for i in order], False)
+        if paths is not None:
+            paths = [paths[order.index(i)] for i in range(len(pairs))]
+        self._assert_count(_search, g, pairs, paths, count)
 
     @settings(max_examples=200, deadline=None)
     @given(case=dags_with_pairs())
@@ -668,32 +642,20 @@ class TestSearchCore:
     def test_ladder_count_matches_enumeration(self):
         for d in range(1, 7):
             g, pairs = diamond_ladder(d)
-            for vertex_disjoint in (False, True):
-                assert enumerate_routes(g, pairs, vertex_disjoint)[1] == ladder_count(d)
+            assert enumerate_routes(g, pairs, False)[1] == ladder_count(d)
             self._assert_enumerated_count(g, pairs)
 
     def test_subtree_sizes_are_counted_per_entry(self):
-        # With vertices as the resource, pair 1's arc 1 -> 2 takes pair 2's
-        # source, so the subtree below 2 is counted at both of pair 1's
-        # entries: under pair 0's route 0-3-5 it is the arc 2 -> 4, under
-        # 0-5 also 2 -> 3 -> 4, as 3 is free again.
-        edges = [(0, 6), (3, 6), (0, 3), (2, 3), (3, 5), (1, 2), (3, 4), (2, 5)]
-        edges += [(0, 5), (4, 5), (2, 4), (4, 6), (1, 4), (0, 1), (5, 6), (1, 3)]
-        g, pairs = Digraph(range(7), edges), [(0, 5), (1, 4), (2, 6)]
-        assert enumerate_routes(g, pairs, True) == ([[0, 5], [1, 4], [2, 3, 6]], 15)
+        # Three pairs s -> t, and s has two arcs.  At pair 1's first entry,
+        # under pair 0's route s-b-t, the arc s -> a cuts off pair 2, and the
+        # subtree below a counts b as a dead end, as b -> t is taken.  At its
+        # second entry, under s-a-t, the arc s -> b cuts off pair 2, and the
+        # subtree below b is the arc b -> t, free now: one expansion, where a
+        # size memoized per pair would count none.
+        g = Digraph(["s", "a", "b", "t"], [("s", "b"), ("s", "a"), ("a", "b"), ("b", "t"), ("a", "t")])
+        pairs = [("s", "t")] * 3
+        assert enumerate_routes(g, pairs, False) == (None, 11)
         self._assert_enumerated_count(g, pairs)
-
-    def test_claimed_source_is_counted(self):
-        # With vertices as the resource, pair 0's first frame takes its
-        # source v, on pair 1's only route s1-u-v-t1: all of pair 0's tree,
-        # 4 (2^d - 1) arcs, is counted before any expansion, and a budget
-        # below it must raise.
-        for d in (3, 22):
-            g, _ = diamond_ladder(d)
-            pairs = [("v", "t0"), ("s1", "t1")]
-            if d < 7:
-                assert enumerate_routes(g, pairs, True) == (None, 4 * (2**d - 1))
-            self._assert_count(SEARCHES[True], g, pairs, None, 4 * (2**d - 1))
 
     def test_futile_ladder_is_counted_not_walked(self):
         # 2^22 futile routes, about 1.7e7 expansions: an enumerating search
@@ -701,15 +663,12 @@ class TestSearchCore:
         d = 22
         g, pairs = diamond_ladder(d)
         answer = [["s0", "t0"], ["s1", "u", "v", "t1"]]
-        for search in SEARCHES:
-            self._assert_count(search, g, pairs, answer, ladder_count(d))
+        self._assert_count(_search, g, pairs, answer, ladder_count(d))
 
     def test_long_chain_needs_no_recursion(self):
         n = 5000
         g = Digraph(range(n), [(v, v + 1) for v in range(n - 1)])
-        for solver in (solve_edp_dag, solve_vdp_dag):
-            ps = solver(g, [(0, n - 1)])
-            assert ps.paths == [list(range(n))]
+        assert solve_edp_dag(g, [(0, n - 1)]).paths == [list(range(n))]
 
     def test_memory_does_not_grow_with_edges_squared(self):
         # ~11k edges: one |E|-bit mask per edge would peak near 9 MB
@@ -770,58 +729,53 @@ class TestMirrorSearch:
     def test_answers_after_a_first_search_budget_hit_are_right(self, case):
         # at budgets 0, 1, 2, 4, ... up to the first search's count, where it
         # raises: any answer the solver gives is right and in the given order
-        for solver, g, pairs, _ in _modes(*case):
-            vertex_disjoint = solver is solve_vdp_dag
-            feasible = enumerate_routes(g, pairs, vertex_disjoint)[0] is not None
-            budget = 0
-            while True:
-                try:
-                    SEARCHES[vertex_disjoint](g, pairs, budget=budget)
-                    break
-                except BudgetExceededError:
-                    pass
-                try:
-                    ps = solver(g, pairs, budget=budget)
-                except BudgetExceededError as exc:
-                    assert exc.budget == budget
-                else:
-                    assert (ps is not None) == feasible
-                    if ps is not None:
-                        assert [(path[0], path[-1]) for path in ps.paths] == [tuple(pair) for pair in pairs]
-                        assert check_edp_solution(g, pairs, ps) == []
-                        assert check_vdp_solution(g, pairs, ps) or not vertex_disjoint
-                budget = 2 * budget or 1
+        g, pairs = case
+        feasible = enumerate_routes(g, pairs, False)[0] is not None
+        budget = 0
+        while True:
+            try:
+                _search(g, pairs, budget=budget)
+                break
+            except BudgetExceededError:
+                pass
+            try:
+                ps = solve_edp_dag(g, pairs, budget=budget)
+            except BudgetExceededError as exc:
+                assert exc.budget == budget
+            else:
+                assert (ps is not None) == feasible
+                if ps is not None:
+                    assert [(path[0], path[-1]) for path in ps.paths] == [tuple(pair) for pair in pairs]
+                    assert check_edp_solution(g, pairs, ps) == []
+            budget = 2 * budget or 1
 
     def test_mirror_decides_where_the_first_search_runs_out(self):
         # planted (2, 4) noise 2 seed 10: the first search hits 10^4, the mirror finds the paths
         inst = generate_planted(2, 4, noise=2, seed=10)
         out = reduce(inst)
         with pytest.raises(BudgetExceededError):
-            SEARCHES[False](out.graph, out.terminals, budget=10_000)
+            _search(out.graph, out.terminals, budget=10_000)
         ps = solve_edp_dag(out.graph, out.terminals, budget=10_000)
-        mirrored = SEARCHES[False](*_mirror(out.graph, out.terminals.pairs), budget=5_000)
+        mirrored = _search(*_mirror(out.graph, out.terminals.pairs), budget=5_000)
         assert ps.paths == [path[::-1] for path in reversed(mirrored.paths)]
         assert check_edp_solution(out.graph, out.terminals, ps) == []
 
     def test_both_searches_agree_on_reductions(self):
-        # where the first and the mirror search both decide at 10^4, in either
-        # mode, they agree; in edge-disjoint mode with the grid tiling answer
+        # where the first and the mirror search both decide at 10^4, they
+        # agree with the grid tiling answer
         both = set()  # the answers on which both decided
         for k, n in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)):
             for seed in range(3):
                 for inst in (generate_planted(k, n, noise=2, seed=seed), generate_random(k, n, 0.15, seed=seed)):
                     out = reduce(inst)
                     feasible = solve_gt_brute_force(inst) is not None
-                    for vertex_disjoint, search in enumerate(SEARCHES):
-                        answers = []
-                        for g, pairs in ((out.graph, out.terminals.pairs), _mirror(out.graph, out.terminals.pairs)):
-                            try:
-                                answers.append(search(g, pairs, budget=10_000) is not None)
-                            except BudgetExceededError:
-                                pass
-                        assert len(set(answers)) <= 1, (k, n, seed, inst.sets)
-                        if not vertex_disjoint:
-                            assert set(answers) <= {feasible}
-                        if len(answers) == 2:
-                            both.add(answers[0])
+                    answers = []
+                    for g, pairs in ((out.graph, out.terminals.pairs), _mirror(out.graph, out.terminals.pairs)):
+                        try:
+                            answers.append(_search(g, pairs, budget=10_000) is not None)
+                        except BudgetExceededError:
+                            pass
+                    assert set(answers) <= {feasible}, (k, n, seed, inst.sets)
+                    if len(answers) == 2:
+                        both.add(answers[0])
         assert both == {False, True}
