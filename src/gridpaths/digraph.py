@@ -403,26 +403,25 @@ class EmbeddedDigraph(Digraph):
             raise ValueError(f"missing coordinate for {exc.args[0]!r}") from None
         if len(coords) != len(ids):
             raise ValueError("coordinates given for unknown vertices")
-        if bad := [v for v, xy in zip(verts, given) if {type(c) for c in xy} - {int, Fraction}]:  # no float or bool
+        if bad := [v for v, xy in zip(verts, given) if len(xy) != 2 or {type(c) for c in xy} - {int, Fraction}]:  # no float or bool
             raise ValueError(f"coordinate of {bad[0]!r} is not a pair of ints or Fractions: {coords[bad[0]]!r}")
         den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
-        xy = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for x, y in given]
-        self._init(verts, tail, head, xy, den, ids)
+        self._init(verts, tail, head, [c.numerator * (den // c.denominator) for xy in given for c in xy], den, ids)
 
-    def _init(self, verts, tail, head, xy: list[tuple[int, int]], den: int, ids=None) -> None:
-        """Digraph._init, with vertex ``n`` at ``xy[n] / den``: kept as two arrays, in lowest terms."""
+    def _init(self, verts, tail, head, xy: list[int], den: int, ids=None) -> None:
+        """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as two arrays, in lowest terms."""
         super()._init(verts, tail, head, ids)
-        if len(set(xy)) != len(verts):
+        xs, ys = xy[0::2], xy[1::2]
+        if len(set(zip(xs, ys))) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
-        xs, ys = zip(*xy) if xy else ((), ())
-        g = math.gcd(den, *xs, *ys)
+        g = math.gcd(den, *xy)
         self._den = den // g
         if g > 1:
             xs, ys = [x // g for x in xs], [y // g for y in ys]
         try:
             self._x, self._y = array("q", xs), array("q", ys)
         except OverflowError:  # a numerator past 64 bits, which a bare graph document may hold
-            self._x, self._y = list(xs), list(ys)
+            self._x, self._y = xs, ys
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
@@ -547,21 +546,20 @@ class EmbeddedDigraph(Digraph):
 
         try:
             verts = []
-            coords = []  # per vertex ((x numerator, x denominator), (y numerator, y denominator))
+            coords = []  # (numerator, denominator): x then y for each vertex
             for entry in data["vertices"]:
                 raw = entry["label"]
                 v = decoded[repr(raw)] = label_from_json(raw)
                 x_str, y_str = exact(list, entry["coord"])
                 verts.append(v)
-                coords.append((_parse_coord(x_str), _parse_coord(y_str)))
+                coords += _parse_coord(x_str), _parse_coord(y_str)
             edges = [(decode(u), decode(v)) for u, v in map(exact, repeat(list), data["edges"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
-        den = math.lcm(*{d for xy in coords for _, d in xy})
-        xy = [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in coords]
+        den = math.lcm(*{d for _, d in coords})
         verts, tail, head, ids = _label_ids(verts, edges)
         g = cls.__new__(cls)
-        g._init(verts, tail, head, xy, den, ids)
+        g._init(verts, tail, head, [n * (den // d) for n, d in coords], den, ids)
         return g
 
     def _split_edges(self) -> list[int]:

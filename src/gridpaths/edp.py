@@ -20,6 +20,7 @@ legal and consumes no edges.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -115,27 +116,17 @@ def _reach_bits(g: Digraph, targets: list[int]) -> list[int]:
 def _cone_sizes(g: Digraph, sources: list[int], reach: list[int]) -> list[int]:
     """Per pair j, the size of its cone: the vertices that ``sources[j]`` reaches and that reach its target.
 
-    ``reach`` holds the targets' ``_reach_bits``.  The mirror of that pass,
-    in topological order, ORs each vertex's mask of the sources that reach
-    it into its successors' masks.  It passes on only the bits that the
-    vertex's ``reach`` mask also has, since no descendant of a vertex that
-    misses a target reaches it; so each vertex's passed-on bits are the
-    cones it lies in.
+    ``reach`` holds the targets' ``_reach_bits``, and the sources'
+    ``_reach_bits`` on the mirror view ``g._reverse()`` have bit j at each
+    vertex that ``sources[j]`` reaches; a vertex is in the cones of the bits
+    that both of its masks have.
     """
-    head, out_edges = g._head, g._out
     sizes = [0] * len(sources)
-    into = [0] * len(out_edges)
-    for j, s in enumerate(sources):
-        into[s] |= 1 << j
-    for v in g._topo_ids()[0]:
-        bits = into[v] & reach[v]
-        if bits:
-            for e in out_edges[v]:
-                into[head[e]] |= bits
-            while bits:
-                low = bits & -bits
-                sizes[low.bit_length() - 1] += 1
-                bits ^= low
+    for bits in map(operator.and_, _reach_bits(g._reverse(), sources), reach):
+        while bits:
+            low = bits & -bits
+            sizes[low.bit_length() - 1] += 1
+            bits ^= low
     return sizes
 
 
@@ -146,7 +137,7 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
     first, then the others in the given order: the most constrained
     variable first.  It checks its input, and returns its paths, in the
     given order.  Moving one pair to the front moves its bit of every
-    ``reach`` mask to bit 0, so both passes over the graph run once.
+    ``reach`` mask to bit 0, so the two ``_reach_bits`` passes run once.
 
     The plain search it reproduces routes the pairs in that order, tries
     each vertex's arcs in edge order, skips an arc into a vertex that cannot
@@ -323,9 +314,6 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
         entry[idx] = keys
         frames.append([idx, ends[idx][0], -1, 0])
 
-    def pop() -> None:
-        taken[frames.pop()[2]] = 0
-
     if not all(map(reachable, range(npairs))):
         return None
     if not pairs:
@@ -339,7 +327,7 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
             # A target frame is visited twice: first to hand over to the next
             # pair, then once that pair has failed from here.
             if nxt:
-                pop()
+                taken[frames.pop()[2]] = 0
             elif idx + 1 == npairs:
                 paths: list[list[Label]] = [[] for _ in pairs]
                 for fidx, fv, _, _ in frames:
@@ -368,7 +356,7 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
             frames.append([idx, w, e, 0])
             break
         else:
-            pop()
+            taken[frames.pop()[2]] = 0
     return None
 
 

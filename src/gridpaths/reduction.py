@@ -237,10 +237,10 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDig
         entry.append(len(verts))
         if (q, ell) in sets[i, j]:
             verts.append(GridVertex(*pos))
-            xy.append((x, y))
+            xy += x, y
         else:
             verts += (GridVertex(*pos, LB), GridVertex(*pos, TR))
-            xy += ((x - quarter, y - quarter), (x + quarter, y + quarter))
+            xy += x - quarter, y - quarter, x + quarter, y + quarter
         exit_.append(len(verts) - 1)
     first = len(verts)  # the other vertices follow the positions' copies
     entry += range(first, first + len(base.verts))
@@ -250,8 +250,8 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDig
     # a tree node sits midway between its end leaves, each a quarter off if split
     for n, (dx, dy), lo, hi in base.ends:
         if splits := (entry[lo] != exit_[lo]) + (entry[hi] != exit_[hi]):
-            x, y = xy[first + n]
-            xy[first + n] = (x + splits * dx, y + splits * dy)
+            xy[2 * first + n] += splits * dx
+            xy[2 * first + n + 1] += splits * dy
     tail = list(map(exit_.__getitem__, base.tail))
     head = list(map(entry.__getitem__, base.head))
     dotted = [n for n, x in zip(entry, exit_) if n != x]
@@ -267,12 +267,12 @@ class _Base(NamedTuple):
     """A shape's parts; shape id P + n, after the P = k^2 N^2 grid positions p, is verts[n]."""
 
     verts: tuple  # the connectors, terminals and tree nodes, in id order
-    xy: tuple  # their numerators over den
+    xy: tuple  # their numerators over den, x then y for each
     tail: array  # the ends of every edge, its fan or tree edges from edge id ``fan`` on
     head: array
     fan: int
     den: int
-    ends: tuple  # per tree node: its index in verts, its shift per split end leaf, its two end leaves
+    ends: tuple  # per tree node: the index of its x in xy, its shift per split end leaf, its two end leaves
     roots: Mapping  # (family, m) -> terminal m of the family
     chains: Mapping  # (axis, i, j) -> vertex 1 of the family's chain that leaves grid (i, j)
     routes: Mapping  # (family, m) -> per leaf, the tree nodes between the root and it
@@ -315,7 +315,7 @@ def _base(k: int, N: int, trees: bool) -> _Base:
             chain = range(size + len(verts), size + len(verts) + N)
             chains[fam.axis, i, j] = chain[0]
             verts += [fam.connector(i, j, ell) for ell in ells]
-            xy += [_orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den) for ell in ells]
+            xy += [c for ell in ells for c in _orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den)]
             tail += [*chain[:-1], *_boundary(k, N, i, j, fam.sides[1]), *chain]
             head += [*chain[1:], *chain, *_boundary(k, N, i + di, j + dj, fam.sides[0])]
 
@@ -335,7 +335,7 @@ def _base(k: int, N: int, trees: bool) -> _Base:
         for end, family in enumerate(fam.terminals):
             roots[family, m] = size + len(verts)
             verts.append(Terminal(family, m))
-            xy.append(_orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end]))
+            xy += _orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end])
 
     # Terminal m of a family fans out into the entry side of the family's
     # first grid in lane m, or collects the exit side of its last grid, its
@@ -361,10 +361,10 @@ def _base(k: int, N: int, trees: bool) -> _Base:
                 if path:
                     route += (node,)
                     # leaf ell lies ((m-1) pitch + ell) den along the lane, a quarter = 2 levels off if split
-                    ends.append((len(verts), _orient(fam, (-levels, levels)[end], 0), leaves[lo], leaves[hi - 1]))
+                    ends.append((len(xy), _orient(fam, (-levels, levels)[end], 0), leaves[lo], leaves[hi - 1]))
                     verts.append(TreeNode(family, m, path))
                     t = (2 * (m - 1) * pitch + lo + 1 + hi) * den // 2
-                    xy.append(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
+                    xy.extend(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
                 mid = _tree_split(lo, hi)
                 for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
                     child = grow(clo, chi, path + (bit,), route)

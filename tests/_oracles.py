@@ -436,7 +436,7 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
     den = 8 * levels if trees else 4
     quarter = den // 4
     verts: list[Label] = []
-    xy: list[tuple[int, int]] = []
+    xy: list[int] = []  # x then y for each vertex
     # the ids that grid position p = (((i-1)k + j-1)N + q-1)N + ell-1 receives
     # its edges at and sends them from: one id if whole, the lb and tr ids if split
     entry: list[int] = []
@@ -448,10 +448,10 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
         entry.append(len(verts))
         if copies[0] is copies[1]:
             verts.append(copies[0])
-            xy.append((x, y))
+            xy += x, y
         else:
             verts += copies
-            xy += ((x - quarter, y - quarter), (x + quarter, y + quarter))
+            xy += x - quarter, y - quarter, x + quarter, y + quarter
         exit_.append(len(verts) - 1)
 
     def parts(pos: tuple[int, int, int, int]) -> tuple[int, int]:
@@ -478,7 +478,7 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
             lane, step = _orient(fam, i, j)
             chain = range(len(verts), len(verts) + N)
             verts += [fam.connector(i, j, ell) for ell in ells]
-            xy += [_orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den) for ell in ells]
+            xy += [c for ell in ells for c in _orient(fam, ((lane - 1) * pitch + ell) * den, step * pitch * den)]
             tail += [*chain[:-1], *_boundary(parts, N, i, j, fam.sides[1]), *chain]
             head += [*chain[1:], *chain, *_boundary(parts, N, i + di, j + dj, fam.sides[0])]
 
@@ -500,7 +500,7 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
         for end, family in enumerate(fam.terminals):
             roots[family, m] = len(verts)
             verts.append(Terminal(family, m))
-            xy.append(_orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end]))
+            xy += _orient(fam, (m - 1) * pitch * den + pitch * den // 2, outside[end])
 
     # Terminal m of a family fans out into the entry side of the family's
     # first grid in lane m, or collects the exit side of its last grid, its
@@ -522,8 +522,8 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
                 node = len(verts) if path else root
                 if path:
                     verts.append(TreeNode(family, m, path))
-                    t = (xy[leaves[lo]][fam.axis] + xy[leaves[hi - 1]][fam.axis]) // 2
-                    xy.append(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
+                    t = (xy[2 * leaves[lo] + fam.axis] + xy[2 * leaves[hi - 1] + fam.axis]) // 2
+                    xy.extend(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
                 mid = _tree_split(lo, hi)
                 for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
                     child = grow(clo, chi, path + (bit,))
@@ -548,6 +548,13 @@ _TRANSPOSED_FAMILY = {"a": "c", "b": "d", "c": "a", "d": "b"}
 def transpose_instance(inst: GridTilingInstance) -> GridTilingInstance:
     """tau on an instance: cell (x, y) -> (y, x), pair (a, b) -> (b, a)."""
     sets = {(y, x): {(b, a) for a, b in pairs} for (x, y), pairs in inst.sets.items()}
+    return GridTilingInstance(inst.k, inst.N, sets)
+
+
+def rotate_instance(inst: GridTilingInstance) -> GridTilingInstance:
+    """rho on an instance, a half turn: cell (x, y) -> (k+1-x, k+1-y), pair (a, b) -> (N+1-a, N+1-b)."""
+    k1, n1 = inst.k + 1, inst.N + 1
+    sets = {(k1 - x, k1 - y): {(n1 - a, n1 - b) for a, b in pairs} for (x, y), pairs in inst.sets.items()}
     return GridTilingInstance(inst.k, inst.N, sets)
 
 

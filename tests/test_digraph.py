@@ -117,6 +117,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="coordinate of 'b' is not a pair of ints or Fractions"):
             EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, Fraction(1, 2)), "b": (1, bad)})
 
+    @pytest.mark.parametrize("bad", [(1,), (1, 2, 3)])
+    def test_coordinate_of_wrong_length_rejected(self, bad):
+        # the initializer reads the points as one flat list, x then y, so a third number would shift the rest
+        with pytest.raises(ValueError, match="coordinate of 'b' is not a pair of ints or Fractions"):
+            EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, 0), "b": bad})
+
 
 class TestIdInitializer:
     """The id-level initializer behind both label constructors keeps every check."""
@@ -124,7 +130,7 @@ class TestIdInitializer:
     @staticmethod
     def _embedded(tail, head, xy, den):
         g = EmbeddedDigraph.__new__(EmbeddedDigraph)
-        g._init(["a", "b", "c"], tail, head, xy, den)
+        g._init(["a", "b", "c"], tail, head, [c for point in xy for c in point], den)
         return g
 
     def test_denominator_is_reduced(self):

@@ -39,7 +39,9 @@ from ._oracles import (
     face_cycles,
     has_edge,
     random_dag,
+    rotate_instance,
     signed_area,
+    transpose_instance,
     vdp_feasible_exhaustive,
 )
 
@@ -160,12 +162,16 @@ def ladder_count(d: int) -> int:
 
 @st.composite
 def dags_with_pairs(draw):
-    """A DAG on 6-10 vertices, its arcs in a drawn order, and 1-3 pairs from its first vertices to its last."""
+    """A DAG on 6-10 vertices, its arcs in a drawn order, and 1-3 pairs from its first k vertices to its last k.
+
+    Pairs may share a source or a sink, or both.
+    """
     n = draw(st.integers(6, 10))
     arcs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.permutations([arc for arc in arcs if draw(st.booleans())]))
     k = draw(st.integers(1, 3))
-    return Digraph(range(n), edges), list(zip(range(k), draw(st.permutations(range(n - k, n)))))
+    ends = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
+    return Digraph(range(n), edges), [(s, n - k + t) for s, t in zip(draw(ends), draw(ends))]
 
 
 class TestCheckEdpSolution:
@@ -704,21 +710,24 @@ class TestSearchCore:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), data=st.data())
     def test_reach_bits_match_reachability(self, seed, data):
-        # up to 20 targets, some repeated: masks of up to 20 bits
+        # up to 20 targets, some repeated: masks of up to 20 bits.  On the
+        # mirror view, as the cone order uses it, bit j marks the vertices
+        # that targets[j] reaches in the graph: a walk along out-arcs from it.
         g, _ = random_dag(seed)
         verts = g.vertices
         targets = data.draw(st.lists(st.sampled_from(verts), max_size=20))
-        expected = []
-        for t in targets:
-            found, todo = {t}, [t]
-            while todo:
-                for u in g.inn(todo.pop()):
-                    if u not in found:
-                        found.add(u)
-                        todo.append(u)
-            expected.append([v in found for v in verts])
-        reach = _reach_bits(g, [verts.index(t) for t in targets])
-        assert [[bool(bits >> j & 1) for bits in reach] for j in range(len(targets))] == expected
+        for view, before in ((g, g.inn), (g._reverse(), g.out)):
+            expected = []
+            for t in targets:
+                found, todo = {t}, [t]
+                while todo:
+                    for u in before(todo.pop()):
+                        if u not in found:
+                            found.add(u)
+                            todo.append(u)
+                expected.append([v in found for v in verts])
+            reach = _reach_bits(view, [verts.index(t) for t in targets])
+            assert [[bool(bits >> j & 1) for bits in reach] for j in range(len(targets))] == expected
 
 
 class TestMirrorSearch:
@@ -779,3 +788,26 @@ class TestMirrorSearch:
                     if len(answers) == 2:
                         both.add(answers[0])
         assert both == {False, True}
+
+
+class TestInstanceSymmetries:
+    """The transpose tau and the half turn rho keep a grid tiling instance's answer; the solver must too."""
+
+    def test_solver_answers_alike_on_symmetric_instances(self):
+        # random d = 0.15: wherever the solver decides at 10^4 on the reduction
+        # of inst, tau inst, rho inst or tau rho inst, it gives the oracle's answer
+        decided = set()
+        for k, n in ((2, 3), (2, 4), (3, 3), (3, 4)):
+            for seed in range(40):
+                inst = generate_random(k, n, 0.15, seed=seed)
+                feasible = solve_gt_brute_force(inst) is not None
+                turned = rotate_instance(inst)
+                for image in (inst, transpose_instance(inst), turned, transpose_instance(turned)):
+                    out = reduce(image)
+                    try:
+                        answer = solve_edp_dag(out.graph, out.terminals, budget=10_000) is not None
+                    except BudgetExceededError:
+                        continue
+                    assert answer == feasible, (k, n, seed, image.sets)
+                    decided.add(answer)
+        assert decided == {False, True}

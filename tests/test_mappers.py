@@ -10,7 +10,6 @@ from gridpaths.digraph import (
     GridVertex,
     HConnector,
     Terminal,
-    TreeNode,
     VConnector,
 )
 from gridpaths.edp import PathSet, check_edp_solution, solve_edp_dag
@@ -47,6 +46,8 @@ from ._oracles import (
     has_edge,
     level_confined_reference,
     row_path,
+    transpose_instance,
+    transpose_label,
 )
 
 
@@ -364,29 +365,9 @@ class TestPinnedMaps:
         assert digest.hexdigest() == self.DIGEST
 
 
-# Swapping x and y maps the column half of the gadget onto the row half:
-# a/b terminals onto c/d, vertical connectors onto horizontal ones, grid
-# position (q, ell) onto (ell, q), while the lb/tr split copies stay lb/tr.
-_SWAP_FAMILY = {"a": "c", "b": "d", "c": "a", "d": "b"}
+# Swapping x and y (tau) maps the column half of the gadget onto the row half,
+# and each side of a grid onto the side across the diagonal.
 _SWAP_SIDE = {"left": "bottom", "bottom": "left", "right": "top", "top": "right"}
-
-
-def transpose_instance(inst):
-    sets = {(y, x): {(b, a) for a, b in pairs} for (x, y), pairs in inst.sets.items()}
-    return GridTilingInstance(k=inst.k, N=inst.N, sets=sets)
-
-
-def transpose_label(v):
-    if isinstance(v, GridVertex):
-        return GridVertex(v.j, v.i, v.ell, v.q, v.part)
-    if isinstance(v, HConnector):
-        return VConnector(v.j, v.i, v.ell)
-    if isinstance(v, VConnector):
-        return HConnector(v.j, v.i, v.ell)
-    if isinstance(v, Terminal):
-        return Terminal(_SWAP_FAMILY[v.family], v.index)
-    assert isinstance(v, TreeNode)
-    return TreeNode(_SWAP_FAMILY[v.family], v.index, v.path)
 
 
 @st.composite
@@ -427,6 +408,21 @@ class TestTransposition:
             tchoice = {(y, x): (b, a) for (x, y), (a, b) in choice.items()}
             tps = gt_solution_to_paths(tout, GTAssignment(tchoice))
             assert tps.paths == [[t(v) for v in p] for p in ps.paths[k:] + ps.paths[:k]]
+
+    @pytest.mark.parametrize("degree2", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_forward_map_commutes_with_transposition(self, k, degree2):
+        # the grid tiling oracle's solution, not only the planted one: mapping it
+        # and then tau gives the paths of its tau image, columns' and rows' swapped
+        for seed in range(40):
+            inst = generate_planted(k, 3, noise=2, seed=seed)
+            out, tout = reduce(inst), reduce(transpose_instance(inst))
+            if degree2:
+                out, tout = reduce_degree(out), reduce_degree(tout)
+            asg = solve_gt_brute_force(inst)
+            tasg = GTAssignment({(y, x): (b, a) for (x, y), (a, b) in asg.choice.items()})
+            ps, tps = gt_solution_to_paths(out, asg), gt_solution_to_paths(tout, tasg)
+            assert tps.paths == [[transpose_label(v) for v in p] for p in ps.paths[k:] + ps.paths[:k]]
 
 
 @st.composite
