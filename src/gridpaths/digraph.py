@@ -565,20 +565,23 @@ class EmbeddedDigraph(Digraph):
     def _split_edges(self) -> list[int]:
         """The ids of the dotted edges: each lb copy's one edge, to its position's tr copy."""
         verts, head, out = self._verts, self._head, self._out
-        # ("grid", i, j, q, ell, part): the head is u with the part tr in place of lb
+        # ("grid", i, j, q, ell, part): the head is u with the part tr in place of lb, so its tag is "grid"
         return [
             e
             for n, u in enumerate(verts)
             if isinstance(u, GridVertex) and u[-1] == LB
             for e in out[n]
-            if verts[head[e]] == u[:-1] + (TR,) and isinstance(verts[head[e]], GridVertex)
+            if verts[head[e]] == u[:-1] + (TR,)
         ]
 
     def to_dot(self) -> str:
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
+        # first: the first vertex with each name (a str) and at each float point (a tuple)
         names, den, first = [label_name(v) for v in self._verts], self._den, {}
         lines = ["digraph reduction {"]
         for v, name, x, y in zip(self._verts, names, self._x, self._y):
+            if first.setdefault(name, v) is not v:  # labels made by hand, with fields the decoder rejects
+                raise ValueError(f"vertices {first[name]!r} and {v!r} have one DOT name {name!r}")
             try:  # int / int is correctly rounded: the same float as float(Fraction)
                 x, y = point = x / den, y / den
             except OverflowError:

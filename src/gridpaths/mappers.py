@@ -83,12 +83,11 @@ def paths_to_gt_solution(out: ReductionOutput, ps: PathSet) -> GTAssignment:
         column_route = ps.paths[i - 1]
         for j, row_verts in enumerate(rows, 1):
             for v in column_route:
-                # few vertices of the column are on the row
-                if v in row_verts:
-                    v = verts[ids[v]]  # the graph's label ("grid", i, j, q, ell, part), not a copy's class
-                    if isinstance(v, GridVertex) and v[-1] == WHOLE and v[1:3] == (i, j):
-                        choice[(i, j)] = v[3:5]
-                        break
+                # few vertices of the column are on the row; a label or a plain-tuple copy of it is
+                # ("grid", i, j, q, ell, part) at a grid vertex, so its tag tells its kind
+                if v in row_verts and v[0] == GridVertex.kind and v[-1] == WHOLE and v[1:3] == (i, j):
+                    choice[(i, j)] = verts[ids[v]][3:5]  # the graph's own ints, which a copy's 1.0 or True equals
+                    break
             else:
                 raise ExtractionFailedError(
                     f"paths {i - 1} and {k + j - 1} share no whole vertex in cell ({i},{j})"
@@ -105,12 +104,10 @@ def check_level_confinement(out: ReductionOutput, ps: PathSet) -> bool:
     k = out.provenance.k
     if len(ps.paths) != 2 * k:
         raise ValueError(f"expected {2 * k} paths, got {len(ps.paths)}")
-    ids, verts = out.graph._id, out.graph._verts
+    ids = out.graph._id
     for idx, path in enumerate(ps.paths):
         fam, index = _FAMILIES[idx // k], idx % k + 1
-        # a path without edges has nothing to confine; a copy of a label (a plain tuple) is read as the label
-        if len(path) > 1 and not (
-            all(map(ids.__contains__, path)) and all(_in_level(verts[ids[v]], fam, index) for v in path)
-        ):
+        # a path without edges has nothing to confine
+        if len(path) > 1 and not (all(map(ids.__contains__, path)) and all(_in_level(v, fam, index) for v in path)):
             return False
     return True

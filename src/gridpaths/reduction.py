@@ -96,9 +96,6 @@ class TerminalSet:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def to_json_list(self) -> list:
-        return [[label_to_json(s), label_to_json(t)] for s, t in self.pairs]
-
 
 @dataclass(frozen=True)
 class GraphCounts:
@@ -108,7 +105,7 @@ class GraphCounts:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """A constructed paths instance with its provenance and predicted size."""
+    """A constructed paths instance with its provenance and predicted size; ``to_json_dict`` encodes its document."""
 
     graph: EmbeddedDigraph
     terminals: TerminalSet
@@ -119,15 +116,13 @@ class ReductionOutput:
     layout: tuple = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
-        parts = self._derived_parts()
-        return {"instance": self.provenance.to_json_dict(), **parts, "degree_reduced": self.degree_reduced}
-
-    def _derived_parts(self) -> dict:
-        """The encoding of what the instance and the form determine, which the loader checks."""
+        """The document: the instance, the graph, terminals and counts it determines, and the form."""
         return {
+            "instance": self.provenance.to_json_dict(),
             "graph": self.graph.to_json_dict(),
-            "terminals": self.terminals.to_json_list(),
+            "terminals": [[label_to_json(s), label_to_json(t)] for s, t in self.terminals.pairs],
             "counts": {"vertices": self.counts.vertices, "edges": self.counts.edges},
+            "degree_reduced": self.degree_reduced,
         }
 
     @classmethod
@@ -146,9 +141,10 @@ class ReductionOutput:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
         out = _derive(inst, degree_reduced)
-        for part, encoded in out._derived_parts().items():
-            held = _json_types(stored[part])
-            if stored[part] != encoded or not held <= {dict, list, str, int}:
+        document = out.to_json_dict()
+        for part, value in stored.items():
+            held, encoded = _json_types(value), document[part]
+            if value != encoded or not held <= {dict, list, str, int}:
                 if foreign := " and ".join(sorted(kind.__name__ for kind in held - _json_types(encoded))):
                     raise ValueError(f"malformed reduction document: its {part} holds a value of type {foreign}")
                 raise ValueError(f"reduction document's {part} differs from its instance's construction")
@@ -282,6 +278,7 @@ class _Base(NamedTuple):
 def _base(k: int, N: int, trees: bool) -> _Base:
     """The connectors, terminals, fans or fan trees and every edge of G1, and where each sits.
 
+    A fan is the one-level tree of the fan trees' grower: its root takes each leaf as a child.
     Built once per shape and shared by every graph of that shape, so every
     table is a tuple, an array ``_build`` only reads, or a read-only mapping.
     """
@@ -346,11 +343,6 @@ def _base(k: int, N: int, trees: bool) -> _Base:
             family = fam.terminals[end]
             root = roots[family, m]
             leaves = _boundary(k, N, *_orient(fam, m, (1, k)[end]), side)
-            if not trees:
-                fan[end].extend([root] * N)
-                fan[1 - end].extend(leaves)
-                routes[family, m] = ((),) * N
-                continue
             found: list[tuple[int, ...]] = []  # per leaf, the tree nodes from the root to it
 
             def grow(lo: int, hi: int, path: tuple[int, ...], route: tuple[int, ...]) -> int:
@@ -365,8 +357,9 @@ def _base(k: int, N: int, trees: bool) -> _Base:
                     verts.append(TreeNode(family, m, path))
                     t = (2 * (m - 1) * pitch + lo + 1 + hi) * den // 2
                     xy.extend(_orient(fam, t, outside[end] + (inward, -inward)[end] * len(path) // levels))
-                mid = _tree_split(lo, hi)
-                for bit, (clo, chi) in enumerate(((lo, mid), (mid, hi))):
+                # a fan's root takes each leaf as a one-leaf child; a tree node splits its leaves in two
+                cuts = (lo, _tree_split(lo, hi), hi) if trees else range(lo, hi + 1)
+                for bit, (clo, chi) in enumerate(zip(cuts, cuts[1:])):
                     child = grow(clo, chi, path + (bit,), route)
                     fan[end].append(node)
                     fan[1 - end].append(child)
@@ -459,13 +452,11 @@ def level_set(out: ReductionOutput, kind: str, index: int) -> set:
 
 
 def _in_level(v: Label, fam: _Family, index: int) -> bool:
-    """Whether label ``v`` belongs to the stratum of path ``index`` of ``fam`` (see level_set)."""
-    # a label is the tuple (kind, i, j, ...) or (kind, family, index, ...)
-    if isinstance(v, (GridVertex, fam.connector)):
+    """Whether label ``v``, or a plain-tuple copy of it, belongs to the stratum of path ``index`` of ``fam``."""
+    # a label is the tuple (kind, i, j, ...) or (kind, family, index, ...): its tag tells its kind
+    if v[0] in (GridVertex.kind, fam.connector.kind):
         return v[1 + fam.axis] == index
-    if isinstance(v, (Terminal, TreeNode)):
-        return v[2] == index and v[1] in fam.terminals
-    return False
+    return v[0] in (Terminal.kind, TreeNode.kind) and v[2] == index and v[1] in fam.terminals
 
 
 def reduce_degree(out: ReductionOutput) -> ReductionOutput:

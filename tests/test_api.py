@@ -2,8 +2,12 @@
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import gridpaths
 from gridpaths import cli
@@ -104,3 +108,25 @@ def test_no_test_only_code_in_src():
                     if not used(member.name, others + rest):
                         unused.append(f"{stmt.name}.{member.name}")
     assert unused == []
+
+
+def test_every_benchmark_hook_installs(monkeypatch):
+    """Each name ``perfbench/run.py`` hooks exists, so its traced runs can wrap it.
+
+    Its untraced runs install only the hooks that capture results, so without this test a deleted
+    name that only a traced run hooks would show only in CI's traced benchmark step.
+    """
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first, for its own modules
+    with mock.patch.dict(sys.modules):  # and imports them, and itself, under names dropped again after
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+        spec.loader.exec_module(run)
+        names = ("cli", "digraph", "edp", "errors", "gridtiling", "mappers", "reduction")
+        pkg = SimpleNamespace(**{name: importlib.import_module(f"gridpaths.{name}") for name in names})
+        reduce, hooks = pkg.reduction.reduce, run.Hooks(tracing=True)
+        try:
+            run.install_hooks(pkg, hooks)
+            assert len(hooks._originals) == 23 and pkg.reduction.reduce is not reduce
+        finally:
+            hooks.uninstall()
+    assert pkg.reduction.reduce is reduce

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -714,6 +715,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             g.to_dot()
         assert EmbeddedDigraph.from_json_dict(g.to_json_dict()) == g  # the JSON form is exact
+
+    @pytest.mark.parametrize(
+        "first, second, name",
+        [
+            (Terminal("w_1_1_1", 1), GridVertex(1, 1, 1, 1), "w_1_1_1_1"),
+            (HConnector(1, 2, 3), Terminal("h_1_2", 3), "h_1_2_3"),
+        ],
+        ids=["terminal-and-grid", "connector-and-terminal"],
+    )
+    def test_dot_export_rejects_two_vertices_with_one_name(self, first, second, name):
+        # the constructors do not check field domains, so two hand-made labels can print alike;
+        # Graphviz would merge them into one vertex with a self-loop
+        assert label_name(first) == label_name(second) == name
+        g = EmbeddedDigraph([first, second], [(first, second)], {first: (0, 0), second: (1, 0)})
+        message = f"^vertices {re.escape(repr(first))} and {re.escape(repr(second))} have one DOT name '{name}'$"
+        with pytest.raises(ValueError, match=message):
+            g.to_dot()
+        assert EmbeddedDigraph([first], [], {first: (0, 0)}).to_dot().count(f'"{name}"') == 1
 
     def test_dotted_edge_predicate(self):
         lb = GridVertex(1, 1, 2, 2, "lb")

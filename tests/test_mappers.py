@@ -223,6 +223,17 @@ class TestBackwardDirection:
             assert paths_to_gt_solution(out, plain) == paths_to_gt_solution(out, answer)
             assert check_level_confinement(out, plain) and check_level_confinement(out, answer)
 
+    def test_copy_with_equal_non_int_fields_extracts_the_graphs_ints(self):
+        # ("grid", 1, 1, 2.0, 1, "whole") equals the label with q = 2 and passes the checker; the
+        # assignment still holds the graph's own ints
+        out = reduce(generate_planted(2, 3, noise=2, seed=6))
+        answer = solve_edp_dag(out.graph, out.terminals)
+        inexact = PathSet([[(*v[:3], float(v[3]), *v[4:]) if v[0] == "grid" else v for v in p] for p in answer.paths])
+        assert check_edp_solution(out.graph, out.terminals, inexact) == []
+        extracted = paths_to_gt_solution(out, inexact)
+        assert extracted == paths_to_gt_solution(out, answer)
+        assert {type(c) for pair in extracted.choice.values() for c in pair} == {int}
+
     def test_single_cell_extraction_lands_in_set(self):
         inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(2, 1)}})
         out = reduce(inst)
