@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import edp, gridtiling, mappers, reduction
 from .digraph import EmbeddedDigraph
@@ -108,8 +110,56 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _finite(x: float) -> str:
+    if not math.isfinite(x):  # json.dumps would write NaN or Infinity, which JSON lacks
+        raise ValueError(f"float {x!r} has no JSON form")
+    return float.__repr__(x)
+
+
+# the text of each JSON scalar, by exact type: a bool is no int here, and an int or str subclass has none
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _container_text(obj, nl: str) -> str:
+    """The text of list or dict ``obj`` whose lines start with ``nl``: a newline and its indent.
+
+    Each scalar item is written in place, with no call, and no name holds the item list, so it is
+    freed once joined.  ``sorted`` raises TypeError for keys of mixed types and
+    ``encode_basestring_ascii`` for any other key that is not a str.
+    """
+    inner = nl + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": "
+            + (text(v) if (text := _SCALARS.get(type(v := obj[key]))) else _container_text(v, inner))
+            for key in sorted(obj)
+        ]) + nl + "}"
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            text(v) if (text := _SCALARS.get(type(v))) else _container_text(v, inner) for v in obj
+        ]) + nl + "]"
+    raise TypeError(f"a {type(obj).__name__} has no JSON form")
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``: the one writer of every JSON output.
+
+    The standard library writes an indented document in pure Python, one chunk per token; this
+    joins each container's items once, in about half the time and memory.  A value json.dumps
+    would write differently or not at all (a tuple, a set, a non-str key, NaN) raises instead.
+    """
+    text = _SCALARS.get(type(obj))
+    return (text(obj) if text else _container_text(obj, "\n")) + "\n"
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

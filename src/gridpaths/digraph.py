@@ -392,11 +392,18 @@ class EmbeddedDigraph(Digraph):
 
     Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: integer numerators over the least
     common denominator, in two arrays of 64-bit ints (lists when a numerator does not fit).
-    Only ``coords`` and the JSON writer make Fractions.
+    Only ``coords`` and the JSON writer make Fractions.  A vertex that is a package label has its
+    fields in the domains ``label_from_json`` takes, so the document reads back and DOT names differ.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
         verts, tail, head, ids = _label_ids(vertices, edges)
+        for v in verts:  # the reduction and the JSON reader make only such labels; a hand-made one is checked here
+            if isinstance(v, _Label):
+                try:
+                    label_from_json(label_to_json(v))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"vertex {v!r} does not read back from JSON: {exc}") from None
         try:
             given = [coords[v] for v in verts]
         except KeyError as exc:
@@ -576,12 +583,10 @@ class EmbeddedDigraph(Digraph):
 
     def to_dot(self) -> str:
         """DOT rendering with fixed positions; split-vertex edges are dotted."""
-        # first: the first vertex with each name (a str) and at each float point (a tuple)
+        # first: the first vertex at each float point; every graph's labels read back, so names differ
         names, den, first = [label_name(v) for v in self._verts], self._den, {}
         lines = ["digraph reduction {"]
         for v, name, x, y in zip(self._verts, names, self._x, self._y):
-            if first.setdefault(name, v) is not v:  # labels made by hand, with fields the decoder rejects
-                raise ValueError(f"vertices {first[name]!r} and {v!r} have one DOT name {name!r}")
             try:  # int / int is correctly rounded: the same float as float(Fraction)
                 x, y = point = x / den, y / den
             except OverflowError:

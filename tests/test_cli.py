@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brut
 from gridpaths.reduction import GraphCounts, TerminalSet
 
 from ._oracles import is_dotted_edge
+from .test_reduction import empty_instance, full_instance
 
 
 def run(capsys, *argv):
@@ -55,6 +57,102 @@ def untimed(text):
     for entry in payload["runs"]:
         del entry["report"]["timings"]
     return payload
+
+
+def reference(obj):
+    """The standard library's indent-2 sorted form, which ``_json_text`` must write byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """``_json_text``, the CLI's one JSON writer, writes exactly the standard library's bytes.
+
+    The golden digests call json.dumps themselves, so this is what pins the writer.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_instances(self, k):
+        for n, seed in itertools.product((2, 3, 5), range(3)):
+            for inst in (
+                gridtiling.generate_planted(k, n, noise=2, seed=seed),
+                gridtiling.generate_random(k, n, 0.5, seed=seed),
+            ):
+                doc = inst.to_json_dict()
+                assert _json_text(doc) == reference(doc)
+
+    def test_reduction_documents_and_their_graphs(self):
+        # TestGoldenOutput's instance list, both forms
+        for k, n in itertools.product((1, 2, 3), (2, 3, 6)):
+            seed = k * 10 + n
+            for inst in (
+                gridtiling.generate_planted(k, n, noise=2, seed=seed),
+                gridtiling.generate_random(k, n, 0.5, seed=seed),
+                empty_instance(k, n),
+                full_instance(k, n),
+            ):
+                out = reduction.reduce(inst)
+                for x in (out, reduction.reduce_degree(out)):
+                    for doc in (x.to_json_dict(), x.graph.to_json_dict()):
+                        assert _json_text(doc) == reference(doc)
+
+    def test_reduce_report_and_document(self, capsys, tmp_path):
+        inst, red = gen_instance(capsys, tmp_path, "--noise", "2"), tmp_path / "red.json"
+        code, out, _ = run(capsys, "reduce", str(inst), "--degree2", "--out", str(red))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert type(report["timings"]["reduce_s"]) is float
+        assert out == reference(report)
+        assert red.read_text() == reference(json.loads(red.read_text()))
+
+    def test_roundtrip_payloads(self, capsys, tmp_path):
+        yes, _, no = gen_files(capsys, tmp_path)
+        odd = tmp_path / 'quote"back\\tab\tÉmile-Ωμέγα.json'
+        odd.write_bytes(yes.read_bytes())
+        for files in ((yes,), (no,), (odd, no)):
+            code, out, _ = run(capsys, "roundtrip", *map(str, files))
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            assert [entry["file"] for entry in payload["runs"]] == list(map(str, files))
+            assert out == reference(payload)
+        assert r'quote\"back\\tab\t\u00c9mile-\u03a9\u03bc\u03ad\u03b3\u03b1.json"' in out
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"b": [[], {}, [[], [{}]]], "a": {"z": {"y": []}}, "": {}},
+            [-1, 0, -(2**70), 1e-05, 0.1, 123456789.125, -0.0, 1e300, 2.5e-310],
+            {"s": "tab\tquote\"back\\é中\U0001f600\x00\x7f", "t": True, "f": False, "n": None},
+            [[[[[]]]]],
+            "bare",
+            -7,
+            0.5,
+            None,
+            {},
+            [],
+        ],
+    )
+    def test_hand_made_values(self, value):
+        assert _json_text(value) == reference(value)
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            ({1, 2}, TypeError),
+            ({1: "one"}, TypeError),
+            ({"a": 1, 2: "b"}, TypeError),
+            (float("nan"), ValueError),
+            ([float("inf")], ValueError),
+            ({"x": float("-inf")}, ValueError),
+            ((1, 2), TypeError),
+            (type("Count", (int,), {})(3), TypeError),
+        ],
+        ids=["set", "int-key", "mixed-keys", "nan", "inf", "minus-inf", "tuple", "int-subclass"],
+    )
+    def test_values_it_would_write_otherwise_raise(self, value, error):
+        # json.dumps raises for the set too, and writes the rest in forms no CLI document holds:
+        # an int key as a string, NaN and Infinity, a tuple as a list, an int subclass as an int
+        with pytest.raises(error):
+            _json_text(value)
 
 
 class TestGen:

@@ -124,6 +124,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="coordinate of 'b' is not a pair of ints or Fractions"):
             EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, 0), "b": bad})
 
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (Terminal("x", 1), "expected a family a-d, got 'x'"),
+            (Terminal("a", 0), "expected an int >= 1, got 0"),
+            (GridVertex(True, 1, 1, 1), "expected a JSON int, got True"),
+            (GridVertex(1, 1, 1, 1, "top"), "expected whole, lb or tr, got 'top'"),
+            (TreeNode("a", 1, ()), "expected a non-empty list of 0/1 choices, got \\[\\]"),
+        ],
+        ids=["family", "index", "bool-field", "part", "empty-path"],
+    )
+    def test_label_the_reader_refuses_is_rejected(self, bad, reason):
+        # a graph writes only documents that read back: label_from_json(label_to_json(v)) holds
+        good = Terminal("a", 1)
+        message = f"^vertex {re.escape(repr(bad))} does not read back from JSON: malformed vertex label: {reason}$"
+        with pytest.raises(ValueError, match=message):
+            EmbeddedDigraph([good, bad], [(good, bad)], {good: (0, 0), bad: (1, 0)})
+        with pytest.raises(ValueError, match="malformed vertex label"):
+            label_from_json(label_to_json(bad))
+
+    @pytest.mark.parametrize(
+        "first, second, name",
+        [
+            (Terminal("w_1_1_1", 1), GridVertex(1, 1, 1, 1), "w_1_1_1_1"),
+            (HConnector(1, 2, 3), Terminal("h_1_2", 3), "h_1_2_3"),
+        ],
+        ids=["terminal-and-grid", "connector-and-terminal"],
+    )
+    def test_labels_with_one_dot_name_rejected(self, first, second, name):
+        # Graphviz would merge two vertices with one name; the terminal's family is outside a-d
+        assert label_name(first) == label_name(second) == name
+        bad = first if isinstance(first, Terminal) else second
+        with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(bad))} does not read back from JSON"):
+            EmbeddedDigraph([first, second], [(first, second)], {first: (0, 0), second: (1, 0)})
+
 
 class TestIdInitializer:
     """The id-level initializer behind both label constructors keeps every check."""
@@ -715,24 +750,6 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             g.to_dot()
         assert EmbeddedDigraph.from_json_dict(g.to_json_dict()) == g  # the JSON form is exact
-
-    @pytest.mark.parametrize(
-        "first, second, name",
-        [
-            (Terminal("w_1_1_1", 1), GridVertex(1, 1, 1, 1), "w_1_1_1_1"),
-            (HConnector(1, 2, 3), Terminal("h_1_2", 3), "h_1_2_3"),
-        ],
-        ids=["terminal-and-grid", "connector-and-terminal"],
-    )
-    def test_dot_export_rejects_two_vertices_with_one_name(self, first, second, name):
-        # the constructors do not check field domains, so two hand-made labels can print alike;
-        # Graphviz would merge them into one vertex with a self-loop
-        assert label_name(first) == label_name(second) == name
-        g = EmbeddedDigraph([first, second], [(first, second)], {first: (0, 0), second: (1, 0)})
-        message = f"^vertices {re.escape(repr(first))} and {re.escape(repr(second))} have one DOT name '{name}'$"
-        with pytest.raises(ValueError, match=message):
-            g.to_dot()
-        assert EmbeddedDigraph([first], [], {first: (0, 0)}).to_dot().count(f'"{name}"') == 1
 
     def test_dotted_edge_predicate(self):
         lb = GridVertex(1, 1, 2, 2, "lb")

@@ -164,12 +164,13 @@ def ladder_count(d: int) -> int:
 def dags_with_pairs(draw):
     """A DAG on 6-10 vertices, its arcs in a drawn order, and 1-3 pairs from its first k vertices to its last k.
 
-    Pairs may share a source or a sink, or both.
+    Pairs may share a source or a sink, or both.  k is 3 in two draws of three: a fault in the
+    per-entry subtree memo shows only when a third pair is cut off while a later one is entered twice.
     """
     n = draw(st.integers(6, 10))
     arcs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.permutations([arc for arc in arcs if draw(st.booleans())]))
-    k = draw(st.integers(1, 3))
+    k = draw(st.sampled_from((1, 2, 3, 3, 3, 3)))
     ends = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
     return Digraph(range(n), edges), [(s, n - k + t) for s, t in zip(draw(ends), draw(ends))]
 
