@@ -103,7 +103,7 @@ def _load_instance(path: str) -> gridtiling.GridTilingInstance:
 
 
 def _emit(payload: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:  # "" is a path, which open refuses
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:

@@ -5,14 +5,14 @@ connector chain, terminal, fan-tree node).  Inside, a vertex is the int id
 of its place in the vertex list and an edge the int id of its place in the
 edge list; every algorithm here runs on ids and turns them back into labels
 only in what it returns.  Every graph is made by one id-level initializer,
-``_init``: the label constructors map labels to ids and Fractions, or the
-JSON reader coordinate strings, to integer numerators and call it, and the
-reduction, which hands out ids itself, calls it directly.  Embedded graphs carry exact rational coordinates, which are
-the single source of truth for the combinatorial embedding: the
-counterclockwise angular order of the neighbors around each vertex is the
-rotation system, its faces are traced, and Euler's formula V - E + F = 2 - 2g
-yields the genus.  Genus zero certifies that the drawing is planar; no
-general-purpose planarity test is involved.
+``_init``: the label constructors map labels to ids and Fractions to integer
+numerators and call it (the JSON reader decodes labels and coordinates for
+them), and the reduction, which hands out ids itself, calls it directly.
+Embedded graphs carry exact rational coordinates, the single source of truth
+for the combinatorial embedding: the counterclockwise order of the neighbors
+around each vertex is the rotation system, its faces are traced, and Euler's
+formula V - E + F = 2 - 2g yields the genus.  Genus zero certifies that the
+drawing is planar; no general-purpose planarity test is involved.
 
 The rotation system lives on flat dart lists.  Each edge gives two darts,
 one leaving either end; every dart gets an integer angle key, computed once
@@ -231,13 +231,13 @@ class Digraph:
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
-        self._init(*_label_ids(vertices, edges))
+        self._init(*_label_ids(vertices, edges)[:3])
 
-    def _init(self, verts: list, tail: list[int], head: list[int], ids: dict | None = None) -> None:
-        """Vertex ``n`` is ``verts[n]``, edge ``e`` runs ``tail[e] -> head[e]``; ``ids`` maps labels to ids."""
+    def _init(self, verts: list, tail: list[int], head: list[int]) -> None:
+        """Vertex ``n`` is ``verts[n]``, edge ``e`` runs ``tail[e] -> head[e]``; makes the label -> id map."""
         n = len(verts)
         self._verts: list[Label] = verts
-        self._id: dict[Label, int] = dict(zip(verts, range(n))) if ids is None else ids
+        self._id: dict[Label, int] = dict(zip(verts, range(n)))
         if len(self._id) != n:
             raise ValueError(f"duplicate vertex {next(v for m, v in enumerate(verts) if self._id[v] != m)!r}")
         ends = tail + head
@@ -391,14 +391,15 @@ class EmbeddedDigraph(Digraph):
     """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
 
     Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: integer numerators over the least
-    common denominator, in two arrays of 64-bit ints (lists when a numerator does not fit).
-    Only ``coords`` and the JSON writer make Fractions.  A vertex that is a package label has its
-    fields in the domains ``label_from_json`` takes, so the document reads back and DOT names differ.
+    common denominator, in two arrays of 64-bit ints (lists when a numerator does not fit); graphs
+    compare by labels, edges and ``coords``.  Fractions are made only at the I/O edge: by ``coords``,
+    the JSON writer and ``_parse_coord``.  A vertex that is a package label has its fields in the
+    domains ``label_from_json`` takes, so the document reads back and DOT names differ.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
         verts, tail, head, ids = _label_ids(vertices, edges)
-        for v in verts:  # the reduction and the JSON reader make only such labels; a hand-made one is checked here
+        for v in verts:  # every label the JSON reader decodes passes; a hand-made one may not
             if isinstance(v, _Label):
                 try:
                     label_from_json(label_to_json(v))
@@ -413,11 +414,11 @@ class EmbeddedDigraph(Digraph):
         if bad := [v for v, xy in zip(verts, given) if len(xy) != 2 or {type(c) for c in xy} - {int, Fraction}]:  # no float or bool
             raise ValueError(f"coordinate of {bad[0]!r} is not a pair of ints or Fractions: {coords[bad[0]]!r}")
         den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
-        self._init(verts, tail, head, [c.numerator * (den // c.denominator) for xy in given for c in xy], den, ids)
+        self._init(verts, tail, head, [c.numerator * (den // c.denominator) for xy in given for c in xy], den)
 
-    def _init(self, verts, tail, head, xy: list[int], den: int, ids=None) -> None:
+    def _init(self, verts, tail, head, xy: list[int], den: int) -> None:
         """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as two arrays, in lowest terms."""
-        super()._init(verts, tail, head, ids)
+        super()._init(verts, tail, head)
         xs, ys = xy[0::2], xy[1::2]
         if len(set(zip(xs, ys))) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
@@ -543,31 +544,17 @@ class EmbeddedDigraph(Digraph):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
-        # repr tells JSON values apart exactly (1, 1.0 and true too), so an
-        # edge end spelled like a vertex's label is that label, decoded once
-        decoded: dict[str, Label] = {}
-
-        def decode(raw) -> Label:
-            label = decoded.get(repr(raw))
-            return label_from_json(raw) if label is None else label
-
         try:
-            verts = []
-            coords = []  # (numerator, denominator): x then y for each vertex
+            verts, coords = [], {}
             for entry in data["vertices"]:
-                raw = entry["label"]
-                v = decoded[repr(raw)] = label_from_json(raw)
+                v = label_from_json(entry["label"])
                 x_str, y_str = exact(list, entry["coord"])
                 verts.append(v)
-                coords += _parse_coord(x_str), _parse_coord(y_str)
-            edges = [(decode(u), decode(v)) for u, v in map(exact, repeat(list), data["edges"])]
+                coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
+            edges = [(label_from_json(u), label_from_json(v)) for u, v in map(exact, repeat(list), data["edges"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
-        den = math.lcm(*{d for _, d in coords})
-        verts, tail, head, ids = _label_ids(verts, edges)
-        g = cls.__new__(cls)
-        g._init(verts, tail, head, [n * (den // d) for n, d in coords], den, ids)
-        return g
+        return cls(verts, edges, coords)
 
     def _split_edges(self) -> list[int]:
         """The ids of the dotted edges: each lb copy's one edge, to its position's tr copy."""
@@ -604,20 +591,16 @@ class EmbeddedDigraph(Digraph):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        # each graph is in lowest terms over its least denominator: equal points, equal numerators
-        xs, ys, ids = other._x, other._y, other._id
-        return super().__eq__(other) and self._den == other._den and all(
-            (x, y) == (xs[ids[v]], ys[ids[v]]) for v, x, y in zip(self._verts, self._x, self._y)
-        )
+        return super().__eq__(other) and self.coords == other.coords
 
 
 # exactly the str(Fraction) that to_json_dict writes: no leading zero, d > 1 in lowest terms
 _COORD = re.compile(r"(-?[1-9][0-9]*|0)(?:/([2-9]|[1-9][0-9]+))?")
 
 
-def _parse_coord(text) -> tuple[int, int]:
-    """(numerator, denominator) of a coordinate string, the denominator 1 for an integer."""
+def _parse_coord(text) -> Fraction:
+    """The Fraction a coordinate string writes: the JSON reader's one maker of Fractions."""
     match = _COORD.fullmatch(exact(str, text))
     if match is None or (match[2] and math.gcd(int(match[1]), int(match[2])) != 1):
         raise ValueError(f"coordinate {text!r} is not '<n>' or '<n>/<d>' in lowest terms")
-    return int(match[1]), int(match[2] or 1)
+    return Fraction(int(match[1]), int(match[2] or 1))

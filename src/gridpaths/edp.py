@@ -375,13 +375,14 @@ def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     subtrees included: it bounds the tree, not the time (random (3,5) d=0.1
     seed 1 answers None after 7.1e6 expansions, 3.8 s on a 2-CPU VM).
     """
+    pairs = _pairs(terminals)  # read once: both searches take it, and terminals may be a one-shot iterable
     try:
-        return _search(g, terminals, budget)
+        return _search(g, pairs, budget)
     except BudgetExceededError:
         pass
     # backtracking cost is heavy-tailed across search orders, so the mirror
     # decides many of the first search's budget hits
-    mirror = [(t, s) for s, t in reversed(_pairs(terminals))]
+    mirror = [(t, s) for s, t in reversed(pairs)]
     try:
         ps = _search(g._reverse(), mirror, (budget + 1) // 2)
     except BudgetExceededError:

@@ -207,6 +207,13 @@ class TestReduce:
         assert data["degree_reduced"] is False
         assert len(data["terminals"]) == 4
 
+    def test_empty_out_path_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # "" names no file: open refuses it, so neither the document nor the report reaches stdout
+        inst = gen_instance(capsys, tmp_path)
+        code, out, err = run(capsys, "reduce", str(inst), "--out", "")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ")
+
     def test_degree2_flag_caps_degrees(self, capsys, tmp_path):
         inst = gen_instance(capsys, tmp_path)
         red = tmp_path / "red2.json"
@@ -670,6 +677,19 @@ class TestExport:
                 code, _, err = run(capsys, "export", str(gjson), "--format", fmt, "--out", str(tmp_path / "g.out"))
                 assert code == EXIT_USAGE
                 assert "malformed graph document" in err
+
+    def test_bare_document_of_a_bad_graph_exits_2(self, capsys, tmp_path):
+        inst = gen_instance(capsys, tmp_path)
+        red = tmp_path / "red.json"
+        run(capsys, "reduce", str(inst), "--out", str(red))
+        gjson = tmp_path / "g.json"
+        run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
+        doc = json.loads(gjson.read_text())
+        doc["edges"].append(doc["edges"][0])  # a parallel edge
+        gjson.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export", str(gjson), "--format", "json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: parallel edge (")
 
     def test_tampered_reduction_document_exits_2(self, capsys, tmp_path):
         # planted (2,4) noise=2 seed=1 splits (1,1,2,2) but not (1,1,2,1)

@@ -707,6 +707,25 @@ class TestSerialization:
         data["vertices"][0]["coord"] = ["-7/3", "-12"]
         assert EmbeddedDigraph.from_json_dict(data).coords[g.vertices[0]] == (Fraction(-7, 3), -12)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda vs, es: vs.append(copy.deepcopy(vs[3])), "duplicate vertex GridVertex("),
+            (lambda vs, es: vs.append({"label": vs[3]["label"], "coord": ["9", "9"]}), "duplicate vertex GridVertex("),
+            (lambda vs, es: es.append([vs[0]["label"], label_to_json(GridVertex(9, 9, 9, 9))]), "edge 15 references a missing vertex"),
+            (lambda vs, es: es.append(copy.deepcopy(es[4])), "parallel edge ("),
+            (lambda vs, es: es[4].__setitem__(1, es[4][0]), "self-loop at "),
+            (lambda vs, es: vs[1].__setitem__("coord", vs[0]["coord"]), "vertex coordinates are not pairwise distinct"),
+        ],
+        ids=["duplicate-vertex", "duplicate-vertex-elsewhere", "unlisted-end", "parallel-edge", "self-loop", "one-point"],
+    )
+    def test_structural_fault_in_bare_document_rejected(self, fault, message):
+        # planted (1, 2) has 11 vertices and 15 edges; each fault leaves a well-formed document of a bad graph
+        data = reduce(generate_planted(1, 2, noise=0, seed=0)).graph.to_json_dict()
+        fault(data["vertices"], data["edges"])
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            EmbeddedDigraph.from_json_dict(data)
+
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_edge_end_equal_to_a_vertex_only_as_a_python_value_rejected(self, value):
         # 1 == True == 1.0, but an edge end must be spelled as its vertex's label is

@@ -770,6 +770,24 @@ class TestMirrorSearch:
         assert ps.paths == [path[::-1] for path in reversed(mirrored.paths)]
         assert check_edp_solution(out.graph, out.terminals, ps) == []
 
+    @pytest.mark.parametrize("one_shot", [iter, lambda pairs: (pair for pair in pairs)], ids=["iterator", "generator"])
+    @pytest.mark.parametrize(
+        "inst, raises",
+        [(generate_random(3, 5, density=0.1, seed=1), True), (generate_planted(2, 4, noise=2, seed=10), False)],
+        ids=["random-3-5-budget-hit", "planted-2-4-mirror-decides"],
+    )
+    def test_one_shot_pairs_are_read_once(self, one_shot, inst, raises):
+        # both need the mirror search, which must see the pairs the first search consumed
+        out = reduce(inst)
+        pairs = list(out.terminals.pairs)
+        if raises:  # both searches run out, as with the list
+            with pytest.raises(BudgetExceededError):
+                solve_edp_dag(out.graph, one_shot(pairs), budget=10_000)
+        else:
+            ps = solve_edp_dag(out.graph, one_shot(pairs), budget=10_000)
+            assert ps == solve_edp_dag(out.graph, pairs, budget=10_000)
+            assert check_edp_solution(out.graph, out.terminals, ps) == []
+
     def test_both_searches_agree_on_reductions(self):
         # where the first and the mirror search both decide at 10^4, they
         # agree with the grid tiling answer
