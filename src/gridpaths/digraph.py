@@ -5,14 +5,14 @@ connector chain, terminal, fan-tree node).  Inside, a vertex is the int id
 of its place in the vertex list and an edge the int id of its place in the
 edge list; every algorithm here runs on ids and turns them back into labels
 only in what it returns.  Every graph is made by one id-level initializer,
-``_init``: the label constructors map labels to ids and Fractions to integer
-numerators and call it (the JSON reader decodes labels and coordinates for
-them), and the reduction, which hands out ids itself, calls it directly.
-Embedded graphs carry exact rational coordinates, the single source of truth
-for the combinatorial embedding: the counterclockwise order of the neighbors
-around each vertex is the rotation system, its faces are traced, and Euler's
-formula V - E + F = 2 - 2g yields the genus.  Genus zero certifies that the
-drawing is planar; no general-purpose planarity test is involved.
+``_init``, which keeps the int numerators and denominator it is given: the
+label constructors map labels to ids and Fractions to numerators over their
+least common denominator, and the reduction, which hands out ids and
+numerators itself, calls it directly.  These exact coordinates are the single
+source of truth for the combinatorial embedding: the counterclockwise order
+of the neighbors around each vertex is the rotation system, its faces are
+traced, and Euler's formula V - E + F = 2 - 2g yields the genus.  Genus zero
+certifies the drawing planar; no general-purpose planarity test is involved.
 
 The rotation system lives on flat dart lists.  Each edge gives two darts,
 one leaving either end; every dart gets an integer angle key, computed once
@@ -29,7 +29,6 @@ import inspect
 import math
 import operator
 import re
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -390,8 +389,8 @@ class EmbeddingCheck:
 class EmbeddedDigraph(Digraph):
     """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
 
-    Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: integer numerators over the least
-    common denominator, in two arrays of 64-bit ints (lists when a numerator does not fit); graphs
+    Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: two lists of int numerators over the
+    denominator the graph's maker gave (the label constructor's: the least common one); graphs
     compare by labels, edges and ``coords``.  Fractions are made only at the I/O edge: by ``coords``,
     the JSON writer and ``_parse_coord``.  A vertex that is a package label has its fields in the
     domains ``label_from_json`` takes, so the document reads back and DOT names differ.
@@ -411,41 +410,34 @@ class EmbeddedDigraph(Digraph):
             raise ValueError(f"missing coordinate for {exc.args[0]!r}") from None
         if len(coords) != len(ids):
             raise ValueError("coordinates given for unknown vertices")
-        if bad := [v for v, xy in zip(verts, given) if len(xy) != 2 or {type(c) for c in xy} - {int, Fraction}]:  # no float or bool
+        if bad := [v for v, xy in zip(verts, given) if not isinstance(xy, (tuple, list)) or len(xy) != 2
+                   or {*map(type, xy)} - {int, Fraction}]:  # no float or bool; no dict, set or range: not in order
             raise ValueError(f"coordinate of {bad[0]!r} is not a pair of ints or Fractions: {coords[bad[0]]!r}")
         den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
         self._init(verts, tail, head, [c.numerator * (den // c.denominator) for xy in given for c in xy], den)
 
     def _init(self, verts, tail, head, xy: list[int], den: int) -> None:
-        """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as two arrays, in lowest terms."""
+        """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as given, in two lists."""
         super()._init(verts, tail, head)
-        xs, ys = xy[0::2], xy[1::2]
-        if len(set(zip(xs, ys))) != len(verts):
+        self._x, self._y, self._den = xy[0::2], xy[1::2], den
+        if len(set(zip(self._x, self._y))) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
-        g = math.gcd(den, *xy)
-        self._den = den // g
-        if g > 1:
-            xs, ys = [x // g for x in xs], [y // g for y in ys]
-        try:
-            self._x, self._y = array("q", xs), array("q", ys)
-        except OverflowError:  # a numerator past 64 bits, which a bare graph document may hold
-            self._x, self._y = xs, ys
 
     @property
     def coords(self) -> Mapping[Label, Coord]:
         den, points = self._den, zip(self._verts, self._x, self._y)
         return MappingProxyType({v: (Fraction(x, den), Fraction(y, den)) for v, x, y in points})
 
-    def _runs(self) -> tuple[list[int], array]:
-        """(order, start): vertex id n's darts, counterclockwise from +x, are order[start[n]:start[n + 1]].
+    def _runs(self) -> tuple[list[int], list[int]]:
+        """(order, start), two lists: vertex id n's darts, counterclockwise from +x, are order[start[n]:start[n + 1]].
 
-        Dart 2e leaves the tail of edge e and dart 2e + 1 its head.  A point is coded as x * w + y
-        for w = 2 * (y spread) + 1, so an edge's direction (dx, dy) is the difference of its ends'
-        codes, dx * w + dy, and the reverse direction's code is its negation.  The key of a
-        direction, s = |dx| + |dy|, is floor(m * p) for the pseudo-angle p = 1 - dx/s on [0, pi),
-        3 + dx/s on [pi, 2 pi), which grows with the angle from +x; distinct dx/s differ by >= 1/m
-        for m = (x spread + y spread)**2, so equal keys mean one ray.  Keys are computed once per
-        distinct code and ranked, and one sort of all D darts orders every rotation.
+        Dart 2e leaves the tail of edge e and dart 2e + 1 its head.  A point, in numerators at any common
+        scale, is coded as x * w + y for w = 2 * (y spread) + 1, so an edge's direction (dx, dy) is the
+        difference of its ends' codes, dx * w + dy, and the reverse direction's code is its negation.  The
+        key of a direction, s = |dx| + |dy|, is floor(m * p) for the pseudo-angle p = 1 - dx/s on [0, pi),
+        3 + dx/s on [pi, 2 pi), which grows with the angle from +x; distinct dx/s differ by >= 1/m for
+        m = (x spread + y spread)**2, so equal keys mean one ray.  Keys are computed once per distinct
+        code and ranked, and one sort of all D darts orders every rotation.
         """
         tail, head, xs, ys = self._tail, self._head, self._x, self._y
         ndarts = 2 * len(tail)
@@ -483,7 +475,7 @@ class EmbeddedDigraph(Digraph):
             order += map(operator.mod, islice(darts, step), repeat(stride))
             del darts[:step]
         degrees = map(operator.add, map(len, self._out), map(len, self._in))
-        return order, array("l", accumulate(degrees, initial=0))
+        return order, list(accumulate(degrees, initial=0))
 
     def _name_tie(self, darts: list[int], stride: int, nkeys: int) -> None:
         """Raise for the first two sorted darts that leave one vertex along one ray."""

@@ -205,7 +205,7 @@ def _derive(inst: GridTilingInstance, degree_reduced: bool = False) -> Reduction
     return ReductionOutput(graph, TerminalSet(pairs), inst, counts, degree_reduced, layout)
 
 
-def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDigraph, tuple[array, array]]:
+def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDigraph, tuple[list[int], list[int]]]:
     """The base graph with each grid position split or whole, on vertex ids, and its layout.
 
     A position whose (q, ell) is absent from its cell's set becomes an lb copy
@@ -217,11 +217,11 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDig
     tr, the connector chains (the rows' first), the terminals, the tree
     nodes (pre-order).  Edges: grid, connector, then fan and dotted edges, or
     with trees dotted and tree edges.  Coordinates are numerators over 4, or
-    8 * levels with trees, which the graph reduces to the least denominator.
+    8 * levels with trees, which the graph keeps as they are.
     The positions are made here, the rest comes from the cached ``_base``.
 
-    The layout (entry, exit), two int arrays, maps each shape id of ``_base`` to the vertex id
-    that receives its edges and the one that sends them, which the forward map reads.
+    The layout (entry, exit), the two int lists made here, maps each shape id of ``_base`` to the
+    vertex id that receives its edges and the one that sends them, which the forward map reads.
     """
     base = _base(k, N, trees)
     pitch, den, quarter = N + 1, base.den, base.den // 4
@@ -256,7 +256,7 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDig
     head[at:at] = [n + 1 for n in dotted]  # a tr copy follows its lb copy
     g = EmbeddedDigraph.__new__(EmbeddedDigraph)
     g._init(verts, tail, head, xy, den)
-    return g, (array("l", entry), array("l", exit_))
+    return g, (entry, exit_)
 
 
 class _Base(NamedTuple):

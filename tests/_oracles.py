@@ -32,6 +32,10 @@ tests call them: the edge and neighbourhood queries on a ``Digraph``; the
 lb -> tr edge test, an oracle for the split-edge list; and the grid-line
 helpers.
 
+Undirected edge-disjoint paths live only here too: ``undirected_edp_exhaustive``
+tries every simple path of each pair on the underlying graph, arcs walked either
+way, to show where a reduction's "no" depends on the arc directions.
+
 The row and column paths read each grid lane through the validating
 ``grid_vertex_parts`` (``_grid_line``), and the reference checker and
 confinement rule are the package's before they worked on vertex ids:
@@ -141,6 +145,45 @@ def vdp_feasible_exhaustive(g: Digraph, pairs) -> bool:
         if ok:
             return True
     return False
+
+
+def undirected_edp_exhaustive(g: Digraph, pairs) -> list[list] | None:
+    """Edge-disjoint paths on the underlying undirected graph: one per pair, in pair order, or None.
+
+    Each path is simple and may walk an arc against its direction; each edge, in either direction,
+    is used by one path at most.  Every simple path of each pair is tried, so a None is exhaustive.
+    """
+    around = {v: [*g.out(v), *g.inn(v)] for v in g.vertices}
+    used: set[frozenset] = set()
+    found: list[list] = []
+
+    def route(i: int) -> bool:
+        if i == len(pairs):
+            return True
+        source, target = pairs[i]
+        trail = [source]
+
+        def walk(v) -> bool:
+            if v == target:
+                found.append(list(trail))
+                if route(i + 1):
+                    return True
+                found.pop()
+                return False
+            for w in around[v]:
+                edge = frozenset((v, w))
+                if edge not in used and w not in trail:
+                    used.add(edge)
+                    trail.append(w)
+                    if walk(w):
+                        return True
+                    trail.pop()
+                    used.remove(edge)
+            return False
+
+        return walk(source)
+
+    return found if route(0) else None
 
 
 def random_dag(seed: int, max_vertices: int = 12) -> tuple[Digraph, list[tuple]]:
@@ -426,7 +469,7 @@ def build_reference(k: int, N: int, sets: dict, trees: bool = False) -> Embedded
     tr, the connector chains (the rows' first), the terminals, the tree
     nodes (pre-order).  Edges: grid, connector, then fan and dotted edges, or
     with trees dotted and tree edges.  Coordinates are numerators over 4, or
-    8 * levels with trees, which the graph reduces to the least denominator.
+    8 * levels with trees, which the graph keeps as they are.
     """
     pitch = N + 1
     ks, ells = range(1, k + 1), range(1, N + 1)

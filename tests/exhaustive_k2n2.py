@@ -1,0 +1,88 @@
+"""Every grid tiling instance with k = 2 and N = 2, end to end, in both forms of the reduction.
+
+Each of the four cells holds one of the 16 subsets of [2] x [2], so there are 16**4 = 65,536
+instances; instance ``index`` gives cell number c (in ``cells()`` order) the subset whose bits are
+hex digit c of ``index``.  The feasibility answer of each comes from
+``_oracles.gt_solutions_exhaustive``, which shares no code with the solvers under test:
+
+* direct form: ``cli.roundtrip_report`` must report ``ok``, with both solvers giving that answer;
+* degree-2 form: after ``reduce_degree``, ``solve_edp_dag`` and ``solve_gt_brute_force`` must give
+  that answer, and on a "yes" the solver's paths and the forward map's must pass
+  ``check_edp_solution``, the backward map's assignment ``check_gt_solution``, and the backward map
+  of the forward map's paths must give back the assignment.
+
+Run from the root of a checkout; it prints every mismatch and a summary, and exits 1 on any
+mismatch (about 45 s on one CPU):
+
+    PYTHONPATH=src python -m tests.exhaustive_k2n2
+
+pytest does not collect this file; ``tests/test_cli.py`` runs ``mismatches`` on a fixed sample.
+"""
+
+import sys
+import time
+from itertools import product
+
+from gridpaths import cli
+from gridpaths.edp import check_edp_solution, solve_edp_dag
+from gridpaths.gridtiling import GridTilingInstance, _cells, check_gt_solution, solve_gt_brute_force
+from gridpaths.mappers import gt_solution_to_paths, paths_to_gt_solution
+from gridpaths.reduction import reduce, reduce_degree
+
+from ._oracles import gt_solutions_exhaustive
+
+COUNT = 16**4
+BUDGET = 10**6
+_POINTS = list(product((1, 2), repeat=2))
+_SUBSETS = [frozenset(p for bit, p in enumerate(_POINTS) if mask >> bit & 1) for mask in range(16)]
+_CELLS = list(_cells(2))
+
+
+def instance(index: int) -> GridTilingInstance:
+    """Instance number ``index``, 0 <= index < COUNT."""
+    return GridTilingInstance(2, 2, {cell: _SUBSETS[index >> 4 * c & 15] for c, cell in enumerate(_CELLS)})
+
+
+def mismatches(indices) -> tuple[int, list[str]]:
+    """(the number of feasible instances, one line per mismatch) over the instances numbered ``indices``."""
+    feasible, found = 0, []
+    for index in indices:
+        inst = instance(index)
+        want = bool(gt_solutions_exhaustive(inst))
+        answer = "feasible" if want else "infeasible"
+        feasible += want
+
+        report = cli.roundtrip_report(inst, BUDGET)
+        solver = report["solver"]
+        if not report["ok"] or solver["grid_tiling"] != answer or solver["edge_disjoint_paths"] != answer:
+            found.append(f"{index} direct: ok {report['ok']}, solvers {solver}, oracle {answer}")
+
+        out = reduce_degree(reduce(inst))
+        paths = solve_edp_dag(out.graph, out.terminals, budget=BUDGET)
+        tiling = solve_gt_brute_force(inst, budget=BUDGET)
+        if (paths is not None) != want or (tiling is not None) != want:
+            found.append(f"{index} degree-2: paths {paths is not None}, tiling {tiling is not None}, oracle {answer}")
+        elif paths is not None:
+            forward = gt_solution_to_paths(out, tiling)
+            faults = check_edp_solution(out.graph, out.terminals, paths)
+            faults += check_edp_solution(out.graph, out.terminals, forward)
+            if not check_gt_solution(inst, paths_to_gt_solution(out, paths)):
+                faults.append("the backward map of the solver's paths is not a solution")
+            if paths_to_gt_solution(out, forward) != tiling:
+                faults.append("the backward map of the forward map is not the identity")
+            if faults:
+                found.append(f"{index} degree-2: " + "; ".join(faults))
+    return feasible, found
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    feasible, found = mismatches(range(COUNT))
+    for line in found:
+        print(line)
+    print(f"{COUNT} instances, {feasible} feasible, {len(found)} mismatches, {time.perf_counter() - t0:.1f} s")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

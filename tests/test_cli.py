@@ -25,6 +25,7 @@ from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 from gridpaths.reduction import GraphCounts, TerminalSet
 
+from . import exhaustive_k2n2
 from ._oracles import is_dotted_edge
 from .test_reduction import empty_instance, full_instance
 
@@ -323,6 +324,12 @@ class TestRoundtrip:
             report = json.loads(out)["runs"][0]["report"]
             assert report["solver"] == {"grid_tiling": "infeasible", "edge_disjoint_paths": "infeasible", "agree": True}
             assert report["roundtrip"] is None
+
+    def test_sample_of_every_k2_n2_instance_in_both_forms(self):
+        # CI runs all 16**4 instances through the same function
+        count = exhaustive_k2n2.COUNT
+        feasible, found = exhaustive_k2n2.mismatches([*range(0, count, 197), count - 1])
+        assert found == [] and feasible == 217  # of 334, by the exhaustive oracle
 
     def test_multiple_files(self, capsys, tmp_path):
         a = gen_instance(capsys, tmp_path)
@@ -771,6 +778,15 @@ class TestMalformedInput:
         assert err.startswith("error: coordinate of GridVertex(i=1, j=1, q=1, ell=1, part='whole') is outside")
         code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
         assert code == EXIT_OK
+        # a numerator past 64 bits reads back: the export re-exports to its own bytes and coordinates
+        argv = ("export", str(tmp_path / "g.json"), "--format", "json", "--out", str(tmp_path / "g2.json"))
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        text = (tmp_path / "g.json").read_text()
+        assert (tmp_path / "g2.json").read_text() == text
+        exported = EmbeddedDigraph.from_json_dict(json.loads(text))
+        assert exported.coords == EmbeddedDigraph.from_json_dict(doc).coords
+        assert exported.coords[exported.vertices[0]][0] == 10**400
 
     def test_distinct_coordinates_at_one_float_position_exit_2_on_dot_export(self, capsys, tmp_path):
         doc = json.loads(json.dumps(_GRAPH_DOC))

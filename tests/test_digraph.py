@@ -124,6 +124,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="coordinate of 'b' is not a pair of ints or Fractions"):
             EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, 0), "b": bad})
 
+    @pytest.mark.parametrize("bad", [{3: "x", 1: "y"}, {2, 1}, range(4, 6), 5])
+    def test_coordinate_that_is_not_a_tuple_or_list_rejected(self, bad):
+        # a dict reads as its keys and a set in hash order; an int has no length
+        with pytest.raises(ValueError, match="^coordinate of 'a' is not a pair of ints or Fractions"):
+            EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": bad, "b": (9, 9)})
+
+    @pytest.mark.parametrize("pair", [[3, Fraction(1, 2)], (3, Fraction(1, 2))])
+    def test_coordinate_as_a_list_or_a_tuple_accepted(self, pair):
+        g = EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": pair, "b": (9, 9)})
+        assert g.coords == {"a": (3, Fraction(1, 2)), "b": (9, 9)}
+
     @pytest.mark.parametrize(
         "bad, reason",
         [
@@ -169,9 +180,9 @@ class TestIdInitializer:
         g._init(["a", "b", "c"], tail, head, [c for point in xy for c in point], den)
         return g
 
-    def test_denominator_is_reduced(self):
+    def test_numerators_and_denominator_are_kept_as_given(self):
         g = self._embedded([0, 1], [1, 2], [(0, 0), (4, 2), (8, 12)], 8)
-        assert g._den == 4 and list(zip(g._x, g._y)) == [(0, 0), (2, 1), (4, 6)]
+        assert g._den == 8 and g._x == [0, 4, 8] and g._y == [0, 2, 12]
         assert g.coords == {"a": (0, 0), "b": (Fraction(1, 2), Fraction(1, 4)), "c": (1, Fraction(3, 2))}
         assert g == EmbeddedDigraph(["a", "b", "c"], [("a", "b"), ("b", "c")], g.coords)
 

@@ -42,6 +42,7 @@ from ._oracles import (
     rotate_instance,
     signed_area,
     transpose_instance,
+    undirected_edp_exhaustive,
     vdp_feasible_exhaustive,
 )
 
@@ -385,6 +386,27 @@ class TestVdp:
     def test_small_reductions_have_no_vertex_disjoint_routing(self, k, n, planted, degree2):
         out = _reduction(k, n, planted, degree2)
         assert enumerate_routes(out.graph, out.terminals.pairs, True)[0] is None
+
+
+class TestUndirected:
+    """The arc directions carry the hardness: undirected EDP is FPT in k, so a reduction's "no" must use them."""
+
+    def test_empty_cell_routes_undirected_in_the_direct_form_only(self):
+        out = reduce(GridTilingInstance(1, 3, {(1, 1): frozenset()}))
+        g, pairs = out.graph, out.terminals.pairs
+        assert g.num_vertices == 22
+        assert solve_edp_dag(g, out.terminals) is None and not edp_feasible_exhaustive(g, pairs)
+        paths = undirected_edp_exhaustive(g, pairs)
+        assert paths is not None and [(path[0], path[-1]) for path in paths] == list(pairs)
+        # simple paths along the underlying graph's edges, no edge used twice in either direction
+        steps = [frozenset(step) for path in paths for step in zip(path, path[1:])]
+        assert set(steps) <= {frozenset(edge) for edge in g.edges} and len(set(steps)) == len(steps)
+        assert all(len(set(path)) == len(path) for path in paths)
+        # here the row path reaches d_1 through b_1, in along one fan edge and out along another; in
+        # the degree-2 form a terminal has two edges, too few to end one path and pass another on
+        degree2 = reduce_degree(out)
+        assert degree2.graph.num_vertices == 26
+        assert undirected_edp_exhaustive(degree2.graph, degree2.terminals.pairs) is None
 
 
 class TestPairOrder:

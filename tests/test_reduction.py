@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
@@ -431,7 +430,7 @@ class TestIdConstruction:
         out = reduce(inst)
         g = reduce_degree(out).graph if trees else out.graph
         h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
-        for attr in ("_verts", "_tail", "_head", "_out", "_in", "_edge_keys", "_x", "_y", "_den"):
+        for attr in ("_verts", "_tail", "_head", "_out", "_in", "_edge_keys", "coords"):
             assert getattr(g, attr) == getattr(h, attr), attr
 
 
@@ -489,7 +488,7 @@ class TestBaseCache:
                         path[:] = [None] * len(path)
                     g = x.graph
                     for ids in (*x.layout, g._x, g._y):
-                        ids[:] = array(ids.typecode, bytes(ids.itemsize * len(ids)))
+                        ids[:] = [0] * len(ids)
                     g._tail[:] = [0] * len(g._tail)
                     g._head[:] = [0] * len(g._head)
                     g._verts[:] = [None] * len(g._verts)
