@@ -16,11 +16,11 @@ certifies the drawing planar; no general-purpose planarity test is involved.
 
 The rotation system lives on flat dart lists.  Each edge gives two darts,
 one leaving either end; every dart gets an integer angle key, computed once
-per distinct edge direction, and one sort of all darts by (vertex, key)
-lays out every vertex's rotation as a contiguous run.  Two darts of one
-vertex with equal keys lie on one ray, which leaves the rotation undefined
-and is reported by name.  The faces are the cycles of the successor list
-built from the runs.
+per distinct edge direction, and one stable sort of the dart ids by
+(vertex, key) lays out every vertex's rotation as a contiguous run.  Two
+darts of one vertex with equal keys lie on one ray, which leaves the
+rotation undefined and is reported by name.  The faces are the cycles of
+the successor list built from the runs.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
-from .errors import EmbeddingError, exact
+from .errors import EmbeddingError, exact, exact_fields
 
 Label = Hashable
 Coord = tuple[Fraction, Fraction]
@@ -437,7 +437,7 @@ class EmbeddedDigraph(Digraph):
         key of a direction, s = |dx| + |dy|, is floor(m * p) for the pseudo-angle p = 1 - dx/s on [0, pi),
         3 + dx/s on [pi, 2 pi), which grows with the angle from +x; distinct dx/s differ by >= 1/m for
         m = (x spread + y spread)**2, so equal keys mean one ray.  Keys are computed once per distinct
-        code and ranked, and one sort of all D darts orders every rotation.
+        code and ranked, and one stable sort of the D dart ids by ray orders every rotation.
         """
         tail, head, xs, ys = self._tail, self._head, self._x, self._y
         ndarts = 2 * len(tail)
@@ -455,35 +455,26 @@ class EmbeddedDigraph(Digraph):
             r = dx * m // (abs(dx) + abs(dy))
             keys[c] = m - r if dy > 0 or (dy == 0 and dx > 0) else 3 * m + r
         rank = {key: i for i, key in enumerate(sorted(set(keys.values())))}
-        # Dart d sorts as ray * 2D + d, its ray being vertex * K + the rank of its key: ties go by
-        # edge id, and two darts that leave one vertex along one ray differ by less than D.  Each
-        # temporary is freed once used, and the rank terms are the shared ints of two small dicts.
-        stride = 2 * ndarts
-        rank_terms = list(map({c: rank[keys[c]] * stride for c in keys}.__getitem__, code))
-        rank_terms += map({c: rank[keys[-c]] * stride for c in keys}.__getitem__, code)
+        # a dart's ray is its vertex * K + the rank of its key, K ranks in all: one ray, one value
+        nkeys, ray = len(rank), [0] * ndarts
+        ray[0::2] = map(operator.add, map(operator.mul, tail, repeat(nkeys)),
+                        map({c: rank[keys[c]] for c in keys}.__getitem__, code))
+        ray[1::2] = map(operator.add, map(operator.mul, head, repeat(nkeys)),
+                        map({c: rank[keys[-c]] for c in keys}.__getitem__, code))
         del code
-        vertex_terms = map(operator.mul, chain(tail, head), repeat(len(rank) * stride))
-        dart_ids = chain(range(0, ndarts, 2), range(1, ndarts, 2))
-        darts = list(map(operator.add, map(operator.add, vertex_terms, rank_terms), dart_ids))
-        del rank_terms
-        darts.sort()
-        if min(map(operator.sub, islice(darts, 1, None), darts), default=ndarts) < ndarts:
-            self._name_tie(darts, stride, len(rank))
-        order: list[int] = []
-        step = ndarts // 8 + 1
-        while darts:  # an eighth at a time, each one's sort keys freed before the next is read
-            order += map(operator.mod, islice(darts, step), repeat(stride))
-            del darts[:step]
+        order = sorted(range(ndarts), key=ray.__getitem__)  # stable: ties go by dart id
+        if any(map(operator.eq, map(ray.__getitem__, order), map(ray.__getitem__, islice(order, 1, None)))):
+            self._name_tie(order, ray, nkeys)
         degrees = map(operator.add, map(len, self._out), map(len, self._in))
         return order, list(accumulate(degrees, initial=0))
 
-    def _name_tie(self, darts: list[int], stride: int, nkeys: int) -> None:
-        """Raise for the first two sorted darts that leave one vertex along one ray."""
+    def _name_tie(self, order: list[int], ray: list[int], nkeys: int) -> None:
+        """Raise for the first two darts, adjacent in ``order``, that leave one vertex along one ray."""
         verts, tail, head = self._verts, self._tail, self._head
-        for a, b in zip(darts, darts[1:]):
-            if a // stride == b // stride:
-                v = a // stride // nkeys
-                u, w = (verts[tail[d >> 1] + head[d >> 1] - v] for d in (a % stride, b % stride))
+        for a, b in zip(order, order[1:]):
+            if ray[a] == ray[b]:
+                v = ray[a] // nkeys
+                u, w = (verts[tail[d >> 1] + head[d >> 1] - v] for d in (a, b))
                 if u == w:
                     raise ValueError(f"antiparallel edges between {verts[v]!r} and {u!r}")
                 raise EmbeddingError(
@@ -537,13 +528,13 @@ class EmbeddedDigraph(Digraph):
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
         try:
-            verts, coords = [], {}
-            for entry in data["vertices"]:
-                v = label_from_json(entry["label"])
-                x_str, y_str = exact(list, entry["coord"])
+            (vertices, edges), verts, coords = exact_fields(data, "vertices", "edges"), [], {}
+            for label, coord in map(exact_fields, vertices, repeat("label"), repeat("coord")):
+                v = label_from_json(label)
+                x_str, y_str = exact(list, coord)
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
-            edges = [(label_from_json(u), label_from_json(v)) for u, v in map(exact, repeat(list), data["edges"])]
+            edges = [(label_from_json(u), label_from_json(v)) for u, v in map(exact, repeat(list), edges)]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         return cls(verts, edges, coords)

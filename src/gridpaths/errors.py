@@ -1,4 +1,4 @@
-"""Exception types, the solver budget and the JSON type rule shared across modules."""
+"""Exception types, the solver budget and the JSON type and key rules shared across modules."""
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -27,3 +27,16 @@ def exact(kind: type, value):
     if type(value) is not kind:
         raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def exact_fields(data, *keys: str) -> list:
+    """The values of ``keys`` in JSON object ``data``, which has exactly those keys, else a TypeError or KeyError.
+
+    Every JSON reader takes its objects apart through this, so that no key a writer never writes is
+    dropped unread.  A missing key with as many keys in all is the KeyError of reading it.
+    """
+    if type(data) is not dict:  # named by its type: the object may be a whole document
+        raise TypeError(f"expected a JSON object with keys {list(keys)}, got a value of type {type(data).__name__}")
+    if len(data) != len(keys):
+        raise TypeError(f"keys {sorted(data)}, expected {list(keys)}")
+    return [data[key] for key in keys]

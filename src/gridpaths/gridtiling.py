@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice, product, repeat
 from typing import Iterator, Mapping
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, exact
+from .errors import DEFAULT_BUDGET, BudgetExceededError, exact, exact_fields
 
 Pair = tuple[int, int]
 Cell = tuple[int, int]
@@ -55,10 +55,9 @@ class GridTilingInstance:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridTilingInstance":
         try:
-            k = exact(int, data["k"])
-            n = exact(int, data["N"])
+            k, n, given = map(exact, (int, int, dict), exact_fields(data, "k", "N", "sets"))
             sets = {}
-            for key, pairs in exact(dict, data["sets"]).items():
+            for key, pairs in given.items():
                 cell = _CELL_KEY.fullmatch(key)
                 if cell is None:
                     raise ValueError(f"cell key {key!r} is not '<x>,<y>' in positive decimals")

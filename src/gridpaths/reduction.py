@@ -36,7 +36,7 @@ from .digraph import (
     VConnector,
     label_to_json,
 )
-from .errors import exact
+from .errors import exact, exact_fields
 from .gridtiling import GridTilingInstance, _size_violations, _valid
 
 SIDES = ("left", "right", "top", "bottom")
@@ -135,9 +135,10 @@ class ReductionOutput:
         equal, so a part made of those alone that compares equal is the encoding exactly.
         """
         try:
-            degree_reduced = exact(bool, data["degree_reduced"])
-            stored = {part: data[part] for part in ("graph", "terminals", "counts")}
-            inst = GridTilingInstance.from_json_dict(data["instance"])
+            keys = ("instance", "graph", "terminals", "counts", "degree_reduced")
+            stored = dict(zip(keys, exact_fields(data, *keys)))
+            degree_reduced = exact(bool, stored.pop("degree_reduced"))
+            inst = GridTilingInstance.from_json_dict(stored.pop("instance"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
         out = _derive(inst, degree_reduced)

@@ -802,6 +802,45 @@ class TestMalformedInput:
         code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "place, message",
+        [
+            ("reduction", "malformed reduction document: keys ['counts', 'degree_reduced', 'graph', 'instance', "
+                          "'note', 'terminals'], expected ['instance', 'graph', 'terminals', 'counts', 'degree_reduced']"),
+            ("graph", "malformed graph document: keys ['edges', 'note', 'vertices'], expected ['vertices', 'edges']"),
+            ("vertex", "malformed graph document: keys ['coord', 'label', 'note'], expected ['label', 'coord']"),
+            ("instance", "malformed grid tiling instance: keys ['N', 'k', 'note', 'sets'], expected ['k', 'N', 'sets']"),
+        ],
+    )
+    def test_unknown_key_exits_2(self, capsys, tmp_path, place, message):
+        # each reader takes exactly the keys its writer writes: one more is named, not dropped unread
+        inst, red, bare = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "g.json"
+        assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
+        assert run(capsys, "export", str(red), "--format", "json", "--out", str(bare))[0] == EXIT_OK
+        path = {"reduction": red, "graph": bare, "vertex": bare, "instance": inst}[place]
+        doc = json.loads(path.read_text())
+        (doc["vertices"][0] if place == "vertex" else doc)["note"] = 1
+        path.write_text(json.dumps(doc))
+        if place == "instance":
+            commands = [("reduce", str(path), "--out", str(tmp_path / "r.json")), ("roundtrip", str(path))]
+        else:
+            commands = [("export", str(path), "--format", fmt) for fmt in ("json", "dot")]
+        for argv in commands:
+            assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "3", '"x"', "null", "true"])
+    def test_document_that_is_not_an_object_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        kind = type(json.loads(text)).__name__
+        for argv, reader, keys in (
+            (("export", str(path)), "graph document", "['vertices', 'edges']"),
+            (("reduce", str(path), "--out", str(tmp_path / "r.json")), "grid tiling instance", "['k', 'N', 'sets']"),
+            (("roundtrip", str(path)), "grid tiling instance", "['k', 'N', 'sets']"),
+        ):
+            message = f"error: malformed {reader}: expected a JSON object with keys {keys}, got a value of type {kind}\n"
+            assert run(capsys, *argv) == (EXIT_USAGE, "", message)
+
     def test_huge_k_reports_missing_cells_without_making_them(self, capsys, tmp_path, monkeypatch):
         cells = gridtiling._cells
 

@@ -40,6 +40,7 @@ from ._oracles import (
     rotations_by_comparison,
     rotations_from_runs,
 )
+from .test_reduction import full_instance
 
 
 def unit_square():
@@ -394,7 +395,7 @@ class TestEmbedding:
         g = EmbeddedDigraph(
             ["a", "b"], [("a", "b"), ("b", "a")], {"a": (0, 0), "b": (1, 0)}
         )
-        with pytest.raises(ValueError, match="antiparallel"):
+        with pytest.raises(ValueError, match="^antiparallel edges between 'a' and 'b'$"):
             g.check_planar_embedding()
 
     def test_collinear_directions_rejected(self):
@@ -403,7 +404,8 @@ class TestEmbedding:
             [("a", "b"), ("a", "c"), ("b", "c")],
             {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
         )
-        with pytest.raises(ValueError, match="collinear"):
+        # the first tie is at a, between darts 0 and 2: its neighbours in dart-id order
+        with pytest.raises(EmbeddingError, match="^collinear neighbor directions at 'a': 'b' and 'c' on one ray$"):
             g.check_planar_embedding()
 
     def test_layout_defect_message_is_pinned(self):
@@ -830,7 +832,11 @@ class TestEquality:
         moved = EmbeddedDigraph(g.vertices, g.edges, coords)
         assert moved != g and g != moved
         assert moved == EmbeddedDigraph(g.vertices, g.edges, coords)
-        assert g._den != moved._den  # the least denominator changed too
+        # and graphs compare by coordinates at any scale: the full-sets (2, 3) reduction's are over the
+        # builder's 4, its label-built copy's over their least common denominator, 1
+        full = reduce(full_instance(2, 3)).graph
+        rebuilt = EmbeddedDigraph(full.vertices, full.edges, full.coords)
+        assert (full._den, rebuilt._den) == (4, 1) and full == rebuilt and rebuilt == full
 
     def test_equal_denominators_unequal_numerators(self):
         g = EmbeddedDigraph(["a", "b"], [("a", "b")], {"a": (0, 0), "b": (1, 1)})

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -38,7 +39,7 @@ from gridpaths.reduction import (
 )
 
 from . import test_mappers
-from ._oracles import build_reference, is_dotted_edge, transpose_instance, transpose_label
+from ._oracles import build_reference, enumerate_routes, is_dotted_edge, transpose_instance, transpose_label
 
 
 def full_instance(k, n):
@@ -626,6 +627,69 @@ class TestLevelSets:
         for bad in (True, 1.0, "1"):
             with pytest.raises(ValueError, match="index must be an int"):
                 level_set(out, "vertical", bad)
+
+
+class TestCellRelation:
+    """What one cell lets its column and row paths do, from the local facts of ROADMAP item 21."""
+
+    @staticmethod
+    def routes_by_rule(cells: set, n: int, a: int, b: int, c: int, d: int) -> bool:
+        """Item 21's finding 2: edge-disjoint routes exist iff some (x, y) in the cell's set admits them."""
+        return any(
+            a <= x <= b and c <= y <= d
+            and (x != 1 or c == y) and (y != 1 or a == x) and (x != n or d == y) and (y != n or b == x)
+            # the corner clauses: as (x, y) is in S, "(x, y) = (1, 1) or (1, 1) in S" is "(1, 1) in S"; so at (N, N)
+            and ((a, c) != (1, 1) or (1, 1) in cells) and ((b, d) != (n, n) or (n, n) in cells)
+            for x, y in cells
+        )
+
+    @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_cell_set_and_boundary_route_follows_the_closed_form(self, n, trees):
+        # every S in [N]^2 and every (a, b, c, d): 256 cases at N = 2 and 41,472 at N = 3, by the oracle
+        positions = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+        mismatches, cases = [], 0
+        for mask in range(2 ** len(positions)):
+            cells = {p for bit, p in enumerate(positions) if mask >> bit & 1}
+            out = reduce(GridTilingInstance(k=1, N=n, sets={(1, 1): cells}))
+            out = reduce_degree(out) if trees else out
+            bottom, top, left, right = (boundary(out, 1, 1, side) for side in ("bottom", "top", "left", "right"))
+            for a, b, c, d in itertools.product(range(n), repeat=4):
+                paths, _ = enumerate_routes(out.graph, [(bottom[a], top[b]), (left[c], right[d])], False)
+                if (paths is not None) != self.routes_by_rule(cells, n, a + 1, b + 1, c + 1, d + 1):
+                    mismatches.append((sorted(cells), a + 1, b + 1, c + 1, d + 1))
+                cases += 1
+        assert (cases, mismatches) == (2 ** (n * n) * n**4, [])
+
+    @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
+    def test_every_pair_cone_lies_in_its_level_set(self, trees):
+        # item 21's finding 1: every vertex on some s -> t path is in the pair's stratum, so every
+        # edge-disjoint solution, not only the solver's, is level-confined
+        def reach(start, step) -> set:
+            found, todo = {start}, [start]
+            while todo:
+                for w in step[todo.pop()]:
+                    if w not in found:
+                        found.add(w)
+                        todo.append(w)
+            return found
+
+        pairs = 0
+        for k, n, seed in itertools.product((1, 2, 3), (2, 3, 5), (0, 1)):
+            for inst in (generate_planted(k, n, noise=1, seed=seed), generate_random(k, n, 0.3, seed=seed)):
+                out = reduce(inst)
+                out = reduce_degree(out) if trees else out
+                g = out.graph
+                succ, pred = {v: [] for v in g.vertices}, {v: [] for v in g.vertices}
+                for u, v in g.edges:
+                    succ[u].append(v)
+                    pred[v].append(u)
+                for s, t in out.terminals.pairs:
+                    kind = "vertical" if s.family == "a" else "horizontal"
+                    cone = reach(s, succ) & reach(t, pred)
+                    assert t in cone and cone <= level_set(out, kind, s.index), (k, n, seed, s)
+                    pairs += 1
+        assert pairs == 2 * sum(2 * k for k in (1, 2, 3)) * 3 * 2
 
 
 class TestDegreeReduction:
