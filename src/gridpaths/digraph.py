@@ -32,11 +32,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
-from .errors import EmbeddingError, exact, exact_fields
+from .errors import EmbeddingError, brief, exact, exact_fields
 
 Label = Hashable
 Coord = tuple[Fraction, Fraction]
@@ -138,7 +138,7 @@ def _domain(kind: type, ok, what: str):
 
     def decode(value):
         if not ok(exact(kind, value)):
-            raise ValueError(f"expected {what}, got {value!r}")
+            raise ValueError(f"expected {what}, got {brief(value)}")
         return value
 
     return decode
@@ -147,7 +147,7 @@ def _domain(kind: type, ok, what: str):
 def _choices(bits) -> tuple[int, ...]:
     path = tuple(exact(int, b) for b in exact(list, bits))
     if not path or not set(path) <= {0, 1}:
-        raise ValueError(f"expected a non-empty list of 0/1 choices, got {bits!r}")
+        raise ValueError(f"expected a non-empty list of 0/1 choices, got {brief(bits)}")
     return path
 
 
@@ -210,6 +210,20 @@ def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, 
     ids = dict(zip(verts, range(len(verts))))
     ends = [(ids.get(u, -1), ids.get(v, -1)) for u, v in edges]
     return verts, [a for a, _ in ends], [b for _, b in ends], ids
+
+
+def _edge_ends(edges: list, n: int) -> tuple[list[int], list[int]]:
+    """(tails, heads) of JSON ``edges``, each a [tail, head] pair of exact ints in [0, n): its ends' vertex indices.
+
+    The rule is tested on all edges at once; only if that fails are they walked, for the first one to name.
+    """
+    pairs = {*map(type, edges)} <= {list} and {*map(len, edges)} <= {2}
+    ends = list(chain.from_iterable(edges)) if pairs else []
+    if not pairs or not {*map(type, ends)} <= {int} or ends and not 0 <= min(ends) <= max(ends) < n:
+        e, edge = next((e, edge) for e, edge in enumerate(edges) if not (
+            type(edge) is list and len(edge) == 2 and all(type(i) is int and 0 <= i < n for i in edge)))
+        raise ValueError(f"edge {e} is not a [tail, head] pair of vertex indices in [0, {n}): {brief(edge)}")
+    return ends[0::2], ends[1::2]
 
 
 def _int_keys(tail: Iterable[int], head: Iterable[int], n: int) -> list[int]:
@@ -515,14 +529,14 @@ class EmbeddedDigraph(Digraph):
         return EmbeddingCheck(faces=faces, genus=(2 - euler) // 2)
 
     def to_json_dict(self) -> dict:
-        labels = [label_to_json(v) for v in self._verts]
+        """The graph document: each vertex's label and coordinate, once; each edge as its [tail, head] vertex indices."""
         text = {n: str(Fraction(n, self._den)) for n in {*self._x, *self._y}}
         return {
             "vertices": [
-                {"label": label, "coord": [text[x], text[y]]}
-                for label, x, y in zip(labels, self._x, self._y)
+                {"label": label_to_json(v), "coord": [text[x], text[y]]}
+                for v, x, y in zip(self._verts, self._x, self._y)
             ],
-            "edges": [[labels[a], labels[b]] for a, b in zip(self._tail, self._head)],
+            "edges": list(map(list, zip(self._tail, self._head))),
         }
 
     @classmethod
@@ -534,10 +548,10 @@ class EmbeddedDigraph(Digraph):
                 x_str, y_str = exact(list, coord)
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
-            edges = [(label_from_json(u), label_from_json(v)) for u, v in map(exact, repeat(list), edges)]
+            tail, head = _edge_ends(exact(list, edges), len(verts))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
-        return cls(verts, edges, coords)
+        return cls(verts, zip(map(verts.__getitem__, tail), map(verts.__getitem__, head)), coords)
 
     def _split_edges(self) -> list[int]:
         """The ids of the dotted edges: each lb copy's one edge, to its position's tr copy."""
@@ -585,5 +599,5 @@ def _parse_coord(text) -> Fraction:
     """The Fraction a coordinate string writes: the JSON reader's one maker of Fractions."""
     match = _COORD.fullmatch(exact(str, text))
     if match is None or (match[2] and math.gcd(int(match[1]), int(match[2])) != 1):
-        raise ValueError(f"coordinate {text!r} is not '<n>' or '<n>/<d>' in lowest terms")
+        raise ValueError(f"coordinate {brief(text)} is not '<n>' or '<n>/<d>' in lowest terms")
     return Fraction(int(match[1]), int(match[2] or 1))

@@ -18,6 +18,19 @@ class EmbeddingError(ValueError):
     """
 
 
+BRIEF = 200  # the most characters of a value's repr that an error message echoes
+
+
+def brief(value) -> str:
+    """``repr(value)``, cut to its first ``BRIEF`` characters and ``...`` if longer.
+
+    Error messages echo input values through this, so that one bad field of a large document does
+    not echo the document.
+    """
+    text = repr(value)
+    return text if len(text) <= BRIEF else text[:BRIEF] + "..."
+
+
 def exact(kind: type, value):
     """``value`` if its type is exactly ``kind``, else a TypeError naming the JSON type expected.
 
@@ -25,7 +38,7 @@ def exact(kind: type, value):
     and take true as 1, and a string or an object unpacks like a list.
     """
     if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        raise TypeError(f"expected a JSON {kind.__name__}, got {brief(value)}")
     return value
 
 

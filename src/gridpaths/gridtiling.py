@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice, product, repeat
 from typing import Iterator, Mapping
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, exact, exact_fields
+from .errors import DEFAULT_BUDGET, BudgetExceededError, brief, exact, exact_fields
 
 Pair = tuple[int, int]
 Cell = tuple[int, int]
@@ -60,7 +60,7 @@ class GridTilingInstance:
             for key, pairs in given.items():
                 cell = _CELL_KEY.fullmatch(key)
                 if cell is None:
-                    raise ValueError(f"cell key {key!r} is not '<x>,<y>' in positive decimals")
+                    raise ValueError(f"cell key {brief(key)} is not '<x>,<y>' in positive decimals")
                 sets[(int(cell[1]), int(cell[2]))] = frozenset(
                     (exact(int, a), exact(int, b)) for a, b in map(exact, repeat(list), exact(list, pairs))
                 )

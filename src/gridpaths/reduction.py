@@ -148,6 +148,8 @@ class ReductionOutput:
             if value != encoded or not held <= {dict, list, str, int}:
                 if foreign := " and ".join(sorted(kind.__name__ for kind in held - _json_types(encoded))):
                     raise ValueError(f"malformed reduction document: its {part} holds a value of type {foreign}")
+                if part == "graph":  # no graph document at all (the label-ended form): the bare reader names the edge
+                    EmbeddedDigraph.from_json_dict(value)
                 raise ValueError(f"reduction document's {part} differs from its instance's construction")
         return out
 

@@ -20,14 +20,14 @@ from gridpaths.cli import (
     main,
 )
 from gridpaths import cli, edp, gridtiling, mappers, reduction
-from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, HConnector, Terminal, label_to_json
+from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, HConnector, Terminal
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 from gridpaths.reduction import GraphCounts, TerminalSet
 
 from . import exhaustive_k2n2
 from ._oracles import is_dotted_edge
-from .test_reduction import empty_instance, full_instance
+from .test_reduction import _vertex_index, empty_instance, full_instance
 
 
 def run(capsys, *argv):
@@ -706,8 +706,10 @@ class TestExport:
         run(capsys, "reduce", str(inst), "--out", str(red))
         good = red.read_text()
         doc = json.loads(good)
-        edge = [label_to_json(GridVertex(1, 1, 2, 1)), label_to_json(GridVertex(1, 1, 2, 2, LB))]
-        doc["graph"]["edges"].remove(edge)
+        graph = doc["graph"]
+        graph["edges"].remove(
+            [_vertex_index(graph, GridVertex(1, 1, 2, 1)), _vertex_index(graph, GridVertex(1, 1, 2, 2, LB))]
+        )
         red.write_text(json.dumps(doc))
         code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
         assert code == EXIT_USAGE
@@ -840,6 +842,45 @@ class TestMalformedInput:
         ):
             message = f"error: malformed {reader}: expected a JSON object with keys {keys}, got a value of type {kind}\n"
             assert run(capsys, *argv) == (EXIT_USAGE, "", message)
+
+    def test_edge_that_is_no_vertex_index_pair_exits_2(self, capsys, tmp_path):
+        # edges are [tail, head] indices into the vertex list: each bad edge is named, never an IndexError
+        n = len(_GRAPH_DOC["vertices"])
+        label = _GRAPH_DOC["vertices"][0]["label"]
+        path = tmp_path / "graph.json"
+        for edge in ([-1, 1], [0, n], [0, 2**63 + 1], [True, 1], [0, 1.0], [0, 1, 2], [label, 1]):
+            doc = json.loads(json.dumps(_GRAPH_DOC))
+            doc["edges"][5] = edge
+            path.write_text(json.dumps(doc))
+            message = f"error: malformed graph document: edge 5 is not a [tail, head] pair of vertex indices in [0, {n}): "
+            message += f"{edge!r}\n"
+            for fmt in ("dot", "json"):
+                assert run(capsys, "export", str(path), "--format", fmt) == (EXIT_USAGE, "", message)
+
+    def test_label_ended_documents_exit_2(self, capsys, tmp_path):
+        # the form written before edges became vertex indices, as a bare graph and as a reduction document
+        inst, red = gen_instance(capsys, tmp_path), tmp_path / "red.json"
+        assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
+        doc = json.loads(red.read_text())
+        labels = [entry["label"] for entry in doc["graph"]["vertices"]]
+        doc["graph"]["edges"] = [[labels[a], labels[b]] for a, b in doc["graph"]["edges"]]
+        bare = tmp_path / "g.json"
+        red.write_text(json.dumps(doc))
+        bare.write_text(json.dumps(doc["graph"]))
+        for fmt in ("dot", "json"):
+            code, out, err = run(capsys, "export", str(red), "--format", fmt)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: malformed graph document: edge 0 is not a [tail, head] pair of vertex indices")
+            assert run(capsys, "export", str(bare), "--format", fmt) == (EXIT_USAGE, "", err)
+
+    def test_large_mistyped_value_is_echoed_in_brief(self, capsys, tmp_path):
+        # sets must be an object; a 5,000-pair list is named by its type and the start of its repr only
+        path = tmp_path / "listed.json"
+        path.write_text(json.dumps({"k": 1, "N": 2, "sets": [[n, n] for n in range(5000)]}))
+        code, out, err = run(capsys, "roundtrip", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: malformed grid tiling instance: expected a JSON dict, got [[0, 0], [1, 1], ")
+        assert err.endswith("...\n") and len(err) < 300
 
     def test_huge_k_reports_missing_cells_without_making_them(self, capsys, tmp_path, monkeypatch):
         cells = gridtiling._cells

@@ -725,7 +725,10 @@ class TestSerialization:
         [
             (lambda vs, es: vs.append(copy.deepcopy(vs[3])), "duplicate vertex GridVertex("),
             (lambda vs, es: vs.append({"label": vs[3]["label"], "coord": ["9", "9"]}), "duplicate vertex GridVertex("),
-            (lambda vs, es: es.append([vs[0]["label"], label_to_json(GridVertex(9, 9, 9, 9))]), "edge 15 references a missing vertex"),
+            (
+                lambda vs, es: es.append([0, len(vs)]),  # an index one past the last vertex
+                "malformed graph document: edge 15 is not a [tail, head] pair of vertex indices in [0, 11): [0, 11]",
+            ),
             (lambda vs, es: es.append(copy.deepcopy(es[4])), "parallel edge ("),
             (lambda vs, es: es[4].__setitem__(1, es[4][0]), "self-loop at "),
             (lambda vs, es: vs[1].__setitem__("coord", vs[0]["coord"]), "vertex coordinates are not pairwise distinct"),
@@ -741,19 +744,48 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_edge_end_equal_to_a_vertex_only_as_a_python_value_rejected(self, value):
-        # 1 == True == 1.0, but an edge end must be spelled as its vertex's label is
+        # 1 == True == 1.0, but an edge end must be spelled as an exact JSON int
         data = json.loads(json.dumps(reduce(generate_planted(1, 2, noise=0, seed=0)).graph.to_json_dict()))
-        end = data["edges"][0][0]
-        field = next(key for key, v in end.items() if v == 1)
-        end[field] = value
-        message = f"^malformed graph document: malformed vertex label: expected a JSON int, got {value!r}$"
-        with pytest.raises(ValueError, match=message):
+        e, edge = next((e, edge) for e, edge in enumerate(data["edges"]) if 1 in edge)
+        edge[edge.index(1)] = value
+        message = f"malformed graph document: edge {e} is not a [tail, head] pair of vertex indices in [0, 11): {edge!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             EmbeddedDigraph.from_json_dict(data)
 
-    def test_edge_end_with_reordered_keys_is_its_vertex(self):
+    @pytest.mark.parametrize(
+        "edge",
+        [[3, -1], [3, 2**63 + 1], [3, "1"], [3, None], [0, 1, 2], [0], {"tail": 0, "head": 1}, 1],
+        ids=["negative", "above-2**63", "string", "null", "three-items", "one-item", "object", "int"],
+    )
+    def test_edge_that_is_no_vertex_index_pair_rejected(self, edge):
+        # planted (1, 2) has 11 vertices; edge 3 is replaced
+        data = json.loads(json.dumps(reduce(generate_planted(1, 2, noise=0, seed=0)).graph.to_json_dict()))
+        data["edges"][3] = edge
+        message = f"malformed graph document: edge 3 is not a [tail, head] pair of vertex indices in [0, 11): {edge!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            EmbeddedDigraph.from_json_dict(data)
+
+    def test_label_ended_document_rejected(self):
+        # the form written before edges became vertex indices: every end is a label object
+        g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
+        data = g.to_json_dict()
+        data["edges"] = [[label_to_json(u), label_to_json(v)] for u, v in g.edges]
+        with pytest.raises(ValueError, match=r"^malformed graph document: edge 0 is not a \[tail, head\] pair of vertex "):
+            EmbeddedDigraph.from_json_dict(data)
+
+    def test_edges_are_vertex_index_pairs(self):
+        g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
+        data = g.to_json_dict()
+        index = {v: n for n, v in enumerate(g.vertices)}
+        assert [entry["label"] for entry in data["vertices"]] == [label_to_json(v) for v in g.vertices]
+        assert data["edges"] == [[index[u], index[v]] for u, v in g.edges]
+
+    def test_vertex_label_with_reordered_keys_is_its_vertex(self):
         g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
         data = json.loads(json.dumps(g.to_json_dict()))
-        data["edges"] = [[dict(reversed(u.items())), v] for u, v in data["edges"]]
+        data["vertices"] = [
+            {"coord": entry["coord"], "label": dict(reversed(entry["label"].items()))} for entry in data["vertices"]
+        ]
         assert EmbeddedDigraph.from_json_dict(data) == g
 
     def test_graph_json_round_trip(self):

@@ -259,10 +259,16 @@ class TestReduce:
             ReductionOutput.from_json_dict(doc)
 
 
+def _vertex_index(graph, label):
+    """The index of ``label``'s entry in a graph document's vertex list: how its edges name it."""
+    return [entry["label"] for entry in graph["vertices"]].index(label_to_json(label))
+
+
 def _drop_found_edge(doc):
     # planted (2,4) noise=2 seed=1: (1,1,2,1) is whole and (1,1,2,2) split
-    doc["graph"]["edges"].remove(
-        [label_to_json(GridVertex(1, 1, 2, 1)), label_to_json(GridVertex(1, 1, 2, 2, LB))]
+    graph = doc["graph"]
+    graph["edges"].remove(
+        [_vertex_index(graph, GridVertex(1, 1, 2, 1)), _vertex_index(graph, GridVertex(1, 1, 2, 2, LB))]
     )
 
 
@@ -294,8 +300,8 @@ def _float_in_label(doc):
 
 
 def _true_in_edge_end(doc):
-    end = next(end for edge in doc["graph"]["edges"] for end in edge if end.get("q") == 1)
-    end["q"] = True
+    edge = next(edge for edge in doc["graph"]["edges"] if 1 in edge)
+    edge[edge.index(1)] = True
 
 
 def _true_terminal_index(doc):
@@ -345,8 +351,10 @@ class TestGoldenOutput:
     # SHA-256 of the JSON and DOT text of reduce and reduce_degree over the
     # instance list below; a refactor of the construction must keep it.
     # Re-pinned when the terminal depth became ceil(N / 4): the vertex and
-    # edge lists stayed identical, only coordinate strings changed.
-    DIGEST = "bf2b0bfcbe4f14ef049249fba8877b3a72831aaaa7b83b74b2ddc992712346d8"
+    # edge lists stayed identical, only coordinate strings changed.  Re-pinned
+    # when edges became [tail, head] vertex indices: the DOT text stayed
+    # identical, and every document loads to a graph equal to the old one's.
+    DIGEST = "52ce8aeb9a4720be6cbc8fb3368fe27f02baed94997e8fef1f92dbb950a83d6b"
 
     def test_json_and_dot_output_is_byte_identical_to_pinned_digest(self):
         digest = hashlib.sha256()
@@ -368,8 +376,8 @@ class TestGoldenOutput:
 
     # Same digest over reduce_degree alone at sizes where the fan trees'
     # depth changes (around powers of two); computed before the trees were
-    # built in the construction pass; re-pinned with DIGEST.
-    TREE_DIGEST = "1e9addc462dacd0d0449d41352814628c4c92172a2e151d29c2004380980e9b7"
+    # built in the construction pass; re-pinned with DIGEST, both times.
+    TREE_DIGEST = "90acfe3358a65a2239c28b168df9ed3df82ee8c332ec493318b42a7d8747aefe"
 
     def test_fan_trees_are_byte_identical_to_pinned_digest(self):
         digest = hashlib.sha256()
