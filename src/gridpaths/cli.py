@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import edp, gridtiling, mappers, reduction
 from .digraph import EmbeddedDigraph
-from .errors import DEFAULT_BUDGET, BudgetExceededError, EmbeddingError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, EmbeddingError, brief
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,9 +38,13 @@ def _solver_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
+        # ASCII digits, after a minus that makes it no budget: int() alone would also take "+",
+        # spaces, "_" and other scripts' digits; it refuses more than 4300 digits
+        if not ((digits := raw.removeprefix("-")).isascii() and digits.isdigit()):
+            raise ValueError
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {brief(raw)}") from None
     if value < 1:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value

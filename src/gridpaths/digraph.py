@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -51,8 +51,20 @@ class NotConnectedError(ValueError):
     """The underlying undirected graph is not connected."""
 
 
+# per field: the pattern of its text in a DOT name and the value that text stands for.  Only values
+# the reduction makes have a name: ints from 1 with no sign or leading zero, the parts lb and tr (a
+# whole vertex's part is left out), families a-d and non-empty 0/1 paths, so label_name is injective.
+_INT = ("[1-9][0-9]*", int)
+_FIELDS = {
+    **dict.fromkeys(("i", "j", "q", "ell", "index"), _INT),
+    "part": (f"{LB}|{TR}", str),
+    "family": ("[a-d]", str),
+    "path": ("[01]+", lambda bits: tuple(map(int, bits))),
+}
+
+
 class _Label(tuple):
-    """A vertex label: the tuple ``(kind, *fields)``, ``kind`` being its JSON "kind".
+    """A vertex label: the tuple ``(kind, *fields)``, ``kind`` being its class's tag.
 
     Hashing and equality are tuple's, run in C, and the kind keeps the
     classes apart.  A subclass's ``__new__`` parameters are its fields: each
@@ -63,14 +75,18 @@ class _Label(tuple):
 
     def __init_subclass__(cls, kind: str, prefix: str) -> None:
         params = tuple(inspect.signature(cls.__new__).parameters.values())[1:]
-        # its JSON keys, which zip with the tuple, and the default of its last field
-        cls.kind, cls._keys, cls._default = kind, ("kind", *(p.name for p in params)), params[-1].default
+        cls.kind, cls._fields, cls._default = kind, tuple(p.name for p in params), params[-1].default
         cls._template = prefix + "_".join(["%s"] * len(params))  # its DOT name, a %-template of its fields
+        # the reader of that name: a group per field, the last one optional if it has a default
+        *heads, last = (f"({_FIELDS[name][0]})" for name in cls._fields)
+        optional = "" if cls._default is inspect.Parameter.empty else "?"
+        cls._pattern = re.compile(f"{prefix}{'_'.join(heads)}(?:_{last}){optional}")
+        cls._reads = [_FIELDS[name][1] for name in cls._fields]
         for n, param in enumerate(params, 1):
             setattr(cls, param.name, property(operator.itemgetter(n)))
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._keys[1:], self[1:]))})"
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self[1:]))})"
 
     def __reduce__(self) -> tuple:
         return type(self), self[1:]
@@ -130,53 +146,19 @@ class TreeNode(_Label, kind="tree", prefix="t"):
         return tuple.__new__(cls, (cls.kind, family, index, path))
 
 
-_BY_KIND = {cls.kind: cls for cls in (GridVertex, HConnector, VConnector, Terminal, TreeNode)}
-
-
-def _domain(kind: type, ok, what: str):
-    """A decoder of JSON values of exact type ``kind`` for which ``ok`` holds."""
-
-    def decode(value):
-        if not ok(exact(kind, value)):
-            raise ValueError(f"expected {what}, got {brief(value)}")
-        return value
-
-    return decode
-
-
-def _choices(bits) -> tuple[int, ...]:
-    path = tuple(exact(int, b) for b in exact(list, bits))
-    if not path or not set(path) <= {0, 1}:
-        raise ValueError(f"expected a non-empty list of 0/1 choices, got {brief(bits)}")
-    return path
-
-
-# per field: its decoder from JSON.  A decoder takes only values the
-# reduction makes: ints from 1, the three parts, families a-d and non-empty
-# 0/1 paths, so label_name is injective.
-_INDEX = _domain(int, lambda n: n >= 1, "an int >= 1")
-_DECODERS = {
-    **dict.fromkeys(("i", "j", "q", "ell", "index"), _INDEX),
-    "part": _domain(str, {WHOLE, LB, TR}.__contains__, "whole, lb or tr"),
-    "family": _domain(str, {"a", "b", "c", "d"}.__contains__, "a family a-d"),
-    "path": _choices,
-}
-
-
-def _label_class(label: Label) -> type[_Label]:
-    if not isinstance(label, _Label):
-        raise TypeError(f"unsupported label type: {type(label)!r}")
-    return type(label)
+_CLASSES = (GridVertex, HConnector, VConnector, Terminal, TreeNode)
 
 
 def label_name(label: Label) -> str:
-    """Stable readable identifier, used for DOT export.
+    """The one text form of a label: its DOT name, and its form in every JSON document.
 
     The class prefix and the fields in order, joined by "_"; a last field at
     its default (the part of a whole grid vertex) is left out, and a tree
     node's path is written as its 0/1 digits.
     """
-    cls, values = _label_class(label), label[1:]
+    if not isinstance(label, _Label):
+        raise TypeError(f"unsupported label type: {type(label)!r}")
+    cls, values = type(label), label[1:]
     if cls is TreeNode:
         values = (*values[:2], "".join(map(str, values[2])))
     if values[-1] == cls._default:
@@ -184,24 +166,17 @@ def label_name(label: Label) -> str:
     return cls._template % values
 
 
-def label_to_json(label: Label) -> dict:
-    data = dict(zip(_label_class(label)._keys, label))
-    if "path" in data:  # the one field whose JSON form, a list, is not its value
-        data["path"] = list(data["path"])
-    return data
+def label_from_name(name: str) -> Label:
+    """The label whose ``label_name`` is ``name``: the reader of every label in a document.
 
-
-def label_from_json(data: dict) -> Label:
-    try:
-        cls = _BY_KIND.get(data["kind"])
-        if cls is not None:
-            fields = cls._keys[1:]
-            if len(data) != len(cls._keys):  # "kind" and each field (a missing one fails below)
-                raise TypeError(f"keys {sorted(data)}, expected kind and {list(fields)}")
-            return cls(*[_DECODERS[attr](data[attr]) for attr in fields])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed vertex label: {exc}") from exc
-    raise ValueError(f"unknown vertex label kind {data.get('kind')!r}")
+    It takes exactly the names label_name writes, so each name has one label.
+    """
+    exact(str, name)
+    for cls in _CLASSES:
+        if match := cls._pattern.fullmatch(name):
+            # an absent optional last field is None: the label takes its default
+            return cls(*[read(text) for read, text in zip(cls._reads, match.groups()) if text is not None])
+    raise ValueError(f"{brief(name)} is not the name of a vertex label")
 
 
 def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, list[int], list[int], dict]:
@@ -213,17 +188,11 @@ def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, 
 
 
 def _edge_ends(edges: list, n: int) -> tuple[list[int], list[int]]:
-    """(tails, heads) of JSON ``edges``, each a [tail, head] pair of exact ints in [0, n): its ends' vertex indices.
-
-    The rule is tested on all edges at once; only if that fails are they walked, for the first one to name.
-    """
-    pairs = {*map(type, edges)} <= {list} and {*map(len, edges)} <= {2}
-    ends = list(chain.from_iterable(edges)) if pairs else []
-    if not pairs or not {*map(type, ends)} <= {int} or ends and not 0 <= min(ends) <= max(ends) < n:
-        e, edge = next((e, edge) for e, edge in enumerate(edges) if not (
-            type(edge) is list and len(edge) == 2 and all(type(i) is int and 0 <= i < n for i in edge)))
-        raise ValueError(f"edge {e} is not a [tail, head] pair of vertex indices in [0, {n}): {brief(edge)}")
-    return ends[0::2], ends[1::2]
+    """(tails, heads) of JSON ``edges``, each a [tail, head] pair of exact ints in [0, n): its ends' vertex indices."""
+    for e, edge in enumerate(edges):
+        if not (type(edge) is list and len(edge) == 2 and all(type(i) is int and 0 <= i < n for i in edge)):
+            raise ValueError(f"edge {e} is not a [tail, head] pair of vertex indices in [0, {n}): {brief(edge)}")
+    return [a for a, _ in edges], [b for _, b in edges]
 
 
 def _int_keys(tail: Iterable[int], head: Iterable[int], n: int) -> list[int]:
@@ -406,18 +375,20 @@ class EmbeddedDigraph(Digraph):
     Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: two lists of int numerators over the
     denominator the graph's maker gave (the label constructor's: the least common one); graphs
     compare by labels, edges and ``coords``.  Fractions are made only at the I/O edge: by ``coords``,
-    the JSON writer and ``_parse_coord``.  A vertex that is a package label has its fields in the
-    domains ``label_from_json`` takes, so the document reads back and DOT names differ.
+    the JSON writer and ``_parse_coord``.  A vertex that is a package label reads back from its name,
+    ``label_from_name(label_name(v)) == v``: the document, which writes each label as its name, reads
+    back, and no two vertices share a DOT name.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
         verts, tail, head, ids = _label_ids(vertices, edges)
-        for v in verts:  # every label the JSON reader decodes passes; a hand-made one may not
+        for v in verts:  # every label the JSON reader makes passes; a hand-made one may not
             if isinstance(v, _Label):
                 try:
-                    label_from_json(label_to_json(v))
+                    if (back := label_from_name(label_name(v))) != v:
+                        raise ValueError(f"it is the name of {back!r}")
                 except (TypeError, ValueError) as exc:
-                    raise ValueError(f"vertex {v!r} does not read back from JSON: {exc}") from None
+                    raise ValueError(f"vertex {v!r} does not read back from its name: {exc}") from None
         try:
             given = [coords[v] for v in verts]
         except KeyError as exc:
@@ -533,7 +504,7 @@ class EmbeddedDigraph(Digraph):
         text = {n: str(Fraction(n, self._den)) for n in {*self._x, *self._y}}
         return {
             "vertices": [
-                {"label": label_to_json(v), "coord": [text[x], text[y]]}
+                {"label": label_name(v), "coord": [text[x], text[y]]}
                 for v, x, y in zip(self._verts, self._x, self._y)
             ],
             "edges": list(map(list, zip(self._tail, self._head))),
@@ -544,7 +515,7 @@ class EmbeddedDigraph(Digraph):
         try:
             (vertices, edges), verts, coords = exact_fields(data, "vertices", "edges"), [], {}
             for label, coord in map(exact_fields, vertices, repeat("label"), repeat("coord")):
-                v = label_from_json(label)
+                v = label_from_name(label)
                 x_str, y_str = exact(list, coord)
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))

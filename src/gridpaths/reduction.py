@@ -34,7 +34,7 @@ from .digraph import (
     Terminal,
     TreeNode,
     VConnector,
-    label_to_json,
+    label_name,
 )
 from .errors import exact, exact_fields
 from .gridtiling import GridTilingInstance, _size_violations, _valid
@@ -120,7 +120,7 @@ class ReductionOutput:
         return {
             "instance": self.provenance.to_json_dict(),
             "graph": self.graph.to_json_dict(),
-            "terminals": [[label_to_json(s), label_to_json(t)] for s, t in self.terminals.pairs],
+            "terminals": [[label_name(s), label_name(t)] for s, t in self.terminals.pairs],
             "counts": {"vertices": self.counts.vertices, "edges": self.counts.edges},
             "degree_reduced": self.degree_reduced,
         }

@@ -21,7 +21,7 @@ from gridpaths.cli import (
 )
 from gridpaths import cli, edp, gridtiling, mappers, reduction
 from gridpaths.digraph import LB, EmbeddedDigraph, GridVertex, HConnector, Terminal
-from gridpaths.errors import EmbeddingError
+from gridpaths.errors import EmbeddingError, brief
 from gridpaths.gridtiling import GridTilingInstance, GTAssignment, solve_gt_brute_force
 from gridpaths.reduction import GraphCounts, TerminalSet
 
@@ -427,6 +427,13 @@ class TestRoundtrip:
             code, _, err = run(capsys, "roundtrip", str(inst))
             assert code == EXIT_USAGE
             assert reason in err
+        # int() takes the first four, but a budget is written in ASCII digits alone; a long value is
+        # echoed in brief, and 5,000 digits are more than int() converts
+        for raw in ("1_000", " 7 ", "+9", "٥", "", "x" * 5000, "12" * 2500):
+            monkeypatch.setenv("DPATH_BUDGET", raw)
+            code, out, err = run(capsys, "roundtrip", str(inst))
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"error: DPATH_BUDGET must be an integer, got {brief(raw)}\n" and len(err) < 300
 
     def test_rejected_forward_map_exits_1_with_its_report(self, capsys, tmp_path, monkeypatch):
         # a forward path set that the checker rejects is a failed check, not a crash of the identity check
@@ -672,8 +679,8 @@ class TestExport:
         run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
         good = json.loads(gjson.read_text())
         # a zero denominator; a coordinate pair written as one string, which unpacks like a list
-        # of two; a label field of the wrong JSON type, which must not be read as another label
-        for keys, value in ((("coord", 0), "1/0"), (("coord",), "11"), (("label", "i"), 1.0)):
+        # of two; a label with a field written as a float, which must not be read as another label
+        for keys, value in ((("coord", 0), "1/0"), (("coord",), "11"), (("label",), "w_1.0_1_1_1")):
             doc = json.loads(json.dumps(good))
             parent = doc["vertices"][0]
             for key in keys[:-1]:
@@ -723,12 +730,13 @@ class TestExport:
         assert err == "error: reduction document's counts differs from its instance's construction\n"
 
     def test_inexact_value_in_reduction_document_exits_2(self, capsys, tmp_path):
-        # 1.0 == 1, so only its JSON type tells the label field from the construction's
+        # 1.0 == 1, so only its JSON type tells the edge end from the construction's
         inst = gen_instance(capsys, tmp_path)
         red = tmp_path / "red.json"
         run(capsys, "reduce", str(inst), "--out", str(red))
         doc = json.loads(red.read_text())
-        doc["graph"]["vertices"][0]["label"]["i"] = 1.0
+        edge = next(edge for edge in doc["graph"]["edges"] if 1 in edge)
+        edge[edge.index(1)] = 1.0
         red.write_text(json.dumps(doc))
         code, _, err = run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "g.dot"))
         assert code == EXIT_USAGE
@@ -872,6 +880,32 @@ class TestMalformedInput:
             assert (code, out) == (EXIT_USAGE, "")
             assert err.startswith("error: malformed graph document: edge 0 is not a [tail, head] pair of vertex indices")
             assert run(capsys, "export", str(bare), "--format", fmt) == (EXIT_USAGE, "", err)
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "w_01_1_1_1", "a_0", "w_1_1_1_1_whole", "e_1", "ta_1", "ta_1_2", "w_1_1_1_1 ", "x" * 5000, 7,
+            {"kind": "grid", "i": 1, "j": 1, "q": 1, "ell": 1, "part": "whole"},
+        ],
+        ids=["leading-zero", "zero-index", "whole-part-written", "family-e", "tree-node-without-path",
+             "tree-path-not-binary", "trailing-space", "long", "number", "label-object"],
+    )
+    def test_label_that_is_no_label_name_exits_2(self, capsys, tmp_path, label):
+        # a document writes each label as its label_name; any other value is named, through brief
+        inst, red, bare = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "g.json"
+        assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
+        doc = json.loads(red.read_text())
+        assert doc["graph"]["vertices"][0]["label"] == "w_1_1_1_1"
+        doc["graph"]["vertices"][0]["label"] = label
+        red.write_text(json.dumps(doc))
+        bare.write_text(json.dumps(doc["graph"]))
+        if type(label) is str:
+            message = f"error: malformed graph document: {brief(label)} is not the name of a vertex label\n"
+        else:
+            message = f"error: malformed graph document: expected a JSON str, got {brief(label)}\n"
+        for path, fmt in itertools.product((red, bare), ("dot", "json")):
+            assert run(capsys, "export", str(path), "--format", fmt) == (EXIT_USAGE, "", message)
+        assert len(message) < 300
 
     def test_large_mistyped_value_is_echoed_in_brief(self, capsys, tmp_path):
         # sets must be an object; a 5,000-pair list is named by its type and the start of its repr only

@@ -22,9 +22,8 @@ from gridpaths.digraph import (
     Terminal,
     TreeNode,
     VConnector,
-    label_from_json,
+    label_from_name,
     label_name,
-    label_to_json,
 )
 from gridpaths.errors import EmbeddingError
 from gridpaths.gridtiling import generate_planted, generate_random
@@ -139,22 +138,23 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "bad, reason",
         [
-            (Terminal("x", 1), "expected a family a-d, got 'x'"),
-            (Terminal("a", 0), "expected an int >= 1, got 0"),
-            (GridVertex(True, 1, 1, 1), "expected a JSON int, got True"),
-            (GridVertex(1, 1, 1, 1, "top"), "expected whole, lb or tr, got 'top'"),
-            (TreeNode("a", 1, ()), "expected a non-empty list of 0/1 choices, got \\[\\]"),
+            (Terminal("x", 1), "x_1"),
+            (Terminal("a", 0), "a_0"),
+            (GridVertex(True, 1, 1, 1), "w_True_1_1_1"),
+            (GridVertex(1, 1, 1, 1, "top"), "w_1_1_1_1_top"),
+            (TreeNode("a", 1, ()), "ta_1_"),
         ],
         ids=["family", "index", "bool-field", "part", "empty-path"],
     )
     def test_label_the_reader_refuses_is_rejected(self, bad, reason):
-        # a graph writes only documents that read back: label_from_json(label_to_json(v)) holds
+        # a graph writes only documents that read back: label_from_name(label_name(v)) == v holds
         good = Terminal("a", 1)
-        message = f"^vertex {re.escape(repr(bad))} does not read back from JSON: malformed vertex label: {reason}$"
-        with pytest.raises(ValueError, match=message):
+        message = f"vertex {bad!r} does not read back from its name: {reason!r} is not the name of a vertex label"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmbeddedDigraph([good, bad], [(good, bad)], {good: (0, 0), bad: (1, 0)})
-        with pytest.raises(ValueError, match="malformed vertex label"):
-            label_from_json(label_to_json(bad))
+        assert label_name(bad) == reason
+        with pytest.raises(ValueError, match="is not the name of a vertex label"):
+            label_from_name(reason)
 
     @pytest.mark.parametrize(
         "first, second, name",
@@ -165,10 +165,12 @@ class TestConstruction:
         ids=["terminal-and-grid", "connector-and-terminal"],
     )
     def test_labels_with_one_dot_name_rejected(self, first, second, name):
-        # Graphviz would merge two vertices with one name; the terminal's family is outside a-d
+        # Graphviz would merge two vertices with one name, and a document would read both as one;
+        # the terminal's family is outside a-d
         assert label_name(first) == label_name(second) == name
-        bad = first if isinstance(first, Terminal) else second
-        with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(bad))} does not read back from JSON"):
+        bad, other = (first, second) if isinstance(first, Terminal) else (second, first)
+        message = f"vertex {bad!r} does not read back from its name: it is the name of {other!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmbeddedDigraph([first, second], [(first, second)], {first: (0, 0), second: (1, 0)})
 
 
@@ -516,8 +518,8 @@ class TestRotation:
         assert rotations_from_runs(rebuilt) == first
 
 
-# per label class: its JSON kind, its DOT prefix and a strategy per field,
-# over the values the JSON decoder accepts
+# per label class: its kind (the tuple's tag), its DOT prefix and a strategy per field,
+# over the values that have a name
 _INDICES = st.integers(1, 10**6)
 _LABEL_CLASSES = {
     GridVertex: ("grid", "w_", {"i": _INDICES, "j": _INDICES, "q": _INDICES, "ell": _INDICES,
@@ -603,13 +605,13 @@ class TestLabelContract:
 
     @given(drawn=_label_fields())
     def test_json_round_trip(self, drawn):
+        # a label's JSON form is its name, which reads back to the label, field by field
         cls, values = drawn
         label = cls(**values)
-        kind = _LABEL_CLASSES[cls][0]
-        data = label_to_json(label)
-        assert data == {"kind": kind, **{k: list(v) if k == "path" else v for k, v in values.items()}}
-        assert all(type(v) is not tuple for v in data.values())  # a path is written as a JSON list
-        assert label_from_json(json.loads(json.dumps(data))) == label
+        assert label.kind == label[0] == _LABEL_CLASSES[cls][0]
+        again = label_from_name(json.loads(json.dumps(label_name(label))))
+        assert type(again) is cls and again == label
+        assert {name: getattr(again, name) for name in values} == values
 
     @given(drawn=_label_fields())
     def test_label_name_is_the_prefix_and_the_fields(self, drawn):
@@ -625,8 +627,9 @@ class TestLabelContract:
         for label in (("grid", 1, 1, 1, 1, WHOLE), "w_1_1_1_1", 7):
             with pytest.raises(TypeError, match="unsupported label type"):
                 label_name(label)
-            with pytest.raises(TypeError, match="unsupported label type"):
-                label_to_json(label)
+        # and the reader takes only a name
+        with pytest.raises(TypeError, match="^expected a JSON str, got GridVertex"):
+            label_from_name(GridVertex(1, 1, 1, 1))
 
 
 class TestSerialization:
@@ -640,42 +643,55 @@ class TestSerialization:
             TreeNode("c", 1, (0, 1, 1)),
         ]
         for label in labels:
-            assert label_from_json(label_to_json(label)) == label
+            assert label_from_name(label_name(label)) == label
 
     @pytest.mark.parametrize(
         "data",
         [
-            {"kind": "diagonal", "i": 1, "j": 1, "ell": 1},
-            {"kind": "grid", "i": 1, "j": 1, "q": 1, "part": "whole"},
-            {"kind": "hconn", "i": "one", "j": 1, "ell": 1},
+            "x_1_1_1",
+            "w_1_1_1",
+            "h_one_1_1",
             ["terminal", "a", 1],
-            {"kind": "grid", "i": 1.9, "j": 1, "q": 1, "ell": 1, "part": "whole"},
-            {"kind": "grid", "i": True, "j": 1, "q": 1, "ell": 1, "part": "whole"},
-            {"kind": "grid", "i": 1, "j": "1", "q": 1, "ell": 1, "part": "whole"},
-            {"kind": "terminal", "family": 5, "index": 1},
-            {"kind": "tree", "family": "c", "index": 1, "path": "10"},
-            {"kind": "tree", "family": "c", "index": 1, "path": [1, False]},
-            {"kind": "hconn", "i": 1, "j": 1, "ell": 1, "part": "whole"},
-            {"kind": "grid", "i": -3, "j": 1, "q": 1, "ell": 1, "part": "middle"},
-            {"kind": "grid", "i": 1, "j": 1, "q": 0, "ell": 1, "part": "whole"},
-            {"kind": "grid", "i": 1, "j": 1, "q": 1, "ell": 1, "part": "middle"},
-            {"kind": "vconn", "i": 1, "j": 1, "ell": 0},
-            {"kind": "terminal", "family": "e", "index": 1},
-            {"kind": "terminal", "family": "a", "index": 0},
-            {"kind": "tree", "family": "c", "index": 1, "path": [10]},
-            {"kind": "tree", "family": "c", "index": 1, "path": []},
-            {"kind": "tree", "family": "c", "index": 1, "path": [0, -1]},
+            "w_1.9_1_1_1",
+            "w_True_1_1_1",
+            "w_1_\u0661_1_1",
+            "5_1",
+            "tc_1_(1, 0)",
+            "tc_1_1False",
+            "h_1_1_1_lb",
+            "w_-3_1_1_1_middle",
+            "w_1_1_0_1",
+            "w_1_1_1_1_middle",
+            "v_1_1_0",
+            "e_1",
+            "a_0",
+            "tc_1_012",
+            "tc_1_",
+            "tc_1_0-1",
+            "w_01_1_1_1",
+            "w_1_1_1_1_whole",
+            "ta_1",
+            "a_+1",
+            "a_1\n",
+            " a_1",
+            "",
+            {"kind": "terminal", "family": "a", "index": 1},
         ],
         ids=[
             "unknown-kind", "missing-field", "non-integer-field", "non-dict", "float-field",
             "bool-field", "string-digit-field", "non-string-field", "string-path", "bool-path-bit",
             "extra-field", "negative-field-and-part", "zero-field", "unknown-part", "zero-chain-index",
             "unknown-family", "zero-index", "non-binary-path", "empty-path", "negative-path-bit",
+            "leading-zero", "whole-part-written", "tree-node-without-path", "plus-sign", "trailing-newline",
+            "leading-space", "empty-name", "label-object",
         ],
     )
     def test_malformed_label_document_rejected(self, data):
-        with pytest.raises(ValueError):
-            label_from_json(data)
+        # only names label_name writes read back: a field int() would take but label_name never writes
+        # (a digit of another script, a sign, a leading zero) is no name either
+        message = "is not the name of a vertex label$" if type(data) is str else "^expected a JSON str, got "
+        with pytest.raises((TypeError, ValueError), match=message):
+            label_from_name(data)
 
     def test_label_names_are_pinned(self):
         names = {
@@ -689,6 +705,7 @@ class TestSerialization:
             TreeNode("d", 3, (1,)): "td_3_1",
         }
         assert {label: label_name(label) for label in names} == names
+        assert {label_from_name(name): name for name in names.values()} == names
 
     def test_label_names_are_distinct(self):
         out = reduce_degree(reduce(generate_planted(2, 3, noise=1, seed=3)))
@@ -766,10 +783,10 @@ class TestSerialization:
             EmbeddedDigraph.from_json_dict(data)
 
     def test_label_ended_document_rejected(self):
-        # the form written before edges became vertex indices: every end is a label object
+        # the form written before edges became vertex indices: every end is a label
         g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
         data = g.to_json_dict()
-        data["edges"] = [[label_to_json(u), label_to_json(v)] for u, v in g.edges]
+        data["edges"] = [[label_name(u), label_name(v)] for u, v in g.edges]
         with pytest.raises(ValueError, match=r"^malformed graph document: edge 0 is not a \[tail, head\] pair of vertex "):
             EmbeddedDigraph.from_json_dict(data)
 
@@ -777,16 +794,8 @@ class TestSerialization:
         g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
         data = g.to_json_dict()
         index = {v: n for n, v in enumerate(g.vertices)}
-        assert [entry["label"] for entry in data["vertices"]] == [label_to_json(v) for v in g.vertices]
+        assert [entry["label"] for entry in data["vertices"]] == [label_name(v) for v in g.vertices]
         assert data["edges"] == [[index[u], index[v]] for u, v in g.edges]
-
-    def test_vertex_label_with_reordered_keys_is_its_vertex(self):
-        g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
-        data = json.loads(json.dumps(g.to_json_dict()))
-        data["vertices"] = [
-            {"coord": entry["coord"], "label": dict(reversed(entry["label"].items()))} for entry in data["vertices"]
-        ]
-        assert EmbeddedDigraph.from_json_dict(data) == g
 
     def test_graph_json_round_trip(self):
         g = reduce(generate_planted(2, 2, noise=1, seed=5)).graph

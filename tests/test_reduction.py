@@ -21,7 +21,7 @@ from gridpaths.digraph import (
     Terminal,
     TreeNode,
     VConnector,
-    label_to_json,
+    label_name,
 )
 from gridpaths.edp import solve_edp_dag
 from gridpaths.gridtiling import GridTilingInstance, generate_planted, generate_random, solve_gt_brute_force
@@ -261,7 +261,7 @@ class TestReduce:
 
 def _vertex_index(graph, label):
     """The index of ``label``'s entry in a graph document's vertex list: how its edges name it."""
-    return [entry["label"] for entry in graph["vertices"]].index(label_to_json(label))
+    return [entry["label"] for entry in graph["vertices"]].index(label_name(label))
 
 
 def _drop_found_edge(doc):
@@ -273,7 +273,7 @@ def _drop_found_edge(doc):
 
 
 def _move_terminal(doc):
-    (entry,) = [e for e in doc["graph"]["vertices"] if e["label"] == label_to_json(Terminal("a", 1))]
+    (entry,) = [e for e in doc["graph"]["vertices"] if e["label"] == "a_1"]
     entry["coord"][0] = "-7/3"
 
 
@@ -294,9 +294,10 @@ def _invalid_instance(doc):
     doc["instance"]["sets"]["1,1"].append([5, 1])
 
 
-# == takes each of these for the int it replaces, so only the type tells them apart
+# a value of a JSON type the encoding lacks there, named by its type: an int's place, where == takes
+# a float or a bool for the int, or a label's, which is a name
 def _float_in_label(doc):
-    doc["graph"]["vertices"][0]["label"]["i"] = 1.0
+    doc["graph"]["vertices"][0]["label"] = 1.0
 
 
 def _true_in_edge_end(doc):
@@ -305,12 +306,12 @@ def _true_in_edge_end(doc):
 
 
 def _true_terminal_index(doc):
-    doc["terminals"][0][0]["index"] = True
+    doc["terminals"][0][0] = True
 
 
 def _boolean_tree_path(doc):
-    label = next(entry["label"] for entry in doc["graph"]["vertices"] if entry["label"]["kind"] == "tree")
-    label["path"] = [bool(bit) for bit in label["path"]]
+    entry = next(entry for entry in doc["graph"]["vertices"] if entry["label"].startswith("t"))
+    entry["label"] = [bit == "1" for bit in entry["label"].rsplit("_", 1)[1]]
 
 
 class TestLoadCheck:
@@ -352,9 +353,10 @@ class TestGoldenOutput:
     # instance list below; a refactor of the construction must keep it.
     # Re-pinned when the terminal depth became ceil(N / 4): the vertex and
     # edge lists stayed identical, only coordinate strings changed.  Re-pinned
-    # when edges became [tail, head] vertex indices: the DOT text stayed
-    # identical, and every document loads to a graph equal to the old one's.
-    DIGEST = "52ce8aeb9a4720be6cbc8fb3368fe27f02baed94997e8fef1f92dbb950a83d6b"
+    # when edges became [tail, head] vertex indices, and again when each
+    # label became its DOT name: both times the DOT text stayed identical,
+    # and every document loads to a graph equal to the old one's.
+    DIGEST = "345d93f04de36d5bcb9ddbda1e70ab456758b2559959b6942ac30d0e991d7d26"
 
     def test_json_and_dot_output_is_byte_identical_to_pinned_digest(self):
         digest = hashlib.sha256()
@@ -376,8 +378,8 @@ class TestGoldenOutput:
 
     # Same digest over reduce_degree alone at sizes where the fan trees'
     # depth changes (around powers of two); computed before the trees were
-    # built in the construction pass; re-pinned with DIGEST, both times.
-    TREE_DIGEST = "90acfe3358a65a2239c28b168df9ed3df82ee8c332ec493318b42a7d8747aefe"
+    # built in the construction pass; re-pinned with DIGEST, each time.
+    TREE_DIGEST = "1d2602f69235abf1ab7e8f2b364298493874ca66d9b2cf84fe96dafa9e05e4df"
 
     def test_fan_trees_are_byte_identical_to_pinned_digest(self):
         digest = hashlib.sha256()
@@ -698,6 +700,65 @@ class TestCellRelation:
                     assert t in cone and cone <= level_set(out, kind, s.index), (k, n, seed, s)
                     pairs += 1
         assert pairs == 2 * sum(2 * k for k in (1, 2, 3)) * 3 * 2
+
+    @staticmethod
+    def leads_to(step: dict, starts, inner) -> set:
+        """The vertices outside ``inner`` one ``step`` from ``starts`` or from an ``inner`` vertex they reach by ``step``."""
+        found, todo, ends = set(starts), list(starts), set()
+        while todo:
+            for w in step[todo.pop()]:
+                if not inner(w):
+                    ends.add(w)
+                elif w not in found:
+                    found.add(w)
+                    todo.append(w)
+        return ends
+
+    @staticmethod
+    def local_graphs(n: int, trees: bool):
+        """The k = 2 full and empty reductions in the form asked for, each with its successor and predecessor lists."""
+        for inst in (full_instance(2, n), empty_instance(2, n)):
+            out = reduce(inst)
+            out = reduce_degree(out) if trees else out
+            succ, pred = {v: [] for v in out.graph.vertices}, {v: [] for v in out.graph.vertices}
+            for u, v in out.graph.edges:
+                succ[u].append(v)
+                pred[v].append(u)
+            yield out, succ, pred
+
+    @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_connector_chain_joins_exit_level_to_each_entry_level_at_or_above(self, n, trees):
+        # item 21's first remaining local fact: through connector vertices alone, exit level l of a
+        # grid reaches entry level l' of the next grid along its family's paths iff l <= l'
+        families = ((VConnector, (0, 1), "top", "bottom"), (HConnector, (1, 0), "right", "left"))
+        chains = 0
+        for out, succ, _ in self.local_graphs(n, trees):
+            for connector, (di, dj), exit_side, entry_side in families:
+                for i, j in ((1, 1), (2 - di, 2 - dj)):  # the two cells with a next cell along the paths
+                    exits, entries = boundary(out, i, j, exit_side), boundary(out, i + di, j + dj, entry_side)
+                    for ell, v in enumerate(exits):
+                        first = [w for w in succ[v] if isinstance(w, connector)]
+                        assert self.leads_to(succ, first, lambda w: isinstance(w, connector)) == set(entries[ell:])
+                    chains += 1
+        assert chains == 2 * 4
+
+    @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_fan_or_tree_reaches_each_of_its_boundary_vertices(self, n, trees):
+        # item 21's second remaining local fact: through its own fan-tree nodes alone, a source
+        # terminal reaches, and a sink terminal is reached from, each of its N boundary vertices
+        sides = {"a": ("bottom", 0, 1), "b": ("top", 0, 2), "c": ("left", 1, 0), "d": ("right", 2, 0)}
+        fans = 0
+        for out, succ, pred in self.local_graphs(n, trees):
+            for family, m in itertools.product("abcd", (1, 2)):
+                side, i, j = sides[family]
+                cell = (i or m, j or m)  # the lane's first or last grid
+                own = lambda w: isinstance(w, TreeNode) and (w.family, w.index) == (family, m)
+                step = succ if family in "ac" else pred
+                assert self.leads_to(step, [Terminal(family, m)], own) == set(boundary(out, *cell, side))
+                fans += 1
+        assert fans == 2 * 8
 
 
 class TestDegreeReduction:
