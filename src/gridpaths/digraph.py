@@ -514,9 +514,11 @@ class EmbeddedDigraph(Digraph):
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
         try:
             (vertices, edges), verts, coords = exact_fields(data, "vertices", "edges"), [], {}
-            for label, coord in map(exact_fields, vertices, repeat("label"), repeat("coord")):
+            for label, coord in map(exact_fields, exact(list, vertices), repeat("label"), repeat("coord")):
                 v = label_from_name(label)
-                x_str, y_str = exact(list, coord)
+                if len(exact(list, coord)) != 2:
+                    raise ValueError(f"coord of vertex {label} is not an [x, y] pair: {brief(coord)}")
+                x_str, y_str = coord
                 verts.append(v)
                 coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
             tail, head = _edge_ends(exact(list, edges), len(verts))

@@ -61,9 +61,8 @@ class GridTilingInstance:
                 cell = _CELL_KEY.fullmatch(key)
                 if cell is None:
                     raise ValueError(f"cell key {brief(key)} is not '<x>,<y>' in positive decimals")
-                sets[(int(cell[1]), int(cell[2]))] = frozenset(
-                    (exact(int, a), exact(int, b)) for a, b in map(exact, repeat(list), exact(list, pairs))
-                )
+                xy = (int(cell[1]), int(cell[2]))
+                sets[xy] = frozenset(map(_read_pair, repeat(xy), exact(list, pairs)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed grid tiling instance: {exc}") from exc
         return cls(k=k, N=n, sets=sets)
@@ -72,6 +71,13 @@ class GridTilingInstance:
 # the keys to_json_dict writes, and only those: no sign, space or leading
 # zero, so that no two keys name one cell
 _CELL_KEY = re.compile(r"([1-9][0-9]*),([1-9][0-9]*)")
+
+
+def _read_pair(cell: Cell, pair) -> Pair:
+    """A JSON pair of ``cell`` as the instance reader takes it: a list of two exact ints."""
+    if len(exact(list, pair)) != 2:
+        raise ValueError(f"cell {cell} holds {brief(pair)}, which is not a pair [a, b]")
+    return exact(int, pair[0]), exact(int, pair[1])
 
 
 def _cells(k: int) -> Iterator[Cell]:

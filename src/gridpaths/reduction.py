@@ -16,11 +16,10 @@ edge counts follow closed forms that the test suite pins exactly.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, product, repeat
+from itertools import chain, product
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -129,42 +128,34 @@ class ReductionOutput:
     def from_json_dict(cls, data: dict) -> "ReductionOutput":
         """Rebuild the reduction from ``instance`` and ``degree_reduced``.
 
-        ``graph``, ``terminals`` and ``counts`` must equal the rebuild's encoding exactly.  ``==``
-        takes 1, 1.0 and true as one value, so a part that holds a JSON type its encoding lacks is
-        malformed.  The encoding holds only dicts, lists, strs and ints, no two of which compare
-        equal, so a part made of those alone that compares equal is the encoding exactly.
+        The gadget is a function of its instance, so ``graph``, ``terminals`` and ``counts`` carry
+        nothing the rebuild lacks: each must equal the rebuild's encoding under ``==``.  ``==`` takes
+        1, 1.0 and true as one value, but no other JSON value equals a value of another type, and the
+        encoding's only ints are the graph's edge ends and the two counts.  So the counts are read by
+        exact type, and a graph that compares equal has its edge ends' types checked in one pass.
+        An equal-valued str, list or dict subclass passed in from Python is taken: the rebuild is
+        returned, never a stored value.
         """
         try:
             keys = ("instance", "graph", "terminals", "counts", "degree_reduced")
-            stored = dict(zip(keys, exact_fields(data, *keys)))
-            degree_reduced = exact(bool, stored.pop("degree_reduced"))
-            inst = GridTilingInstance.from_json_dict(stored.pop("instance"))
+            instance, graph, terminals, counts, degree_reduced = exact_fields(data, *keys)
+            degree_reduced = exact(bool, degree_reduced)
+            for count in exact_fields(counts, "vertices", "edges"):
+                exact(int, count)
+            inst = GridTilingInstance.from_json_dict(instance)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed reduction document: {exc}") from exc
         out = _derive(inst, degree_reduced)
         document = out.to_json_dict()
-        for part, value in stored.items():
-            held, encoded = _json_types(value), document[part]
-            if value != encoded or not held <= {dict, list, str, int}:
-                if foreign := " and ".join(sorted(kind.__name__ for kind in held - _json_types(encoded))):
-                    raise ValueError(f"malformed reduction document: its {part} holds a value of type {foreign}")
-                if part == "graph":  # no graph document at all (the label-ended form): the bare reader names the edge
+        for part, value in (("graph", graph), ("terminals", terminals), ("counts", counts)):
+            if value != document[part]:
+                if part == "graph":  # a part that is no graph document is named by the bare reader
                     EmbeddedDigraph.from_json_dict(value)
                 raise ValueError(f"reduction document's {part} differs from its instance's construction")
+        if foreign := set(map(type, chain.from_iterable(graph["edges"]))) - {int}:
+            names = " and ".join(sorted(kind.__name__ for kind in foreign))
+            raise ValueError(f"malformed reduction document: its graph holds a value of type {names}")
         return out
-
-
-def _json_types(value) -> set[type]:
-    """The types of ``value`` and of every value nested in it, found one nesting level at a time."""
-    types, level = set(), [value]
-    while level:
-        kinds = list(map(type, level))
-        found = set(kinds)
-        types |= found
-        lists = compress(level, map(operator.is_, kinds, repeat(list))) if list in found else ()
-        dicts = compress(level, map(operator.is_, kinds, repeat(dict))) if dict in found else ()
-        level = [*chain.from_iterable(lists), *chain.from_iterable(map(dict.values, dicts))]
-    return types
 
 
 def build_g1(k: int, N: int) -> EmbeddedDigraph:

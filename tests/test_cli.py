@@ -27,7 +27,7 @@ from gridpaths.reduction import GraphCounts, TerminalSet
 
 from . import exhaustive_k2n2
 from ._oracles import is_dotted_edge
-from .test_reduction import _vertex_index, empty_instance, full_instance
+from .test_reduction import _leaves, _vertex_index, empty_instance, full_instance
 
 
 def run(capsys, *argv):
@@ -743,17 +743,8 @@ class TestExport:
         assert err == "error: malformed reduction document: its graph holds a value of type float\n"
 
 
-def _leaf_paths(doc, path=()):
-    """The key paths to every scalar in a JSON document."""
-    if isinstance(doc, (dict, list)):
-        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            yield from _leaf_paths(value, path + (key,))
-    else:
-        yield path
-
-
 _GRAPH_DOC = reduction.reduce(gridtiling.generate_planted(2, 2, noise=0, seed=0)).graph.to_json_dict()
-_GRAPH_LEAVES = list(_leaf_paths(_GRAPH_DOC))
+_GRAPH_LEAVES = [path for path, _ in _leaves(_GRAPH_DOC)]
 _HUGE_DECIMALS = ["1" + "0" * 400, "-1" + "0" * 400, "1/" + "3" * 400]
 _LEAF_VALUES = st.one_of(
     st.integers(min_value=2**63) | st.integers(max_value=-(2**63)),
@@ -906,6 +897,42 @@ class TestMalformedInput:
         for path, fmt in itertools.product((red, bare), ("dot", "json")):
             assert run(capsys, "export", str(path), "--format", fmt) == (EXIT_USAGE, "", message)
         assert len(message) < 300
+
+    @pytest.mark.parametrize(
+        "place, value, message",
+        [
+            ("vertices", 5, "expected a JSON list, got 5"),
+            ("vertices", {"w_1_1_1_1": ["1", "1"]}, "expected a JSON list, got {'w_1_1_1_1': ['1', '1']}"),
+            ("coord", ["1"], "coord of vertex w_1_1_1_1 is not an [x, y] pair: ['1']"),
+            ("coord", ["1", "1", "0"], "coord of vertex w_1_1_1_1 is not an [x, y] pair: ['1', '1', '0']"),
+            ("coord", ["1"] * 5000, f"coord of vertex w_1_1_1_1 is not an [x, y] pair: {brief(['1'] * 5000)}"),
+        ],
+        ids=["vertices-number", "vertices-object", "coord-of-one", "coord-of-three", "coord-long"],
+    )
+    def test_graph_document_of_the_wrong_shape_exits_2(self, capsys, tmp_path, place, value, message):
+        # a vertex list or a coord of the wrong shape is named, as a bare document and as a reduction's graph
+        inst, red, bare = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "g.json"
+        assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
+        doc = json.loads(red.read_text())
+        assert doc["graph"]["vertices"][0]["label"] == "w_1_1_1_1"
+        (doc["graph"] if place == "vertices" else doc["graph"]["vertices"][0])[place] = value
+        red.write_text(json.dumps(doc))
+        bare.write_text(json.dumps(doc["graph"]))
+        for path, fmt in itertools.product((red, bare), ("dot", "json")):
+            assert run(capsys, "export", str(path), "--format", fmt) == (
+                EXIT_USAGE, "", f"error: malformed graph document: {message}\n"
+            )
+
+    @pytest.mark.parametrize(
+        "pair, shown",
+        [([1, 2, 3], "[1, 2, 3]"), ([1], "[1]"), ([], "[]"), ([1] * 5000, brief([1] * 5000))],
+        ids=["three-items", "one-item", "empty", "long"],
+    )
+    def test_pair_of_the_wrong_length_exits_2(self, capsys, tmp_path, pair, shown):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"k": 1, "N": 2, "sets": {"1,1": [[1, 1], pair]}}))
+        message = f"error: malformed grid tiling instance: cell (1, 1) holds {shown}, which is not a pair [a, b]\n"
+        assert run(capsys, "roundtrip", str(path)) == (EXIT_USAGE, "", message)
 
     def test_large_mistyped_value_is_echoed_in_brief(self, capsys, tmp_path):
         # sets must be an object; a 5,000-pair list is named by its type and the start of its repr only

@@ -294,15 +294,10 @@ def _invalid_instance(doc):
     doc["instance"]["sets"]["1,1"].append([5, 1])
 
 
-# a value of a JSON type the encoding lacks there, named by its type: an int's place, where == takes
-# a float or a bool for the int, or a label's, which is a name
+# a value of a JSON type the encoding lacks in a label's place, which is a name, or in a terminal's:
+# == tells it from the name, and the bare reader names it (TestLoadPremise sweeps the int places)
 def _float_in_label(doc):
     doc["graph"]["vertices"][0]["label"] = 1.0
-
-
-def _true_in_edge_end(doc):
-    edge = next(edge for edge in doc["graph"]["edges"] if 1 in edge)
-    edge[edge.index(1)] = True
 
 
 def _true_terminal_index(doc):
@@ -326,13 +321,12 @@ class TestLoadCheck:
             (_bump_count, "counts differs"),
             (_flip_reduced, "graph differs"),
             (_invalid_instance, "invalid instance"),
-            (_float_in_label, "^malformed reduction document: its graph holds a value of type float$"),
-            (_true_in_edge_end, "^malformed reduction document: its graph holds a value of type bool$"),
-            (_true_terminal_index, "^malformed reduction document: its terminals holds a value of type bool$"),
-            (_boolean_tree_path, "^malformed reduction document: its graph holds a value of type bool$"),
+            (_float_in_label, "^malformed graph document: expected a JSON str, got 1.0$"),
+            (_true_terminal_index, "^reduction document's terminals differs from its instance's construction$"),
+            (_boolean_tree_path, r"^malformed graph document: expected a JSON str, got \[False\]$"),
         ],
         ids=["missing-grid-edge", "moved-coordinate", "swapped-pairs", "count-off-by-one",
-             "flipped-degree-reduced", "invalid-instance", "float-label-field", "boolean-edge-end",
+             "flipped-degree-reduced", "invalid-instance", "float-label-field",
              "boolean-terminal-index", "boolean-tree-path"],
     )
     def test_tampered_document_rejected(self, tamper, match):
@@ -346,6 +340,69 @@ class TestLoadCheck:
         tamper(doc)
         with pytest.raises(ValueError, match=match):
             ReductionOutput.from_json_dict(doc)
+
+
+def _golden_outputs():
+    """The reductions, in both forms, whose bytes TestGoldenOutput pins."""
+    for k, n in itertools.product((1, 2, 3), (2, 3, 6)):
+        seed = k * 10 + n
+        for inst in (generate_planted(k, n, noise=2, seed=seed), generate_random(k, n, 0.5, seed=seed),
+                     empty_instance(k, n), full_instance(k, n)):
+            out = reduce(inst)
+            yield from (out, reduce_degree(out))
+    for k, n in itertools.product((1, 2), (4, 5, 7, 8, 9, 16, 17)):
+        seed = k * 100 + n
+        for inst in (generate_planted(k, n, noise=2, seed=seed), generate_random(k, n, 0.5, seed=seed)):
+            yield reduce_degree(reduce(inst))
+
+
+def _leaves(value, path=()):
+    """(key path, value) of every scalar in a JSON value."""
+    if type(value) in (dict, list):
+        for key, item in value.items() if type(value) is dict else enumerate(value):
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
+class TestLoadPremise:
+    """The loader compares the derived parts with ==, which takes 1, 1.0 and true as one value.
+
+    It tests the exact type of the counts and of the graph's edge ends alone, so those must be the
+    encoding's only ints: a new int anywhere else in the format fails here first.
+    """
+
+    def test_only_edge_ends_and_counts_are_ints(self):
+        for out in _golden_outputs():
+            doc = out.to_json_dict()
+            for path, leaf in _leaves({part: doc[part] for part in ("graph", "terminals", "counts")}):
+                if type(leaf) is int:
+                    assert path[:2] == ("graph", "edges") and len(path) == 4 or path[0] == "counts", path
+                else:
+                    assert type(leaf) is str, (path, leaf)
+
+    @pytest.mark.parametrize("degree2", [False, True], ids=["direct", "degree2"])
+    def test_every_int_twin_is_rejected(self, degree2):
+        from gridpaths.reduction import ReductionOutput
+
+        out = reduce(generate_planted(1, 2, noise=0, seed=0))
+        text = json.dumps((reduce_degree(out) if degree2 else out).to_json_dict())
+        places = [(path, leaf) for path, leaf in _leaves(json.loads(text)) if type(leaf) is int]
+        twins = [(path, float(leaf)) for path, leaf in places]
+        twins += [(path, bool(leaf)) for path, leaf in places if leaf in (0, 1)]
+        assert {path[:2] for path, _ in twins} == {("instance", "k"), ("instance", "N"), ("instance", "sets"),
+                                                    ("graph", "edges"), ("counts", "vertices"), ("counts", "edges")}
+        for path, twin in twins:
+            doc = json.loads(text)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = twin
+            assert doc == json.loads(text)  # the twin is equal to the int it replaces
+            with pytest.raises(ValueError, match="^malformed ") as caught:
+                ReductionOutput.from_json_dict(doc)
+            # named by its type (an edge end) or its value (a count, or in the instance)
+            assert str(caught.value).endswith((f"of type {type(twin).__name__}", f"got {twin!r}")), path
 
 
 class TestGoldenOutput:
