@@ -512,6 +512,17 @@ class EmbeddedDigraph(Digraph):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
+        parsed: dict[str, Fraction] = {}
+
+        def parse(text) -> Fraction:
+            # each distinct string once (a graph has few); any other value, hashable or not, is
+            # named by _parse_coord's exact()
+            try:
+                return parsed[text]
+            except (KeyError, TypeError):
+                value = parsed[text] = _parse_coord(text)
+                return value
+
         try:
             (vertices, edges), verts, coords = exact_fields(data, "vertices", "edges"), [], {}
             for label, coord in map(exact_fields, exact(list, vertices), repeat("label"), repeat("coord")):
@@ -520,7 +531,7 @@ class EmbeddedDigraph(Digraph):
                     raise ValueError(f"coord of vertex {label} is not an [x, y] pair: {brief(coord)}")
                 x_str, y_str = coord
                 verts.append(v)
-                coords[v] = (_parse_coord(x_str), _parse_coord(y_str))
+                coords[v] = (parse(x_str), parse(y_str))
             tail, head = _edge_ends(exact(list, edges), len(verts))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc

@@ -5,10 +5,15 @@ time, each over the edges the earlier pairs left free, so a None answer is
 a proof of infeasibility at the given budget.  It routes the pair with the
 largest cone first (``_cone_sizes``), then the others in the given order.
 ``_search`` documents how it prunes without changing the search tree; it
-tests ancestry on one bitmask per vertex, the targets it reaches.  In
-``solve_edp_dag`` a search that hits its budget is followed by one on the
-mirror instance, read from the sinks, with half the budget; the budget
-error means both ran out.  Also here: the edge-disjoint solution checker.
+tests ancestry on one bitmask per vertex, the targets it reaches.
+``solve_edp_dag`` runs up to three stages: that search; where it hits its
+budget, the same search on the mirror instance, read from the sinks, with
+half the budget; where that runs out too, pairwise propagation
+(``_propagate``): two-pair games over per-pair arc domains, played to a
+fixpoint, whose states are capped at half the budget, which either
+refutes the instance or narrows the graph for one more search with half
+the budget.  The budget error means every stage ran out.  Also here: the
+edge-disjoint solution checker.
 
 There is no vertex-disjoint search: on a reduction all 4k terminals lie on
 the outer face with each column pair alternating with each row pair, so
@@ -21,9 +26,10 @@ legal and consumes no edges.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 
 from .digraph import Digraph, Label, _int_keys
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -360,6 +366,315 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
     return None
 
 
+_DEAD = 1  # bit 0 of a stop mask: a dead end, past which a token needs no shared arc
+
+
+def _segments(arcs: list[int], cut: int, head: list[int], tail: list[int], stop: dict[int, int]) -> dict[int, int]:
+    """Per tail of a domain's first ``cut`` ``arcs`` (in topological order), the stop mask of its out-arcs.
+
+    A vertex's mask has the bit of each stop (``stop`` maps a vertex to its
+    bit) that a path from it reaches before any other stop, and ``_DEAD``
+    when such a path reaches a dead end, a vertex from which no stop is
+    reachable: the target, at the latest.  The arcs past ``cut`` have tails
+    after the last stop, all dead ends.  An arc's mask is its head's: the
+    head's own bit if it is a stop, else its entry here, or ``_DEAD`` if it
+    has none.
+    """
+    acc: dict[int, int] = {}
+    get, stop_get = acc.get, stop.get
+    for e in islice(reversed(arcs), len(arcs) - cut, None):
+        v, h = tail[e], head[e]
+        acc[v] = get(v, 0) | (stop_get(h) or get(h, _DEAD))
+    return acc
+
+
+def _kept(arcs: list[int], cut: int, head: list[int], tail: list[int], stop: dict[int, int], acc: dict[int, int],
+          good: dict[int, int], first: dict[int, int]) -> list[int]:
+    """The ``arcs`` (in topological order) that lie on a winning line, given the good masks of the stops.
+
+    A stop's good mask (``good``) has the bits of the stops, and ``_DEAD``,
+    that a winning move from it ends at, -1 if the token moves freely from
+    there on; ``first`` holds the same for an arc that a two-arc move starts
+    with.  The pass carries each mask along the arcs that lead to one of its
+    stops, into the vertices between stops; a free mask also into stops.
+    Past ``cut`` every vertex is a dead end, so a mask there leads on if it
+    has ``_DEAD``.
+    """
+    kept: list[int] = []
+    keep, get, first_get, stop_get, acc_get = kept.append, good.get, first.get, stop.get, acc.get
+    for e in islice(arcs, cut):
+        m = get(tail[e], 0) | first_get(e, 0)
+        if m:
+            h = head[e]
+            if m & (stop_get(h) or acc_get(h, _DEAD)):
+                keep(e)
+                if m < 0 or h not in stop:
+                    good[h] = get(h, 0) | m
+    for e in islice(arcs, cut, None):
+        m = get(tail[e], 0)
+        if m & _DEAD:
+            keep(e)
+            h = head[e]
+            good[h] = get(h, 0) | m
+    return kept
+
+
+class _Domains:
+    """Per-pair arc domains on a graph, narrowed by two-pair games (pairwise consistency).
+
+    ``dom[e]`` has bit i when edge e is in pair i's domain, and ``arcs[i]``
+    lists that domain in topological order of the tails.  A domain starts
+    as its pair's cone arcs: their tails are reached from the source, their
+    heads reach the target.  The graph must be acyclic and hold every
+    terminal, as the solver's first search checks; ``routed`` is whether
+    every pair has a route.  ``states`` counts the states the games have
+    valued, and a game that would take it past ``cap`` raises
+    BudgetExceededError instead.
+    """
+
+    def __init__(self, g: Digraph, pairs: list[tuple[Label, Label]], cap: int) -> None:
+        order = g._topo_ids()[0]
+        ids = g._id
+        self.ends = ends = [(ids[s], ids[t]) for s, t in pairs]
+        self.head, self.tail, self.out = head, tail, out = g._head, g._tail, g._out
+        back = _reach_bits(g, [t for _, t in ends])
+        fwd = _reach_bits(g._reverse(), [s for s, _ in ends])
+        self.routed = all(back[s] >> i & 1 for i, (s, _) in enumerate(ends))
+        self.dom = dom = list(map(operator.and_, map(fwd.__getitem__, tail), map(back.__getitem__, head)))
+        self.pos = pos = [0] * len(out)
+        self.arcs = arcs = [[] for _ in ends]
+        for p, v in enumerate(order):
+            pos[v] = p
+            for e in out[v]:
+                bits = dom[e]
+                while bits:
+                    low = bits & -bits
+                    arcs[low.bit_length() - 1].append(e)
+                    bits ^= low
+        self.cap, self.states = cap, 0
+
+    def game(self, i: int, j: int) -> tuple[list[int], list[int]] | None:
+        """Pairs i and j's two-token game: None if it is lost, else the arcs of each domain on a winning line.
+
+        The game is Fortune, Hopcroft and Wyllie's: a token per pair, at its
+        source first, moves along the arcs of its domain, and the game is
+        won when edge-disjoint paths take both home.  Its value does not
+        depend on the order of the moves, so only the arcs both domains
+        share constrain it.  A state is a pair of stops, one per token: the
+        tails of the shared arcs and the two sources.  A token moves from its
+        stop through one arc and on through the vertices between stops, all
+        of whose arcs are unshared, to its next stop, or into a dead end, from
+        which it reaches its target without a shared arc; then the other
+        token moves freely and the game is won.  The token on the
+        topologically lower stop moves, so the other can never take an arc
+        that it took; two tokens on one stop leave it by two distinct arcs.
+
+        Stops are ranked by topological position, and stop r has bit r + 1
+        of every mask.  ``won[r]`` holds the stops at which token i wins with
+        token j at stop r, and bit 0.  One pass from the last stop to the
+        first fills it: the stops after stop r by token j's moves, which reach
+        later stops only; stop r itself by the two-arc moves; then the stops
+        before it, from the last down, by token i's moves.  A second pass,
+        from the first stop, carries the won states reached from the start
+        (``reach``, the same layout) and collects the good masks for
+        ``_kept``: per stop, and per first arc of a two-arc move.  The states
+        valued, the squared number of stops, count against the cap.
+        """
+        dom, head, tail, out, pos = self.dom, self.head, self.tail, self.out, self.pos
+        bi, bj = 1 << i, 1 << j
+        both = bi | bj
+        arcs_i, arcs_j = self.arcs[i], self.arcs[j]
+        at = {tail[e] for e in (arcs_i if len(arcs_i) <= len(arcs_j) else arcs_j) if dom[e] & both == both}
+        if not at:
+            return arcs_i, arcs_j
+        (si, _), (sj, _) = self.ends[i], self.ends[j]
+        at = sorted({*at, si, sj}, key=pos.__getitem__)
+        nstops = len(at)
+        self.states += nstops * nstops
+        if self.states > self.cap:
+            raise BudgetExceededError(self.cap)
+        stop = {v: 2 << r for r, v in enumerate(at)}
+        # per domain, the number of its arcs whose tails are no later than the last stop
+        last = pos[at[-1]]
+        cut_i = bisect_right(arcs_i, last, key=lambda e: pos[tail[e]])
+        cut_j = bisect_right(arcs_j, last, key=lambda e: pos[tail[e]])
+        acc_i = _segments(arcs_i, cut_i, head, tail, stop)
+        acc_j = _segments(arcs_j, cut_j, head, tail, stop)
+        succ_i = [acc_i.get(v, _DEAD) for v in at]
+        succ_j = [acc_j.get(v, _DEAD) for v in at]
+
+        # per stop, the arcs of i and of j that leave it, each with its stop mask; a token at home
+        # leaves by a pseudo-arc (-1 for i, -2 for j) to a dead end
+        firsts = []
+        for y in at:
+            arcs_at_i, arcs_at_j = [], []
+            for e in out[y]:
+                d, h = dom[e], head[e]
+                if d & bi:
+                    arcs_at_i.append((e, stop.get(h) or acc_i.get(h, _DEAD)))
+                if d & bj:
+                    arcs_at_j.append((e, stop.get(h) or acc_j.get(h, _DEAD)))
+            firsts.append((arcs_at_i or [(-1, _DEAD)], arcs_at_j or [(-2, _DEAD)]))
+
+        won = [0] * nstops
+        i_moves = [(succ, 2 << q) for q, succ in enumerate(succ_i)]
+        for r in range(nstops - 1, -1, -1):
+            bit = 2 << r
+            arcs_at_i, arcs_at_j = firsts[r]
+            # token j leaving y by arc b: the stops token i must then win at (partner) make the
+            # stops after y; with i at y too, an arc a other than b must lead to one of them
+            later = both_at_y = 0
+            for b, v2 in arcs_at_j:
+                if v2 & _DEAD:
+                    partner = -1
+                else:
+                    partner = 0
+                    while v2:
+                        low = v2 & -v2
+                        partner |= won[low.bit_length() - 2]
+                        v2 ^= low
+                later |= partner
+                if not both_at_y:
+                    for a, v1 in arcs_at_i:
+                        if a != b and v1 & partner:
+                            both_at_y = bit
+                            break
+            col = later & -bit << 1 | both_at_y | _DEAD
+            for succ, stop_bit in reversed(i_moves[:r]):
+                if succ & col:
+                    col |= stop_bit
+            won[r] = col
+        if not won[at.index(sj)] & stop[si]:
+            return None
+
+        good_i = dict.fromkeys(at, 0)
+        good_j = dict.fromkeys(at, 0)
+        first_i: dict[int, int] = {}
+        first_j: dict[int, int] = {}
+        reach = [0] * nstops
+        reach[at.index(sj)] = stop[si]
+        for r, y in enumerate(at):
+            col = reach[r]
+            if not col:
+                continue
+            bit, wy = 2 << r, won[r]
+            m = col & bit - 2
+            while m:  # token i moves from the stops before y, the first first
+                low = m & -m
+                q = low.bit_length() - 2
+                t = succ_i[q] & wy
+                good_i[at[q]] |= t
+                if t & _DEAD:
+                    good_j[y] = -1
+                col |= t & ~_DEAD
+                m = col & bit - 2 & -low << 1
+            if col & bit:  # both tokens at y: the good masks go to their first arcs
+                arcs_at_i, arcs_at_j = firsts[r]
+                for (a, v1), (b, v2) in product(arcs_at_i, arcs_at_j):
+                    if a == b:
+                        continue
+                    if v1 & _DEAD:
+                        first_i[a] = first_i.get(a, 0) | _DEAD
+                        first_j[b] = -1
+                    if v2 & _DEAD:
+                        first_j[b] = first_j.get(b, 0) | _DEAD
+                        first_i[a] = -1
+                    v2 &= ~_DEAD
+                    while v2:
+                        low = v2 & -v2
+                        q = low.bit_length() - 2
+                        t = v1 & won[q] & ~_DEAD
+                        if t:
+                            first_i[a] = first_i.get(a, 0) | t
+                            first_j[b] = first_j.get(b, 0) | low
+                            reach[q] |= t
+                        v2 ^= low
+            later = col & -bit << 1
+            if later:  # token j moves from y, token i at a later stop
+                m = succ_j[r]
+                if m & _DEAD:
+                    good_j[y] |= _DEAD
+                    while later:
+                        low = later & -later
+                        good_i[at[low.bit_length() - 2]] = -1
+                        later ^= low
+                    later = col & -bit << 1
+                    m ^= _DEAD
+                while m:
+                    low = m & -m
+                    q = low.bit_length() - 2
+                    t = later & won[q]
+                    if t:
+                        good_j[y] |= low
+                        reach[q] |= t
+                    m ^= low
+        return (
+            _kept(arcs_i, cut_i, head, tail, stop, acc_i, good_i, first_i),
+            _kept(arcs_j, cut_j, head, tail, stop, acc_j, good_j, first_j),
+        )
+
+    def narrow(self) -> bool:
+        """Plays the games of every two pairs whose cones share an arc to a fixpoint; False if one is lost.
+
+        A game is replayed whenever one of its two domains shrank since it
+        was last played.  Domains only shrink, so two pairs whose cones
+        share no arc never play.
+        """
+        dom, arcs = self.dom, self.arcs
+        masks = set(dom)
+        crossing = [(i, j) for j in range(len(arcs)) for i in range(j) if any(m >> i & m >> j & 1 for m in masks)]
+        version = [0] * len(arcs)
+        played = dict.fromkeys(crossing)
+        again = True
+        while again:
+            again = False
+            for i, j in crossing:
+                if played[i, j] == (version[i], version[j]):
+                    continue
+                result = self.game(i, j)
+                if result is None:
+                    return False
+                for p, kept in zip((i, j), result):
+                    if len(kept) < len(arcs[p]):
+                        for e in set(arcs[p]).difference(kept):
+                            dom[e] ^= 1 << p
+                        arcs[p] = kept
+                        version[p] += 1
+                        again = True
+                played[i, j] = (version[i], version[j])
+        return True
+
+
+def _propagate(g: Digraph, pairs: list[tuple[Label, Label]], cap: int) -> list[int] | None:
+    """Pairwise propagation: per edge, the bitmask of the pairs whose domain keeps it; None refutes.
+
+    Starting from the cone arcs, ``_Domains.narrow`` keeps in each domain
+    only the arcs on a winning line of its pair's game with each other
+    pair, to a fixpoint.  Sound: a solution's paths for pairs i and j are a
+    winning line of their game over any domains that hold them, so no game
+    drops one of their arcs and none is lost.  With two pairs the one game
+    decides the instance.  Raises BudgetExceededError once the games have
+    valued more than ``cap`` states.
+    """
+    doms = _Domains(g, pairs, cap)
+    return doms.dom if doms.routed and doms.narrow() else None
+
+
+def _search_domains(g: Digraph, pairs: list[tuple[Label, Label]], budget: int) -> PathSet | None:
+    """``_propagate`` with a cap of ``budget`` states, then one search with ``budget`` expansions on the domains it leaves.
+
+    The search runs on the subgraph of the union of the domains, which
+    keeps the graph's vertex ids and labels.
+    """
+    dom = _propagate(g, pairs, budget)
+    if dom is None:
+        return None
+    keep = [e for e, bits in enumerate(dom) if bits]
+    sub = Digraph.__new__(Digraph)
+    sub._init(g._verts, [g._tail[e] for e in keep], [g._head[e] for e in keep])
+    return _search(sub, pairs, budget)
+
+
 def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact edge-disjoint routing on a DAG; None means provably infeasible.
 
@@ -368,14 +683,20 @@ def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     the others in the given order, and edges are tried in the graph's edge
     order.  If that search hits the expansion cap, the mirror instance (the
     reverse graph, each pair's ends swapped, the pair list reversed) is
-    searched the same way with half the cap, rounded up; so a call makes at
-    most 1.5 times the cap in expansions.  The paths come back in the given
-    order.  Raises BudgetExceededError, naming the cap, when both searches
-    hit it.  The cap counts plain backtracking's expansions, counted
-    subtrees included: it bounds the tree, not the time (random (3,5) d=0.1
-    seed 1 answers None after 7.1e6 expansions, 3.8 s on a 2-CPU VM).
+    searched the same way with half the cap, rounded up.  If that hits its
+    cap too, pairwise propagation (``_search_domains``) plays two-pair games
+    valuing at most half the cap in states: a lost game refutes the
+    instance, and otherwise one search with half the cap runs on the arcs
+    the games left.  So a call makes at most twice the cap in expansions,
+    plus half of it in game states.  The paths come back in the given
+    order.  Raises BudgetExceededError, naming the cap, when every stage
+    hits its share.  The cap counts plain backtracking's expansions,
+    counted subtrees included: it bounds the tree, not the time (random
+    (3,5) d=0.1 seed 1 answers None after 7.1e6 expansions, 3.8 s on a
+    2-CPU VM, in the first search, before propagation would refute it in
+    10,490 states).
     """
-    pairs = _pairs(terminals)  # read once: both searches take it, and terminals may be a one-shot iterable
+    pairs = _pairs(terminals)  # read once: every stage takes it, and terminals may be a one-shot iterable
     try:
         return _search(g, pairs, budget)
     except BudgetExceededError:
@@ -383,9 +704,14 @@ def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSe
     # backtracking cost is heavy-tailed across search orders, so the mirror
     # decides many of the first search's budget hits
     mirror = [(t, s) for s, t in reversed(pairs)]
+    half = (budget + 1) // 2
     try:
-        ps = _search(g._reverse(), mirror, (budget + 1) // 2)
+        ps = _search(g._reverse(), mirror, half)
+        return None if ps is None else PathSet([path[::-1] for path in reversed(ps.paths)])
+    except BudgetExceededError:
+        pass
+    try:
+        return _search_domains(g, pairs, half)
     except BudgetExceededError:
         raise BudgetExceededError(budget) from None
-    return None if ps is None else PathSet([path[::-1] for path in reversed(ps.paths)])
 

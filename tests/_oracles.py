@@ -390,6 +390,64 @@ def enumerate_routes(g: Digraph, pairs, vertex_disjoint: bool) -> tuple[list[lis
     return route(0), expansions
 
 
+def pair_game_plain(g: Digraph, pair_i, pair_j, dom_i: set, dom_j: set) -> tuple[bool, set, set]:
+    """(won, the arcs of ``dom_i`` on a winning line, those of ``dom_j``) of two pairs' game, played plainly.
+
+    Fortune, Hopcroft and Wyllie's game over arc domains, sets of (tail,
+    head) label pairs: a state is the two tokens' vertices, None once a
+    token is home.  The token on the topologically lower vertex moves
+    along an arc of its domain, a home token counting as past every
+    vertex, and two tokens on one vertex leave it by two distinct arcs.
+    Every state reachable from the sources is valued, the last first, and
+    a winning line is a move sequence from the start through won states to
+    both tokens home.
+    """
+    order, _ = g.topological_sort()
+    rank = {v: p for p, v in enumerate(order)}
+    rank[None] = len(order)
+    (si, ti), (sj, tj) = pair_i, pair_j
+    out_i = {v: [(v, w) for w in g.out(v) if (v, w) in dom_i] for v in order}
+    out_j = {v: [(v, w) for w in g.out(v) if (v, w) in dom_j] for v in order}
+
+    def moves(x, y) -> list:
+        # (next state, arc of i or None, arc of j or None)
+        if rank[x] < rank[y]:
+            return [((None if a[1] == ti else a[1], y), a, None) for a in out_i[x]]
+        if rank[y] < rank[x]:
+            return [((x, None if b[1] == tj else b[1]), None, b) for b in out_j[y]]
+        if x is None:
+            return []
+        return [
+            ((None if a[1] == ti else a[1], None if b[1] == tj else b[1]), a, b)
+            for a in out_i[x]
+            for b in out_j[x]
+            if a != b
+        ]
+
+    start = (None if si == ti else si, None if sj == tj else sj)
+    found, todo = {start: moves(*start)}, [start]
+    while todo:
+        for nxt, _, _ in found[todo.pop()]:
+            if nxt not in found:
+                found[nxt] = moves(*nxt)
+                todo.append(nxt)
+    won = {(None, None): True}
+    for state in sorted(found, key=lambda st: rank[st[0]] + rank[st[1]], reverse=True):
+        won[state] = won.get(state, False) or any(won[nxt] for nxt, _, _ in found[state])
+    kept_i, kept_j = set(), set()
+    if won[start]:
+        seen, todo = {start}, [start]
+        while todo:
+            for nxt, a, b in found[todo.pop()]:
+                if won[nxt]:
+                    kept_i.add(a)
+                    kept_j.add(b)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+    return won[start], kept_i - {None}, kept_j - {None}
+
+
 def cone_sizes(g: Digraph, pairs) -> list[int]:
     """Per pair, how many vertices its source reaches that also reach its target.
 

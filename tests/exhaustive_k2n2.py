@@ -9,10 +9,12 @@ hex digit c of ``index``.  The feasibility answer of each comes from
 * degree-2 form: after ``reduce_degree``, ``solve_edp_dag`` and ``solve_gt_brute_force`` must give
   that answer, and on a "yes" the solver's paths and the forward map's must pass
   ``check_edp_solution``, the backward map's assignment ``check_gt_solution``, and the backward map
-  of the forward map's paths must give back the assignment.
+  of the forward map's paths must give back the assignment;
+* both forms: pairwise propagation (``edp._propagate``), the solver's third stage, run on its own,
+  must refute no yes-instance; the summary counts the no-instances it refutes.
 
 Run from the root of a checkout; it prints every mismatch and a summary, and exits 1 on any
-mismatch (about 45 s on one CPU):
+mismatch (about 60 s on one CPU):
 
     PYTHONPATH=src python -m tests.exhaustive_k2n2
 
@@ -24,7 +26,7 @@ import time
 from itertools import product
 
 from gridpaths import cli
-from gridpaths.edp import check_edp_solution, solve_edp_dag
+from gridpaths.edp import _propagate, check_edp_solution, solve_edp_dag
 from gridpaths.gridtiling import GridTilingInstance, _cells, check_gt_solution, solve_gt_brute_force
 from gridpaths.mappers import gt_solution_to_paths, paths_to_gt_solution
 from gridpaths.reduction import reduce, reduce_degree
@@ -43,9 +45,9 @@ def instance(index: int) -> GridTilingInstance:
     return GridTilingInstance(2, 2, {cell: _SUBSETS[index >> 4 * c & 15] for c, cell in enumerate(_CELLS)})
 
 
-def mismatches(indices) -> tuple[int, list[str]]:
-    """(the number of feasible instances, one line per mismatch) over the instances numbered ``indices``."""
-    feasible, found = 0, []
+def mismatches(indices) -> tuple[int, int, list[str]]:
+    """(feasible instances, no-instance forms that propagation refutes, one line per mismatch) over ``indices``."""
+    feasible, refuted, found = 0, 0, []
     for index in indices:
         inst = instance(index)
         want = bool(gt_solutions_exhaustive(inst))
@@ -57,7 +59,14 @@ def mismatches(indices) -> tuple[int, list[str]]:
         if not report["ok"] or solver["grid_tiling"] != answer or solver["edge_disjoint_paths"] != answer:
             found.append(f"{index} direct: ok {report['ok']}, solvers {solver}, oracle {answer}")
 
-        out = reduce_degree(reduce(inst))
+        direct = reduce(inst)
+        out = reduce_degree(direct)
+        for form, red in (("direct", direct), ("degree-2", out)):
+            if _propagate(red.graph, list(red.terminals.pairs), BUDGET) is None:
+                refuted += 1
+                if want:
+                    found.append(f"{index} {form}: propagation refutes a yes-instance")
+
         paths = solve_edp_dag(out.graph, out.terminals, budget=BUDGET)
         tiling = solve_gt_brute_force(inst, budget=BUDGET)
         if (paths is not None) != want or (tiling is not None) != want:
@@ -72,15 +81,18 @@ def mismatches(indices) -> tuple[int, list[str]]:
                 faults.append("the backward map of the forward map is not the identity")
             if faults:
                 found.append(f"{index} degree-2: " + "; ".join(faults))
-    return feasible, found
+    return feasible, refuted, found
 
 
 def main() -> int:
     t0 = time.perf_counter()
-    feasible, found = mismatches(range(COUNT))
+    feasible, refuted, found = mismatches(range(COUNT))
     for line in found:
         print(line)
-    print(f"{COUNT} instances, {feasible} feasible, {len(found)} mismatches, {time.perf_counter() - t0:.1f} s")
+    print(
+        f"{COUNT} instances, {feasible} feasible, {len(found)} mismatches; propagation refutes {refuted} of "
+        f"{2 * (COUNT - feasible)} no-instance forms; {time.perf_counter() - t0:.1f} s"
+    )
     return 1 if found else 0
 
 

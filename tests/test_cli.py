@@ -328,8 +328,9 @@ class TestRoundtrip:
     def test_sample_of_every_k2_n2_instance_in_both_forms(self):
         # CI runs all 16**4 instances through the same function
         count = exhaustive_k2n2.COUNT
-        feasible, found = exhaustive_k2n2.mismatches([*range(0, count, 197), count - 1])
+        feasible, refuted, found = exhaustive_k2n2.mismatches([*range(0, count, 197), count - 1])
         assert found == [] and feasible == 217  # of 334, by the exhaustive oracle
+        assert refuted == 2 * (334 - 217)  # propagation refutes each no-instance in both forms
 
     def test_multiple_files(self, capsys, tmp_path):
         a = gen_instance(capsys, tmp_path)

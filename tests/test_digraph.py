@@ -731,6 +731,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed graph document"):
             EmbeddedDigraph.from_json_dict(data)
 
+    @pytest.mark.parametrize("value", [[1], {"x": "1"}, 1, None], ids=["list", "object", "int", "null"])
+    def test_coordinate_that_is_no_string_is_named(self, value):
+        # after a string coordinate, hashable or not: named by its JSON type, not by the parse cache's hashing
+        data = reduce(generate_planted(1, 2, noise=0, seed=0)).graph.to_json_dict()
+        data["vertices"][1]["coord"] = [data["vertices"][0]["coord"][0], value]
+        message = f"malformed graph document: expected a JSON str, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            EmbeddedDigraph.from_json_dict(data)
+
     def test_canonical_coordinates_accepted(self):
         g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
         data = g.to_json_dict()

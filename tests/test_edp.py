@@ -11,8 +11,11 @@ from gridpaths.digraph import Digraph, Terminal
 from gridpaths.edp import (
     PathSet,
     _cone_sizes,
+    _Domains,
+    _propagate,
     _reach_bits,
     _search,
+    _search_domains,
     check_edp_solution,
     solve_edp_dag,
 )
@@ -38,6 +41,7 @@ from ._oracles import (
     enumerate_routes,
     face_cycles,
     has_edge,
+    pair_game_plain,
     random_dag,
     rotate_instance,
     signed_area,
@@ -162,16 +166,17 @@ def ladder_count(d: int) -> int:
 
 
 @st.composite
-def dags_with_pairs(draw):
-    """A DAG on 6-10 vertices, its arcs in a drawn order, and 1-3 pairs from its first k vertices to its last k.
+def dags_with_pairs(draw, ks=(1, 2, 3, 3, 3, 3)):
+    """A DAG on 6-10 vertices, its arcs in a drawn order, and k pairs from its first k vertices to its last k.
 
-    Pairs may share a source or a sink, or both.  k is 3 in two draws of three: a fault in the
-    per-entry subtree memo shows only when a third pair is cut off while a later one is entered twice.
+    Pairs may share a source or a sink, or both.  k is drawn from ``ks``, by default 3 in two draws
+    of three: a fault in the per-entry subtree memo shows only when a third pair is cut off while a
+    later one is entered twice.
     """
     n = draw(st.integers(6, 10))
     arcs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.permutations([arc for arc in arcs if draw(st.booleans())]))
-    k = draw(st.sampled_from((1, 2, 3, 3, 3, 3)))
+    k = draw(st.sampled_from(ks))
     ends = st.lists(st.integers(0, k - 1), min_size=k, max_size=k)
     return Digraph(range(n), edges), [(s, n - k + t) for s, t in zip(draw(ends), draw(ends))]
 
@@ -795,20 +800,26 @@ class TestMirrorSearch:
     @pytest.mark.parametrize("one_shot", [iter, lambda pairs: (pair for pair in pairs)], ids=["iterator", "generator"])
     @pytest.mark.parametrize(
         "inst, raises",
-        [(generate_random(3, 5, density=0.1, seed=1), True), (generate_planted(2, 4, noise=2, seed=10), False)],
-        ids=["random-3-5-budget-hit", "planted-2-4-mirror-decides"],
+        [
+            (generate_random(3, 5, density=0.1, seed=1), True),
+            (generate_random(2, 5, density=0.1, seed=0), False),
+            (generate_planted(2, 4, noise=2, seed=10), False),
+        ],
+        ids=["random-3-5-budget-hit", "random-2-5-propagation-decides", "planted-2-4-mirror-decides"],
     )
     def test_one_shot_pairs_are_read_once(self, one_shot, inst, raises):
-        # both need the mirror search, which must see the pairs the first search consumed
+        # each needs a stage after the first search, which must see the pairs the first search consumed
         out = reduce(inst)
         pairs = list(out.terminals.pairs)
-        if raises:  # both searches run out, as with the list
+        if raises:  # every stage runs out, as with the list
             with pytest.raises(BudgetExceededError):
                 solve_edp_dag(out.graph, one_shot(pairs), budget=10_000)
         else:
             ps = solve_edp_dag(out.graph, one_shot(pairs), budget=10_000)
             assert ps == solve_edp_dag(out.graph, pairs, budget=10_000)
-            assert check_edp_solution(out.graph, out.terminals, ps) == []
+            assert (ps is None) == (solve_gt_brute_force(inst) is None)
+            if ps is not None:
+                assert check_edp_solution(out.graph, out.terminals, ps) == []
 
     def test_both_searches_agree_on_reductions(self):
         # where the first and the mirror search both decide at 10^4, they
@@ -829,6 +840,115 @@ class TestMirrorSearch:
                     if len(answers) == 2:
                         both.add(answers[0])
         assert both == {False, True}
+
+
+def _edge_id(g, u, v):
+    tail, head = g._id[u], g._id[v]
+    return next(e for e in g._out[tail] if g._head[e] == head)
+
+
+class TestPropagation:
+    """Pairwise propagation, the solver's third stage: its games are sound, exact at two pairs, and the plain game's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dags_with_pairs())
+    def test_never_refutes_a_feasible_instance(self, case):
+        g, pairs = case
+        if _propagate(g, pairs, 10**9) is None:
+            assert not edp_feasible_exhaustive(g, pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dags_with_pairs())
+    def test_solution_arcs_stay_in_their_domains(self, case):
+        g, pairs = case
+        paths, _ = enumerate_routes(g, pairs, False)
+        if paths is not None:
+            dom = _propagate(g, pairs, 10**9)
+            for i, path in enumerate(paths):
+                assert all(dom[_edge_id(g, u, v)] >> i & 1 for u, v in zip(path, path[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dags_with_pairs(ks=(2,)))
+    def test_refutes_exactly_the_no_instances_with_two_pairs(self, case):
+        g, pairs = case
+        assert (_propagate(g, pairs, 10**9) is None) == (not edp_feasible_exhaustive(g, pairs))
+
+    @staticmethod
+    def _assert_games_are_plain(doms, g, pairs):
+        # every game of two pairs whose domains share an arc: the plain game's value and the arcs on its winning lines
+        edges = g.edges
+        for j in range(len(pairs)):
+            for i in range(j):
+                dom_i, dom_j = ({edges[e] for e in doms.arcs[p]} for p in (i, j))
+                if dom_i & dom_j:
+                    won, kept_i, kept_j = pair_game_plain(g, pairs[i], pairs[j], dom_i, dom_j)
+                    result = doms.game(i, j)
+                    assert (result is not None) == won, (i, j)
+                    if won:
+                        assert [{edges[e] for e in kept} for kept in result] == [kept_i, kept_j], (i, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dags_with_pairs())
+    def test_games_are_the_plain_game_on_dags(self, case):
+        g, pairs = case
+        doms = _Domains(g, pairs, 10**9)
+        if doms.routed:
+            self._assert_games_are_plain(doms, g, pairs)
+
+    @pytest.mark.parametrize("degree2", [False, True], ids=["direct", "degree2"])
+    def test_games_are_the_plain_game_on_reductions(self, degree2):
+        # each crossing game, on the cone domains and again at the fixpoint, where it keeps both domains whole
+        for k, n in ((2, 2), (2, 3), (3, 3)):
+            for seed in range(2):
+                for inst in (generate_random(k, n, 0.15, seed=seed), generate_planted(k, n, noise=2, seed=seed)):
+                    out = reduce(inst)
+                    if degree2:
+                        out = reduce_degree(out)
+                    g, pairs = out.graph, list(out.terminals.pairs)
+                    doms = _Domains(g, pairs, 10**9)
+                    self._assert_games_are_plain(doms, g, pairs)
+                    doms = _Domains(g, pairs, 10**9)
+                    if doms.narrow():
+                        arcs = [list(a) for a in doms.arcs]
+                        self._assert_games_are_plain(doms, g, pairs)
+                        assert doms.arcs == arcs
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dags_with_pairs())
+    def test_paths_after_the_stage_pass_the_checker(self, case):
+        g, pairs = case
+        ps = _search_domains(g, pairs, 10**6)
+        assert (ps is not None) == edp_feasible_exhaustive(g, pairs)
+        if ps is not None:
+            assert [(path[0], path[-1]) for path in ps.paths] == [tuple(pair) for pair in pairs]
+            assert check_edp_solution(g, pairs, ps) == []
+
+    @pytest.mark.parametrize(
+        "inst, budget, feasible",
+        [(generate_planted(3, 4, noise=2, seed=8), 20_000, True), (generate_random(2, 5, density=0.1, seed=0), 10_000, False)],
+        ids=["planted-3-4-yes", "random-2-5-no"],
+    )
+    def test_stage_decides_where_both_searches_run_out(self, inst, budget, feasible):
+        # both searches hit their budgets; propagation refutes, or the search on its domains finds the paths
+        out = reduce(inst)
+        pairs = list(out.terminals.pairs)
+        with pytest.raises(BudgetExceededError):
+            _search(out.graph, pairs, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            _search(*_mirror(out.graph, pairs), budget=(budget + 1) // 2)
+        ps = solve_edp_dag(out.graph, out.terminals, budget=budget)
+        assert (ps is not None) == feasible == (solve_gt_brute_force(inst) is not None)
+        if feasible:
+            assert check_edp_solution(out.graph, out.terminals, ps) == []
+
+    def test_stage_raises_past_its_cap(self):
+        # random (3, 5) d=0.1 seed 1 is refuted after 10,490 states, the squares of the games' stop counts
+        out = reduce(generate_random(3, 5, density=0.1, seed=1))
+        pairs = list(out.terminals.pairs)
+        assert _propagate(out.graph, pairs, 10_490) is None
+        with pytest.raises(BudgetExceededError) as raised:
+            _propagate(out.graph, pairs, 10_489)
+        assert raised.value.budget == 10_489
 
 
 class TestInstanceSymmetries:
