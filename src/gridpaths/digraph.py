@@ -7,7 +7,8 @@ edge list; every algorithm here runs on ids and turns them back into labels
 only in what it returns.  Every graph is made by one id-level initializer,
 ``_init``, which keeps the int numerators and denominator it is given: the
 label constructors map labels to ids and Fractions to numerators over their
-least common denominator, and the reduction, which hands out ids and
+least common denominator, the JSON reader turns names, vertex indices and
+coordinate strings into the same, and the reduction, which hands out ids and
 numerators itself, calls it directly.  These exact coordinates are the single
 source of truth for the combinatorial embedding: the counterclockwise order
 of the neighbors around each vertex is the rotation system, its faces are
@@ -195,6 +196,12 @@ def _edge_ends(edges: list, n: int) -> tuple[list[int], list[int]]:
     return [a for a, _ in edges], [b for _, b in edges]
 
 
+def _over_lcm(values: list) -> tuple[list[int], int]:
+    """(numerators, den): ints and Fractions ``values`` as int numerators over their least common denominator."""
+    den = math.lcm(*{c.denominator for c in values})  # an int's is 1
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def _int_keys(tail: Iterable[int], head: Iterable[int], n: int) -> list[int]:
     """``a * n + b`` for each pair (a, b) of ``tail`` and ``head``: an edge's key in an ``n``-vertex graph."""
     return [a * n + b for a, b in zip(tail, head)]
@@ -373,11 +380,11 @@ class EmbeddedDigraph(Digraph):
     """Digraph whose vertices carry distinct exact rational coordinates (ints or Fractions).
 
     Vertex id ``n`` sits at (``_x[n]``, ``_y[n]``) / ``_den``: two lists of int numerators over the
-    denominator the graph's maker gave (the label constructor's: the least common one); graphs
-    compare by labels, edges and ``coords``.  Fractions are made only at the I/O edge: by ``coords``,
-    the JSON writer and ``_parse_coord``.  A vertex that is a package label reads back from its name,
-    ``label_from_name(label_name(v)) == v``: the document, which writes each label as its name, reads
-    back, and no two vertices share a DOT name.
+    denominator the graph's maker gave (the label constructor's and the JSON reader's: the least
+    common one); graphs compare by labels, edges and ``coords``.  Fractions are made only at the I/O
+    edge: by ``coords``, the JSON writer and ``_parse_coord``.  A vertex that is a package label reads
+    back from its name, ``label_from_name(label_name(v)) == v``: the document, which writes each label
+    as its name, reads back, and no two vertices share a DOT name.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
@@ -398,8 +405,7 @@ class EmbeddedDigraph(Digraph):
         if bad := [v for v, xy in zip(verts, given) if not isinstance(xy, (tuple, list)) or len(xy) != 2
                    or {*map(type, xy)} - {int, Fraction}]:  # no float or bool; no dict, set or range: not in order
             raise ValueError(f"coordinate of {bad[0]!r} is not a pair of ints or Fractions: {coords[bad[0]]!r}")
-        den = math.lcm(*{c.denominator for xy in given for c in xy})  # an int's is 1
-        self._init(verts, tail, head, [c.numerator * (den // c.denominator) for xy in given for c in xy], den)
+        self._init(verts, tail, head, *_over_lcm([c for xy in given for c in xy]))
 
     def _init(self, verts, tail, head, xy: list[int], den: int) -> None:
         """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as given, in two lists."""
@@ -512,30 +518,19 @@ class EmbeddedDigraph(Digraph):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
-        parsed: dict[str, Fraction] = {}
-
-        def parse(text) -> Fraction:
-            # each distinct string once (a graph has few); any other value, hashable or not, is
-            # named by _parse_coord's exact()
-            try:
-                return parsed[text]
-            except (KeyError, TypeError):
-                value = parsed[text] = _parse_coord(text)
-                return value
-
         try:
-            (vertices, edges), verts, coords = exact_fields(data, "vertices", "edges"), [], {}
+            (vertices, edges), verts, given = exact_fields(data, "vertices", "edges"), [], []
             for label, coord in map(exact_fields, exact(list, vertices), repeat("label"), repeat("coord")):
-                v = label_from_name(label)
+                verts.append(label_from_name(label))
                 if len(exact(list, coord)) != 2:
                     raise ValueError(f"coord of vertex {label} is not an [x, y] pair: {brief(coord)}")
-                x_str, y_str = coord
-                verts.append(v)
-                coords[v] = (parse(x_str), parse(y_str))
+                given += map(_parse_coord, coord)
             tail, head = _edge_ends(exact(list, edges), len(verts))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
-        return cls(verts, zip(map(verts.__getitem__, tail), map(verts.__getitem__, head)), coords)
+        g = cls.__new__(cls)  # its labels read back and its ends are ids: _init holds every check left
+        g._init(verts, tail, head, *_over_lcm(given))
+        return g
 
     def _split_edges(self) -> list[int]:
         """The ids of the dotted edges: each lb copy's one edge, to its position's tr copy."""

@@ -39,7 +39,7 @@ from ._oracles import (
     rotations_by_comparison,
     rotations_from_runs,
 )
-from .test_reduction import full_instance
+from .test_reduction import _golden_outputs, full_instance
 
 
 def unit_square():
@@ -739,6 +739,32 @@ class TestSerialization:
         message = f"malformed graph document: expected a JSON str, got {value!r}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             EmbeddedDigraph.from_json_dict(data)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["subclass-first", "after-an-equal-str"])
+    def test_str_subclass_coordinate_rejected_in_every_position(self, first):
+        # equal to "0" and hashing like it, but no JSON str: an equal str read before it must not let it pass
+        class S(str):
+            pass
+
+        plain, sub = {"label": "a_1", "coord": ["0", "0"]}, {"label": "b_1", "coord": [S("0"), "1"]}
+        data = {"vertices": [sub, plain] if first else [plain, sub], "edges": []}
+        message = "malformed graph document: expected a JSON str, got '0'"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            EmbeddedDigraph.from_json_dict(data)
+
+    def test_reader_builds_what_the_label_constructor_builds(self):
+        # the same ids, numerators and least common denominator, on every golden reduction in both
+        # forms and on a label-built graph whose coordinates have denominators 1, 2, 3, 4, 8 and 7
+        g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph
+        coords = {v: (Fraction(n, (1, 2, 3, 4, 8)[n % 5]), Fraction(n * n, 7)) for n, v in enumerate(g.vertices)}
+        mixed = EmbeddedDigraph(g.vertices, g.edges, coords)
+        assert mixed._den == 168
+        for g in [*(out.graph for out in _golden_outputs()), mixed]:
+            read = EmbeddedDigraph.from_json_dict(g.to_json_dict())
+            built = EmbeddedDigraph(g.vertices, g.edges, g.coords)
+            assert [read._verts, read._tail, read._head, read._x, read._y, read._den] == [
+                built._verts, built._tail, built._head, built._x, built._y, built._den
+            ]
 
     def test_canonical_coordinates_accepted(self):
         g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph

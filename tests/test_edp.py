@@ -950,6 +950,57 @@ class TestPropagation:
             _propagate(out.graph, pairs, 10_489)
         assert raised.value.budget == 10_489
 
+    # Generator seeds of instances on which the first and the mirror search both run out at 10^4,
+    # so that every answer below is the third stage's.  The random ones are of the solve-infeasible
+    # benchmark families, from a draw of its seed-4101 deck (94 double budget hits in 1,485
+    # instances; the first 25 of the (2, 4) ones, and all others); the planted ones (noise 2) of its
+    # solve-feasible families: two that the search on the domains routes, two past the state cap.
+    STAGE_THREE = {
+        ("random", 2, 4, 0.15): (
+            14346582, 116702507, 891891871, 1837217170, 458105535, 4120873847, 2827098378, 1226783099,
+            1009935457, 3793885692, 3213811919, 3778935686, 793830589, 235081250, 1467385936, 2270924899,
+            861346888, 1502305309, 2403883171, 3513700277, 557509247, 3399007947, 105649485, 61903146,
+            490466680,
+        ),
+        ("random", 3, 3, 0.15): (
+            745083719, 739577903, 1036186994, 3142544599, 1399146314, 2368527118, 2137128356, 590690629,
+            3967619072, 400797833, 1327954372,
+        ),
+        ("random", 3, 4, 0.1): (
+            2974949538, 993968416, 1120855074, 715110978, 4166524247, 1751949781, 1954077235, 3249266202,
+            283528505, 1406192988, 237880538, 2179474692, 2827173989, 3396094598, 2904442794, 1935432168,
+            2216834073, 2170568212, 4081057804, 1276849942, 1008206813, 4139771233, 3566261023, 2223517232,
+        ),
+        ("planted", 3, 3, 2): (2955497055, 1610257848),
+        ("planted", 3, 4, 2): (3530956782, 1507326441),
+    }
+    # SHA-256 of solve_edp_dag's answers on them at 10^4, in TestSearchCore's form
+    STAGE_THREE_DIGEST = "2d5ef69ce42671c99f907b0986047e07fb8417b735459dd626ffcf4830a63ace"
+
+    def test_third_stage_answers_match_pinned_digest(self, monkeypatch):
+        reached = []  # every instance must get to the stage
+        monkeypatch.setattr("gridpaths.edp._search_domains", lambda *args: reached.append(1) or _search_domains(*args))
+        digest = hashlib.sha256()
+        for (mode, k, n, param), seeds in self.STAGE_THREE.items():
+            for seed in seeds:
+                if mode == "planted":
+                    inst = generate_planted(k, n, noise=param, seed=seed)
+                else:
+                    inst = generate_random(k, n, density=param, seed=seed)
+                out = reduce(inst)
+                try:
+                    ps = solve_edp_dag(out.graph, out.terminals, budget=10_000)
+                except BudgetExceededError:
+                    digest.update(b"budget")
+                    continue
+                digest.update(("none" if ps is None else repr(ps.paths)).encode())
+                # checked against the grid tiling oracle, and a "yes" by its paths
+                assert (ps is None) == (solve_gt_brute_force(inst) is None), (mode, k, n, seed)
+                if ps is not None:
+                    assert check_edp_solution(out.graph, out.terminals, ps) == [], (mode, k, n, seed)
+        assert len(reached) == sum(map(len, self.STAGE_THREE.values()))
+        assert digest.hexdigest() == self.STAGE_THREE_DIGEST
+
 
 class TestInstanceSymmetries:
     """The transpose tau and the half turn rho keep a grid tiling instance's answer; the solver must too."""
