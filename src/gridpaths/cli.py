@@ -21,7 +21,6 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import edp, gridtiling, mappers, reduction
-from .digraph import EmbeddedDigraph
 from .errors import DEFAULT_BUDGET, BudgetExceededError, EmbeddingError, brief
 
 EXIT_OK = 0
@@ -264,11 +263,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    data = _read_json(args.graph)
-    if isinstance(data, dict) and "instance" in data:
-        g = reduction.ReductionOutput.from_json_dict(data).graph
-    else:
-        g = EmbeddedDigraph.from_json_dict(data)
+    g = reduction.ReductionOutput.from_json_dict(_read_json(args.graph)).graph
     if args.format == "dot":
         payload = g.to_dot()
     else:
@@ -308,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("instances", nargs="+", help="instance JSON files")
     rt.set_defaults(func=cmd_roundtrip)
 
-    exp = sub.add_parser("export", help="export a reduction or graph file")
-    exp.add_argument("graph", help="reduction or graph JSON file")
+    exp = sub.add_parser("export", help="export a reduction file's graph")
+    exp.add_argument("graph", help="reduction JSON file whose graph to export")
     exp.add_argument("--format", choices=("dot", "json"), default="dot")
     exp.add_argument("--out", help="output file (default: stdout)")
     exp.set_defaults(func=cmd_export)

@@ -56,6 +56,7 @@ from typing import Callable, Iterable
 from gridpaths.digraph import (
     LB,
     TR,
+    WHOLE,
     Digraph,
     EmbeddedDigraph,
     GridVertex,
@@ -675,6 +676,32 @@ def transpose_label(v: Label) -> Label:
     if isinstance(v, Terminal):
         return Terminal(_TRANSPOSED_FAMILY[v.family], v.index)
     return TreeNode(_TRANSPOSED_FAMILY[v.family], v.index, v.path)
+
+
+# the half turn rho trades each family's sources for its sinks, and lb copies for tr copies
+_ROTATED_FAMILY = {"a": "b", "b": "a", "c": "d", "d": "c"}
+_ROTATED_PART = {LB: TR, TR: LB, WHOLE: WHOLE}
+
+
+def rotate_label(v: Label, k: int, n: int) -> Label:
+    """rho on a label of a (k, n) reduction: its label in the reduction of the rotated instance.
+
+    Every cell, lane, chain position and terminal index is turned around: grid
+    position (i, j, q, ell) goes to (k+1-i, k+1-j, n+1-q, n+1-ell) with lb and tr
+    swapped, the chain from cell i to i+1 to the one from k-i to k+1-i, terminal
+    a_m to b_{k+1-m} and c_m to d_{k+1-m}, and a tree node to the other tree's
+    node with every child choice flipped.
+    """
+    k1, n1 = k + 1, n + 1
+    if isinstance(v, GridVertex):
+        return GridVertex(k1 - v.i, k1 - v.j, n1 - v.q, n1 - v.ell, _ROTATED_PART[v.part])
+    if isinstance(v, HConnector):
+        return HConnector(k - v.i, k1 - v.j, n1 - v.ell)
+    if isinstance(v, VConnector):
+        return VConnector(k1 - v.i, k - v.j, n1 - v.ell)
+    if isinstance(v, Terminal):
+        return Terminal(_ROTATED_FAMILY[v.family], k1 - v.index)
+    return TreeNode(_ROTATED_FAMILY[v.family], k1 - v.index, tuple(1 - bit for bit in v.path))
 
 
 def has_edge(g: Digraph, u: Label, v: Label) -> bool:

@@ -655,54 +655,66 @@ class TestExport:
         assert not any("style=dotted" in ln for ln in edge_lines)
 
     def test_json_export_round_trips(self, capsys, tmp_path):
+        # export --format json writes a bare graph document, which Python reads back with
+        # EmbeddedDigraph.from_json_dict: to the reduction's graph, its own bytes and the same drawing
         inst = gen_instance(capsys, tmp_path)
         for form in ((), ("--degree2",)):
-            red = tmp_path / "red.json"
+            red, gjson, dot = tmp_path / "red.json", tmp_path / "g.json", tmp_path / "r.dot"
             run(capsys, "reduce", str(inst), *form, "--out", str(red))
-            gjson = tmp_path / "g.json"
-            code, _, _ = run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
-            assert code == EXIT_OK
-            code, _, _ = run(capsys, "export", str(gjson), "--format", "dot", "--out", str(tmp_path / "g.dot"))
-            assert code == EXIT_OK
-            # the reduction loader and the bare graph loader give one DOT
-            assert run(capsys, "export", str(red), "--format", "dot", "--out", str(tmp_path / "r.dot"))[0] == EXIT_OK
-            assert (tmp_path / "g.dot").read_bytes() == (tmp_path / "r.dot").read_bytes()
-            # and a bare graph document re-exports to its own bytes
-            code, _, _ = run(capsys, "export", str(gjson), "--format", "json", "--out", str(tmp_path / "g2.json"))
-            assert code == EXIT_OK
-            assert (tmp_path / "g2.json").read_bytes() == gjson.read_bytes()
+            assert run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))[0] == EXIT_OK
+            assert run(capsys, "export", str(red), "--format", "dot", "--out", str(dot))[0] == EXIT_OK
+            g = EmbeddedDigraph.from_json_dict(json.loads(gjson.read_text()))
+            assert g == reduction.ReductionOutput.from_json_dict(json.loads(red.read_text())).graph
+            assert _json_text(g.to_json_dict()) == gjson.read_text()
+            assert g.to_dot() == dot.read_text()
+
+    @pytest.mark.parametrize("bare", [True, False], ids=["bare-graph-document", "reduction-without-instance"])
+    def test_document_without_an_instance_exits_2_naming_the_reduction_keys(self, capsys, tmp_path, bare):
+        # export reads reduction documents only: the bare graph document it writes, and a reduction
+        # document that has lost its instance, are both named by the reduction document's keys
+        inst, red, path = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "doc.json"
+        assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
+        if bare:
+            assert run(capsys, "export", str(red), "--format", "json", "--out", str(path))[0] == EXIT_OK
+        else:
+            doc = json.loads(red.read_text())
+            del doc["instance"]
+            path.write_text(json.dumps(doc))
+        keys = sorted(json.loads(path.read_text()))
+        message = (
+            f"error: malformed reduction document: keys {keys}, "
+            "expected ['instance', 'graph', 'terminals', 'counts', 'degree_reduced']\n"
+        )
+        for fmt in ("dot", "json"):
+            assert run(capsys, "export", str(path), "--format", fmt) == (EXIT_USAGE, "", message)
 
     def test_zero_denominator_in_graph_document_exits_2(self, capsys, tmp_path):
         inst = gen_instance(capsys, tmp_path)
         red = tmp_path / "red.json"
         run(capsys, "reduce", str(inst), "--out", str(red))
-        gjson = tmp_path / "g.json"
-        run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
-        good = json.loads(gjson.read_text())
+        good = json.loads(red.read_text())
         # a zero denominator; a coordinate pair written as one string, which unpacks like a list
         # of two; a label with a field written as a float, which must not be read as another label
         for keys, value in ((("coord", 0), "1/0"), (("coord",), "11"), (("label",), "w_1.0_1_1_1")):
             doc = json.loads(json.dumps(good))
-            parent = doc["vertices"][0]
+            parent = doc["graph"]["vertices"][0]
             for key in keys[:-1]:
                 parent = parent[key]
             parent[keys[-1]] = value
-            gjson.write_text(json.dumps(doc))
+            red.write_text(json.dumps(doc))
             for fmt in ("dot", "json"):
-                code, _, err = run(capsys, "export", str(gjson), "--format", fmt, "--out", str(tmp_path / "g.out"))
+                code, _, err = run(capsys, "export", str(red), "--format", fmt, "--out", str(tmp_path / "g.out"))
                 assert code == EXIT_USAGE
                 assert "malformed graph document" in err
 
-    def test_bare_document_of_a_bad_graph_exits_2(self, capsys, tmp_path):
+    def test_reduction_document_of_a_bad_graph_exits_2(self, capsys, tmp_path):
         inst = gen_instance(capsys, tmp_path)
         red = tmp_path / "red.json"
         run(capsys, "reduce", str(inst), "--out", str(red))
-        gjson = tmp_path / "g.json"
-        run(capsys, "export", str(red), "--format", "json", "--out", str(gjson))
-        doc = json.loads(gjson.read_text())
-        doc["edges"].append(doc["edges"][0])  # a parallel edge
-        gjson.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "export", str(gjson), "--format", "json")
+        doc = json.loads(red.read_text())
+        doc["graph"]["edges"].append(doc["graph"]["edges"][0])  # a parallel edge
+        red.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export", str(red), "--format", "json")
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: parallel edge (")
 
@@ -744,8 +756,8 @@ class TestExport:
         assert err == "error: malformed reduction document: its graph holds a value of type float\n"
 
 
-_GRAPH_DOC = reduction.reduce(gridtiling.generate_planted(2, 2, noise=0, seed=0)).graph.to_json_dict()
-_GRAPH_LEAVES = [path for path, _ in _leaves(_GRAPH_DOC)]
+_RED_DOC = reduction.reduce(gridtiling.generate_planted(2, 2, noise=0, seed=0)).to_json_dict()
+_GRAPH_LEAVES = [("graph", *path) for path, _ in _leaves(_RED_DOC["graph"])]
 _HUGE_DECIMALS = ["1" + "0" * 400, "-1" + "0" * 400, "1/" + "3" * 400]
 _LEAF_VALUES = st.one_of(
     st.integers(min_value=2**63) | st.integers(max_value=-(2**63)),
@@ -770,40 +782,6 @@ class TestMalformedInput:
             assert code == EXIT_USAGE
             assert err == f"error: {path}: JSON nested too deeply to decode\n"
 
-    def test_coordinate_outside_float_range_exits_2_on_dot_export(self, capsys, tmp_path):
-        doc = json.loads(json.dumps(_GRAPH_DOC))
-        doc["vertices"][0]["coord"][0] = "1" + "0" * 400
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "export", str(path), "--format", "dot", "--out", str(tmp_path / "g.dot"))
-        assert code == EXIT_USAGE
-        assert err.startswith("error: coordinate of GridVertex(i=1, j=1, q=1, ell=1, part='whole') is outside")
-        code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
-        assert code == EXIT_OK
-        # a numerator past 64 bits reads back: the export re-exports to its own bytes and coordinates
-        argv = ("export", str(tmp_path / "g.json"), "--format", "json", "--out", str(tmp_path / "g2.json"))
-        code, _, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        text = (tmp_path / "g.json").read_text()
-        assert (tmp_path / "g2.json").read_text() == text
-        exported = EmbeddedDigraph.from_json_dict(json.loads(text))
-        assert exported.coords == EmbeddedDigraph.from_json_dict(doc).coords
-        assert exported.coords[exported.vertices[0]][0] == 10**400
-
-    def test_distinct_coordinates_at_one_float_position_exit_2_on_dot_export(self, capsys, tmp_path):
-        doc = json.loads(json.dumps(_GRAPH_DOC))
-        # 1/10^400 and 1/(3 * 10^400) are distinct rationals, and both round to 0.0
-        doc["vertices"][0]["coord"] = ["1/1" + "0" * 400, "0"]
-        doc["vertices"][1]["coord"] = ["1/3" + "0" * 400, "0"]
-        path = tmp_path / "collide.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "export", str(path), "--format", "dot", "--out", str(tmp_path / "g.dot"))
-        assert code == EXIT_USAGE
-        first, second = (EmbeddedDigraph.from_json_dict(doc).vertices[n] for n in (0, 1))
-        assert err == f"error: coordinates of {first!r} and {second!r} round to one float position 0.0,0.0\n"
-        code, _, _ = run(capsys, "export", str(path), "--format", "json", "--out", str(tmp_path / "g.json"))
-        assert code == EXIT_OK
-
     @pytest.mark.parametrize(
         "place, message",
         [
@@ -816,12 +794,12 @@ class TestMalformedInput:
     )
     def test_unknown_key_exits_2(self, capsys, tmp_path, place, message):
         # each reader takes exactly the keys its writer writes: one more is named, not dropped unread
-        inst, red, bare = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "g.json"
+        inst, red = gen_instance(capsys, tmp_path), tmp_path / "red.json"
         assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
-        assert run(capsys, "export", str(red), "--format", "json", "--out", str(bare))[0] == EXIT_OK
-        path = {"reduction": red, "graph": bare, "vertex": bare, "instance": inst}[place]
+        path = inst if place == "instance" else red
         doc = json.loads(path.read_text())
-        (doc["vertices"][0] if place == "vertex" else doc)["note"] = 1
+        part = doc if place in ("reduction", "instance") else doc["graph"]
+        (part["vertices"][0] if place == "vertex" else part)["note"] = 1
         path.write_text(json.dumps(doc))
         if place == "instance":
             commands = [("reduce", str(path), "--out", str(tmp_path / "r.json")), ("roundtrip", str(path))]
@@ -836,7 +814,7 @@ class TestMalformedInput:
         path.write_text(text)
         kind = type(json.loads(text)).__name__
         for argv, reader, keys in (
-            (("export", str(path)), "graph document", "['vertices', 'edges']"),
+            (("export", str(path)), "reduction document", "['instance', 'graph', 'terminals', 'counts', 'degree_reduced']"),
             (("reduce", str(path), "--out", str(tmp_path / "r.json")), "grid tiling instance", "['k', 'N', 'sets']"),
             (("roundtrip", str(path)), "grid tiling instance", "['k', 'N', 'sets']"),
         ):
@@ -845,12 +823,12 @@ class TestMalformedInput:
 
     def test_edge_that_is_no_vertex_index_pair_exits_2(self, capsys, tmp_path):
         # edges are [tail, head] indices into the vertex list: each bad edge is named, never an IndexError
-        n = len(_GRAPH_DOC["vertices"])
-        label = _GRAPH_DOC["vertices"][0]["label"]
-        path = tmp_path / "graph.json"
+        n = len(_RED_DOC["graph"]["vertices"])
+        label = _RED_DOC["graph"]["vertices"][0]["label"]
+        path = tmp_path / "red.json"
         for edge in ([-1, 1], [0, n], [0, 2**63 + 1], [True, 1], [0, 1.0], [0, 1, 2], [label, 1]):
-            doc = json.loads(json.dumps(_GRAPH_DOC))
-            doc["edges"][5] = edge
+            doc = json.loads(json.dumps(_RED_DOC))
+            doc["graph"]["edges"][5] = edge
             path.write_text(json.dumps(doc))
             message = f"error: malformed graph document: edge 5 is not a [tail, head] pair of vertex indices in [0, {n}): "
             message += f"{edge!r}\n"
@@ -858,20 +836,17 @@ class TestMalformedInput:
                 assert run(capsys, "export", str(path), "--format", fmt) == (EXIT_USAGE, "", message)
 
     def test_label_ended_documents_exit_2(self, capsys, tmp_path):
-        # the form written before edges became vertex indices, as a bare graph and as a reduction document
+        # the form written before edges became vertex indices
         inst, red = gen_instance(capsys, tmp_path), tmp_path / "red.json"
         assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
         doc = json.loads(red.read_text())
         labels = [entry["label"] for entry in doc["graph"]["vertices"]]
         doc["graph"]["edges"] = [[labels[a], labels[b]] for a, b in doc["graph"]["edges"]]
-        bare = tmp_path / "g.json"
         red.write_text(json.dumps(doc))
-        bare.write_text(json.dumps(doc["graph"]))
         for fmt in ("dot", "json"):
             code, out, err = run(capsys, "export", str(red), "--format", fmt)
             assert (code, out) == (EXIT_USAGE, "")
             assert err.startswith("error: malformed graph document: edge 0 is not a [tail, head] pair of vertex indices")
-            assert run(capsys, "export", str(bare), "--format", fmt) == (EXIT_USAGE, "", err)
 
     @pytest.mark.parametrize(
         "label",
@@ -884,19 +859,18 @@ class TestMalformedInput:
     )
     def test_label_that_is_no_label_name_exits_2(self, capsys, tmp_path, label):
         # a document writes each label as its label_name; any other value is named, through brief
-        inst, red, bare = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "g.json"
+        inst, red = gen_instance(capsys, tmp_path), tmp_path / "red.json"
         assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
         doc = json.loads(red.read_text())
         assert doc["graph"]["vertices"][0]["label"] == "w_1_1_1_1"
         doc["graph"]["vertices"][0]["label"] = label
         red.write_text(json.dumps(doc))
-        bare.write_text(json.dumps(doc["graph"]))
         if type(label) is str:
             message = f"error: malformed graph document: {brief(label)} is not the name of a vertex label\n"
         else:
             message = f"error: malformed graph document: expected a JSON str, got {brief(label)}\n"
-        for path, fmt in itertools.product((red, bare), ("dot", "json")):
-            assert run(capsys, "export", str(path), "--format", fmt) == (EXIT_USAGE, "", message)
+        for fmt in ("dot", "json"):
+            assert run(capsys, "export", str(red), "--format", fmt) == (EXIT_USAGE, "", message)
         assert len(message) < 300
 
     @pytest.mark.parametrize(
@@ -911,16 +885,15 @@ class TestMalformedInput:
         ids=["vertices-number", "vertices-object", "coord-of-one", "coord-of-three", "coord-long"],
     )
     def test_graph_document_of_the_wrong_shape_exits_2(self, capsys, tmp_path, place, value, message):
-        # a vertex list or a coord of the wrong shape is named, as a bare document and as a reduction's graph
-        inst, red, bare = gen_instance(capsys, tmp_path), tmp_path / "red.json", tmp_path / "g.json"
+        # a vertex list or a coord of the wrong shape in a reduction's graph is named
+        inst, red = gen_instance(capsys, tmp_path), tmp_path / "red.json"
         assert run(capsys, "reduce", str(inst), "--out", str(red))[0] == EXIT_OK
         doc = json.loads(red.read_text())
         assert doc["graph"]["vertices"][0]["label"] == "w_1_1_1_1"
         (doc["graph"] if place == "vertices" else doc["graph"]["vertices"][0])[place] = value
         red.write_text(json.dumps(doc))
-        bare.write_text(json.dumps(doc["graph"]))
-        for path, fmt in itertools.product((red, bare), ("dot", "json")):
-            assert run(capsys, "export", str(path), "--format", fmt) == (
+        for fmt in ("dot", "json"):
+            assert run(capsys, "export", str(red), "--format", fmt) == (
                 EXIT_USAGE, "", f"error: malformed graph document: {message}\n"
             )
 
@@ -974,12 +947,13 @@ class TestMalformedInput:
     @settings(max_examples=60, deadline=None)
     @given(leaf=st.sampled_from(_GRAPH_LEAVES), value=_LEAF_VALUES)
     def test_one_replaced_leaf_exits_0_or_2(self, tmp_path_factory, leaf, value):
-        doc = json.loads(json.dumps(_GRAPH_DOC))
+        # one leaf of a reduction document's graph part replaced
+        doc = json.loads(json.dumps(_RED_DOC))
         parent = doc
         for key in leaf[:-1]:
             parent = parent[key]
         parent[leaf[-1]] = value
-        path = tmp_path_factory.mktemp("leaf") / "graph.json"
+        path = tmp_path_factory.mktemp("leaf") / "red.json"
         path.write_text(json.dumps(doc))
         for fmt in ("dot", "json"):
             assert main(["export", str(path), "--format", fmt, "--out", str(path.with_suffix("." + fmt))]) in (

@@ -859,6 +859,29 @@ class TestSerialization:
             g.to_dot()
         assert EmbeddedDigraph.from_json_dict(g.to_json_dict()) == g  # the JSON form is exact
 
+    def test_read_coordinates_at_one_float_position_rejected_on_dot_export(self):
+        # 1/10^400 and 1/(3 * 10^400) are distinct rationals, and both round to 0.0
+        data = reduce(generate_planted(2, 2, noise=0, seed=0)).graph.to_json_dict()
+        data["vertices"][0]["coord"] = ["1/1" + "0" * 400, "0"]
+        data["vertices"][1]["coord"] = ["1/3" + "0" * 400, "0"]
+        g = EmbeddedDigraph.from_json_dict(data)
+        first, second = g.vertices[:2]
+        message = f"coordinates of {first!r} and {second!r} round to one float position 0.0,0.0"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            g.to_dot()
+        assert g.to_json_dict() == data
+
+    def test_read_coordinate_outside_float_range_rejected_on_dot_export(self):
+        data = reduce(generate_planted(2, 2, noise=0, seed=0)).graph.to_json_dict()
+        data["vertices"][0]["coord"][0] = "1" + "0" * 400
+        g = EmbeddedDigraph.from_json_dict(data)
+        message = "coordinate of GridVertex(i=1, j=1, q=1, ell=1, part='whole') is outside the float range"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            g.to_dot()
+        # a numerator past 64 bits reads back: the JSON form is exact
+        assert g.to_json_dict() == data
+        assert g.coords[g.vertices[0]][0] == 10**400
+
     def test_dotted_edge_predicate(self):
         lb = GridVertex(1, 1, 2, 2, "lb")
         tr = GridVertex(1, 1, 2, 2, "tr")

@@ -39,7 +39,15 @@ from gridpaths.reduction import (
 )
 
 from . import test_mappers
-from ._oracles import build_reference, enumerate_routes, is_dotted_edge, transpose_instance, transpose_label
+from ._oracles import (
+    build_reference,
+    enumerate_routes,
+    is_dotted_edge,
+    rotate_instance,
+    rotate_label,
+    transpose_instance,
+    transpose_label,
+)
 
 
 def full_instance(k, n):
@@ -102,36 +110,36 @@ class TestBuildBase:
         assert g.check_planar_embedding().genus == 0
 
 
-class TestSplitVertices:
-    def test_full_sets_leave_graph_unchanged(self):
-        inst = full_instance(2, 2)
-        g1 = build_g1(2, 2)
-        assert split_vertices(g1, inst) == g1
+def _one_whole_vertex_instance():
+    return GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})
 
+
+class TestSplitVertices:
+    def test_split_graph_is_the_reduction_graph(self):
+        for inst in (full_instance(2, 2), empty_instance(2, 2), _one_whole_vertex_instance()):
+            assert split_vertices(build_g1(inst.k, inst.N), inst) == reduce(inst).graph
+
+    def test_mismatched_base_graph_rejected(self):
+        with pytest.raises(ValueError, match="match"):
+            split_vertices(build_g1(2, 2), _one_whole_vertex_instance())
+
+
+class TestReduce:
     def test_empty_sets_double_every_grid_vertex(self):
-        inst = empty_instance(2, 2)
-        g2 = split_vertices(build_g1(2, 2), inst)
+        g2 = reduce(empty_instance(2, 2)).graph
         grid_parts = [v for v in g2.vertices if isinstance(v, GridVertex)]
         assert len(grid_parts) == 2 * 4 * 4  # 2 k^2 N^2
         dotted = [e for e in g2.edges if is_dotted_edge(*e)]
         assert len(dotted) == 16  # k^2 N^2
 
     def test_single_whole_vertex_example(self):
-        inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})
-        g2 = split_vertices(build_g1(1, 2), inst)
+        g2 = reduce(_one_whole_vertex_instance()).graph
         assert g2.num_vertices == 11  # 4 + 3 splits + 4 terminals
         wholes = [
             v for v in g2.vertices if isinstance(v, GridVertex) and v.part == "whole"
         ]
         assert wholes == [GridVertex(1, 1, 1, 1)]
 
-    def test_mismatched_base_graph_rejected(self):
-        inst = GridTilingInstance(k=1, N=2, sets={(1, 1): {(1, 1)}})
-        with pytest.raises(ValueError, match="match"):
-            split_vertices(build_g1(2, 2), inst)
-
-
-class TestReduce:
     def test_planted_counts_and_structure(self):
         out = reduce(generate_planted(2, 3, noise=0, seed=0))
         assert out.counts.vertices == 88
@@ -590,6 +598,22 @@ class TestSymmetry:
         image = {transpose_label(v): (y, x) for v, x, y in zip(g._verts, g._x, g._y)}
         assert image == {v: (x, y) for v, x, y in zip(h._verts, h._x, h._y)} and g._den == h._den
         assert {(transpose_label(u), transpose_label(v)) for u, v in g.edges} == set(h.edges)
+
+    @pytest.mark.parametrize(
+        "k, ns, degree2", [(k, range(2, 7), False) for k in (1, 2, 3)] + [(k, (2, 4), True) for k in (1, 2, 3)]
+    )
+    def test_rotate(self, k, ns, degree2):
+        # rho, the half turn: the reduction of the rotated instance is the reverse graph of the
+        # reduction, under rotate_label and (x, y) -> (W - x, W - y) with W = k(N+1).  In the degree-2
+        # form only when N is a power of 2: each fan tree puts its larger half left, so an odd split
+        # does not turn into itself
+        for n, planted in itertools.product(ns, (True, False)):
+            inst = generate_planted(k, n, noise=2, seed=n) if planted else generate_random(k, n, 0.3, seed=n)
+            g, h = (reduction._derive(x, degree2).graph for x in (inst, rotate_instance(inst)))
+            w = k * (n + 1) * g._den
+            image = {rotate_label(v, k, n): (w - x, w - y) for v, x, y in zip(g._verts, g._x, g._y)}
+            assert image == {v: (x, y) for v, x, y in zip(h._verts, h._x, h._y)} and g._den == h._den
+            assert {(rotate_label(v, k, n), rotate_label(u, k, n)) for u, v in g.edges} == set(h.edges)
 
 
 class TestCertificateAtEverySize:
