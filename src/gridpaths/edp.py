@@ -26,7 +26,6 @@ legal and consumes no edges.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, product, repeat
@@ -369,26 +368,25 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
 _DEAD = 1  # bit 0 of a stop mask: a dead end, past which a token needs no shared arc
 
 
-def _segments(arcs: list[int], cut: int, head: list[int], tail: list[int], stop: dict[int, int]) -> dict[int, int]:
-    """Per tail of a domain's first ``cut`` ``arcs`` (in topological order), the stop mask of its out-arcs.
+def _segments(arcs: list[int], head: list[int], tail: list[int], stop: dict[int, int]) -> dict[int, int]:
+    """Per tail of a domain's ``arcs`` (in topological order), the stop mask of its out-arcs.
 
     A vertex's mask has the bit of each stop (``stop`` maps a vertex to its
     bit) that a path from it reaches before any other stop, and ``_DEAD``
     when such a path reaches a dead end, a vertex from which no stop is
-    reachable: the target, at the latest.  The arcs past ``cut`` have tails
-    after the last stop, all dead ends.  An arc's mask is its head's: the
+    reachable: the target, at the latest.  An arc's mask is its head's: the
     head's own bit if it is a stop, else its entry here, or ``_DEAD`` if it
     has none.
     """
     acc: dict[int, int] = {}
     get, stop_get = acc.get, stop.get
-    for e in islice(reversed(arcs), len(arcs) - cut, None):
+    for e in reversed(arcs):
         v, h = tail[e], head[e]
         acc[v] = get(v, 0) | (stop_get(h) or get(h, _DEAD))
     return acc
 
 
-def _kept(arcs: list[int], cut: int, head: list[int], tail: list[int], stop: dict[int, int], acc: dict[int, int],
+def _kept(arcs: list[int], head: list[int], tail: list[int], stop: dict[int, int], acc: dict[int, int],
           good: dict[int, int], first: dict[int, int]) -> list[int]:
     """The ``arcs`` (in topological order) that lie on a winning line, given the good masks of the stops.
 
@@ -397,12 +395,10 @@ def _kept(arcs: list[int], cut: int, head: list[int], tail: list[int], stop: dic
     there on; ``first`` holds the same for an arc that a two-arc move starts
     with.  The pass carries each mask along the arcs that lead to one of its
     stops, into the vertices between stops; a free mask also into stops.
-    Past ``cut`` every vertex is a dead end, so a mask there leads on if it
-    has ``_DEAD``.
     """
     kept: list[int] = []
     keep, get, first_get, stop_get, acc_get = kept.append, good.get, first.get, stop.get, acc.get
-    for e in islice(arcs, cut):
+    for e in arcs:
         m = get(tail[e], 0) | first_get(e, 0)
         if m:
             h = head[e]
@@ -410,12 +406,6 @@ def _kept(arcs: list[int], cut: int, head: list[int], tail: list[int], stop: dic
                 keep(e)
                 if m < 0 or h not in stop:
                     good[h] = get(h, 0) | m
-    for e in islice(arcs, cut, None):
-        m = get(tail[e], 0)
-        if m & _DEAD:
-            keep(e)
-            h = head[e]
-            good[h] = get(h, 0) | m
     return kept
 
 
@@ -494,12 +484,8 @@ class _Domains:
         if self.states > self.cap:
             raise BudgetExceededError(self.cap)
         stop = {v: 2 << r for r, v in enumerate(at)}
-        # per domain, the number of its arcs whose tails are no later than the last stop
-        last = pos[at[-1]]
-        cut_i = bisect_right(arcs_i, last, key=lambda e: pos[tail[e]])
-        cut_j = bisect_right(arcs_j, last, key=lambda e: pos[tail[e]])
-        acc_i = _segments(arcs_i, cut_i, head, tail, stop)
-        acc_j = _segments(arcs_j, cut_j, head, tail, stop)
+        acc_i = _segments(arcs_i, head, tail, stop)
+        acc_j = _segments(arcs_j, head, tail, stop)
         succ_i = [acc_i.get(v, _DEAD) for v in at]
         succ_j = [acc_j.get(v, _DEAD) for v in at]
 
@@ -517,7 +503,6 @@ class _Domains:
             firsts.append((arcs_at_i or [(-1, _DEAD)], arcs_at_j or [(-2, _DEAD)]))
 
         won = [0] * nstops
-        i_moves = [(succ, 2 << q) for q, succ in enumerate(succ_i)]
         for r in range(nstops - 1, -1, -1):
             bit = 2 << r
             arcs_at_i, arcs_at_j = firsts[r]
@@ -540,9 +525,9 @@ class _Domains:
                             both_at_y = bit
                             break
             col = later & -bit << 1 | both_at_y | _DEAD
-            for succ, stop_bit in reversed(i_moves[:r]):
-                if succ & col:
-                    col |= stop_bit
+            for q in range(r - 1, -1, -1):
+                if succ_i[q] & col:
+                    col |= 2 << q
             won[r] = col
         if not won[at.index(sj)] & stop[si]:
             return None
@@ -609,8 +594,8 @@ class _Domains:
                         reach[q] |= t
                     m ^= low
         return (
-            _kept(arcs_i, cut_i, head, tail, stop, acc_i, good_i, first_i),
-            _kept(arcs_j, cut_j, head, tail, stop, acc_j, good_j, first_j),
+            _kept(arcs_i, head, tail, stop, acc_i, good_i, first_i),
+            _kept(arcs_j, head, tail, stop, acc_j, good_j, first_j),
         )
 
     def narrow(self) -> bool:

@@ -32,6 +32,9 @@ tests call them: the edge and neighbourhood queries on a ``Digraph``; the
 lb -> tr edge test, an oracle for the split-edge list; and the grid-line
 helpers.
 
+``bounds_refutes`` is ROADMAP item 28's grid-side rule, bounds consistency on
+an instance's <= constraints, kept here until a solver uses it.
+
 Undirected edge-disjoint paths live only here too: ``undirected_edp_exhaustive``
 tries every simple path of each pair on the underlying graph, arcs walked either
 way, to show where a reduction's "no" depends on the arc directions.
@@ -93,6 +96,34 @@ def gt_solutions_exhaustive(inst: GridTilingInstance) -> list[GTAssignment]:
         if check_gt_solution(inst, asg):
             found.append(asg)
     return found
+
+
+def bounds_refutes(inst: GridTilingInstance) -> bool:
+    """Whether bounds propagation empties a cell, a proof that the instance has no solution.
+
+    A pair (a, b) leaves its cell when b is below the least b of the left
+    neighbour or above the greatest b of the right one, or a is below the
+    least a of the lower neighbour or above the greatest a of the upper
+    one; the rule repeats until no pair leaves.
+    """
+    sets = {cell: set(inst.sets.get(cell, ())) for cell in inst.cells()}
+    if not all(sets.values()):
+        return True
+    inf = float("inf")
+    least = lambda cell, c: min(p[c] for p in sets[cell]) if cell in sets else -inf
+    most = lambda cell, c: max(p[c] for p in sets[cell]) if cell in sets else inf
+    changed = True
+    while changed:
+        changed = False
+        for (x, y), pairs in sets.items():
+            lo_a, hi_a = least((x, y - 1), 0), most((x, y + 1), 0)
+            lo_b, hi_b = least((x - 1, y), 1), most((x + 1, y), 1)
+            kept = {(a, b) for a, b in pairs if lo_a <= a <= hi_a and lo_b <= b <= hi_b}
+            if not kept:
+                return True
+            if kept != pairs:
+                sets[x, y], changed = kept, True
+    return False
 
 
 def iter_all_paths(g: Digraph, s, t):

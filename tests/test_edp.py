@@ -1001,6 +1001,32 @@ class TestPropagation:
         assert len(reached) == sum(map(len, self.STAGE_THREE.values()))
         assert digest.hexdigest() == self.STAGE_THREE_DIGEST
 
+    # (k, N) of the planted (noise 2, seed 0) solver-table rows that propagation leaves open
+    OPEN_ROWS = ((3, 4), (3, 5), (2, 8), (3, 6), (2, 12))
+    # SHA-256 of _propagate's uncapped answers on the STAGE_THREE instances, then on OPEN_ROWS:
+    # "none", or the per-edge masks of the domains it keeps
+    DOMAIN_DIGEST = "ae42d98c5255152b08e8e3cb81c2bd1b472117c6c40736f6e0a2052f9788e734"
+
+    def test_kept_domains_match_pinned_digest(self):
+        # the answers alone would not show a game that keeps other arcs: 60 of the 64 STAGE_THREE
+        # instances are refuted
+        instances = []
+        for (mode, k, n, param), seeds in self.STAGE_THREE.items():
+            for seed in seeds:
+                if mode == "planted":
+                    instances.append(generate_planted(k, n, noise=param, seed=seed))
+                else:
+                    instances.append(generate_random(k, n, density=param, seed=seed))
+        instances += [generate_planted(k, n, noise=2, seed=0) for k, n in self.OPEN_ROWS]
+        digest, opened = hashlib.sha256(), 0
+        for inst in instances:
+            out = reduce(inst)
+            dom = _propagate(out.graph, list(out.terminals.pairs), 10**9)
+            opened += dom is not None
+            digest.update(("none" if dom is None else repr(dom)).encode() + b";")
+        assert opened == 4 + len(self.OPEN_ROWS)
+        assert digest.hexdigest() == self.DOMAIN_DIGEST
+
 
 class TestInstanceSymmetries:
     """The transpose tau and the half turn rho keep a grid tiling instance's answer; the solver must too."""

@@ -17,6 +17,7 @@ from gridpaths.gridtiling import (
 )
 from gridpaths.reduction import reduce
 
+from . import exhaustive_k2n2
 from ._oracles import gt_solutions_exhaustive
 
 
@@ -248,6 +249,17 @@ class TestBruteForce:
         else:
             assert check_gt_solution(inst, asg)
             assert asg in all_solutions
+
+
+class TestBoundsRule:
+    """ROADMAP item 28's bounds rule, ``_oracles.bounds_refutes``: it must refute no feasible instance."""
+
+    def test_refutes_every_sampled_k2_n2_no_instance_with_no_empty_cell(self):
+        # every 17th of the 65,536 (2, 2) instances (a stride of 16 would keep cell 1 empty);
+        # CI's (2, 2) step counts all of them
+        sample = range(0, exhaustive_k2n2.COUNT, 17)
+        empty, refuted, survivors, unsound = exhaustive_k2n2.bounds_counts(sample)
+        assert (len(sample), empty, refuted, survivors, unsound) == (3856, 873, 493, 0, 0)
 
 
 class TestGenerators:

@@ -720,6 +720,19 @@ class TestLevelSets:
                 level_set(out, "vertical", bad)
 
 
+@st.composite
+def cell_cases(draw):
+    """N in 4..8, a cell set S in [N]^2 and 1-based boundary positions (a, b, c, d), half of them around a point of S."""
+    n = draw(st.integers(4, 8))
+    cells = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
+    if cells and draw(st.booleans()):
+        x, y = draw(st.sampled_from(sorted(cells)))
+        corners = (st.integers(1, x), st.integers(x, n), st.integers(1, y), st.integers(y, n))
+    else:
+        corners = [st.integers(1, n)] * 4
+    return n, cells, draw(st.tuples(*corners))
+
+
 class TestCellRelation:
     """What one cell lets its column and row paths do, from the local facts of ROADMAP item 21."""
 
@@ -751,6 +764,18 @@ class TestCellRelation:
                     mismatches.append((sorted(cells), a + 1, b + 1, c + 1, d + 1))
                 cases += 1
         assert (cases, mismatches) == (2 ** (n * n) * n**4, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cell_cases())
+    def test_sampled_cell_sets_and_boundary_routes_follow_the_closed_form(self, case):
+        # finding 2 past N = 3, where enumerating every S is out of reach, in both forms
+        n, cells, (a, b, c, d) = case
+        want = self.routes_by_rule(cells, n, a, b, c, d)
+        out = reduce(GridTilingInstance(k=1, N=n, sets={(1, 1): cells}))
+        for red in (out, reduce_degree(out)):
+            bottom, top, left, right = (boundary(red, 1, 1, side) for side in ("bottom", "top", "left", "right"))
+            paths, _ = enumerate_routes(red.graph, [(bottom[a - 1], top[b - 1]), (left[c - 1], right[d - 1])], False)
+            assert (paths is not None) == want
 
     @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
     def test_every_pair_cone_lies_in_its_level_set(self, trees):
