@@ -32,7 +32,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, islice, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
@@ -213,10 +212,11 @@ class Digraph:
     Vertex id ``n`` is ``vertices[n]`` and edge id ``e`` is ``edges[e]``.
     The package's algorithms work on the id arrays: ``_id`` (label -> id),
     ``_tail``/``_head`` (per edge id), ``_out``/``_in`` (per vertex id, its
-    edge ids in insertion order), ``_edge_keys`` (the int key of every edge,
-    made on first use) and ``_topo_ids()``.  The constructor maps labels to ids
-    and calls ``_init``, which holds every check and is the only construction
-    path; ``_reverse()`` is a view on those arrays, not a new graph.
+    edge ids in insertion order) and ``_topo_ids()``.  No set of the edges is
+    kept: an edge is found among its tail's out-edges.  The constructor maps
+    labels to ids and calls ``_init``, which holds every check and is the only
+    construction path; ``_reverse()`` is a view on those arrays, not a new
+    graph.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
@@ -250,11 +250,6 @@ class Digraph:
             self._out[a].append(e)
             self._in[b].append(e)
         self._topo: tuple[list[int] | None, list[int] | None] | None = None
-
-    @cached_property
-    def _edge_keys(self) -> set[int]:
-        """The ``_int_keys`` of every edge, made on first use: the solution checker's edge lookup."""
-        return set(_int_keys(self._tail, self._head, len(self._verts)))
 
     @property
     def vertices(self) -> tuple:

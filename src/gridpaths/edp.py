@@ -26,11 +26,11 @@ legal and consumes no edges.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from itertools import islice, product
 
-from .digraph import Digraph, Label, _int_keys
+from .digraph import Digraph, Label
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 
 # blocking cuts kept per pair by the path search's reachability test
@@ -54,27 +54,27 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
 
     Each path must be a directed path from its pair's source to its sink
     without repeating an edge, and no edge may appear in two paths.  Sharing
-    vertices is allowed; single-vertex paths share nothing.  Edges are
-    compared by the graph's int keys (``Digraph._edge_keys``) of their
-    vertex ids.  A label not in the graph gets an id of its own, past the
-    graph's, so its edges are missing but can still be shared.  A valid set
-    is accepted by set operations on all its edges at once; the messages are
-    built only when one of those tests fails.
+    vertices is allowed; single-vertex paths share nothing, but their vertex
+    must be in the graph.  A step's edge is found among its tail's out-edges.
+    A label not in the graph gets an id of its own, past the graph's, so its
+    edges are missing but can still be shared.  A valid set is accepted when
+    each step finds an edge and no edge id occurs twice; the messages are
+    built only when that fails.
     """
     pairs = _pairs(terminals)
     if len(ps.paths) != len(pairs):
         return [f"expected {len(pairs)} paths, got {len(ps.paths)}"]
-    ids, edges, n = g._id, g._edge_keys, len(g._verts)
-    used: list[int] = []
+    ids, out, head, n = g._id, g._out, g._head, len(g._verts)
+    used, steps = [], 0
     for path, (s, t) in zip(ps.paths, pairs):
-        if not path or path[0] != s or path[-1] != t:
+        nums = list(map(ids.get, path))
+        if not path or path[0] != s or path[-1] != t or None in nums:
             break
-        # a label outside the graph maps to -n * n, which makes the key of each of its edges negative
-        nums = list(map(ids.get, path, repeat(-n * n)))
-        used += _int_keys(nums, islice(nums, 1, None), n)
+        # a simple graph has at most one edge per step: a step that finds none leaves used short of steps
+        steps += len(path) - 1
+        used += [e for a, b in zip(nums, islice(nums, 1, None)) for e in out[a] if head[e] == b]
     else:
-        distinct = set(used)
-        if len(distinct) == len(used) and distinct <= edges:
+        if len(set(used)) == len(used) == steps:
             return []
     # each path's own violations in path order, then every edge that a later path shares
     violations, shared, owner, outside = [], [], {}, {}
@@ -86,11 +86,13 @@ def check_edp_solution(g: Digraph, terminals, ps: PathSet) -> list[str]:
             violations.append(f"path {idx} starts at {path[0]!r}, expected {s!r}")
         if path[-1] != t:
             violations.append(f"path {idx} ends at {path[-1]!r}, expected {t!r}")
+        if len(path) == 1 and path[0] not in ids:
+            violations.append(f"path {idx} uses vertex {path[0]!r}, which is not in the graph")
         nums = [ids[v] if v in ids else outside.setdefault(v, n + len(outside)) for v in path]
         seen = set()
         for step, (a, b) in enumerate(zip(nums, nums[1:])):
             where = f"edge ({path[step]!r}, {path[step + 1]!r})"
-            if not (a < n > b and a * n + b in edges):
+            if not (a < n > b and b in map(head.__getitem__, out[a])):
                 violations.append(f"path {idx} uses missing {where}")
             elif (a, b) in seen:
                 violations.append(f"path {idx} repeats {where}")
@@ -124,13 +126,14 @@ def _cone_sizes(g: Digraph, sources: list[int], reach: list[int]) -> list[int]:
     ``reach`` holds the targets' ``_reach_bits``, and the sources'
     ``_reach_bits`` on the mirror view ``g._reverse()`` have bit j at each
     vertex that ``sources[j]`` reaches; a vertex is in the cones of the bits
-    that both of its masks have.
+    that both of its masks have.  Many vertices share that AND, so each
+    distinct one is split into its bits once, with its count.
     """
     sizes = [0] * len(sources)
-    for bits in map(operator.and_, _reach_bits(g._reverse(), sources), reach):
+    for bits, count in Counter(map(operator.and_, _reach_bits(g._reverse(), sources), reach)).items():
         while bits:
             low = bits & -bits
-            sizes[low.bit_length() - 1] += 1
+            sizes[low.bit_length() - 1] += count
             bits ^= low
     return sizes
 

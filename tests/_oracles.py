@@ -736,7 +736,7 @@ def rotate_label(v: Label, k: int, n: int) -> Label:
 
 
 def has_edge(g: Digraph, u: Label, v: Label) -> bool:
-    return u in g and v in g and g._id[u] * g.num_vertices + g._id[v] in g._edge_keys
+    return u in g and v in g and g._id[v] in [g._head[e] for e in g._out[g._id[u]]]
 
 
 def _outside(g: Digraph, subset: Iterable[Label], incident: list[list[int]], far: list[int]) -> set:
@@ -836,6 +836,8 @@ def check_edp_solution_reference(g: Digraph, terminals, ps: PathSet) -> list[str
             violations.append(f"path {idx} starts at {path[0]!r}, expected {s!r}")
         if path[-1] != t:
             violations.append(f"path {idx} ends at {path[-1]!r}, expected {t!r}")
+        if len(path) == 1 and path[0] not in g._id:
+            violations.append(f"path {idx} uses vertex {path[0]!r}, which is not in the graph")
         seen = set()
         for n, edge in enumerate(zip(nums, nums[1:])):
             if edge not in edges:

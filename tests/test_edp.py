@@ -33,6 +33,7 @@ from ._oracles import (
     LineVertex,
     PairSink,
     PairSource,
+    check_edp_solution_reference,
     check_vdp_solution,
     cone_first_order,
     cone_sizes,
@@ -181,6 +182,47 @@ def dags_with_pairs(draw, ks=(1, 2, 3, 3, 3, 3)):
     return Digraph(range(n), edges), [(s, n - k + t) for s, t in zip(draw(ends), draw(ends))]
 
 
+@st.composite
+def digraphs_with_walks(draw):
+    """A digraph on 2-8 vertices, cycles and antiparallel arcs allowed, with walks on it as a path set.
+
+    Each walk's ends are its pair.  Then up to three faults are put in: a vertex dropped, another
+    path's edge inserted, a path duplicated with its pair, a vertex replaced by a label outside the
+    graph (the int n among them), or a pair end moved.
+    """
+    n = draw(st.integers(2, 8))
+    arcs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    g = Digraph(range(n), draw(st.permutations([arc for arc in arcs if draw(st.booleans())])))
+    vertex = st.integers(0, n - 1)
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        walk = [draw(vertex)]
+        for _ in range(draw(st.integers(0, 6))):
+            if not g.out(walk[-1]):
+                break
+            walk.append(draw(st.sampled_from(g.out(walk[-1]))))
+        paths.append(walk)
+    pairs = [(p[0], p[-1]) for p in paths]
+    for fault in draw(st.lists(st.sampled_from(["drop", "edge", "copy", "outside", "ends"]), max_size=3)):
+        idx = draw(st.integers(0, len(paths) - 1))
+        path, other = paths[idx], paths[draw(st.integers(0, len(paths) - 1))]
+        at = draw(st.integers(0, len(path) - 1))
+        if fault == "drop" and len(path) > 1:
+            paths[idx] = path[:at] + path[at + 1 :]
+        elif fault == "edge" and len(other) > 1:
+            m = draw(st.integers(0, len(other) - 2))
+            paths[idx] = path[:at] + other[m : m + 2] + path[at:]
+        elif fault == "copy":
+            paths.append(path)
+            pairs.append(pairs[idx])
+        elif fault == "outside":
+            paths[idx] = path[:at] + [draw(st.sampled_from([n, -1, "z"]))] + path[at + 1 :]
+        elif fault == "ends":
+            end = draw(st.one_of(vertex, st.just("z")))
+            pairs[idx] = (end, pairs[idx][1]) if draw(st.booleans()) else (pairs[idx][0], end)
+    return g, pairs, PathSet(paths)
+
+
 class TestCheckEdpSolution:
     def test_vertex_sharing_is_allowed(self):
         g = cross_graph()
@@ -257,6 +299,20 @@ class TestCheckEdpSolution:
         g = Digraph(["x", "y"], [("x", "y"), ("y", "x")])
         ps = PathSet([["x", "y", "x", "y"]])
         assert check_edp_solution(g, [("x", "y")], ps) == ["path 0 repeats edge ('x', 'y')"]
+
+    def test_single_vertex_path_outside_the_graph_reported(self):
+        # its ends are right, but the solver rejects the pair ("z", "z") as not in the graph
+        g = Digraph(["p", "q"], [("p", "q")])
+        assert check_edp_solution(g, [("z", "z")], PathSet([["z"]])) == [
+            "path 0 uses vertex 'z', which is not in the graph"
+        ]
+        assert check_edp_solution(g, [("z", "q")], PathSet([["z", "q"]])) == ["path 0 uses missing edge ('z', 'q')"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=digraphs_with_walks())
+    def test_messages_match_reference_on_random_digraphs(self, case):
+        g, pairs, ps = case
+        assert check_edp_solution(g, pairs, ps) == check_edp_solution_reference(g, pairs, ps)
 
 
 class TestSolveEdp:
@@ -719,16 +775,21 @@ class TestSearchCore:
 
     @pytest.mark.parametrize("degree2", [False, True])
     def test_graph_keeps_no_per_edge_objects(self, degree2):
-        # The bytes a planted (3, 10) reduction keeps per vertex plus edge: its labels, id dict,
-        # adjacency lists and id lists come to about 190 B.  A kept set of (tail, head) tuples and
-        # a tuple per coordinate came to 247 B in the direct form and 281 B in the degree-2 form
+        # The bytes a planted (3, 10) reduction keeps per vertex plus edge, after the two checks of
+        # its forward-mapped solution that a roundtrip makes: its labels, id dict, adjacency lists
+        # and id lists come to 188 B in the direct form and 204 B in the degree-2 form.  A kept set
+        # of (tail, head) tuples and a tuple per coordinate came to 247 B and 281 B; a set of int
+        # edge keys kept for the checker, to 234 B and 250 B
         inst = generate_planted(3, 10, noise=2, seed=0)
         direct = reduce(inst)
         build = partial(reduce_degree, direct) if degree2 else partial(reduce, inst)
-        build()  # the shape's cached base parts are no graph's cost
+        warm = build()  # the shape's cached base parts are no graph's cost
+        ps = gt_solution_to_paths(warm, solve_gt_brute_force(inst))
         tracemalloc.start()
         try:
             g = build().graph
+            for _ in range(2):
+                assert check_edp_solution(g, warm.terminals, ps) == []
             gc.collect()
             kept, _ = tracemalloc.get_traced_memory()
         finally:

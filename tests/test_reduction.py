@@ -506,7 +506,7 @@ class TestIdConstruction:
         out = reduce(inst)
         g = reduce_degree(out).graph if trees else out.graph
         h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
-        for attr in ("_verts", "_tail", "_head", "_out", "_in", "_edge_keys", "coords"):
+        for attr in ("_verts", "_tail", "_head", "_out", "_in", "coords"):
             assert getattr(g, attr) == getattr(h, attr), attr
 
 
