@@ -215,8 +215,9 @@ class Digraph:
     edge ids in insertion order) and ``_topo_ids()``.  No set of the edges is
     kept: an edge is found among its tail's out-edges.  The constructor maps
     labels to ids and calls ``_init``, which holds every check and is the only
-    construction path; ``_reverse()`` is a view on those arrays, not a new
-    graph.
+    construction path.  ``_reverse()`` and ``_restrict()`` are views on those
+    arrays for the path search only, not new graphs: a view's ``edges`` and
+    ``num_edges`` still read the full arrays.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge]):
@@ -333,6 +334,14 @@ class Digraph:
         rev._tail, rev._head, rev._out, rev._in = self._head, self._tail, self._in, self._out
         rev._topo = tuple(None if ids is None else ids[::-1] for ids in self._topo_ids())
         return rev
+
+    def _restrict(self, keep: list) -> Digraph:
+        """For the path search, a view of the edges e with ``keep[e]``: this DAG's ids, edge and topological order."""
+        sub = Digraph.__new__(Digraph)
+        sub._verts, sub._id, sub._tail, sub._head = self._verts, self._id, self._tail, self._head
+        sub._topo = self._topo_ids()
+        sub._out, sub._in = ([[e for e in es if keep[e]] for es in lists] for lists in (self._out, self._in))
+        return sub
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""

@@ -6,13 +6,8 @@ a proof of infeasibility at the given budget.  It routes the pair with the
 largest cone first (``_cone_sizes``), then the others in the given order.
 ``_search`` documents how it prunes without changing the search tree; it
 tests ancestry on one bitmask per vertex, the targets it reaches.
-``solve_edp_dag`` runs up to three stages: that search; where it hits its
-budget, the same search on the mirror instance, read from the sinks, with
-half the budget; where that runs out too, pairwise propagation
-(``_propagate``): two-pair games over per-pair arc domains, played to a
-fixpoint, whose states are capped at half the budget, which either
-refutes the instance or narrows the graph for one more search with half
-the budget.  The budget error means every stage ran out.  Also here: the
+``solve_edp_dag`` runs that search and two more stages, listed in its
+docstring; the budget error means every stage ran out.  Also here: the
 edge-disjoint solution checker.
 
 There is no vertex-disjoint search: on a reduction all 4k terminals lie on
@@ -27,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter, deque
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -648,58 +644,47 @@ def _propagate(g: Digraph, pairs: list[tuple[Label, Label]], cap: int) -> list[i
     return doms.dom if doms.routed and doms.narrow() else None
 
 
-def _search_domains(g: Digraph, pairs: list[tuple[Label, Label]], budget: int) -> PathSet | None:
-    """``_propagate`` with a cap of ``budget`` states, then one search with ``budget`` expansions on the domains it leaves.
+def _search_mirror(g: Digraph, pairs: list[tuple[Label, Label]], budget: int) -> PathSet | None:
+    """``_search`` on the mirror instance (reverse graph, each pair's ends swapped, list reversed), mapped back."""
+    ps = _search(g._reverse(), [(t, s) for s, t in reversed(pairs)], budget)
+    return None if ps is None else PathSet([path[::-1] for path in reversed(ps.paths)])
 
-    The search runs on the subgraph of the union of the domains, which
-    keeps the graph's vertex ids and labels.
+
+def _search_domains(g: Digraph, pairs: list[tuple[Label, Label]], budget: int) -> PathSet | None:
+    """``_propagate`` with a cap of ``budget`` states, then one search with ``budget`` expansions on the arcs it keeps.
+
+    That search runs on ``g._restrict`` of the union of the domains, a view
+    with the graph's ids and edge order.
     """
     dom = _propagate(g, pairs, budget)
-    if dom is None:
-        return None
-    keep = [e for e, bits in enumerate(dom) if bits]
-    sub = Digraph.__new__(Digraph)
-    sub._init(g._verts, [g._tail[e] for e in keep], [g._head[e] for e in keep])
-    return _search(sub, pairs, budget)
+    return None if dom is None else _search(g._restrict(dom), pairs, budget)
 
 
 def solve_edp_dag(g: Digraph, terminals, budget: int = DEFAULT_BUDGET) -> PathSet | None:
     """Exact edge-disjoint routing on a DAG; None means provably infeasible.
 
-    Deterministic: the pair with the largest cone (the vertices on its
-    source-to-target paths; ties to the earlier pair) is routed first, then
-    the others in the given order, and edges are tried in the graph's edge
-    order.  If that search hits the expansion cap, the mirror instance (the
-    reverse graph, each pair's ends swapped, the pair list reversed) is
-    searched the same way with half the cap, rounded up.  If that hits its
-    cap too, pairwise propagation (``_search_domains``) plays two-pair games
-    valuing at most half the cap in states: a lost game refutes the
-    instance, and otherwise one search with half the cap runs on the arcs
-    the games left.  So a call makes at most twice the cap in expansions,
-    plus half of it in game states.  The paths come back in the given
-    order.  Raises BudgetExceededError, naming the cap, when every stage
-    hits its share.  The cap counts plain backtracking's expansions,
-    counted subtrees included: it bounds the tree, not the time (random
-    (3,5) d=0.1 seed 1 answers None after 7.1e6 expansions, 3.8 s on a
-    2-CPU VM, in the first search, before propagation would refute it in
-    10,490 states).
+    Deterministic.  The stages run in turn, each with its share of the cap,
+    until one answers; one that hits its share passes to the next.
+    ``_search`` (the cap) routes the pair with the largest cone (the vertices
+    on its source-to-target paths; ties to the earlier pair) first, then the
+    others in the given order, trying edges in the graph's edge order.
+    ``_search_mirror`` (half the cap, rounded up) runs it on the mirror
+    instance, which decides many of its budget hits, since backtracking cost
+    is heavy-tailed across search orders.
+    ``_search_domains`` (that half) plays two-pair games valuing at most that
+    many states: a lost game refutes, and otherwise that many expansions
+    search the arcs the games left.  So a call makes at most twice the cap
+    in expansions, plus half of it in game states, and raises
+    BudgetExceededError, naming the cap, when every stage hits its share.
+    The paths come back in the given order.  The cap counts plain
+    backtracking's expansions, counted subtrees included: it bounds the
+    tree, not the time (random (3,5) d=0.1 seed 1 answers None after 7.1e6
+    expansions, 3.8 s on a 2-CPU VM, in the first search, before
+    propagation would refute it in 10,490 states).
     """
     pairs = _pairs(terminals)  # read once: every stage takes it, and terminals may be a one-shot iterable
-    try:
-        return _search(g, pairs, budget)
-    except BudgetExceededError:
-        pass
-    # backtracking cost is heavy-tailed across search orders, so the mirror
-    # decides many of the first search's budget hits
-    mirror = [(t, s) for s, t in reversed(pairs)]
     half = (budget + 1) // 2
-    try:
-        ps = _search(g._reverse(), mirror, half)
-        return None if ps is None else PathSet([path[::-1] for path in reversed(ps.paths)])
-    except BudgetExceededError:
-        pass
-    try:
-        return _search_domains(g, pairs, half)
-    except BudgetExceededError:
-        raise BudgetExceededError(budget) from None
-
+    for stage, share in ((_search, budget), (_search_mirror, half), (_search_domains, half)):
+        with suppress(BudgetExceededError):
+            return stage(g, pairs, share)
+    raise BudgetExceededError(budget)

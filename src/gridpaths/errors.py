@@ -4,7 +4,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """A solver hit its node-expansion cap before deciding feasibility."""
+    """A solver hit its cap before deciding feasibility: node expansions, with the EDP pair games' states."""
 
     def __init__(self, budget: int):
         super().__init__(f"expansion budget of {budget} exhausted")

@@ -12,8 +12,9 @@ hex digit c of ``index``.  The feasibility answer of each comes from
   of the forward map's paths must give back the assignment;
 * both forms: pairwise propagation (``edp._propagate``), the solver's third stage, run on its own,
   must refute no yes-instance, and on a "yes" every arc of the forward map's paths, and in the
-  degree-2 form of the solver's, must stay in its pair's domain; the summary counts the
-  no-instances it refutes;
+  degree-2 form of the solver's, must stay in its pair's domain, and the third stage's search on
+  the kept arcs (``_search`` on ``Digraph._restrict``) must find paths that pass
+  ``check_edp_solution`` on the whole graph; the summary counts the no-instances it refutes;
 * the grid side: ``_oracles.bounds_refutes`` (ROADMAP item 28's rule) must refute no feasible
   instance; ``bounds_counts`` counts what it refutes and the no-instances it leaves open.
 
@@ -30,7 +31,7 @@ import time
 from itertools import product
 
 from gridpaths import cli
-from gridpaths.edp import _propagate, check_edp_solution, solve_edp_dag
+from gridpaths.edp import _propagate, _search, check_edp_solution, solve_edp_dag
 from gridpaths.gridtiling import GridTilingInstance, _cells, check_gt_solution, solve_gt_brute_force
 from gridpaths.mappers import gt_solution_to_paths, paths_to_gt_solution
 from gridpaths.reduction import reduce, reduce_degree
@@ -81,22 +82,28 @@ def mismatches(indices) -> tuple[int, int, list[str]]:
                 found.append(f"{index} degree-2: " + "; ".join(faults))
 
         for form, red in (("direct", direct), ("degree-2", out)):
-            dom = _propagate(red.graph, list(red.terminals.pairs), BUDGET)
+            pairs = list(red.terminals.pairs)
+            dom = _propagate(red.graph, pairs, BUDGET)
             if dom is None:
                 refuted += 1
                 if want:
                     found.append(f"{index} {form}: propagation refutes a yes-instance")
-            elif want and tiling is not None:
-                routes = [("forward map", gt_solution_to_paths(red, tiling))]
-                if red is out and paths is not None:
-                    routes.append(("solver", paths))
-                edge_id = {edge: e for e, edge in enumerate(red.graph.edges)}
-                for name, ps in routes:
-                    for i, path in enumerate(ps.paths):
-                        dropped = [arc for arc in zip(path, path[1:]) if not dom[edge_id[arc]] >> i & 1]
-                        if dropped:
-                            found.append(f"{index} {form}: {len(dropped)} arcs of the {name}'s path {i} leave its "
-                                         f"domain, the first {dropped[0]}")
+            elif want:
+                kept = _search(red.graph._restrict(dom), pairs, BUDGET)
+                if kept is None or check_edp_solution(red.graph, pairs, kept):
+                    found.append(f"{index} {form}: the search on the kept arcs gives "
+                                 + ("no paths" if kept is None else "paths the checker rejects"))
+                if tiling is not None:
+                    routes = [("forward map", gt_solution_to_paths(red, tiling))]
+                    if red is out and paths is not None:
+                        routes.append(("solver", paths))
+                    edge_id = {edge: e for e, edge in enumerate(red.graph.edges)}
+                    for name, ps in routes:
+                        for i, path in enumerate(ps.paths):
+                            dropped = [arc for arc in zip(path, path[1:]) if not dom[edge_id[arc]] >> i & 1]
+                            if dropped:
+                                found.append(f"{index} {form}: {len(dropped)} arcs of the {name}'s path {i} leave its "
+                                             f"domain, the first {dropped[0]}")
     return feasible, refuted, found
 
 

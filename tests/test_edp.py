@@ -660,9 +660,7 @@ class TestSearchCore:
     SOLVER_COUNT_DIGEST = "9f0901d905c1e57fe9d6c40e3d03812873c2436e1ea080c0b6ed8e8564c81709"
 
     @staticmethod
-    def _expansions(search, g, pairs) -> str:
-        cap = 10_000
-
+    def _expansions(search, g, pairs, cap=10_000) -> str:
         def finishes(budget):
             try:
                 search(g, pairs, budget=budget)
@@ -903,6 +901,40 @@ class TestMirrorSearch:
         assert both == {False, True}
 
 
+class TestStageLoop:
+    """``solve_edp_dag`` runs its three stages in order, each with its share of the budget, until one answers."""
+
+    STAGES = ("_search", "_search_mirror", "_search_domains")
+
+    @staticmethod
+    def _patch(monkeypatch, calls, answering=None):
+        # each stage records (name, share), then answers None if it is the answering one, else runs out
+        for name in TestStageLoop.STAGES:
+
+            def stage(g, pairs, share, name=name):
+                calls.append((name, share))
+                if name == answering:
+                    return None
+                raise BudgetExceededError(share)
+
+            monkeypatch.setattr(f"gridpaths.edp.{name}", stage)
+
+    @pytest.mark.parametrize("budget, half", [(1, 1), (2, 1), (7, 4), (10_000, 5_000)])
+    def test_stages_run_in_order_with_their_shares(self, monkeypatch, budget, half):
+        calls = []
+        self._patch(monkeypatch, calls)
+        with pytest.raises(BudgetExceededError) as raised:
+            solve_edp_dag(cross_graph(), [("s1", "t1")], budget=budget)
+        assert calls == list(zip(self.STAGES, (budget, half, half)))
+        assert raised.value.budget == budget
+
+    def test_a_none_from_the_mirror_stage_is_the_answer(self, monkeypatch):
+        calls = []
+        self._patch(monkeypatch, calls, answering="_search_mirror")
+        assert solve_edp_dag(cross_graph(), [("s1", "t1")], budget=10) is None
+        assert calls == [("_search", 10), ("_search_mirror", 5)]
+
+
 def _edge_id(g, u, v):
     tail, head = g._id[u], g._id[v]
     return next(e for e in g._out[tail] if g._head[e] == head)
@@ -1087,6 +1119,37 @@ class TestPropagation:
             digest.update(("none" if dom is None else repr(dom)).encode() + b";")
         assert opened == 4 + len(self.OPEN_ROWS)
         assert digest.hexdigest() == self.DOMAIN_DIGEST
+
+    @staticmethod
+    def _assert_view_searches_as_the_subgraph(g, pairs, keep, cap):
+        # the search on the view g._restrict(keep) and on the subgraph rebuilt from the kept edges (the
+        # third stage's construction before the view): the same answer at the same expansion count, up
+        # to cap, and so on both graphs' mirrors
+        sub = Digraph(g.vertices, [edge for edge, kept in zip(g.edges, keep) if kept])
+        view = g._restrict(keep)
+        mirrored = [(t, s) for s, t in reversed(pairs)]
+        for rebuilt, viewed, ends in ((sub, view, pairs), (sub._reverse(), view._reverse(), mirrored)):
+            count = TestSearchCore._expansions(_search, rebuilt, ends, cap)
+            if count == "budget":
+                with pytest.raises(BudgetExceededError):
+                    _search(viewed, ends, budget=cap)
+            else:
+                ps = _search(rebuilt, ends, budget=int(count))
+                TestSearchCore._assert_count(_search, viewed, ends, None if ps is None else ps.paths, int(count))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dags_with_pairs(), data=st.data())
+    def test_search_on_a_view_is_the_search_on_its_subgraph(self, case, data):
+        g, pairs = case
+        keep = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+        self._assert_view_searches_as_the_subgraph(g, pairs, keep, 10_000)
+
+    def test_search_on_the_kept_domains_is_the_search_on_their_subgraph(self):
+        # the masks _propagate keeps on OPEN_ROWS, where the forward counts reach 740,605
+        for k, n in self.OPEN_ROWS:
+            out = reduce(generate_planted(k, n, noise=2, seed=0))
+            pairs = list(out.terminals.pairs)
+            self._assert_view_searches_as_the_subgraph(out.graph, pairs, _propagate(out.graph, pairs, 10**9), 10**6)
 
 
 class TestInstanceSymmetries:

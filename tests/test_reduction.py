@@ -832,8 +832,11 @@ class TestCellRelation:
                 pred[v].append(u)
             yield out, succ, pred
 
+    # N = 2..8, then a slice of the sizes, up to 60, at which the README certifies the structure
+    LOCAL_SIZES = [*range(2, 9), 13, 30, 49, 60]
+
     @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", LOCAL_SIZES)
     def test_connector_chain_joins_exit_level_to_each_entry_level_at_or_above(self, n, trees):
         # item 21's first remaining local fact: through connector vertices alone, exit level l of a
         # grid reaches entry level l' of the next grid along its family's paths iff l <= l'
@@ -850,7 +853,7 @@ class TestCellRelation:
         assert chains == 2 * 4
 
     @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", LOCAL_SIZES)
     def test_each_fan_or_tree_reaches_each_of_its_boundary_vertices(self, n, trees):
         # item 21's second remaining local fact: through its own fan-tree nodes alone, a source
         # terminal reaches, and a sink terminal is reached from, each of its N boundary vertices
