@@ -179,6 +179,19 @@ def label_from_name(name: str) -> Label:
     raise ValueError(f"{brief(name)} is not the name of a vertex label")
 
 
+def _read_back(v: _Label) -> str:
+    """``label_name(v)``, once checked to read back as ``v``: the label constructor's check of each label.
+
+    Every label the JSON reader makes passes; a hand-made one, such as ``Terminal("x", 1)``, may not.
+    """
+    try:
+        if (back := label_from_name(name := label_name(v))) != v:
+            raise ValueError(f"it is the name of {back!r}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"vertex {v!r} does not read back from its name: {exc}") from None
+    return name
+
+
 def _label_ids(vertices: Iterable[Label], edges: Iterable[Edge]) -> tuple[list, list[int], list[int], dict]:
     """(vertices, tails, heads, label -> id) of a graph given by labels; an unknown end is -1."""
     verts = list(vertices)
@@ -388,18 +401,16 @@ class EmbeddedDigraph(Digraph):
     common one); graphs compare by labels, edges and ``coords``.  Fractions are made only at the I/O
     edge: by ``coords``, the JSON writer and ``_parse_coord``.  A vertex that is a package label reads
     back from its name, ``label_from_name(label_name(v)) == v``: the document, which writes each label
-    as its name, reads back, and no two vertices share a DOT name.
+    as its name, reads back, and no two vertices share a DOT name.  The graph keeps those names,
+    ``_names[n]`` for vertex n, as its maker had them: the reduction from its per-shape memo, the JSON
+    reader as it parsed them, the label constructor from its read-back check.  The JSON and DOT
+    writers read them; a graph with a vertex that is no package label keeps none, and its writers
+    raise ``label_name``'s TypeError.
     """
 
     def __init__(self, vertices: Iterable[Label], edges: Iterable[Edge], coords: Mapping[Label, Coord]):
         verts, tail, head, ids = _label_ids(vertices, edges)
-        for v in verts:  # every label the JSON reader makes passes; a hand-made one may not
-            if isinstance(v, _Label):
-                try:
-                    if (back := label_from_name(label_name(v))) != v:
-                        raise ValueError(f"it is the name of {back!r}")
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"vertex {v!r} does not read back from its name: {exc}") from None
+        names = [_read_back(v) if isinstance(v, _Label) else None for v in verts]
         try:
             given = [coords[v] for v in verts]
         except KeyError as exc:
@@ -409,12 +420,16 @@ class EmbeddedDigraph(Digraph):
         if bad := [v for v, xy in zip(verts, given) if not isinstance(xy, (tuple, list)) or len(xy) != 2
                    or {*map(type, xy)} - {int, Fraction}]:  # no float or bool; no dict, set or range: not in order
             raise ValueError(f"coordinate of {bad[0]!r} is not a pair of ints or Fractions: {coords[bad[0]]!r}")
-        self._init(verts, tail, head, *_over_lcm([c for xy in given for c in xy]))
+        self._init(verts, tail, head, *_over_lcm([c for xy in given for c in xy]), None if None in names else names)
 
-    def _init(self, verts, tail, head, xy: list[int], den: int) -> None:
-        """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as given, in two lists."""
+    def _init(self, verts, tail, head, xy: list[int], den: int, names: list[str] | None = None) -> None:
+        """Digraph._init, with vertex ``n`` at (``xy[2n]``, ``xy[2n + 1]``) / ``den``: kept as given, in two lists.
+
+        ``names[n]`` is ``label_name(verts[n])``, given by the maker that has it; None leaves the
+        writers to name each vertex, which raises for a vertex that is no package label.
+        """
         super()._init(verts, tail, head)
-        self._x, self._y, self._den = xy[0::2], xy[1::2], den
+        self._x, self._y, self._den, self._names = xy[0::2], xy[1::2], den, names
         if len(set(zip(self._x, self._y))) != len(verts):
             raise ValueError("vertex coordinates are not pairwise distinct")
 
@@ -509,13 +524,17 @@ class EmbeddedDigraph(Digraph):
             raise RuntimeError(f"face tracing produced impossible Euler characteristic {euler}")
         return EmbeddingCheck(faces=faces, genus=(2 - euler) // 2)
 
+    def _vertex_names(self) -> list[str]:
+        """Each vertex's ``label_name``: the names its maker kept, or made here, raising for a non-label."""
+        return self._names if self._names is not None else list(map(label_name, self._verts))
+
     def to_json_dict(self) -> dict:
-        """The graph document: each vertex's label and coordinate, once; each edge as its [tail, head] vertex indices."""
+        """The graph document: each vertex's kept name and coordinate, once; each edge as its [tail, head] vertex indices."""
         text = {n: str(Fraction(n, self._den)) for n in {*self._x, *self._y}}
         return {
             "vertices": [
-                {"label": label_name(v), "coord": [text[x], text[y]]}
-                for v, x, y in zip(self._verts, self._x, self._y)
+                {"label": name, "coord": [text[x], text[y]]}
+                for name, x, y in zip(self._vertex_names(), self._x, self._y)
             ],
             "edges": list(map(list, zip(self._tail, self._head))),
         }
@@ -523,9 +542,10 @@ class EmbeddedDigraph(Digraph):
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmbeddedDigraph":
         try:
-            (vertices, edges), verts, given = exact_fields(data, "vertices", "edges"), [], []
+            (vertices, edges), verts, names, given = exact_fields(data, "vertices", "edges"), [], [], []
             for label, coord in map(exact_fields, exact(list, vertices), repeat("label"), repeat("coord")):
                 verts.append(label_from_name(label))
+                names.append(label)  # label_from_name takes only the names label_name writes
                 if len(exact(list, coord)) != 2:
                     raise ValueError(f"coord of vertex {label} is not an [x, y] pair: {brief(coord)}")
                 given += map(_parse_coord, coord)
@@ -533,7 +553,7 @@ class EmbeddedDigraph(Digraph):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from exc
         g = cls.__new__(cls)  # its labels read back and its ends are ids: _init holds every check left
-        g._init(verts, tail, head, *_over_lcm(given))
+        g._init(verts, tail, head, *_over_lcm(given), names)
         return g
 
     def _split_edges(self) -> list[int]:
@@ -549,9 +569,9 @@ class EmbeddedDigraph(Digraph):
         ]
 
     def to_dot(self) -> str:
-        """DOT rendering with fixed positions; split-vertex edges are dotted."""
+        """DOT rendering with fixed positions; split-vertex edges are dotted.  Vertices go by the names the graph keeps."""
         # first: the first vertex at each float point; every graph's labels read back, so names differ
-        names, den, first = [label_name(v) for v in self._verts], self._den, {}
+        names, den, first = self._vertex_names(), self._den, {}
         lines = ["digraph reduction {"]
         for v, name, x, y in zip(self._verts, names, self._x, self._y):
             try:  # int / int is correctly rounded: the same float as float(Fraction)

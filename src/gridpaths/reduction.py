@@ -26,6 +26,7 @@ from typing import Mapping, NamedTuple
 from .digraph import (
     LB,
     TR,
+    WHOLE,
     EmbeddedDigraph,
     GridVertex,
     HConnector,
@@ -212,30 +213,35 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDig
     nodes (pre-order).  Edges: grid, connector, then fan and dotted edges, or
     with trees dotted and tree edges.  Coordinates are numerators over 4, or
     8 * levels with trees, which the graph keeps as they are.
-    The positions are made here, the rest comes from the cached ``_base``.
+    The positions' coordinates are made here.  Their labels and names come from the shape's
+    ``_positions`` memo, which this fills on first use of a slot; the rest comes from the cached
+    ``_base``.  The graph gets its vertices' names with them, for its writers.
 
     The layout (entry, exit), the two int lists made here, maps each shape id of ``_base`` to the
     vertex id that receives its edges and the one that sends them, which the forward map reads.
     """
-    base = _base(k, N, trees)
+    base, (labels, names) = _base(k, N, trees), _positions(k, N)
     pitch, den, quarter = N + 1, base.den, base.den // 4
     ks, ells = range(1, k + 1), range(1, N + 1)
-    verts, xy, entry, exit_ = [], [], [], []
-    for pos in product(ks, ks, ells, ells):  # in the order of their positions p (see _position)
-        i, j, q, ell = pos
+    slots, xy, entry, exit_ = array("l"), [], [], []  # slots: per vertex its memo slot, kept as machine ints
+    for p, (i, j, q, ell) in enumerate(product(ks, ks, ells, ells)):  # in the order of their positions p
         x, y = ((i - 1) * pitch + q) * den, ((j - 1) * pitch + ell) * den
-        entry.append(len(verts))
+        entry.append(len(slots))
         if (q, ell) in sets[i, j]:
-            verts.append(GridVertex(*pos))
+            slots.append(3 * p)
             xy += x, y
         else:
-            verts += (GridVertex(*pos, LB), GridVertex(*pos, TR))
+            slots.extend((3 * p + 1, 3 * p + 2))
             xy += x - quarter, y - quarter, x + quarter, y + quarter
-        exit_.append(len(verts) - 1)
-    first = len(verts)  # the other vertices follow the positions' copies
+        exit_.append(len(slots) - 1)
+        if labels[slots[-1]] is None:  # the first build of the shape to use a slot fills it, lb with tr
+            for s in slots[entry[-1]:]:
+                labels[s] = v = GridVertex(i, j, q, ell, _PARTS[s % 3])
+                names[s] = label_name(v)
+    first = len(slots)  # the other vertices follow the positions' copies
     entry += range(first, first + len(base.verts))
     exit_ += range(first, first + len(base.verts))
-    verts += base.verts
+    verts = [*map(labels.__getitem__, slots), *base.verts]
     xy += base.xy
     # a tree node sits midway between its end leaves, each a quarter off if split
     for n, (dx, dy), lo, hi in base.ends:
@@ -249,14 +255,31 @@ def _build(k: int, N: int, sets: dict, trees: bool = False) -> tuple[EmbeddedDig
     tail[at:at] = dotted
     head[at:at] = [n + 1 for n in dotted]  # a tr copy follows its lb copy
     g = EmbeddedDigraph.__new__(EmbeddedDigraph)
-    g._init(verts, tail, head, xy, den)
+    g._init(verts, tail, head, xy, den, [*map(names.__getitem__, slots), *base.names])
     return g, (entry, exit_)
+
+
+# a grid position's three label slots: whole, lb and tr copy
+_PARTS = (WHOLE, LB, TR)
+
+
+@lru_cache(maxsize=32)
+def _positions(k: int, N: int) -> tuple[list, list]:
+    """The memo of the grid-position labels and names of every graph of shape (k, N), in either form.
+
+    Two lists, (labels, names): slot 3p + part holds position p's GridVertex with part
+    ``_PARTS[part]`` and its label_name.  The slots start as None, so a one-off build makes only the
+    labels it uses; later builds of the shape, split alike or not, share the labels and names.
+    """
+    size = 3 * k * k * N * N
+    return [None] * size, [None] * size
 
 
 class _Base(NamedTuple):
     """A shape's parts; shape id P + n, after the P = k^2 N^2 grid positions p, is verts[n]."""
 
     verts: tuple  # the connectors, terminals and tree nodes, in id order
+    names: tuple  # their label_names
     xy: tuple  # their numerators over den, x then y for each
     tail: array  # the ends of every edge, its fan or tree edges from edge id ``fan`` on
     head: array
@@ -364,7 +387,7 @@ def _base(k: int, N: int, trees: bool) -> _Base:
 
     edges = (array("l", tail + fan[0]), array("l", head + fan[1]))
     tables = map(MappingProxyType, (roots, chains, routes))
-    return _Base(tuple(verts), tuple(xy), *edges, len(tail), den, tuple(ends), *tables)
+    return _Base(tuple(verts), tuple(map(label_name, verts)), tuple(xy), *edges, len(tail), den, tuple(ends), *tables)
 
 
 def _tree_split(lo: int, hi: int) -> int:

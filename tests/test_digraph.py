@@ -765,6 +765,15 @@ class TestSerialization:
             assert [read._verts, read._tail, read._head, read._x, read._y, read._den] == [
                 built._verts, built._tail, built._head, built._x, built._y, built._den
             ]
+            # both keep the names the writers read: the reader the ones it parsed, the constructor its own
+            assert read._names == built._names == [label_name(v) for v in g._verts]
+
+    def test_graph_with_a_vertex_that_is_no_label_keeps_no_names_and_is_not_written(self):
+        g = EmbeddedDigraph([Terminal("a", 1), "b"], [(Terminal("a", 1), "b")], {Terminal("a", 1): (0, 0), "b": (1, 0)})
+        assert g._names is None
+        for write in (g.to_json_dict, g.to_dot):
+            with pytest.raises(TypeError, match="^unsupported label type: <class 'str'>$"):
+                write()
 
     def test_canonical_coordinates_accepted(self):
         g = reduce(generate_planted(1, 2, noise=0, seed=0)).graph

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from ._oracles import (
     build_reference,
     enumerate_routes,
     is_dotted_edge,
+    iter_all_paths,
     rotate_instance,
     rotate_label,
     transpose_instance,
@@ -506,12 +508,13 @@ class TestIdConstruction:
         out = reduce(inst)
         g = reduce_degree(out).graph if trees else out.graph
         h = EmbeddedDigraph(g.vertices, g.edges, g.coords)
-        for attr in ("_verts", "_tail", "_head", "_out", "_in", "coords"):
+        for attr in ("_verts", "_names", "_tail", "_head", "_out", "_in", "coords"):
             assert getattr(g, attr) == getattr(h, attr), attr
 
 
 class TestBaseCache:
-    """``_build`` takes all but the grid positions from ``_base``, cached per (k, N) and form."""
+    """``_build`` takes all but the grid positions from ``_base``, cached per (k, N) and form, and the
+    positions' labels and names from the ``_positions`` memo, cached per (k, N) and filled on first use."""
 
     @staticmethod
     def make(kind, k, n, seed):
@@ -534,8 +537,10 @@ class TestBaseCache:
         seed=st.integers(0, 10_000),
     )
     def test_build_equals_the_reference(self, k, n, kinds, clear, seed):
+        # after the first kind the memo is warm from an instance of the shape split differently
         if clear:
             reduction._base.cache_clear()
+            reduction._positions.cache_clear()
         hits = reduction._base.cache_info().hits
         for kind in kinds:
             sets = self.make(kind, k, n, seed).sets
@@ -543,6 +548,7 @@ class TestBaseCache:
                 g, h = reduction._build(k, n, sets, trees)[0], build_reference(k, n, sets, trees)
                 for attr in ("_verts", "_tail", "_head", "_x", "_y", "_den"):
                     assert getattr(g, attr) == getattr(h, attr), (kind, trees, attr)
+                assert g._names == [label_name(v) for v in h._verts], (kind, trees)
         assert reduction._base.cache_info().hits - hits >= 2 * (len(kinds) - 1)
 
     @pytest.mark.parametrize("trees", [False, True])
@@ -551,6 +557,35 @@ class TestBaseCache:
         verts = reduction._base(k, n, trees)[0]
         assert not any(isinstance(v, GridVertex) for v in verts)
         assert len(verts) == 2 * k * (k - 1) * n + 4 * k + (4 * k * (n - 2) if trees else 0)
+
+    def test_builds_of_a_shape_share_its_memo_filled_on_first_use(self):
+        def slots(g):  # each grid vertex's memo slot, 3p + part
+            return {
+                3 * reduction._position(3, 6, *v[1:5]) + reduction._PARTS.index(v.part): v
+                for v in g._verts
+                if isinstance(v, GridVertex)
+            }
+
+        def filled():
+            return {n: v for n, v in enumerate(labels) if v is not None}
+
+        # a fresh shape's memo is empty; a first build fills the slots of its own labels, no other
+        reduction._positions.cache_clear()
+        labels, names = reduction._positions(3, 6)
+        out = reduce(generate_planted(3, 6, noise=2, seed=1))
+        grid = slots(out.graph)
+        assert filled() == grid and all(names[n] == label_name(v) for n, v in grid.items())
+        # the degree-2 form and the loader's rebuild take the same label and name objects
+        degree2 = reduce_degree(out).graph
+        loaded = reduction.ReductionOutput.from_json_dict(json.loads(json.dumps(out.to_json_dict()))).graph
+        for g in (degree2, loaded):  # the grid positions' copies come first, in one order in both forms
+            assert all(map(operator.is_, g._verts[: len(grid)], out.graph._verts))
+            assert all(map(operator.is_, g._names[: len(grid)], out.graph._names))
+        assert filled() == grid
+        # another instance of the shape, split differently, shares the slots both use and fills the rest
+        other = slots(reduce(generate_planted(3, 6, noise=2, seed=2)).graph)
+        assert other.keys() - grid.keys() and all(grid[n] is v for n, v in other.items() if n in grid)
+        assert filled() == {**grid, **other}
 
     def test_built_graph_shares_no_mutable_list_with_the_cache(self):
         # overwrite every built graph, kept layout and forward path set of the golden digest's
@@ -568,6 +603,7 @@ class TestBaseCache:
                     g._tail[:] = [0] * len(g._tail)
                     g._head[:] = [0] * len(g._head)
                     g._verts[:] = [None] * len(g._verts)
+                    g._names[:] = ["x"] * len(g._names)
         TestGoldenOutput().test_json_and_dot_output_is_byte_identical_to_pinned_digest()
         test_mappers.TestPinnedMaps().test_maps_match_pinned_digest()
 
@@ -868,6 +904,29 @@ class TestCellRelation:
                 assert self.leads_to(step, [Terminal(family, m)], own) == set(boundary(out, *cell, side))
                 fans += 1
         assert fans == 2 * 8
+
+    @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_path_crosses_each_cell_of_its_level_once_from_entry_to_exit(self, n, trees):
+        # item 31's open assumption, which the "no" side of the README's argument rests on: every s-t
+        # path of a pair meets the grids of its level's cells, in order along its lane, each in one
+        # contiguous run that starts on the cell's entry side and ends on its exit side
+        def cell_of(v):
+            return v[1:3] if isinstance(v, GridVertex) else None
+
+        paths = []  # per graph, how many paths it has
+        for out, _, _ in self.local_graphs(n, trees):
+            paths.append(0)
+            for s, t in out.terminals.pairs:
+                fam = reduction._COLUMNS if s.family == "a" else reduction._ROWS
+                lane = [reduction._orient(fam, s.index, step) for step in (1, 2)]
+                sides = [[set(boundary(out, *cell, side)) for side in fam.sides] for cell in lane]
+                for path in iter_all_paths(out.graph, s, t):
+                    runs = [[*run] for cell, run in itertools.groupby(path, cell_of) if cell is not None]
+                    assert [cell_of(run[0]) for run in runs] == lane, path
+                    assert all(run[0] in entry and run[-1] in exit_ for run, (entry, exit_) in zip(runs, sides)), path
+                    paths[-1] += 1
+        assert paths == [{2: 28, 3: 180}[n]] * 2  # full, then empty: the split copies add no path
 
 
 class TestDegreeReduction:
