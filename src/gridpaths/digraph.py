@@ -568,25 +568,38 @@ class EmbeddedDigraph(Digraph):
             if verts[head[e]] == u[:-1] + (TR,)
         ]
 
-    def to_dot(self) -> str:
-        """DOT rendering with fixed positions; split-vertex edges are dotted.  Vertices go by the names the graph keeps."""
-        # first: the first vertex at each float point; every graph's labels read back, so names differ
-        names, den, first = self._vertex_names(), self._den, {}
-        lines = ["digraph reduction {"]
-        for v, name, x, y in zip(self._verts, names, self._x, self._y):
+    def _check_points(self) -> None:
+        """Raise for the first vertex with a coordinate outside the float range or an earlier vertex's float point."""
+        first, den = {}, self._den  # the first vertex at each float point; -0.0 and 0.0 are one
+        for v, x, y in zip(self._verts, self._x, self._y):
             try:  # int / int is correctly rounded: the same float as float(Fraction)
                 x, y = point = x / den, y / den
             except OverflowError:
                 raise ValueError(f"coordinate of {v!r} is outside the float range") from None
             if first.setdefault(point, v) is not v:  # distinct rationals, one float point
                 raise ValueError(f"coordinates of {first[point]!r} and {v!r} round to one float position {x},{y}")
-            lines.append(f'  "{name}" [pos="{x},{y}!"];')
-        dotted = set(self._split_edges())
-        for e, (a, b) in enumerate(zip(self._tail, self._head)):
-            attr = " [style=dotted]" if e in dotted else ""
-            lines.append(f'  "{names[a]}" -> "{names[b]}"{attr};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+
+    def to_dot(self) -> str:
+        """DOT rendering with fixed positions; split-vertex edges are dotted.  Vertices go by the names the graph keeps.
+
+        Each distinct numerator's float, ``n / den``, and its text are made once.  Distinct numerators
+        with distinct floats make the graph's distinct numerator pairs distinct float points, so the
+        per-vertex check, ``_check_points``, runs only when two numerators share a float or one
+        overflows; it raises for the first vertex at fault, or finds every point distinct.
+        """
+        names, den = self._vertex_names(), self._den
+        try:
+            value = {n: n / den for n in {*self._x, *self._y}}
+        except OverflowError:
+            value = None  # some vertex's coordinate is outside the float range: _check_points raises
+        if value is None or len(set(value.values())) < len(value):
+            self._check_points()
+        text = {n: repr(f) for n, f in value.items()}
+        lines = [f'  "{name}" [pos="{text[x]},{text[y]}!"];' for name, x, y in zip(names, self._x, self._y)]
+        edges = [f'  "{names[a]}" -> "{names[b]}";' for a, b in zip(self._tail, self._head)]
+        for e in self._split_edges():
+            edges[e] = edges[e][:-1] + " [style=dotted];"
+        return "\n".join(["digraph reduction {", *lines, *edges, "}\n"])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -29,8 +29,9 @@ vertex-disjoint solution checker cross-check the EDP solver against the VDP
 oracle.  ``face_cycles`` and ``signed_area`` find a reduction's outer face,
 on which its terminals show that VDP is "no".  Also here, since only the
 tests call them: the edge and neighbourhood queries on a ``Digraph``; the
-lb -> tr edge test, an oracle for the split-edge list; and the grid-line
-helpers.
+lb -> tr edge test, an oracle for the split-edge list; the grid-line
+helpers; and ``to_dot_reference``, the DOT writer that checks and formats
+each vertex's two floats on its own.
 
 ``bounds_refutes`` is ROADMAP item 28's grid-side rule, bounds consistency on
 an instance's <= constraints, kept here until a solver uses it.
@@ -762,6 +763,31 @@ def is_dotted_edge(u: Label, v: Label) -> bool:
     """True for the lb -> tr edge joining the two copies of a split vertex."""
     # ("grid", i, j, q, ell, part): v is u with the part tr in place of lb
     return isinstance(u, GridVertex) and u[-1] == LB and isinstance(v, GridVertex) and v == u[:-1] + (TR,)
+
+
+def to_dot_reference(g: EmbeddedDigraph) -> str:
+    """``EmbeddedDigraph.to_dot`` as it was before it made each distinct numerator's float once.
+
+    Two floats per vertex, each vertex checked against the float points before it, and one line
+    appended at a time.
+    """
+    # first: the first vertex at each float point; every graph's labels read back, so names differ
+    names, den, first = g._vertex_names(), g._den, {}
+    lines = ["digraph reduction {"]
+    for v, name, x, y in zip(g._verts, names, g._x, g._y):
+        try:  # int / int is correctly rounded: the same float as float(Fraction)
+            x, y = point = x / den, y / den
+        except OverflowError:
+            raise ValueError(f"coordinate of {v!r} is outside the float range") from None
+        if first.setdefault(point, v) is not v:  # distinct rationals, one float point
+            raise ValueError(f"coordinates of {first[point]!r} and {v!r} round to one float position {x},{y}")
+        lines.append(f'  "{name}" [pos="{x},{y}!"];')
+    dotted = set(g._split_edges())
+    for e, (a, b) in enumerate(zip(g._tail, g._head)):
+        attr = " [style=dotted]" if e in dotted else ""
+        lines.append(f'  "{names[a]}" -> "{names[b]}"{attr};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _grid_line(out: ReductionOutput, fam: _Family, i: int, j: int, lane: int) -> list:

@@ -45,6 +45,7 @@ from ._oracles import (
     enumerate_routes,
     is_dotted_edge,
     iter_all_paths,
+    pair_game_plain,
     rotate_instance,
     rotate_label,
     transpose_instance,
@@ -758,8 +759,8 @@ class TestLevelSets:
 
 @st.composite
 def cell_cases(draw):
-    """N in 4..8, a cell set S in [N]^2 and 1-based boundary positions (a, b, c, d), half of them around a point of S."""
-    n = draw(st.integers(4, 8))
+    """N in 4..16, a cell set S in [N]^2 and 1-based boundary positions (a, b, c, d), half of them around a point of S."""
+    n = draw(st.integers(4, 16))
     cells = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
     if cells and draw(st.booleans()):
         x, y = draw(st.sampled_from(sorted(cells)))
@@ -804,14 +805,18 @@ class TestCellRelation:
     @settings(max_examples=200, deadline=None)
     @given(case=cell_cases())
     def test_sampled_cell_sets_and_boundary_routes_follow_the_closed_form(self, case):
-        # finding 2 past N = 3, where enumerating every S is out of reach, in both forms
+        # finding 2 past N = 3, where enumerating every S is out of reach, in both forms: decided by the
+        # two-token game with every arc in both domains, and at N <= 6 by the enumerating oracle too
         n, cells, (a, b, c, d) = case
         want = self.routes_by_rule(cells, n, a, b, c, d)
         out = reduce(GridTilingInstance(k=1, N=n, sets={(1, 1): cells}))
         for red in (out, reduce_degree(out)):
             bottom, top, left, right = (boundary(red, 1, 1, side) for side in ("bottom", "top", "left", "right"))
-            paths, _ = enumerate_routes(red.graph, [(bottom[a - 1], top[b - 1]), (left[c - 1], right[d - 1])], False)
-            assert (paths is not None) == want
+            pairs, arcs = [(bottom[a - 1], top[b - 1]), (left[c - 1], right[d - 1])], set(red.graph.edges)
+            assert pair_game_plain(red.graph, *pairs, arcs, arcs)[0] == want
+            if n <= 6:
+                paths, _ = enumerate_routes(red.graph, pairs, False)
+                assert (paths is not None) == want
 
     @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
     def test_every_pair_cone_lies_in_its_level_set(self, trees):
