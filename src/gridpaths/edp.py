@@ -159,27 +159,27 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
     Each pair after the first keeps a witness route (no pair routes before
     the first), and ``users`` maps each edge to a bitmask of the pairs whose
     witness uses it.  Taking an edge for pair i can cut off only the later
-    pairs in its mask, so only those are tested, by ``cut_off``, which a step
-    calls only when that mask is not empty.  It tests each by
-    ``reachable(j)``: first the held cuts that contain the edge just taken,
-    as no other can hold, then a depth-first search from the source over
-    ancestors of the target, which records either a new witness, through the
-    per-vertex arcs ``via``, or a new blocking cut, the taken arcs from the
-    explored set into unexplored ancestors of the target.  While all of any
-    held cut is taken the target is out of reach, since every route has to
-    leave that cut's explored set through one of its arcs, which the graph
-    fixes.  The cuts are held most recently used first, a new one or one
-    that just refuted moved to the front, since nearby states of the search
-    are refuted by the same cut, and ``_HELD_CUTS`` of them at most, since a
-    test may scan them all however long the search runs.  Freeing an edge
-    breaks no witness, so each later pair has a whole witness at every
-    pushed frame, and every target frame hands over to the next pair.
+    pairs in its mask, so the arc loop tests only those, where it takes the
+    edge, each by ``reachable(j)``: first the held cuts that contain the
+    edge just taken, as no other can hold, then a depth-first search from
+    the source over ancestors of the target, which records either a new
+    witness, through the per-vertex arcs ``via``, or a new blocking cut, the
+    taken arcs from the explored set into unexplored ancestors of the
+    target.  While all of any held cut is taken the target is out of reach,
+    since every route has to leave that cut's explored set through one of
+    its arcs, which the graph fixes.  The cuts are held most recently used
+    first, a new one or one that just refuted moved to the front, since
+    nearby states of the search are refuted by the same cut, and
+    ``_HELD_CUTS`` of them at most, since a test may scan them all however
+    long the search runs.  Freeing an edge breaks no witness, so each later
+    pair has a whole witness at every pushed frame, and every target frame
+    hands over to the next pair.
 
     When a later pair is cut off by the arc into w, the plain search would
     walk w's whole subtree and fail at every target, since taking more edges
     keeps that pair cut off.  It would spend N(w) = the sum over the free
     arcs w -> x into ancestors of the target of 1 + N(x) expansions,
-    N(target) = 0; ``cut_off`` frees the edge again and ``subtree`` counts
+    N(target) = 0; the arc loop frees the edge again and ``subtree`` counts
     them instead.  In a DAG nothing reachable from w lies on the path prefix,
     so N depends only on the edges of the earlier pairs: it is memoized per
     entry into pair i (``start(i)`` draws a new key) and capped at
@@ -269,20 +269,6 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
                 found = via[tail[found]]
         return True
 
-    def cut_off(idx: int, r: int, w: int) -> bool:
-        # whether taking r cut off a pair after idx whose witness uses r; if so,
-        # frees r and counts w's subtree
-        j = idx + 1
-        mask = users[r] >> j
-        while mask:
-            if mask & 1 and not reachable(j, r):
-                taken[r] = 0
-                subtree(idx, w)
-                return True
-            mask >>= 1
-            j += 1
-        return False
-
     def subtree(idx: int, w: int) -> None:
         # adds N(w) for pair idx to the expansions; raises past the budget
         nonlocal expansions
@@ -343,7 +329,7 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
             continue
         arcs = out_edges[v]
         bit = 1 << idx
-        above = 2 << idx  # users[e] >= above: a later pair's witness uses e
+        later = idx + 1  # users[e] >> later: the later pairs whose witness uses e
         while nxt < len(arcs):
             e = arcs[nxt]
             nxt += 1
@@ -354,7 +340,13 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
             if expansions > budget:
                 raise BudgetExceededError(budget)
             taken[e] = 1
-            if users[e] >= above and cut_off(idx, e, w):
+            mask, j = users[e] >> later, later
+            while mask and (not mask & 1 or reachable(j, e)):
+                mask >>= 1
+                j += 1
+            if mask:  # taking e cut off pair j: free e and count w's subtree instead
+                taken[e] = 0
+                subtree(idx, w)
                 continue
             frame[3] = nxt
             frames.append([idx, w, e, 0])
@@ -367,25 +359,28 @@ def _search(g: Digraph, terminals, budget: int) -> PathSet | None:
 _DEAD = 1  # bit 0 of a stop mask: a dead end, past which a token needs no shared arc
 
 
-def _segments(arcs: list[int], head: list[int], tail: list[int], stop: dict[int, int]) -> dict[int, int]:
-    """Per tail of a domain's ``arcs`` (in topological order), the stop mask of its out-arcs.
+def _segments(arcs: list[int], head: list[int], tail: list[int],
+              stop: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Per tail of a domain's ``arcs`` (in topological order) the stop mask of its out-arcs, and per arc its own.
 
     A vertex's mask has the bit of each stop (``stop`` maps a vertex to its
     bit) that a path from it reaches before any other stop, and ``_DEAD``
     when such a path reaches a dead end, a vertex from which no stop is
     reachable: the target, at the latest.  An arc's mask is its head's: the
-    head's own bit if it is a stop, else its entry here, or ``_DEAD`` if it
+    head's own bit if it is a stop, else the head's mask, or ``_DEAD`` if it
     has none.
     """
     acc: dict[int, int] = {}
+    mask: dict[int, int] = {}
     get, stop_get = acc.get, stop.get
     for e in reversed(arcs):
         v, h = tail[e], head[e]
-        acc[v] = get(v, 0) | (stop_get(h) or get(h, _DEAD))
-    return acc
+        m = mask[e] = stop_get(h) or get(h, _DEAD)
+        acc[v] = get(v, 0) | m
+    return acc, mask
 
 
-def _kept(arcs: list[int], head: list[int], tail: list[int], stop: dict[int, int], acc: dict[int, int],
+def _kept(arcs: list[int], head: list[int], tail: list[int], stop: dict[int, int], mask: dict[int, int],
           good: dict[int, int], first: dict[int, int]) -> list[int]:
     """The ``arcs`` (in topological order) that lie on a winning line, given the good masks of the stops.
 
@@ -393,18 +388,18 @@ def _kept(arcs: list[int], head: list[int], tail: list[int], stop: dict[int, int
     that a winning move from it ends at, -1 if the token moves freely from
     there on; ``first`` holds the same for an arc that a two-arc move starts
     with.  The pass carries each mask along the arcs that lead to one of its
-    stops, into the vertices between stops; a free mask also into stops.
+    stops (``mask``, from ``_segments``), into the vertices between stops; a
+    free mask also into stops.
     """
     kept: list[int] = []
-    keep, get, first_get, stop_get, acc_get = kept.append, good.get, first.get, stop.get, acc.get
+    keep, get, first_get = kept.append, good.get, first.get
     for e in arcs:
         m = get(tail[e], 0) | first_get(e, 0)
-        if m:
+        if m & mask[e]:
+            keep(e)
             h = head[e]
-            if m & (stop_get(h) or acc_get(h, _DEAD)):
-                keep(e)
-                if m < 0 or h not in stop:
-                    good[h] = get(h, 0) | m
+            if m < 0 or h not in stop:
+                good[h] = get(h, 0) | m
     return kept
 
 
@@ -470,8 +465,7 @@ class _Domains:
         valued, the squared number of stops, count against the cap.
         """
         dom, head, tail, out, pos = self.dom, self.head, self.tail, self.out, self.pos
-        bi, bj = 1 << i, 1 << j
-        both = bi | bj
+        both = 1 << i | 1 << j
         arcs_i, arcs_j = self.arcs[i], self.arcs[j]
         at = {tail[e] for e in (arcs_i if len(arcs_i) <= len(arcs_j) else arcs_j) if dom[e] & both == both}
         if not at:
@@ -483,32 +477,22 @@ class _Domains:
         if self.states > self.cap:
             raise BudgetExceededError(self.cap)
         stop = {v: 2 << r for r, v in enumerate(at)}
-        acc_i = _segments(arcs_i, head, tail, stop)
-        acc_j = _segments(arcs_j, head, tail, stop)
-        succ_i = [acc_i.get(v, _DEAD) for v in at]
-        succ_j = [acc_j.get(v, _DEAD) for v in at]
-
-        # per stop, the arcs of i and of j that leave it, each with its stop mask; a token at home
-        # leaves by a pseudo-arc (-1 for i, -2 for j) to a dead end
-        firsts = []
-        for y in at:
-            arcs_at_i, arcs_at_j = [], []
-            for e in out[y]:
-                d, h = dom[e], head[e]
-                if d & bi:
-                    arcs_at_i.append((e, stop.get(h) or acc_i.get(h, _DEAD)))
-                if d & bj:
-                    arcs_at_j.append((e, stop.get(h) or acc_j.get(h, _DEAD)))
-            firsts.append((arcs_at_i or [(-1, _DEAD)], arcs_at_j or [(-2, _DEAD)]))
+        # per token: its arcs' stop masks, each stop's segment mask, and per stop the arcs that leave
+        # it with their masks; a token at home leaves by a pseudo-arc (-1 for i, -2 for j) to a dead end
+        tables = []
+        for arcs, home in ((arcs_i, -1), (arcs_j, -2)):
+            acc, mask = _segments(arcs, head, tail, stop)
+            leave = [[(e, mask[e]) for e in out[y] if e in mask] or [(home, _DEAD)] for y in at]
+            tables.append((mask, [acc.get(v, _DEAD) for v in at], leave))
+        (mask_i, succ_i, leave_i), (mask_j, succ_j, leave_j) = tables
 
         won = [0] * nstops
         for r in range(nstops - 1, -1, -1):
             bit = 2 << r
-            arcs_at_i, arcs_at_j = firsts[r]
             # token j leaving y by arc b: the stops token i must then win at (partner) make the
             # stops after y; with i at y too, an arc a other than b must lead to one of them
             later = both_at_y = 0
-            for b, v2 in arcs_at_j:
+            for b, v2 in leave_j[r]:
                 if v2 & _DEAD:
                     partner = -1
                 else:
@@ -519,7 +503,7 @@ class _Domains:
                         v2 ^= low
                 later |= partner
                 if not both_at_y:
-                    for a, v1 in arcs_at_i:
+                    for a, v1 in leave_i[r]:
                         if a != b and v1 & partner:
                             both_at_y = bit
                             break
@@ -553,8 +537,7 @@ class _Domains:
                 col |= t & ~_DEAD
                 m = col & bit - 2 & -low << 1
             if col & bit:  # both tokens at y: the good masks go to their first arcs
-                arcs_at_i, arcs_at_j = firsts[r]
-                for (a, v1), (b, v2) in product(arcs_at_i, arcs_at_j):
+                for (a, v1), (b, v2) in product(leave_i[r], leave_j[r]):
                     if a == b:
                         continue
                     if v1 & _DEAD:
@@ -593,8 +576,8 @@ class _Domains:
                         reach[q] |= t
                     m ^= low
         return (
-            _kept(arcs_i, head, tail, stop, acc_i, good_i, first_i),
-            _kept(arcs_j, head, tail, stop, acc_j, good_j, first_j),
+            _kept(arcs_i, head, tail, stop, mask_i, good_i, first_i),
+            _kept(arcs_j, head, tail, stop, mask_j, good_j, first_j),
         )
 
     def narrow(self) -> bool:

@@ -35,6 +35,9 @@ each vertex's two floats on its own.
 
 ``bounds_refutes`` is ROADMAP item 28's grid-side rule, bounds consistency on
 an instance's <= constraints, kept here until a solver uses it.
+``routes_by_rule`` is ROADMAP item 21's closed form of what one cell lets
+its column and row routes do, which the cell-relation test and
+``tests/cell_yes_side.py`` check the reduction against.
 
 Undirected edge-disjoint paths live only here too: ``undirected_edp_exhaustive``
 tries every simple path of each pair on the underlying graph, arcs walked either
@@ -125,6 +128,22 @@ def bounds_refutes(inst: GridTilingInstance) -> bool:
             if kept != pairs:
                 sets[x, y], changed = kept, True
     return False
+
+
+def routes_by_rule(cells: set, n: int, a: int, b: int, c: int, d: int) -> bool:
+    """ROADMAP item 21's finding 2: a cell's column and row routes exist iff some (x, y) in its set admits them.
+
+    ``cells`` is the cell's set S in [n]^2; the column route enters at bottom
+    position a and leaves at top position b, the row route enters at left
+    position c and leaves at right position d, all 1-based.
+    """
+    return any(
+        a <= x <= b and c <= y <= d
+        and (x != 1 or c == y) and (y != 1 or a == x) and (x != n or d == y) and (y != n or b == x)
+        # the corner clauses: as (x, y) is in S, "(x, y) = (1, 1) or (1, 1) in S" is "(1, 1) in S"; so at (N, N)
+        and ((a, c) != (1, 1) or (1, 1) in cells) and ((b, d) != (n, n) or (n, n) in cells)
+        for x, y in cells
+    )
 
 
 def iter_all_paths(g: Digraph, s, t):

@@ -39,7 +39,7 @@ from gridpaths.reduction import (
     split_vertices,
 )
 
-from . import test_mappers
+from . import cell_yes_side, test_mappers
 from ._oracles import (
     build_reference,
     enumerate_routes,
@@ -48,6 +48,7 @@ from ._oracles import (
     pair_game_plain,
     rotate_instance,
     rotate_label,
+    routes_by_rule,
     transpose_instance,
     transpose_label,
 )
@@ -770,19 +771,22 @@ def cell_cases(draw):
     return n, cells, draw(st.tuples(*corners))
 
 
+@st.composite
+def added_position_cases(draw):
+    """N in 2..8, a cell set S, a position p not in S, and a <= x <= b, c <= y <= d around a point (x, y) of S.
+
+    The rule routes no other (a, b, c, d), and the test checks only those that the game routes for S.
+    """
+    n = draw(st.integers(2, 8))
+    grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    cells = draw(st.sets(st.sampled_from(grid), min_size=1, max_size=n * n - 1))
+    p = draw(st.sampled_from(sorted(set(grid) - cells)))
+    x, y = draw(st.sampled_from(sorted(cells)))
+    return n, cells, p, draw(st.tuples(st.integers(1, x), st.integers(x, n), st.integers(1, y), st.integers(y, n)))
+
+
 class TestCellRelation:
     """What one cell lets its column and row paths do, from the local facts of ROADMAP item 21."""
-
-    @staticmethod
-    def routes_by_rule(cells: set, n: int, a: int, b: int, c: int, d: int) -> bool:
-        """Item 21's finding 2: edge-disjoint routes exist iff some (x, y) in the cell's set admits them."""
-        return any(
-            a <= x <= b and c <= y <= d
-            and (x != 1 or c == y) and (y != 1 or a == x) and (x != n or d == y) and (y != n or b == x)
-            # the corner clauses: as (x, y) is in S, "(x, y) = (1, 1) or (1, 1) in S" is "(1, 1) in S"; so at (N, N)
-            and ((a, c) != (1, 1) or (1, 1) in cells) and ((b, d) != (n, n) or (n, n) in cells)
-            for x, y in cells
-        )
 
     @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -797,7 +801,7 @@ class TestCellRelation:
             bottom, top, left, right = (boundary(out, 1, 1, side) for side in ("bottom", "top", "left", "right"))
             for a, b, c, d in itertools.product(range(n), repeat=4):
                 paths, _ = enumerate_routes(out.graph, [(bottom[a], top[b]), (left[c], right[d])], False)
-                if (paths is not None) != self.routes_by_rule(cells, n, a + 1, b + 1, c + 1, d + 1):
+                if (paths is not None) != routes_by_rule(cells, n, a + 1, b + 1, c + 1, d + 1):
                     mismatches.append((sorted(cells), a + 1, b + 1, c + 1, d + 1))
                 cases += 1
         assert (cases, mismatches) == (2 ** (n * n) * n**4, [])
@@ -808,7 +812,7 @@ class TestCellRelation:
         # finding 2 past N = 3, where enumerating every S is out of reach, in both forms: decided by the
         # two-token game with every arc in both domains, and at N <= 6 by the enumerating oracle too
         n, cells, (a, b, c, d) = case
-        want = self.routes_by_rule(cells, n, a, b, c, d)
+        want = routes_by_rule(cells, n, a, b, c, d)
         out = reduce(GridTilingInstance(k=1, N=n, sets={(1, 1): cells}))
         for red in (out, reduce_degree(out)):
             bottom, top, left, right = (boundary(red, 1, 1, side) for side in ("bottom", "top", "left", "right"))
@@ -817,6 +821,36 @@ class TestCellRelation:
             if n <= 6:
                 paths, _ = enumerate_routes(red.graph, pairs, False)
                 assert (paths is not None) == want
+
+    @staticmethod
+    def games_won(cells: set, n: int, a: int, b: int, c: int, d: int) -> list[bool]:
+        """Per form (direct, degree-2), whether the two-token game, all arcs in both domains, routes the cell."""
+        out = reduce(GridTilingInstance(k=1, N=n, sets={(1, 1): cells}))
+        won = []
+        for red in (out, reduce_degree(out)):
+            bottom, top, left, right = (boundary(red, 1, 1, side) for side in ("bottom", "top", "left", "right"))
+            arcs = set(red.graph.edges)
+            pairs = [(bottom[a - 1], top[b - 1]), (left[c - 1], right[d - 1])]
+            won.append(pair_game_plain(red.graph, *pairs, arcs, arcs)[0])
+        return won
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=added_position_cases())
+    def test_a_position_made_whole_removes_no_route(self, case):
+        # finding 2's "yes" side is monotone in S: where the game routes the cell's two routes for S, it
+        # routes them for S | {p}, in both forms.  The rule's "yes" for S names a point q of S and holds
+        # for S' = {q} | (S & {(1, 1), (N, N)}) too; tests/cell_yes_side.py checks every such S' at N = 6,
+        # and this carries its routes to S
+        n, cells, p, corners = case
+        before = self.games_won(cells, n, *corners)
+        if any(before):
+            after = self.games_won(cells | {p}, n, *corners)
+            assert [x <= y for x, y in zip(before, after)] == [True, True], (n, sorted(cells), p, corners)
+
+    def test_every_small_cell_set_with_one_point_routes_by_the_rule(self):
+        # tests/cell_yes_side.py's check at N = 3: every S' = {p} | C, C a subset of {(1, 1), (3, 3)}
+        # (31 sets), with every a <= b, c <= d, in both forms, by _propagate against the rule
+        assert cell_yes_side.mismatches(3) == (2232, [])
 
     @pytest.mark.parametrize("trees", [False, True], ids=["direct", "degree2"])
     def test_every_pair_cone_lies_in_its_level_set(self, trees):
@@ -831,22 +865,28 @@ class TestCellRelation:
                         todo.append(w)
             return found
 
+        cases = [
+            (k, n, seed, inst)
+            for k, n, seed in itertools.product((1, 2, 3), (2, 3, 5), (0, 1))
+            for inst in (generate_planted(k, n, noise=1, seed=seed), generate_random(k, n, 0.3, seed=seed))
+        ]
+        # and k = 2 at sizes the README certifies
+        cases += [(2, n, 0, generate_planted(2, n, noise=1, seed=0)) for n in (13, 30, 60)]
         pairs = 0
-        for k, n, seed in itertools.product((1, 2, 3), (2, 3, 5), (0, 1)):
-            for inst in (generate_planted(k, n, noise=1, seed=seed), generate_random(k, n, 0.3, seed=seed)):
-                out = reduce(inst)
-                out = reduce_degree(out) if trees else out
-                g = out.graph
-                succ, pred = {v: [] for v in g.vertices}, {v: [] for v in g.vertices}
-                for u, v in g.edges:
-                    succ[u].append(v)
-                    pred[v].append(u)
-                for s, t in out.terminals.pairs:
-                    kind = "vertical" if s.family == "a" else "horizontal"
-                    cone = reach(s, succ) & reach(t, pred)
-                    assert t in cone and cone <= level_set(out, kind, s.index), (k, n, seed, s)
-                    pairs += 1
-        assert pairs == 2 * sum(2 * k for k in (1, 2, 3)) * 3 * 2
+        for k, n, seed, inst in cases:
+            out = reduce(inst)
+            out = reduce_degree(out) if trees else out
+            g = out.graph
+            succ, pred = {v: [] for v in g.vertices}, {v: [] for v in g.vertices}
+            for u, v in g.edges:
+                succ[u].append(v)
+                pred[v].append(u)
+            for s, t in out.terminals.pairs:
+                kind = "vertical" if s.family == "a" else "horizontal"
+                cone = reach(s, succ) & reach(t, pred)
+                assert t in cone and cone <= level_set(out, kind, s.index), (k, n, seed, s)
+                pairs += 1
+        assert pairs == 2 * sum(2 * k for k in (1, 2, 3)) * 3 * 2 + 3 * 2 * 2
 
     @staticmethod
     def leads_to(step: dict, starts, inner) -> set:
